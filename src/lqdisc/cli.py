@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import statistics
 import sys
 import time
@@ -43,6 +42,7 @@ from .stochastic import (
     em_reformulate,
     expected_cost,
     monte_carlo,
+    resolve_workers,
 )
 
 _PROG = "lqdisc"
@@ -220,16 +220,6 @@ def _cmd_benchmark(args) -> int:
     return 0
 
 
-def _resolve_workers(value: int | None) -> int:
-    if value is not None:
-        return value
-    raw = os.environ.get("LQDISC_WORKERS", "1")
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise _UsageError(f"LQDISC_WORKERS must be an integer, got {raw!r}") from exc
-
-
 def _histogram_csv(summary) -> str:
     """Histogram as CSV: one row per bin, one count column per stream."""
     hist = summary.histogram
@@ -253,6 +243,10 @@ def _cmd_montecarlo(args) -> int:
     _require_at_least(args.bins, 1, "--bins")
     if args.workers is not None:
         _require_at_least(args.workers, 1, "--workers")
+    try:
+        workers = resolve_workers(args.workers)
+    except ValidationError as exc:      # a bad environment is an argument error
+        raise _UsageError(str(exc)) from exc
     model = _load_model(args.model)
     disc = discretize_expm(model)
     ref = em_reformulate(model, args.subdiv, dim_cap=args.dim_cap, disc=disc)
@@ -262,7 +256,7 @@ def _cmd_montecarlo(args) -> int:
         ref,
         n_sims=args.sims,
         seed=args.seed,
-        workers=_resolve_workers(args.workers),
+        workers=workers,
         n_bins=args.bins,
     )
     json_path = f"{args.output}.json"

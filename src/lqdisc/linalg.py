@@ -20,6 +20,7 @@ __all__ = [
     "LuFactorization",
     "symmetrize",
     "is_psd",
+    "psd_shortfall",
 ]
 
 # Pade-13 numerator coefficients (Higham 2005, Table 10.4).
@@ -164,15 +165,26 @@ def symmetrize(m) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+def psd_shortfall(m, tol: float = 1e-10) -> float | None:
+    """Minimum eigenvalue of the symmetrized input if it breaks PSD, else None.
+
+    The input counts as positive semidefinite when its minimum eigenvalue
+    is at least ``-tol * scale`` with ``scale = max(1, largest
+    |eigenvalue|)``.  An empty matrix is PSD.
+    """
+    a = symmetrize(m)
+    if a.size == 0:
+        return None
+    eigs = np.linalg.eigvalsh(a)
+    scale = max(1.0, float(np.abs(eigs).max()))
+    low = float(eigs.min())
+    return low if low < -tol * scale else None
+
+
 def is_psd(m, tol: float = 1e-10) -> bool:
     """Check positive semidefiniteness of a (nearly) symmetric matrix.
 
     True iff the minimum eigenvalue of the symmetrized input is at least
     ``-tol * scale`` where ``scale = max(1, largest |eigenvalue|)``.
     """
-    a = symmetrize(_as_matrix(m, "is_psd argument"))
-    if a.shape[0] == 0:
-        return True
-    eigs = np.linalg.eigvalsh(a)
-    scale = max(1.0, float(np.abs(eigs).max()))
-    return bool(eigs.min() >= -tol * scale)
+    return psd_shortfall(_as_matrix(m, "is_psd argument"), tol) is None

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import symmetrize
+from .linalg import psd_shortfall
 
 __all__ = [
     "ContinuousLqModel",
@@ -51,10 +51,15 @@ def _array(value, name, ndim):
 
 
 def _sequence(value, n, width, name):
-    """Coerce a per-step sequence, broadcasting a single row over n steps."""
+    """Coerce a per-step sequence, broadcasting a single row over n steps.
+
+    A single row is a flat vector or a one-row matrix of shape (1, width).
+    """
     if width == 0:
         return _array(np.zeros((n, 0)), name, 2)
     a = np.asarray(value, dtype=float)
+    if a.ndim == 2 and a.shape[0] == 1:
+        a = a[0]
     if a.ndim == 1:
         if a.shape[0] != width:
             raise ValidationError(
@@ -208,12 +213,9 @@ def _symmetry_violation(m, name, tol):
 
 
 def _psd_violation(m, name, tol=_PSD_TOL):
-    if m.size == 0:
-        return None
-    eigs = np.linalg.eigvalsh(symmetrize(m))
-    scale = max(1.0, float(np.abs(eigs).max()))
-    if eigs.min() < -tol * scale:
-        return f"{name} is not positive semidefinite (min eigenvalue {eigs.min():.3e})"
+    low = psd_shortfall(m, tol)
+    if low is not None:
+        return f"{name} is not positive semidefinite (min eigenvalue {low:.3e})"
     return None
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "propagate_covariance",
     "expected_cost",
     "monte_carlo",
+    "resolve_workers",
 ]
 
 DEFAULT_DIM_CAP = 4096
@@ -78,7 +79,27 @@ class EmIntervalOps:
 
 
 def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
-    """Build the noise refinement maps for one sampling interval."""
+    """Build the noise refinement maps for one sampling interval.
+
+    With ``E = I + dt a_c``, ``f[i] = E^i g_c``, ``W = c_c' q_c c_c`` and
+    ``held[i] = sum_{l<i} E^l dt b_c``, the noise blocks are sums over
+    pairs of sub-steps; each reduces to prefix sums over powers of ``E``
+    (discrete analogues of Van Loan's Gramian integrals):
+
+    * ``noise_quad[p, q] = dt sum_{t >= max(p, q)} f[t-p]' W f[t-q]``.
+      In the block order of ``noise_map`` (block ``p`` holds
+      ``f[n_sub-1-p]``) this is a suffix sum along the block diagonals of
+      the Gram matrix ``noise_map' W noise_map``.
+    * ``cross[:, q]``: with ``S_r = sum_{m <= r} (E^m)' W f[m]`` and
+      ``P_r = sum_{m <= r} (c_c held[m] + d_c)' q_c c_c f[m]``, the x-rows
+      are ``dt (E^{q+1})' S_{n_sub-1-q}`` and the u-rows
+      ``dt (held[q+1]' S_{n_sub-1-q} + P_{n_sub-1-q})``, by
+      ``held[a+b] = E^a held[b] + held[a]``.
+    * ``noise_lin[q] = -dt (sum_{m <= n_sub-1-q} f[m])' c_c' q_c``.
+
+    Apart from the ``O(n_sub)`` power recursion, every piece is a batched
+    numpy product or cumulative sum.
+    """
     if n_sub < 1:
         raise ValidationError(f"n_sub must be >= 1, got {n_sub}")
     n_x, n_u, n_z, n_w = model.n_x, model.n_u, model.n_z, model.n_w
@@ -108,33 +129,36 @@ def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
     wf = noise_w @ f
 
     m_blk = n_sub * n_w
-    noise_quad = np.zeros((m_blk, m_blk))
-    # (noise_quad)[p, q] = dt * sum_{t >= max(p, q)} f[t-p]' noise_w f[t-q]
-    for lag in range(n_sub):
-        terms = np.einsum("kxa,kxb->kab", f[lag:], wf[: n_sub - lag])
-        partial = np.cumsum(terms, axis=0)
-        for q in range(lag, n_sub):
-            block = dt * partial[n_sub - 1 - q]
-            p = q - lag
-            noise_quad[p * n_w:(p + 1) * n_w, q * n_w:(q + 1) * n_w] = block
-            if lag:
-                noise_quad[q * n_w:(q + 1) * n_w, p * n_w:(p + 1) * n_w] = block.T
-    noise_quad = symmetrize(noise_quad)
+    noise_map = f[::-1].transpose(1, 0, 2).reshape(n_x, m_blk)
+    # suffix sums along the block diagonals of the Gram matrix, in place
+    gram = (noise_map.T @ (noise_w @ noise_map)).reshape(n_sub, n_w, n_sub, n_w)
+    for p in range(n_sub - 2, -1, -1):
+        gram[p, :, :-1] += gram[p + 1, :, 1:]
+    gram = gram.reshape(m_blk, m_blk)
+    noise_quad = gram + gram.T
+    noise_quad *= 0.5 * dt
 
-    # cross[:, q-block] = dt * sum_k gam[k+q]' q_c c_c f[k]
-    cross = np.empty((n_x + n_u, m_blk))
-    out_f = np.einsum("zx,kxw->kzw", model.q_c @ model.c_c, f)
-    for q in range(n_sub):
-        cross[:, q * n_w:(q + 1) * n_w] = dt * np.einsum(
-            "kzr,kzw->rw", gam[q:], out_f[: n_sub - q]
-        )
+    # cross: x-rows dt (E^{q+1})' S_r, u-rows dt (held[q+1]' S_r + P_r),
+    # with r = n_sub-1-q
+    s_rev = np.cumsum(np.einsum("mxy,mxw->myw", powers[:n_sub], wf), axis=0)[::-1]
+    out_f = (model.q_c @ model.c_c) @ f
+    out_held = model.c_c @ held[:n_sub] + model.d_c
+    p_rev = np.cumsum(np.einsum("mzu,mzw->muw", out_held, out_f), axis=0)[::-1]
+    cross_blocks = np.concatenate(
+        [
+            np.einsum("qxy,qxw->qyw", powers[1:], s_rev),
+            np.einsum("qxu,qxw->quw", held[1:], s_rev) + p_rev,
+        ],
+        axis=1,
+    )
+    cross = dt * cross_blocks.transpose(1, 0, 2).reshape(n_x + n_u, m_blk)
 
     # noise_lin[q-block] = -dt * (sum_{m <= n_sub-1-q} f[m])' c_c' q_c
-    f_cum = np.cumsum(f, axis=0)
-    noise_lin = np.empty((m_blk, n_z))
+    f_cum_rev = np.cumsum(f, axis=0)[::-1]
     back_weight = model.c_c.T @ model.q_c
-    for q in range(n_sub):
-        noise_lin[q * n_w:(q + 1) * n_w] = -dt * f_cum[n_sub - 1 - q].T @ back_weight
+    noise_lin = -dt * np.einsum("qxw,xz->qwz", f_cum_rev, back_weight).reshape(
+        m_blk, n_z
+    )
 
     # integral of tr(noise_w * cov of the within-interval noise state)
     per_node = np.einsum("kxw,xy,kyw->k", f, noise_w, f)
@@ -142,7 +166,6 @@ def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
         ((n_sub - np.arange(n_sub)) * per_node).sum()
     )
 
-    noise_map = f[::-1].transpose(1, 0, 2).reshape(n_x, m_blk)
     return EmIntervalOps(
         n_sub=n_sub,
         dt=dt,
@@ -328,33 +351,50 @@ def cost_moments_streaming(
     cross-covariance accumulators that carry every past stage's influence
     on future stages.  Matches :func:`cost_moments` to rounding on
     instances small enough to materialize, with per-step memory only.
+
+    Every product with a factor of size ``m_blk = n_sub * n_w`` is a loop
+    invariant and is taken once before the walk: the stage's noise
+    gradient ``g_w = cross' mu + noise_lin target`` enters only through
+    ``|g_w|^2`` (via ``cross cross'``, ``cross noise_lin`` and
+    ``noise_lin' noise_lin``) and ``noise_map g_w`` (via ``noise_map
+    cross'`` and ``noise_map noise_lin``), and the noise part of each
+    stage kernel through ``cross_x noise_map'`` and ``noise_map
+    noise_quad noise_map'``.  So the work per step depends on ``n_x``,
+    ``n_u`` and ``n_z`` only, not on ``n_sub``.
     """
     require_valid(model)
     if disc is None:
         disc = discretize_expm(model)
     ops = em_interval_ops(model, n_sub)
-    n_x, n_u = model.n_x, model.n_u
+    n_x = model.n_x
     dt = ops.dt
     a, b = disc.a, disc.b
     quad, cross, noise_quad = disc.q, ops.cross, ops.noise_quad
+    noise_map, noise_lin = ops.noise_map, ops.noise_lin
     q_xx = quad[:n_x, :n_x]
-    cross_x = cross[:n_x]
 
     trace_noise = dt * float(np.trace(noise_quad))
     trace_noise_sq = dt * dt * float(np.einsum("ij,ij->", noise_quad, noise_quad))
+    cross_gram = cross @ cross.T                     # (n_xu, n_xu)
+    cross_lin = cross @ noise_lin                    # (n_xu, n_z)
+    lin_gram = noise_lin.T @ noise_lin               # (n_z, n_z)
+    map_cross = noise_map @ cross.T                  # (n_x, n_xu)
+    map_lin = noise_map @ noise_lin                  # (n_x, n_z)
+    cross_map = map_cross[:, :n_x].T                 # cross_x noise_map'
+    map_quad = noise_map @ noise_quad @ noise_map.T  # (n_x, n_x)
+    noise_cov_step = dt * (noise_map @ noise_map.T)
 
     mean = 0.0
     var = 0.0
     state_mean = np.asarray(model.x0_mean, dtype=float).copy()
     state_cov = np.asarray(model.x0_cov, dtype=float).copy()
-    noise_cov_step = dt * (ops.noise_map @ ops.noise_map.T)
     hist_quad = np.zeros((n_x, n_x))     # transported sum of past R_j kernels
     hist_lin = np.zeros(n_x)             # transported sum of past gamma_j
 
     for k in range(model.horizon):
         mu = np.concatenate([state_mean, model.inputs[k]])
+        target = model.targets[k]
         b_xi = disc.q_k[k]
-        b_w = ops.noise_lin @ model.targets[k]
 
         mean += (
             0.5 * float(mu @ quad @ mu)
@@ -364,17 +404,23 @@ def cost_moments_streaming(
         )
 
         g_xi = quad @ mu + b_xi
-        g_w = cross.T @ mu + b_w
+        g_w_sq = float(
+            mu @ cross_gram @ mu
+            + 2.0 * (mu @ cross_lin @ target)
+            + target @ lin_gram @ target
+        )
 
         t1 = quad[:, :n_x] @ state_cov          # (n_xu, n_x) slice of A Sigma
         own = (
             0.5 * (
                 float(np.einsum("ij,ji->", t1[:n_x], t1[:n_x]))
-                + 2.0 * dt * float(np.einsum("am,ab,bm->", cross_x, state_cov, cross_x))
+                + 2.0 * dt * float(
+                    np.einsum("ab,ab->", state_cov, cross_gram[:n_x, :n_x])
+                )
                 + trace_noise_sq
             )
             + float(g_xi[:n_x] @ state_cov @ g_xi[:n_x])
-            + dt * float(g_w @ g_w)
+            + dt * g_w_sq
         )
 
         # cross-covariance with every earlier stage, via the accumulators
@@ -383,15 +429,15 @@ def cost_moments_streaming(
             + float(g_xi[:n_x] @ hist_lin)
         )
 
-        # fold this stage into the accumulators (covariance with x_{k+1})
+        # fold this stage into the accumulators (covariance with x_{k+1});
+        # the noise rows of Cov(v_k, x_{k+1}) are dt * noise_map'
         k_xi = state_cov @ a.T                   # x-rows of Cov(v_k, x_{k+1})
-        k_w = dt * ops.noise_map.T
-        mid = quad[:n_x, :n_x] @ k_xi + cross_x @ k_w
         kernel = (
-            k_xi.T @ mid
-            + k_w.T @ (cross_x.T @ k_xi + noise_quad @ k_w)
+            k_xi.T @ (q_xx @ k_xi + dt * cross_map)
+            + dt * (cross_map.T @ k_xi)
+            + (dt * dt) * map_quad
         )
-        gamma = k_xi.T @ g_xi[:n_x] + k_w.T @ g_w
+        gamma = k_xi.T @ g_xi[:n_x] + dt * (map_cross @ mu + map_lin @ target)
         hist_quad = a @ hist_quad @ a.T + kernel
         hist_lin = a @ hist_lin + gamma
 
@@ -623,6 +669,23 @@ def _tree_reduce(parts: list) -> dict:
     return parts[0]
 
 
+def resolve_workers(workers: int | None) -> int:
+    """``workers`` itself, or the ``LQDISC_WORKERS`` variable (default 1) if None.
+
+    Raises :class:`~lqdisc.errors.ValidationError` naming the variable when
+    it does not parse as an integer.
+    """
+    if workers is not None:
+        return workers
+    raw = os.environ.get("LQDISC_WORKERS", "1")
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ValidationError(
+            f"LQDISC_WORKERS must be an integer, got {raw!r}"
+        ) from exc
+
+
 def monte_carlo(
     model: ContinuousLqModel,
     disc: DiscreteLqModel,
@@ -648,8 +711,7 @@ def monte_carlo(
     require_valid(model)
     if n_sims < 1:
         raise ValidationError(f"n_sims must be >= 1, got {n_sims}")
-    if workers is None:
-        workers = int(os.environ.get("LQDISC_WORKERS", "1"))
+    workers = resolve_workers(workers)
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
 

@@ -184,6 +184,22 @@ def test_broadcast_input_vector_fills_the_horizon(tmp_path, capsys):
     assert len(out["rho_k"]) == 4
 
 
+def test_broadcast_one_row_matrices_fill_the_horizon(tmp_path, capsys):
+    rows = benchmark_payload(horizon=10)
+    rows["u"] = [[1.0, 1.0]]
+    rows["zbar"] = [[3.0, 0.0, 0.0]]
+    vectors = dict(rows, u=[1.0, 1.0], zbar=[3.0, 0.0, 0.0])
+    out_rows = tmp_path / "rows.json"
+    out_vectors = tmp_path / "vectors.json"
+    assert main(["discretize", write_model(tmp_path, rows, "r.json"),
+                 "-o", str(out_rows)]) == 0
+    assert main(["discretize", write_model(tmp_path, vectors, "v.json"),
+                 "-o", str(out_vectors)]) == 0
+    capsys.readouterr()
+    assert len(json.loads(out_rows.read_text())["q_k"]) == 10
+    assert out_rows.read_bytes() == out_vectors.read_bytes()
+
+
 def test_tracking_form_equals_stacked_form(tmp_path, capsys):
     stacked = benchmark_payload()
     stacked["zbar"] = [[3.0, 0.0, 0.0]]

@@ -33,6 +33,19 @@ def test_validate_reports_asymmetric_weight():
     assert any("q_c" in line and "symmetr" in line for line in report)
 
 
+def test_validate_reports_indefinite_weights_with_their_eigenvalue():
+    m = make_benchmark_model()
+    bad = ContinuousLqModel(
+        a_c=m.a_c, b_c=m.b_c, g_c=m.g_c, c_c=m.c_c, d_c=m.d_c,
+        q_c=np.diag([1.0, 1.0, -0.5]), t_s=m.t_s, inputs=m.inputs,
+        targets=m.targets, x0_mean=m.x0_mean, x0_cov=np.diag([0.1, -0.2]),
+    )
+    assert validate(bad) == [
+        "q_c is not positive semidefinite (min eigenvalue -5.000e-01)",
+        "x0_cov is not positive semidefinite (min eigenvalue -2.000e-01)",
+    ]
+
+
 def test_validate_reports_nonpositive_sample_time():
     m = make_benchmark_model()
     bad = ContinuousLqModel(
@@ -178,4 +191,22 @@ def test_from_dict_rejects_unknown_keys(benchmark_model):
     payload = continuous_model_to_dict(benchmark_model)
     payload["extra"] = 1
     with pytest.raises(ValidationError):
+        continuous_model_from_dict(payload)
+
+
+def test_from_dict_broadcasts_one_row_matrices_like_vectors(benchmark_model):
+    payload = continuous_model_to_dict(benchmark_model)
+    payload["N"] = 10
+    payload["u"] = [[1.0, 1.0]]
+    payload["zbar"] = [[3.0, 0.0, 0.0]]
+    as_rows = continuous_model_from_dict(payload)
+    payload["u"] = [1.0, 1.0]
+    payload["zbar"] = [3.0, 0.0, 0.0]
+    as_vectors = continuous_model_from_dict(payload)
+    assert as_rows.horizon == 10
+    assert np.array_equal(as_rows.inputs, as_vectors.inputs)
+    assert np.array_equal(as_rows.targets, as_vectors.targets)
+    # a matrix with more rows than one must still match the horizon
+    payload["u"] = [[1.0, 1.0], [2.0, 2.0]]
+    with pytest.raises(ValidationError, match=r"u must have shape \(10, 2\)"):
         continuous_model_from_dict(payload)

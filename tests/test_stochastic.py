@@ -1,14 +1,17 @@
 """Cost moments (materialized and streaming), expected cost, Monte Carlo."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from lqdisc.errors import ResourceLimitError, ValidationError
+from lqdisc.errors import LqdiscError, ResourceLimitError, ValidationError
 from lqdisc.expm_method import discretize_expm
 from lqdisc.model import ContinuousLqModel, DiscreteLqModel
 from lqdisc.stochastic import (
     cost_moments,
     cost_moments_streaming,
+    em_interval_ops,
     em_reformulate,
     expected_cost,
     monte_carlo,
@@ -38,6 +41,121 @@ def _deterministic_total(disc, x0, inputs):
         total += disc.stage_cost(x, inputs[k], k)
         x = disc.a @ x + disc.b @ inputs[k]
     return total
+
+
+def _with_noise_input(rng, model, n_w):
+    """The same model with a random ``n_x`` by ``n_w`` noise-input matrix."""
+    return dataclasses.replace(model, g_c=0.3 * rng.normal(size=(model.n_x, n_w)))
+
+
+def _loop_interval_ops(model, n_sub):
+    """Reference definition of every EmIntervalOps field, one block at a time.
+
+    A direct transcription of the sums over pairs of sub-steps (double
+    loop over block lags and columns), kept as the definition that the
+    prefix-sum construction in :func:`em_interval_ops` must reproduce.
+    """
+    n_x, n_u, n_z, n_w = model.n_x, model.n_u, model.n_z, model.n_w
+    dt = model.t_s / n_sub
+    euler = np.eye(n_x) + dt * model.a_c
+    powers = np.empty((n_sub + 1, n_x, n_x))
+    held = np.empty((n_sub + 1, n_x, n_u))
+    powers[0] = np.eye(n_x)
+    held[0] = np.zeros((n_x, n_u))
+    for i in range(n_sub):
+        powers[i + 1] = euler @ powers[i]
+        held[i + 1] = euler @ held[i] + dt * model.b_c
+
+    gam = np.empty((n_sub, n_z, n_x + n_u))
+    gam[:, :, :n_x] = model.c_c @ powers[1:]
+    gam[:, :, n_x:] = model.c_c @ held[1:] + model.d_c
+    quad_approx = dt * np.einsum("izr,izc->rc", gam, model.q_c @ gam)
+    lin_approx = -dt * gam.sum(axis=0).T @ model.q_c
+
+    noise_w = model.c_c.T @ model.q_c @ model.c_c
+    f = powers[:n_sub] @ model.g_c
+    wf = noise_w @ f
+    m_blk = n_sub * n_w
+    noise_quad = np.zeros((m_blk, m_blk))
+    for lag in range(n_sub):
+        terms = np.einsum("kxa,kxb->kab", f[lag:], wf[: n_sub - lag])
+        partial = np.cumsum(terms, axis=0)
+        for q in range(lag, n_sub):
+            block = dt * partial[n_sub - 1 - q]
+            p = q - lag
+            noise_quad[p * n_w:(p + 1) * n_w, q * n_w:(q + 1) * n_w] = block
+            if lag:
+                noise_quad[q * n_w:(q + 1) * n_w, p * n_w:(p + 1) * n_w] = block.T
+    noise_quad = 0.5 * (noise_quad + noise_quad.T)
+
+    cross = np.empty((n_x + n_u, m_blk))
+    out_f = np.einsum("zx,kxw->kzw", model.q_c @ model.c_c, f)
+    for q in range(n_sub):
+        cross[:, q * n_w:(q + 1) * n_w] = dt * np.einsum(
+            "kzr,kzw->rw", gam[q:], out_f[: n_sub - q]
+        )
+
+    f_cum = np.cumsum(f, axis=0)
+    noise_lin = np.empty((m_blk, n_z))
+    for q in range(n_sub):
+        noise_lin[q * n_w:(q + 1) * n_w] = (
+            -dt * f_cum[n_sub - 1 - q].T @ model.c_c.T @ model.q_c
+        )
+
+    per_node = np.einsum("kxw,xy,kyw->k", f, noise_w, f)
+    trace_integral = dt * dt * float(((n_sub - np.arange(n_sub)) * per_node).sum())
+    return {
+        "n_sub": n_sub,
+        "dt": dt,
+        "coarse_a": powers[n_sub],
+        "coarse_b": held[n_sub],
+        "noise_map": f[::-1].transpose(1, 0, 2).reshape(n_x, m_blk),
+        "cross": cross,
+        "noise_quad": noise_quad,
+        "noise_lin": noise_lin,
+        "quad_approx": 0.5 * (quad_approx + quad_approx.T),
+        "lin_approx": lin_approx,
+        "trace_integral": trace_integral,
+    }
+
+
+def _interval_test_models():
+    rng = np.random.default_rng(2024)
+    one_column = _with_noise_input(
+        rng, random_stable_model(rng, n_x=3, n_u=2, n_z=2), n_w=1
+    )
+    wide_noise = _with_noise_input(
+        rng, random_stable_model(rng, n_x=2, n_u=2, n_z=3), n_w=4
+    )
+    return {
+        "benchmark": make_benchmark_model(),
+        "one_noise_column": one_column,
+        "n_w_above_n_x": wide_noise,
+    }
+
+
+# ---------------------------------------------------------------------------
+# within-interval noise refinement
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_sub", [1, 2, 3, 17, 64])
+@pytest.mark.parametrize("name", ["benchmark", "one_noise_column", "n_w_above_n_x"])
+def test_interval_ops_match_the_loop_definition(name, n_sub):
+    model = _interval_test_models()[name]
+    if name == "n_w_above_n_x":
+        assert model.n_w > model.n_x and np.abs(model.d_c).max() > 0.0
+    got = em_interval_ops(model, n_sub)
+    want = _loop_interval_ops(model, n_sub)
+    assert {f.name for f in dataclasses.fields(got)} == set(want)
+    assert got.n_sub == want["n_sub"] and got.dt == want["dt"]
+    for field_name, ref in want.items():
+        if field_name in ("n_sub", "dt"):
+            continue
+        value = np.asarray(getattr(got, field_name))
+        ref = np.asarray(ref)
+        assert value.shape == ref.shape, field_name
+        err = np.abs(value - ref).max()
+        assert err <= 1e-12 * np.abs(ref).max(), (field_name, err)
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +239,26 @@ def test_streaming_matches_materialized_small():
         got = cost_moments_streaming(model, 8)
         assert got[0] == pytest.approx(want[0], rel=1e-9, abs=1e-12)
         assert got[1] == pytest.approx(want[1], rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_sub", [1, 8])
+def test_streaming_matches_materialized_with_n_w_unlike_n_x(n_sub):
+    rng = np.random.default_rng(4711)
+    for n_x, n_w in ((1, 3), (2, 1), (3, 5), (3, 2)):
+        model = _with_noise_input(
+            rng,
+            random_stable_model(
+                rng, n_x=n_x, n_u=2, n_z=2, horizon=int(rng.integers(2, 7))
+            ),
+            n_w,
+        )
+        # per-step inputs and targets differ from step to step
+        assert np.ptp(model.inputs, axis=0).min() > 0.0
+        assert np.ptp(model.targets, axis=0).min() > 0.0
+        want = cost_moments(em_reformulate(model, n_sub))
+        got = cost_moments_streaming(model, n_sub)
+        assert got[0] == pytest.approx(want[0], rel=1e-10)
+        assert got[1] == pytest.approx(want[1], rel=1e-10)
 
 
 def test_streaming_matches_materialized_benchmark():
@@ -305,3 +443,15 @@ def test_monte_carlo_rejects_bad_arguments():
         monte_carlo(model, disc, ref, 0, seed=0)
     with pytest.raises(ValidationError, match="workers"):
         monte_carlo(model, disc, ref, 10, seed=0, workers=0)
+
+
+def test_monte_carlo_rejects_a_non_integer_worker_variable(monkeypatch):
+    model = make_benchmark_model(horizon=1)
+    disc = discretize_expm(model)
+    ref = em_reformulate(model, 8)
+    monkeypatch.setenv("LQDISC_WORKERS", "many")
+    with pytest.raises(ValidationError, match="LQDISC_WORKERS") as info:
+        monte_carlo(model, disc, ref, 10, seed=0)
+    assert isinstance(info.value, LqdiscError)
+    # an explicit count never reads the variable
+    assert monte_carlo(model, disc, ref, 10, seed=0, workers=1).n_sims == 10
