@@ -14,6 +14,7 @@ from .errors import (
     ConvexityError,
     DivergenceError,
     LqdiscError,
+    NormOverflowError,
     ResourceLimitError,
     SingularMatrixError,
     ValidationError,
@@ -66,6 +67,7 @@ __all__ = [
     "LqdiscError",
     "LuFactorization",
     "McSummary",
+    "NormOverflowError",
     "OracleConfig",
     "PrecomputedCoefficients",
     "ResourceLimitError",

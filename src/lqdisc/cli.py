@@ -4,13 +4,14 @@ Subcommands: ``discretize``, ``benchmark``, ``montecarlo``,
 ``expected-cost``, ``solve``.  Models are JSON files; results go to
 stdout or ``-o``.  Exit codes: 0 success, 2 bad usage/arguments,
 3 invalid model data, 4 numerical failure (divergence, singular pivot,
-non-convex stage), 5 resource cap exceeded.
+non-convex stage, overflowing norm), 5 resource cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import statistics
@@ -26,6 +27,7 @@ from .errors import (
     ConvexityError,
     DivergenceError,
     LqdiscError,
+    NormOverflowError,
     ResourceLimitError,
     SingularMatrixError,
     ValidationError,
@@ -122,7 +124,35 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte.
+
+    With ``indent`` set, ``json`` runs its pure-Python encoder, one call
+    per number; here a list of finite floats is written in one pass.
+    """
+    return _json_value(payload, "")
+
+
+def _json_value(value, pad: str) -> str:
+    """``value`` as ``_json_text`` writes it, nested at indentation ``pad``."""
+    inner = pad + "  "
+    if type(value) is dict and value and all(type(k) is str for k in value):
+        items = (
+            f"{json.dumps(key)}: {_json_value(item, inner)}"
+            for key, item in sorted(value.items())
+        )
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if type(value) in (list, tuple) and value:
+        try:
+            text = (",\n" + inner).join(map(float.__repr__, value))
+            finite = "n" not in text    # "nan"/"inf": json writes NaN/Infinity
+        except TypeError:               # an item that is not a float
+            finite = False
+        if not finite:
+            text = (",\n" + inner).join(_json_value(v, inner) for v in value)
+        return "[\n" + inner + text + "\n" + pad + "]"
+    # leaves, empty containers and anything unusual: json's own output,
+    # re-indented (json escapes every newline inside a string)
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +351,13 @@ def _cmd_solve(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls.
+
+    ``parse_args`` leaves the parser unchanged and returns a fresh
+    namespace, so one parser serves every ``main`` call in a process.
+    """
     parser = argparse.ArgumentParser(
         prog=_PROG,
         description="Exact discrete equivalents of sampled linear-quadratic "
@@ -400,7 +436,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         _fail(str(exc))
         return 3
-    except (DivergenceError, SingularMatrixError, ConvexityError) as exc:
+    except (
+        DivergenceError, SingularMatrixError, ConvexityError, NormOverflowError
+    ) as exc:
         _fail(str(exc))
         return 4
     except ResourceLimitError as exc:

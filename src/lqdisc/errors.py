@@ -21,6 +21,10 @@ class DivergenceError(LqdiscError):
     """An iteration produced non-finite values."""
 
 
+class NormOverflowError(LqdiscError):
+    """A matrix norm of finite entries overflowed to infinity."""
+
+
 class ConvexityError(LqdiscError):
     """A Riccati step lost positive definiteness of the input block."""
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .linalg import expm, pade_squarings, symmetrize
+from .linalg import expm, norm1, pade_squarings, symmetrize
 from .model import ContinuousLqModel, DiscreteLqModel, require_valid
 from .ode_method import _affine_cost_sequences
 
@@ -126,7 +126,7 @@ def discretize_expm(model: ContinuousLqModel) -> DiscreteLqModel:
     """
     require_valid(model)
     n_x = model.n_x
-    halvings = pade_squarings(np.abs(model.a_c).sum(axis=0).max() * model.t_s)
+    halvings = pade_squarings(norm1(model.a_c) * model.t_s, "a_c * t_s")
     blocks = _block_exponentials(model, halvings)
 
     ext = blocks.phi1_22                          # extended transition [[a, b], [0, I]]

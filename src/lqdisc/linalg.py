@@ -12,10 +12,11 @@ import math
 
 import numpy as np
 
-from .errors import SingularMatrixError, ValidationError
+from .errors import NormOverflowError, SingularMatrixError, ValidationError
 
 __all__ = [
     "expm",
+    "norm1",
     "pade_squarings",
     "solve_linear",
     "LuFactorization",
@@ -55,14 +56,29 @@ def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def pade_squarings(norm: float) -> int:
+def norm1(m: np.ndarray) -> float:
+    """Largest absolute column sum; ``inf``, without a warning, on overflow."""
+    if m.size == 0:
+        return 0.0
+    with np.errstate(over="ignore"):
+        return float(np.abs(m).sum(axis=0).max())
+
+
+def pade_squarings(norm: float, name: str = "matrix") -> int:
     """Halvings that bring a 1-norm of ``norm`` to the Pade-13 threshold.
 
     Zero when ``norm`` is already at or below it; otherwise the smallest
-    ``s`` with ``norm / 2**s <= 5.3719...``.
+    ``s`` with ``norm / 2**s <= 5.3719...``.  Raises
+    :class:`~lqdisc.errors.NormOverflowError`, naming ``name``, when the
+    norm is infinite.
     """
     if norm <= _PADE13_THETA:
         return 0
+    if math.isinf(norm):
+        raise NormOverflowError(
+            f"the 1-norm of {name} overflows to {norm}; its exponential "
+            "cannot be scaled into range"
+        )
     return int(math.ceil(math.log2(norm / _PADE13_THETA)))
 
 
@@ -89,8 +105,7 @@ def expm(m) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0))
 
-    norm = np.abs(a).sum(axis=0).max() if a.size else 0.0
-    squarings = pade_squarings(norm)
+    squarings = pade_squarings(norm1(a), "expm argument")
     if squarings:
         a = a / (2.0 ** squarings)
 

@@ -1,8 +1,15 @@
 """Fixed-step discretization by Runge-Kutta matrix recursions.
 
 One precomputation per (model, scheme, step count), then ``n_steps``
-cheap matrix updates advance the transition, input, cost, and noise
-accumulators across a single sampling interval simultaneously.
+cheap matrix updates of the extended-state transition ``ext`` (acting on
+``[x; u]``) and of the quadratic-cost, affine-cost and noise
+accumulators.  The RK stage maps are functions of ``a_c`` and so commute
+with the state transition; the transition ``A`` and input map ``B`` are
+therefore the blocks ``[[A, B], [0, I]]`` of ``ext`` and need no
+accumulators of their own, and the per-step noise increment
+``sum_i b_i lam_i T r_bar T' lam_i'`` equals ``T r_tilde T'`` with the
+one precomputed ``r_tilde = sum_i b_i lam_i r_bar lam_i'``.  ``Q`` and
+``R_ww`` are symmetrized once, after the last step.
 """
 
 from __future__ import annotations
@@ -20,9 +27,12 @@ __all__ = ["discretize_ode"]
 def weighted_conjugation(coeffs: PrecomputedCoefficients, m: np.ndarray) -> np.ndarray:
     """Sum of b[i] * lam_stages[i] @ m @ lam_stages[i].T over stages.
 
-    Shared by the fixed-step and step-doubling methods so that their
-    noise-covariance results agree bitwise in the degenerate single-step
-    case.
+    The scheme's one-step noise covariance for an increment ``m``.  The
+    stage maps commute with the state transition ``T``, so for
+    ``m = T m0 T'`` it equals ``T @ weighted_conjugation(coeffs, m0) @ T.T``:
+    the fixed-step route applies it once, to ``r_bar``, before its loop,
+    and step doubling once, to its accumulated sum, after its loop.  The
+    two therefore agree bitwise in the degenerate single-step case.
     """
     b = coeffs.scheme.b
     out = np.zeros_like(m)
@@ -60,27 +70,23 @@ def discretize_ode(
     """
     require_valid(model)
     coeffs = precompute(model, scheme, n_steps)
-    n_x, n_u = model.n_x, model.n_u
+    n_x, n_xu = model.n_x, model.n_x + model.n_u
+    r_tilde = weighted_conjugation(coeffs, coeffs.r_bar)
 
-    trans = np.eye(n_x)                       # state transition so far
-    inp = np.zeros((n_x, n_u))                # accumulated input map
-    ext = np.eye(n_x + n_u)                   # extended-state transition
-    quad = np.zeros((n_x + n_u, n_x + n_u))   # quadratic cost accumulator
-    lin = np.zeros((n_x + n_u, model.n_z))    # affine cost accumulator
+    ext = np.eye(n_xu)                        # extended transition [[A, B], [0, I]]
+    quad = np.zeros((n_xu, n_xu))             # quadratic cost accumulator
+    lin = np.zeros((n_xu, model.n_z))         # affine cost accumulator
     cov = np.zeros((n_x, n_x))                # noise covariance accumulator
 
     # overflow to inf is the divergence signal checked below, not an error
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            quad = symmetrize(quad + ext.T @ coeffs.q_bar @ ext)
-            lin = lin + ext.T @ coeffs.m_bar
-            cov = symmetrize(
-                cov + weighted_conjugation(coeffs, trans @ coeffs.r_bar @ trans.T)
-            )
-            inp = inp + coeffs.theta @ (trans @ coeffs.b_bar)
-            trans = coeffs.lam @ trans
+            quad += ext.T @ coeffs.q_bar @ ext
+            lin += ext.T @ coeffs.m_bar
+            trans = ext[:n_x, :n_x]
+            cov += trans @ r_tilde @ trans.T
             ext = coeffs.omega @ ext
-            if not (np.isfinite(trans).all() and np.isfinite(quad).all()):
+            if not (np.isfinite(ext).all() and np.isfinite(quad).all()):
                 raise DivergenceError(
                     f"scheme {scheme!r} diverged at step {k + 1} of {n_steps} "
                     f"(step size {coeffs.h:.6g})"
@@ -88,13 +94,13 @@ def discretize_ode(
 
     q_seq, rho_seq = _affine_cost_sequences(model, lin)
     return DiscreteLqModel(
-        a=trans,
-        b=inp,
+        a=ext[:n_x, :n_x],
+        b=ext[:n_x, n_x:],
         c=model.c_c,
         d=model.d_c,
-        q=quad,
+        q=symmetrize(quad),
         m=lin,
-        r_ww=cov,
+        r_ww=symmetrize(cov),
         t_s=model.t_s,
         q_k=q_seq,
         rho_k=rho_seq,

@@ -244,7 +244,7 @@ def em_reformulate(
     if dim > dim_cap:
         raise ResourceLimitError(
             f"quadratic form dimension {dim} exceeds the cap {dim_cap}; "
-            "use the streaming moments path"
+            "lower the noise refinement (--subdiv) or raise the cap (--dim-cap)"
         )
     if disc is None:
         disc = discretize_expm(model)
@@ -484,6 +484,9 @@ def noise_rate_integral_ode(
         for j in range(tab.stages)
     )
     h = coeffs.h
+    # the stage maps commute with trans, so each step's covariance
+    # increment is trans @ r_tilde @ trans.T
+    r_tilde = weighted_conjugation(coeffs, coeffs.r_bar)
     trans = np.eye(model.n_x)
     cov = np.zeros((model.n_x, model.n_x))
     total = 0.0
@@ -491,7 +494,7 @@ def noise_rate_integral_ode(
         inc = trans @ coeffs.r_bar @ trans.T
         total += h * float(np.einsum("ij,ji->", noise_w, cov))
         total += h * float(np.einsum("ij,ji->", stage_kernel, inc))
-        cov = symmetrize(cov + weighted_conjugation(coeffs, inc))
+        cov += trans @ r_tilde @ trans.T
         trans = coeffs.lam @ trans
     return total
 

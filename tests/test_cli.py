@@ -1,15 +1,24 @@
 """Command line surface: exit codes, file formats, round trips, determinism."""
 
 import csv
+import functools
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from lqdisc.cli import main
-from lqdisc.model import discrete_model_from_dict, discrete_model_to_dict
+from lqdisc.cli import _json_text, main
+from lqdisc.expm_method import discretize_expm
+from lqdisc.model import (
+    continuous_model_from_dict,
+    discrete_model_from_dict,
+    discrete_model_to_dict,
+)
+from lqdisc.ode_method import discretize_ode
+from lqdisc.stochastic import em_reformulate, expected_cost, monte_carlo
 
 
 def benchmark_payload(horizon=1):
@@ -125,7 +134,27 @@ def test_dimension_cap_is_a_resource_error(bench_file, capsys):
         ["montecarlo", bench_file, "--sims", "1", "--subdiv", "4096"]
     )
     assert code == 5
-    assert capsys.readouterr().err.startswith("lqdisc:")
+    err = capsys.readouterr().err
+    assert err.startswith("lqdisc:")
+    assert "exceeds the cap" in err
+    # the way out names flags the command has
+    assert "--subdiv" in err and "--dim-cap" in err
+
+
+def test_overflowing_norm_is_a_numerical_error(tmp_path, capsys):
+    payload = scalar_payload() | {
+        "A_c": [[-1e308, 1e308], [1e308, -1e308]],
+        "B_c": [[1.0], [0.0]], "G_c": [[0.0, 0.0], [0.0, 0.0]],
+        "C_c": [[1.0, 0.0]], "x0_mean": [0.0, 0.0],
+        "x0_cov": [[0.0, 0.0], [0.0, 0.0]],
+    }
+    path = write_model(tmp_path, payload)
+    assert main(["discretize", path, "--method", "expm"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lqdisc:")
+    assert "1-norm" in lines[0] and "overflows" in lines[0]
 
 
 def test_bad_workers_env_is_an_argument_error(bench_file, capsys, monkeypatch):
@@ -133,6 +162,66 @@ def test_bad_workers_env_is_an_argument_error(bench_file, capsys, monkeypatch):
     code = main(["montecarlo", bench_file, "--sims", "8", "--subdiv", "4"])
     assert code == 2
     assert "LQDISC_WORKERS" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# parser reuse and the JSON writer
+# ---------------------------------------------------------------------------
+
+def test_parser_reuse_leaves_no_state_behind(bench_file, capsys):
+    assert main(["discretize", bench_file, "--method", "ode:classic_rk4",
+                 "--steps", "8"]) == 0
+    flagged = capsys.readouterr().out
+    assert main(["discretize", bench_file]) == 0
+    second = capsys.readouterr().out
+    fresh = subprocess.run(
+        [sys.executable, "-m", "lqdisc.cli", "discretize", bench_file],
+        capture_output=True, text=True,
+    )
+    assert fresh.returncode == 0
+    assert second == fresh.stdout
+    assert second != flagged
+
+
+@functools.cache
+def _writer_payloads():
+    model = continuous_model_from_dict(
+        benchmark_payload(horizon=3) | {"zbar": [[3.0, 0.0, 0.0]]}
+    )
+    disc = discretize_expm(model)
+    ref = em_reformulate(model, 4)
+    summary = monte_carlo(model, disc, ref, 64, seed=2, n_bins=7)
+    return {
+        "discretize": discrete_model_to_dict(disc),
+        "discretize_ode": discrete_model_to_dict(
+            discretize_ode(model, "esdirk34", 16)
+        ),
+        "expected-cost": {"expected_cost": {
+            route: expected_cost(model, disc, trace_route=route,
+                                 quad_steps=16, n_sub=8)
+            for route in ("ode", "em")
+        }},
+        "montecarlo": summary.to_dict(),
+        "special": {
+            "z": [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-310, 2.5e300],
+            "a": [[], [[]], {}, [{}], [1, 2.0, True, None, "x"]],
+            "nested": {"b": {"c": [1.5, [2.5, {"d": "line\nbreak"}]]},
+                       "a": (0.5, 1.5), "e": math.nan},
+            "ints": {3: [1.0], 1: {"q": [2.0]}},
+            "floats": np.linspace(0.0, 1.0, 5).tolist(),
+            "numpy_floats": list(np.linspace(0.0, 1.0, 3)),
+            "scalar": -0.0,
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["discretize", "discretize_ode", "expected-cost", "montecarlo", "special"],
+)
+def test_json_writer_matches_json_dumps(kind):
+    payload = _writer_payloads()[kind]
+    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

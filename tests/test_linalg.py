@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lqdisc import SingularMatrixError, ValidationError
+from lqdisc import NormOverflowError, SingularMatrixError, ValidationError
 from lqdisc.linalg import expm, is_psd, pade_squarings, solve_linear, symmetrize
 
 
@@ -59,6 +59,9 @@ def test_pade_squarings_reach_the_threshold():
     assert pade_squarings(2 * theta) == 1
     # benchmark drift: ||a_c||_1 = 113, and 113 / 2**5 is the first below theta
     assert pade_squarings(113.0) == 5
+    # finite entries whose column sum overflows: a named library error
+    with pytest.raises(NormOverflowError, match="1-norm of expm argument"):
+        expm(np.full((2, 2), 1e308))
 
 
 def test_expm_rejects_bad_input():

@@ -10,8 +10,59 @@ from lqdisc import (
     discretize_ode,
     oracle_cost,
 )
-from lqdisc.linalg import expm, is_psd
-from tests.conftest import random_stable_model
+from lqdisc.butcher import precompute
+from lqdisc.linalg import expm, is_psd, symmetrize
+from lqdisc.ode_method import _affine_cost_sequences, weighted_conjugation
+from tests.conftest import make_benchmark_model, random_stable_model
+
+
+def _per_step_recursion(model, scheme, n_steps):
+    """Reference fixed-step recursion with separate transition and input
+    accumulators, the stage conjugation applied at every step, and both
+    cost and noise accumulators symmetrized at every step.  Kept as the
+    definition that :func:`discretize_ode` must reproduce.
+    """
+    coeffs = precompute(model, scheme, n_steps)
+    n_x, n_u = model.n_x, model.n_u
+    trans = np.eye(n_x)
+    inp = np.zeros((n_x, n_u))
+    ext = np.eye(n_x + n_u)
+    quad = np.zeros((n_x + n_u, n_x + n_u))
+    lin = np.zeros((n_x + n_u, model.n_z))
+    cov = np.zeros((n_x, n_x))
+    for _ in range(n_steps):
+        quad = symmetrize(quad + ext.T @ coeffs.q_bar @ ext)
+        lin = lin + ext.T @ coeffs.m_bar
+        cov = symmetrize(
+            cov + weighted_conjugation(coeffs, trans @ coeffs.r_bar @ trans.T)
+        )
+        inp = inp + coeffs.theta @ (trans @ coeffs.b_bar)
+        trans = coeffs.lam @ trans
+        ext = coeffs.omega @ ext
+    q_seq, rho_seq = _affine_cost_sequences(model, lin)
+    return {"a": trans, "b": inp, "q": quad, "m": lin, "r_ww": cov,
+            "q_k": q_seq, "rho_k": rho_seq}
+
+
+def _recursion_test_models():
+    rng = np.random.default_rng(404)
+    return [
+        make_benchmark_model(horizon=2),
+        random_stable_model(rng, n_x=3, n_u=2, n_z=2, horizon=3),
+        random_stable_model(rng, n_x=4, n_u=1, n_z=3, horizon=2),
+    ]
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 7, 64])
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_matches_the_per_step_recursion(name, n_steps):
+    for index, model in enumerate(_recursion_test_models()):
+        disc = discretize_ode(model, scheme=name, n_steps=n_steps)
+        for field, want in _per_step_recursion(model, name, n_steps).items():
+            got = getattr(disc, field)
+            assert got.shape == want.shape, (index, field)
+            err = np.linalg.norm(got - want)
+            assert err <= 1e-12 * np.linalg.norm(want), (index, field, err)
 
 
 def test_scalar_integrator_closed_form(scalar_integrator):
