@@ -9,7 +9,7 @@ simulation.
 """
 
 from .butcher import SCHEMES, ButcherTableau, PrecomputedCoefficients, precompute, tableau
-from .doubling import DoublingState, discretize_step_doubling
+from .doubling import discretize_step_doubling
 from .errors import (
     ConvexityError,
     DivergenceError,
@@ -19,7 +19,7 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-from .expm_method import ExpmBlocks, build_expm_blocks, discretize_expm
+from .expm_method import discretize_expm
 from .linalg import LuFactorization, expm, is_psd, solve_linear, symmetrize
 from .lqsolve import LqSolution, solve_finite_horizon
 from .model import (
@@ -59,10 +59,8 @@ __all__ = [
     "ConvexityError",
     "DiscreteLqModel",
     "DivergenceError",
-    "DoublingState",
     "EmIntervalOps",
     "EmReformulation",
-    "ExpmBlocks",
     "LqSolution",
     "LqdiscError",
     "LuFactorization",
@@ -74,7 +72,6 @@ __all__ = [
     "SingularMatrixError",
     "TrackingSpec",
     "ValidationError",
-    "build_expm_blocks",
     "build_stacked_model",
     "continuous_model_from_dict",
     "continuous_model_to_dict",

@@ -1,87 +1,22 @@
 """Discretization by repeated step doubling.
 
-Runs the same per-step coefficients as the fixed-step route but covers
-``2**j`` sub-steps with ``j`` doubling iterations instead of ``2**j``
-updates: each iteration squares the transition accumulators and folds the
-half-interval sums into full-interval ones.  Equivalent to the fixed-step
-method at the same sub-step count, at a logarithmic step cost.
+Takes the fixed-step route's one-sub-step seed at ``h = T_s / 2**j`` and
+composes it with itself ``j`` times (:func:`lqdisc.intervals.compose`), so
+``2**j`` sub-steps cost ``j`` compositions instead of ``2**j``.  The result
+equals the fixed-step route at the same sub-step count up to rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .butcher import PrecomputedCoefficients, precompute
+from .butcher import precompute
 from .errors import DivergenceError, ValidationError
-from .linalg import symmetrize
+from .intervals import compose, to_discrete
 from .model import ContinuousLqModel, DiscreteLqModel, require_valid
-from .ode_method import _affine_cost_sequences, weighted_conjugation
+from .ode_method import rk_seed
 
-__all__ = ["DoublingState", "discretize_step_doubling"]
-
-
-@dataclass
-class DoublingState:
-    """Accumulators over ``2**i`` sub-steps.
-
-    ``trans_pow``/``ext_pow`` are the plain and extended one-sub-step maps
-    raised to the ``2**i`` power; ``input_sum``/``lin_sum``/``quad_sum``/
-    ``cov_sum`` are the geometric-style sums that the per-step increments
-    multiply into at finalization.
-    """
-
-    i: int
-    trans_pow: np.ndarray
-    input_sum: np.ndarray
-    ext_pow: np.ndarray
-    lin_sum: np.ndarray
-    quad_sum: np.ndarray
-    cov_sum: np.ndarray
-
-    @classmethod
-    def initial(cls, coeffs: PrecomputedCoefficients) -> "DoublingState":
-        n_x = coeffs.lam.shape[0]
-        n_xu = coeffs.omega.shape[0]
-        return cls(
-            i=0,
-            trans_pow=coeffs.lam.copy(),
-            input_sum=np.eye(n_x),
-            ext_pow=coeffs.omega.copy(),
-            lin_sum=np.eye(n_xu),
-            quad_sum=coeffs.q_bar.copy(),
-            cov_sum=coeffs.r_bar.copy(),
-        )
-
-    def advance(self) -> None:
-        """Double the covered sub-step count.
-
-        The sum accumulators must fold in the half-interval transition
-        *before* it is squared, so the update order below is load-bearing.
-        """
-        # overflow to inf is the divergence signal checked below
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.lin_sum = self.lin_sum @ (
-                np.eye(self.ext_pow.shape[0]) + self.ext_pow.T
-            )
-            self.quad_sum = symmetrize(
-                self.quad_sum + self.ext_pow.T @ self.quad_sum @ self.ext_pow
-            )
-            self.cov_sum = symmetrize(
-                self.cov_sum + self.trans_pow @ self.cov_sum @ self.trans_pow.T
-            )
-            self.ext_pow = self.ext_pow @ self.ext_pow
-            self.input_sum = self.input_sum @ (
-                np.eye(self.trans_pow.shape[0]) + self.trans_pow
-            )
-            self.trans_pow = self.trans_pow @ self.trans_pow
-        self.i += 1
-        if not (np.isfinite(self.trans_pow).all() and np.isfinite(self.quad_sum).all()):
-            raise DivergenceError(
-                f"step doubling diverged at iteration {self.i} "
-                f"(covering {2 ** self.i} sub-steps)"
-            )
+__all__ = ["discretize_step_doubling"]
 
 
 def discretize_step_doubling(
@@ -91,23 +26,14 @@ def discretize_step_doubling(
     require_valid(model)
     if doublings < 0:
         raise ValidationError(f"doublings must be >= 0, got {doublings}")
-    coeffs = precompute(model, scheme, 2 ** doublings)
-    state = DoublingState.initial(coeffs)
-    for _ in range(doublings):
-        state.advance()
-
-    n_x = model.n_x
-    ext = state.ext_pow
-    q_seq, rho_seq = _affine_cost_sequences(model, state.lin_sum @ coeffs.m_bar)
-    return DiscreteLqModel(
-        a=state.trans_pow,
-        b=coeffs.theta @ (state.input_sum @ coeffs.b_bar),
-        c=model.c_c,
-        d=model.d_c,
-        q=symmetrize(state.quad_sum),
-        m=state.lin_sum @ coeffs.m_bar,
-        r_ww=symmetrize(weighted_conjugation(coeffs, state.cov_sum)),
-        t_s=model.t_s,
-        q_k=q_seq,
-        rho_k=rho_seq,
-    )
+    # overflow to inf is the divergence signal checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        maps = rk_seed(precompute(model, scheme, 2 ** doublings))
+        for i in range(1, doublings + 1):
+            maps = compose(maps, maps)
+            if not (np.isfinite(maps.ext).all() and np.isfinite(maps.quad).all()):
+                raise DivergenceError(
+                    f"step doubling diverged at iteration {i} "
+                    f"(covering {2 ** i} sub-steps)"
+                )
+    return to_discrete(model, maps, "step doubling")

@@ -1,20 +1,24 @@
 """Discretization by block matrix exponentials.
 
-All five discrete quantities fall out of three structured exponentials of
-doubled-size block matrices: one carrying the quadratic cost, one the
-affine cost, and one the noise covariance.  This route involves no
-step-size choice and serves as the reference the iterative methods are
-judged against.
+The interval maps of a short interval ``tau = T_s / 2**s`` fall out of three
+structured exponentials of doubled-size block matrices (Van Loan 1978):
 
-On stiff drift the quadratic-cost and noise blocks carry factors of size
-``exp(|lambda| T_s)`` that cancel in the products forming ``Q`` and
-``R_ww`` (Van Loan 1978), which costs digits.  Those two blocks are
-therefore evaluated at ``T_s / 2**s`` and folded back to ``T_s`` by ``s``
-exact doublings, ``Q <- Q + E' Q E``, ``R_ww <- R_ww + Phi R_ww Phi'``,
-``E <- E @ E``, ``Phi <- Phi @ Phi``; ``s`` is the number of halvings that
-bring ``||a_c||_1 * T_s`` to the Pade-13 threshold of
-:func:`~lqdisc.linalg.expm` (Higham 2005).  The affine-cost block has no
-growing factor and is evaluated at ``T_s`` itself.
+- ``[[-h_ext', q_bar], [0, h_ext]]`` gives the quadratic cost weight;
+- ``[[h_ext, I], [0, 0]]`` gives ``[[ext, int_0^tau exp(h_ext sigma)], [0, I]]``,
+  hence the extended transition and the affine cost weight;
+- ``[[-a_c, g_bar], [0, a_c']]`` gives the noise covariance.
+
+``s`` exact self-compositions (:func:`lqdisc.intervals.compose`) then fold
+them back to ``T_s``.  ``s`` is the number of halvings that bring
+``||a_c||_1 * T_s`` to the Pade-13 threshold of :func:`~lqdisc.linalg.expm`
+(Higham 2005).  On stiff drift the cost and noise blocks carry factors of
+size ``exp(|lambda| tau)`` that cancel in their products, so the short
+interval keeps those factors small; over-splitting costs digits too, which
+is why ``s`` is not larger.  The extended transition is read from the
+affine-cost block, which has no growing factor, not from the
+quadratic-cost block, where it shares a matrix with ``exp(-h_ext' tau)``.
+This route involves no step-size choice and serves as the reference the
+iterative methods are judged against.
 
 Two different block matrices appear that the source notation would both
 call by one letter: the *output* map ``h_out = [c_c d_c]`` and the
@@ -24,51 +28,21 @@ strictly apart here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DivergenceError
-from .linalg import expm, norm1, pade_squarings, symmetrize
+from .intervals import IntervalMaps, compose, to_discrete
+from .linalg import expm, norm1, pade_squarings
 from .model import ContinuousLqModel, DiscreteLqModel, require_valid
-from .ode_method import _affine_cost_sequences
 
-__all__ = ["ExpmBlocks", "build_expm_blocks", "discretize_expm"]
-
-
-@dataclass(frozen=True)
-class ExpmBlocks:
-    """Partitioned results of the three block exponentials.
-
-    ``phi1_*`` comes from the quadratic-cost block, ``phi2_*`` from the
-    affine-cost block, ``phi3_*`` from the noise block; indices give the
-    block row/column of the partition.
-    """
-
-    h_ext: np.ndarray
-    m_bar: np.ndarray
-    q_bar: np.ndarray
-    g_bar: np.ndarray
-    phi1_12: np.ndarray
-    phi1_22: np.ndarray
-    phi2_11: np.ndarray
-    phi2_12: np.ndarray
-    phi3_12: np.ndarray
-    phi3_22: np.ndarray
+__all__ = ["discretize_expm"]
 
 
-def build_expm_blocks(model: ContinuousLqModel) -> ExpmBlocks:
-    """Evaluate the three block exponentials at the sampling interval."""
-    return _block_exponentials(model, 0)
-
-
-def _block_exponentials(model: ContinuousLqModel, halvings: int) -> ExpmBlocks:
-    """The three block exponentials, the quadratic-cost and noise blocks at
-    ``t_s / 2**halvings`` and the affine-cost block at ``t_s``."""
+def expm_seed(model: ContinuousLqModel, halvings: int) -> IntervalMaps:
+    """The interval maps over ``t_s / 2**halvings`` from the three block
+    exponentials (see the module docstring)."""
     n_x, n_u = model.n_x, model.n_u
     n_xu = n_x + n_u
-    t = model.t_s
-    t_short = t / 2.0 ** halvings
+    tau = model.t_s / 2.0 ** halvings
 
     h_ext = np.zeros((n_xu, n_xu))
     h_ext[:n_x, :n_x] = model.a_c
@@ -83,77 +57,45 @@ def _block_exponentials(model: ContinuousLqModel, halvings: int) -> ExpmBlocks:
     block1[:n_xu, :n_xu] = -h_ext.T
     block1[:n_xu, n_xu:] = q_bar
     block1[n_xu:, n_xu:] = h_ext
-    phi1 = expm(block1 * t_short)
+    phi1 = expm(block1 * tau)
 
     block2 = np.zeros((2 * n_xu, 2 * n_xu))
+    block2[:n_xu, :n_xu] = h_ext
     block2[:n_xu, n_xu:] = np.eye(n_xu)
-    block2[n_xu:, n_xu:] = h_ext.T
-    phi2 = expm(block2 * t)
+    phi2 = expm(block2 * tau)
 
     block3 = np.zeros((2 * n_x, 2 * n_x))
     block3[:n_x, :n_x] = -model.a_c
     block3[:n_x, n_x:] = g_bar
     block3[n_x:, n_x:] = model.a_c.T
-    phi3 = expm(block3 * t_short)
+    phi3 = expm(block3 * tau)
 
-    blocks = ExpmBlocks(
-        h_ext=h_ext,
-        m_bar=m_bar,
-        q_bar=q_bar,
-        g_bar=g_bar,
-        phi1_12=phi1[:n_xu, n_xu:],
-        phi1_22=phi1[n_xu:, n_xu:],
-        phi2_11=phi2[:n_xu, :n_xu],
-        phi2_12=phi2[:n_xu, n_xu:],
-        phi3_12=phi3[:n_x, n_x:],
-        phi3_22=phi3[n_x:, n_x:],
+    ext = phi2[:n_xu, :n_xu]
+    return IntervalMaps(
+        ext=ext,
+        quad=ext.T @ phi1[:n_xu, n_xu:],
+        lin=phi2[:n_xu, n_xu:].T @ m_bar,
+        cov=phi3[n_x:, n_x:].T @ phi3[:n_x, n_x:],
     )
-    gap = np.abs(blocks.phi2_11 - np.eye(n_xu)).max()
-    if gap > 1e-12:
-        raise DivergenceError(
-            f"affine-cost exponential lost structure (identity block off by {gap:.3e})"
-        )
-    return blocks
 
 
 def discretize_expm(model: ContinuousLqModel) -> DiscreteLqModel:
     """Exact discretization via the three block exponentials.
 
-    The quadratic-cost and noise exponentials are taken at
-    ``t_s / 2**s`` and doubled back ``s`` times, with ``s`` the Pade-13
-    halving count of ``||a_c||_1 * t_s``; the affine-cost exponential is
-    taken at ``t_s``.
+    The exponentials are taken at ``t_s / 2**s`` and their interval maps
+    composed with themselves ``s`` times, with ``s`` the Pade-13 halving
+    count of ``||a_c||_1 * t_s``.
+
+    Raises
+    ------
+    DivergenceError
+        If a map is not finite, e.g. when an exponential overflows.
     """
     require_valid(model)
-    n_x = model.n_x
     halvings = pade_squarings(norm1(model.a_c) * model.t_s, "a_c * t_s")
-    blocks = _block_exponentials(model, halvings)
-
-    ext = blocks.phi1_22                          # extended transition [[a, b], [0, I]]
-    quad = ext.T @ blocks.phi1_12
-    trans = blocks.phi3_22.T                      # state transition over the short interval
-    cov = trans @ blocks.phi3_12
-    for _ in range(halvings):
-        quad = quad + ext.T @ quad @ ext
-        cov = cov + trans @ cov @ trans.T
-        ext = ext @ ext
-        trans = trans @ trans
-    quad = symmetrize(quad)
-    cov = symmetrize(cov)
-    a = ext[:n_x, :n_x]
-    b = ext[:n_x, n_x:]
-    lin = blocks.phi2_12 @ blocks.m_bar
-
-    q_seq, rho_seq = _affine_cost_sequences(model, lin)
-    return DiscreteLqModel(
-        a=a,
-        b=b,
-        c=model.c_c,
-        d=model.d_c,
-        q=quad,
-        m=lin,
-        r_ww=cov,
-        t_s=model.t_s,
-        q_k=q_seq,
-        rho_k=rho_seq,
-    )
+    # overflow to inf is the divergence signal checked by to_discrete
+    with np.errstate(over="ignore", invalid="ignore"):
+        maps = expm_seed(model, halvings)
+        for _ in range(halvings):
+            maps = compose(maps, maps)
+    return to_discrete(model, maps, "closed form")

@@ -1,0 +1,81 @@
+"""Interval maps: what a discretized interval is and how two of them join.
+
+Every discretization route describes one interval by four maps:
+
+- ``ext``, the extended transition ``[[A, B], [0, I]]`` acting on ``[x; u]``;
+- ``quad``, the quadratic cost weight on ``[x; u]`` at the interval's start;
+- ``lin``, the affine cost weight, one column per tracked output;
+- ``cov``, the covariance the noise adds to the state over the interval.
+
+Two consecutive intervals join by one exact rule (:func:`compose`), so each
+route is a seed for a short interval followed by compositions: the
+fixed-step route appends the seed ``n - 1`` times, step doubling and the
+block-exponential route compose the seed with itself.  Cost accrued later
+is pulled back through the earlier transition; noise added earlier is
+pushed forward through the later one.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from .errors import DivergenceError
+from .linalg import symmetrize
+from .model import ContinuousLqModel, DiscreteLqModel
+
+
+class IntervalMaps(NamedTuple):
+    """The four maps of one interval (see the module docstring)."""
+
+    ext: np.ndarray
+    quad: np.ndarray
+    lin: np.ndarray
+    cov: np.ndarray
+
+
+def compose(first: IntervalMaps, second: IntervalMaps) -> IntervalMaps:
+    """The maps of ``first`` followed by ``second``.
+
+    No symmetrization and no finiteness check: callers run this once per
+    step and check what they need.
+    """
+    n_x = first.cov.shape[0]
+    trans = second.ext[:n_x, :n_x]
+    return IntervalMaps(
+        ext=second.ext @ first.ext,
+        quad=first.quad + first.ext.T @ second.quad @ first.ext,
+        lin=first.lin + first.ext.T @ second.lin,
+        cov=second.cov + trans @ first.cov @ trans.T,
+    )
+
+
+def to_discrete(model: ContinuousLqModel, maps: IntervalMaps, route: str) -> DiscreteLqModel:
+    """The discrete model of one sampling interval covered by ``maps``.
+
+    Raises
+    ------
+    DivergenceError
+        If a map is not finite; the message names ``route``.
+    """
+    for name, value in zip(IntervalMaps._fields, maps):
+        if not np.isfinite(value).all():
+            raise DivergenceError(f"{route} diverged: the {name} map is not finite")
+    n_x = model.n_x
+    q_seq = model.targets @ maps.lin.T
+    rho_seq = 0.5 * np.einsum(
+        "kz,zy,ky->k", model.targets, model.q_c, model.targets
+    ) * model.t_s
+    return DiscreteLqModel(
+        a=maps.ext[:n_x, :n_x],
+        b=maps.ext[:n_x, n_x:],
+        c=model.c_c,
+        d=model.d_c,
+        q=symmetrize(maps.quad),
+        m=maps.lin,
+        r_ww=symmetrize(maps.cov),
+        t_s=model.t_s,
+        q_k=q_seq,
+        rho_k=rho_seq,
+    )

@@ -4,8 +4,10 @@ import csv
 import functools
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +157,34 @@ def test_overflowing_norm_is_a_numerical_error(tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("lqdisc:")
     assert "1-norm" in lines[0] and "overflows" in lines[0]
+
+
+@pytest.mark.parametrize("scale, method", [
+    (1e20, "expm"),                 # exp of the drift overflows; exact value is bounded
+    (1e308, "ode:classic_rk4"),
+    (1e308, "sqr:classic_rk4"),
+])
+def test_non_finite_result_is_one_numerical_error_line(tmp_path, scale, method):
+    payload = scalar_payload() | {
+        "A_c": [[-scale, scale], [scale, -scale]],
+        "B_c": [[1.0], [0.0]], "G_c": [[0.0, 0.0], [0.0, 0.0]],
+        "C_c": [[1.0, 0.0]], "x0_mean": [0.0, 0.0],
+        "x0_cov": [[0.0, 0.0], [0.0, 0.0]],
+    }
+    path = write_model(tmp_path, payload)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # a subprocess, so that numpy warnings reach stderr as a user sees them
+    run = subprocess.run(
+        [sys.executable, "-m", "lqdisc.cli", "discretize", path, "--method", method],
+        capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == 4
+    assert run.stdout == ""
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lqdisc:"), run.stderr
+    assert "diverged" in lines[0]
 
 
 def test_bad_workers_env_is_an_argument_error(bench_file, capsys, monkeypatch):

@@ -4,14 +4,15 @@ import pytest
 from lqdisc import (
     ContinuousLqModel,
     DivergenceError,
-    DoublingState,
     SCHEMES,
     ValidationError,
     discretize_ode,
     discretize_step_doubling,
     precompute,
 )
+from lqdisc.intervals import compose
 from lqdisc.linalg import is_psd
+from lqdisc.ode_method import rk_seed
 from tests.conftest import make_benchmark_model, random_stable_model
 
 FIELDS = ("a", "b", "q", "m", "r_ww")
@@ -26,12 +27,11 @@ def test_geometric_series_pattern():
     )
     coeffs = precompute(model, "explicit_euler", 8)
     assert coeffs.lam[0, 0] == 2.0
-    state = DoublingState.initial(coeffs)
+    maps = rk_seed(coeffs)
     for _ in range(3):
-        state.advance()
-    assert state.i == 3
-    assert state.trans_pow[0, 0] == 256.0          # 2^8
-    assert state.input_sum[0, 0] == 255.0          # 1 + 2 + ... + 2^7
+        maps = compose(maps, maps)
+    # [[2^8, (1 + 2 + ... + 2^7) * h], [0, 1]] with h = 1/8
+    assert np.array_equal(maps.ext, [[256.0, 255.0 * 0.125], [0.0, 1.0]])
 
 
 def test_zero_doublings_bit_identical_to_single_step(benchmark_model):
@@ -68,53 +68,50 @@ def test_matches_ode_method_on_random_models():
                     <= 1e-11 * scale
 
 
-def test_iteration_count_is_exactly_j(benchmark_model):
-    coeffs = precompute(benchmark_model, "classic_rk4", 2 ** 5)
-    state = DoublingState.initial(coeffs)
-    for _ in range(5):
-        state.advance()
-    assert state.i == 5
+def _squared(coeffs, times):
+    maps = rk_seed(coeffs)
+    for _ in range(times):
+        maps = compose(maps, maps)
+    return maps
 
 
 def test_accumulators_match_direct_power_sums(benchmark_model):
-    # after j doublings the sum accumulators equal explicit geometric sums
+    # after j squarings the cost and noise maps equal explicit power sums
     coeffs = precompute(benchmark_model, "implicit_trapezoidal", 2 ** 4)
-    state = DoublingState.initial(coeffs)
-    for _ in range(4):
-        state.advance()
+    maps = _squared(coeffs, 4)
+    r_tilde = rk_seed(coeffs).cov
     n = 2 ** 4
     n_xu = coeffs.omega.shape[0]
 
-    lin_direct = np.zeros((n_xu, n_xu))
-    omega_pow = np.eye(n_xu)
-    for _ in range(n):
-        lin_direct += omega_pow.T
-        omega_pow = omega_pow @ coeffs.omega
-    assert np.max(np.abs(state.lin_sum - lin_direct)) < 1e-11
-
+    lin_direct = np.zeros_like(coeffs.m_bar)
     quad_direct = np.zeros((n_xu, n_xu))
     omega_pow = np.eye(n_xu)
     for _ in range(n):
+        lin_direct += omega_pow.T @ coeffs.m_bar
         quad_direct += omega_pow.T @ coeffs.q_bar @ omega_pow
         omega_pow = omega_pow @ coeffs.omega
-    assert np.max(np.abs(state.quad_sum - quad_direct)) < 1e-11
+    assert np.max(np.abs(maps.ext - omega_pow)) < 1e-11
+    assert np.max(np.abs(maps.lin - lin_direct)) < 1e-11
+    assert np.max(np.abs(maps.quad - quad_direct)) < 1e-11
 
     cov_direct = np.zeros((2, 2))
     lam_pow = np.eye(2)
     for _ in range(n):
-        cov_direct += lam_pow @ coeffs.r_bar @ lam_pow.T
+        cov_direct += lam_pow @ r_tilde @ lam_pow.T
         lam_pow = coeffs.lam @ lam_pow
-    assert np.max(np.abs(state.cov_sum - cov_direct)) < 1e-13
+    assert np.max(np.abs(maps.cov - cov_direct)) < 1e-13
 
 
 def test_psd_throughout(benchmark_model):
     coeffs = precompute(benchmark_model, "classic_rk4", 2 ** 6)
-    state = DoublingState.initial(coeffs)
+    maps = rk_seed(coeffs)
     for _ in range(6):
-        state.advance()
-        assert is_psd(state.quad_sum)
-        assert is_psd(state.cov_sum)
-        assert np.array_equal(state.quad_sum, state.quad_sum.T)
+        maps = compose(maps, maps)
+        assert is_psd(maps.quad)
+        assert is_psd(maps.cov)
+        # compose does not symmetrize; rounding alone may break symmetry
+        for field in (maps.quad, maps.cov):
+            assert np.max(np.abs(field - field.T)) <= 1e-14 * np.max(np.abs(field))
 
 
 def test_divergence_is_clean():

@@ -1,13 +1,20 @@
+import json
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from lqdisc import (
     ContinuousLqModel,
-    build_expm_blocks,
+    continuous_model_from_dict,
     discretize_expm,
     discretize_ode,
 )
-from lqdisc.linalg import expm, is_psd
+from lqdisc.expm_method import expm_seed
+from lqdisc.linalg import expm, is_psd, norm1, pade_squarings
 from tests.conftest import random_stable_model
+
+BENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
 
 def test_scalar_integrator_closed_form(scalar_integrator):
@@ -67,15 +74,34 @@ def test_benchmark_against_high_precision_reference(benchmark_model):
         assert err <= 1e-13, (field, err)
 
 
+@pytest.mark.parametrize("system", ["wide10", "wide40"])
+def test_wide_systems_against_high_precision_reference(system):
+    with open(BENCH_DATA / f"{system}.json", encoding="utf-8") as fh:
+        model = continuous_model_from_dict(json.load(fh))
+    with open(BENCH_DATA / "reference.json", encoding="utf-8") as fh:
+        reference = json.load(fh)[system]
+    disc = discretize_expm(model)
+    for field, key in (("a", "A"), ("b", "B"), ("q", "Q"), ("m", "M"), ("r_ww", "R_ww")):
+        exact = np.array([[float(v) for v in row] for row in reference[key]])
+        err = np.max(np.abs(getattr(disc, field) - exact)) / np.max(np.abs(exact))
+        assert err <= 1e-13, (field, err)
+
+
 def test_block_structure(benchmark_model):
-    blocks = build_expm_blocks(benchmark_model)
-    # the second exponential has exact identity in its leading block
-    assert np.max(np.abs(blocks.phi2_11 - np.eye(4))) < 1e-12
-    # raw (pre-symmetrization) weight is already nearly symmetric; the
-    # stiff drift (norm ~80) amplifies rounding, hence the 1e-8 margin
-    q_raw = blocks.phi1_22.T @ blocks.phi1_12
-    denom = np.max(np.abs(q_raw))
-    assert np.max(np.abs(q_raw - q_raw.T)) <= 1e-8 * denom
+    rng = np.random.default_rng(79)
+    models = [benchmark_model] + [
+        random_stable_model(rng, n_x=int(rng.integers(1, 6)), n_u=int(rng.integers(1, 3)))
+        for _ in range(10)
+    ]
+    for model in models:
+        n_x, n_u = model.n_x, model.n_u
+        halvings = pade_squarings(norm1(model.a_c) * model.t_s)
+        seed = expm_seed(model, halvings)
+        # the extended transition's [0, I] rows are exact, not approximate
+        assert np.array_equal(seed.ext[n_x:], np.hstack([np.zeros((n_u, n_x)), np.eye(n_u)]))
+        # raw (pre-symmetrization) weight is already nearly symmetric
+        q_raw = seed.quad
+        assert np.max(np.abs(q_raw - q_raw.T)) <= 1e-13 * np.max(np.abs(q_raw))
 
 
 def test_agreement_with_ode_method():

@@ -12,7 +12,8 @@ from lqdisc import (
 )
 from lqdisc.butcher import precompute
 from lqdisc.linalg import expm, is_psd, symmetrize
-from lqdisc.ode_method import _affine_cost_sequences, weighted_conjugation
+from lqdisc.intervals import IntervalMaps, to_discrete
+from lqdisc.ode_method import weighted_conjugation
 from tests.conftest import make_benchmark_model, random_stable_model
 
 
@@ -39,9 +40,9 @@ def _per_step_recursion(model, scheme, n_steps):
         inp = inp + coeffs.theta @ (trans @ coeffs.b_bar)
         trans = coeffs.lam @ trans
         ext = coeffs.omega @ ext
-    q_seq, rho_seq = _affine_cost_sequences(model, lin)
+    costs = to_discrete(model, IntervalMaps(ext, quad, lin, cov), "reference")
     return {"a": trans, "b": inp, "q": quad, "m": lin, "r_ww": cov,
-            "q_k": q_seq, "rho_k": rho_seq}
+            "q_k": costs.q_k, "rho_k": costs.rho_k}
 
 
 def _recursion_test_models():
