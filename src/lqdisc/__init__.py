@@ -13,6 +13,7 @@ from .doubling import discretize_step_doubling
 from .errors import (
     ConvexityError,
     DivergenceError,
+    IllConditionedError,
     LqdiscError,
     NormOverflowError,
     ResourceLimitError,
@@ -36,7 +37,6 @@ from .model import (
 )
 from .ode_method import discretize_ode
 from .oracle import OracleConfig, oracle_cost, oracle_discretize
-from .sampling import normal_block
 from .stochastic import (
     EmIntervalOps,
     EmReformulation,
@@ -61,6 +61,7 @@ __all__ = [
     "DivergenceError",
     "EmIntervalOps",
     "EmReformulation",
+    "IllConditionedError",
     "LqSolution",
     "LqdiscError",
     "LuFactorization",
@@ -88,7 +89,6 @@ __all__ = [
     "expm",
     "is_psd",
     "monte_carlo",
-    "normal_block",
     "oracle_cost",
     "oracle_discretize",
     "precompute",

@@ -26,6 +26,7 @@ from .doubling import discretize_step_doubling
 from .errors import (
     ConvexityError,
     DivergenceError,
+    IllConditionedError,
     LqdiscError,
     NormOverflowError,
     ResourceLimitError,
@@ -437,7 +438,8 @@ def main(argv=None) -> int:
         _fail(str(exc))
         return 3
     except (
-        DivergenceError, SingularMatrixError, ConvexityError, NormOverflowError
+        DivergenceError, SingularMatrixError, ConvexityError, NormOverflowError,
+        IllConditionedError,
     ) as exc:
         _fail(str(exc))
         return 4

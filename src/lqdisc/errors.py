@@ -25,6 +25,10 @@ class NormOverflowError(LqdiscError):
     """A matrix norm of finite entries overflowed to infinity."""
 
 
+class IllConditionedError(LqdiscError):
+    """A finite result that cannot carry two trustworthy digits."""
+
+
 class ConvexityError(LqdiscError):
     """A Riccati step lost positive definiteness of the input block."""
 

@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DivergenceError
-from .linalg import symmetrize
+from .errors import DivergenceError, IllConditionedError
+from .linalg import norm1, symmetrize
 from .model import ContinuousLqModel, DiscreteLqModel
 
 
@@ -58,10 +58,20 @@ def to_discrete(model: ContinuousLqModel, maps: IntervalMaps, route: str) -> Dis
     ------
     DivergenceError
         If a map is not finite; the message names ``route``.
+    IllConditionedError
+        If ``||a_c||_1 * t_s * eps > 1e-2``: the exponential's condition
+        number is about ``||a_c t_s||`` (Van Loan 1977), so fewer than two
+        digits could be trusted.
     """
     for name, value in zip(IntervalMaps._fields, maps):
         if not np.isfinite(value).all():
             raise DivergenceError(f"{route} diverged: the {name} map is not finite")
+    error_bound = norm1(model.a_c) * model.t_s * np.finfo(float).eps
+    if error_bound > 1e-2:
+        raise IllConditionedError(
+            f"{route} is ill-conditioned: ||A_c||_1 * T_s * eps = "
+            f"{error_bound:.3g} leaves fewer than 2 trustworthy digits"
+        )
     n_x = model.n_x
     q_seq = model.targets @ maps.lin.T
     rho_seq = 0.5 * np.einsum(

@@ -1,11 +1,14 @@
 """Reproducible Gaussian sampling for the Monte Carlo runs.
 
-Draws are a pure function of ``(seed, replicate, index)``: a SplitMix64
-finalizer hashes the 64-bit counter ``replicate * 2**21 + index`` mixed
-with the seed, and Box-Muller turns consecutive uniform pairs into
-normals (both halves of every pair are consumed).  No generator state
-exists, so any replicate can be produced on any worker, in any order, on
-any platform, with bit-identical results.
+Draws are a pure function of ``(seed, replicate, index)``: replicate ``r``
+reads numpy's counter-based Philox generator (Salmon et al. 2011,
+"Parallel random numbers: as easy as 1, 2, 3") keyed by the seed, from
+the counter ``[0, 0, 0, r]`` with an empty buffer.  That is the stream of
+``Generator(Philox(key=seed, counter=r << 192))``, so any replicate can be
+produced on any worker, in any order and in any batch, with bit-identical
+results.  The normals come from ``Generator.standard_normal``; under
+numpy's stream-compatibility policy (NEP 19) they are reproducible for a
+given numpy version.
 """
 
 from __future__ import annotations
@@ -16,61 +19,29 @@ from .errors import ResourceLimitError
 
 __all__ = ["normal_block", "DRAWS_PER_REPLICATE"]
 
-# counter stride reserved per replicate (draw budget per Monte Carlo sample)
+# draw budget per Monte Carlo sample
 DRAWS_PER_REPLICATE = 2 ** 21
-
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-
-
-def _splitmix64(counter: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer applied to uint64 counters."""
-    with np.errstate(over="ignore"):  # wraparound mod 2**64 is the point
-        z = (counter + np.uint64(1)) * _GOLDEN
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
-
-
-def _uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
-    """Uniforms on (0, 1), one per counter."""
-    key = _splitmix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-    raw = _splitmix64(counters ^ key)
-    # keep the top 53 bits; +0.5 keeps the result strictly inside (0, 1)
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
 
 def normal_block(seed: int, replicates: np.ndarray, count: int) -> np.ndarray:
-    """Standard normals for a batch of replicates.
-
-    Parameters
-    ----------
-    seed : int
-        64-bit run seed.
-    replicates : (r,) integer array
-        Replicate indices; draws depend only on (seed, replicate, index).
-    count : int
-        Normals per replicate.
-
-    Returns
-    -------
-    (r, count) ndarray
-    """
-    pairs = (count + 1) // 2
-    if 2 * pairs > DRAWS_PER_REPLICATE:
+    """``(len(replicates), count)`` standard normals, row ``i`` a function of
+    ``(seed, replicates[i])`` only; the Philox key is ``seed mod 2**64``."""
+    if count > DRAWS_PER_REPLICATE:
         raise ResourceLimitError(
             f"replicate needs {count} draws, above the per-replicate "
             f"budget {DRAWS_PER_REPLICATE}"
         )
-    reps = np.asarray(replicates, dtype=np.uint64)[:, None]
-    base = reps * np.uint64(DRAWS_PER_REPLICATE)
-    idx = np.arange(pairs, dtype=np.uint64)[None, :]
-    u1 = _uniforms(seed, base + 2 * idx)
-    u2 = _uniforms(seed, base + 2 * idx + np.uint64(1))
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
-    out = np.empty((reps.shape[0], 2 * pairs))
-    out[:, 0::2] = radius * np.cos(angle)
-    out[:, 1::2] = radius * np.sin(angle)
-    return out[:, :count]
+    reps = np.asarray(replicates, dtype=np.uint64)
+    bits = np.random.Philox(key=seed % 2 ** 64)
+    gen = np.random.Generator(bits)
+    # one bit generator, reset per replicate to the fresh state (empty
+    # buffer) with counter [0, 0, 0, r]: the stream of a new
+    # Philox(key=seed, counter=r << 192), without building one each time
+    state = bits.state
+    counter = state["state"]["counter"]
+    out = np.empty((reps.shape[0], count))
+    for i, rep in enumerate(reps):
+        counter[3] = rep
+        bits.state = state
+        gen.standard_normal(count, out=out[i])
+    return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -42,7 +42,10 @@ __all__ = [
 
 DEFAULT_DIM_CAP = 4096
 _BLOCK = 2048          # Monte Carlo replicates per work unit (fixed)
+_CHUNK = 16            # Euler sub-steps per product in the pathwise stream
 STREAMS = ("continuous", "discrete", "em_form")
+_PAIRS = (("continuous", "discrete"), ("continuous", "em_form"),
+          ("discrete", "em_form"))
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +81,22 @@ class EmIntervalOps:
         return self.noise_map.shape[1]
 
 
+def _euler_powers(model: ContinuousLqModel, n_sub: int):
+    """``dt``, ``powers[i] = E^i`` and ``held[i] = sum_{l<i} E^l dt b_c``
+    for ``i <= n_sub``, with the Euler sub-step ``E = I + dt a_c``."""
+    n_x = model.n_x
+    dt = model.t_s / n_sub
+    euler = np.eye(n_x) + dt * model.a_c
+    powers = np.empty((n_sub + 1, n_x, n_x))
+    held = np.empty((n_sub + 1, n_x, model.n_u))
+    powers[0] = np.eye(n_x)
+    held[0] = 0.0
+    for i in range(n_sub):
+        powers[i + 1] = euler @ powers[i]
+        held[i + 1] = euler @ held[i] + dt * model.b_c
+    return dt, powers, held
+
+
 def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
     """Build the noise refinement maps for one sampling interval.
 
@@ -103,17 +122,7 @@ def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
     if n_sub < 1:
         raise ValidationError(f"n_sub must be >= 1, got {n_sub}")
     n_x, n_u, n_z, n_w = model.n_x, model.n_u, model.n_z, model.n_w
-    dt = model.t_s / n_sub
-    euler = np.eye(n_x) + dt * model.a_c
-
-    # powers[i] = euler^i, held_input[i] = sum_{j<i} euler^j dt b_c
-    powers = np.empty((n_sub + 1, n_x, n_x))
-    held = np.empty((n_sub + 1, n_x, n_u))
-    powers[0] = np.eye(n_x)
-    held[0] = np.zeros((n_x, n_u))
-    for i in range(n_sub):
-        powers[i + 1] = euler @ powers[i]
-        held[i + 1] = euler @ held[i] + dt * model.b_c
+    dt, powers, held = _euler_powers(model, n_sub)
 
     # gam[i] = output-flow map at node i+1 (right-endpoint nodes)
     gam = np.empty((n_sub, n_z, n_x + n_u))
@@ -300,28 +309,20 @@ def em_reformulate(
     )
 
 
-def _apply_pbar(ref: EmReformulation, m: np.ndarray) -> np.ndarray:
-    """p_bar @ m for a vector or matrix, using the block structure."""
-    n_x = ref.n_x
-    out = np.empty_like(m)
-    out[:n_x] = ref.x0_cov @ m[:n_x]
-    out[n_x:] = ref.dt * m[n_x:]
-    return out
-
-
 def cost_moments(ref: EmReformulation) -> tuple[float, float]:
     """Exact mean and variance of the quadratic-form cost.
 
     For ``phi = 0.5 chi' Q chi + q' chi + rho`` with Gaussian ``chi``:
     ``E = 0.5 m'Qm + q'm + rho + 0.5 tr(QP)`` and
-    ``V = (Qm + q)' P (Qm + q) + 0.5 tr(QPQP)``.
+    ``V = (Qm + q)' P (Qm + q) + 0.5 tr(QPQP)``.  With ``P = blockdiag(X,
+    dt I)``, ``tr(QPQP) = tr(Q_xx X Q_xx X) + 2 dt <Q_xn Q_xn', X> +
+    dt^2 |Q_nn|_F^2``, so no ``dim x dim`` product is formed.
     """
-    n_x = ref.n_x
+    n_x, dt, x0_cov = ref.n_x, ref.dt, ref.x0_cov
     q_big, q_vec, m_bar = ref.q_big, ref.q_vec, ref.m_bar
+    q_xx, q_xn, q_nn = q_big[:n_x, :n_x], q_big[:n_x, n_x:], q_big[n_x:, n_x:]
     qm = q_big[:, :n_x] @ m_bar[:n_x]
-    trace_qp = float(
-        np.einsum("ij,ji->", q_big[:n_x, :n_x], ref.x0_cov)
-    ) + ref.dt * float(np.trace(q_big[n_x:, n_x:]))
+    trace_qp = float(np.einsum("ij,ji->", q_xx, x0_cov)) + dt * float(np.trace(q_nn))
     mean = (
         0.5 * float(m_bar[:n_x] @ qm[:n_x])
         + float(q_vec @ m_bar)
@@ -329,9 +330,13 @@ def cost_moments(ref: EmReformulation) -> tuple[float, float]:
         + 0.5 * trace_qp
     )
     lin = qm + q_vec
-    qp = np.hstack([q_big[:, :n_x] @ ref.x0_cov, ref.dt * q_big[:, n_x:]])
-    var = float(lin @ _apply_pbar(ref, lin)) + 0.5 * float(
-        np.einsum("ij,ji->", qp, qp)
+    qx = q_xx @ x0_cov
+    var = (
+        float(lin[:n_x] @ x0_cov @ lin[:n_x])
+        + dt * float(lin[n_x:] @ lin[n_x:])
+        + 0.5 * float(np.einsum("ij,ji->", qx, qx))
+        + dt * float(np.einsum("ij,ij->", q_xn @ q_xn.T, x0_cov))
+        + 0.5 * dt * dt * float(np.einsum("ij,ij->", q_nn, q_nn))
     )
     return mean, var
 
@@ -558,20 +563,7 @@ class McSummary:
     histogram: dict
 
     def to_dict(self) -> dict:
-        return {
-            "n_sims": self.n_sims,
-            "seed": self.seed,
-            "n_sub": self.n_sub,
-            "sample_mean": dict(self.sample_mean),
-            "sample_var": dict(self.sample_var),
-            "analytic_mean": self.analytic_mean,
-            "analytic_var": self.analytic_var,
-            "correlations": dict(self.correlations),
-            "histogram": {
-                "edges": list(self.histogram["edges"]),
-                "counts": {k: list(v) for k, v in self.histogram["counts"].items()},
-            },
-        }
+        return asdict(self)
 
 
 def _symmetric_sqrt(m: np.ndarray) -> np.ndarray:
@@ -579,81 +571,112 @@ def _symmetric_sqrt(m: np.ndarray) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
+def _em_form(ref: EmReformulation, chi: np.ndarray) -> np.ndarray:
+    """``0.5 chi' q_big chi + q_vec' chi + rho`` per row of ``chi``, from the
+    upper block triangle of ``q_big`` (one block per interval, the first
+    with the ``x0`` columns): block ``b`` adds ``chi_b . (0.5 chi_b Q_bb +
+    chi_after Q_after,b)``, ``(H + 1) / 2H`` of the dense product's flops.
+    """
+    m_blk = ref.ops.block_dim
+    out = chi @ ref.q_vec + ref.rho
+    start = 0
+    for stop in range(ref.n_x + m_blk, ref.dim + 1, m_blk):
+        # the column block from the diagonal down, its diagonal block halved
+        col = ref.q_big[start:, start:stop].copy()
+        col[:stop - start] *= 0.5
+        out += np.einsum("ri,ri->r", chi[:, start:stop], chi[:, start:] @ col)
+        start = stop
+    return out
+
+
+def _pathwise_cost(model: ContinuousLqModel, n_sub: int, starts, noise) -> np.ndarray:
+    """Pathwise Euler quadrature of the noise-driven cost, summed over intervals.
+
+    From ``x_k = starts[k]`` (rows are replicates) the sub-steps split the
+    state into the drift ``E^i x_k + held_i u_k`` and the deviation
+    ``dev_i = E dev_{i-1} + g_c w_i`` (``w`` from ``noise``, ``n_sub * n_w``
+    columns per interval).  Only deviation terms are integrated, ``dt
+    sum_i dev_i' (0.5 K dev_i + K drift_i + c_c' q_c (d_c u_k - zbar_k))``
+    with ``K = c_c' q_c c_c``.  ``dev`` advances ``_CHUNK`` sub-steps per
+    product, ``dev_s P + w_{s+1..s+c} T`` (``P`` stacks ``(E^t)'``, ``T`` is
+    block upper triangular with blocks ``(E^{t-l} g_c)'``).
+    """
+    n_x, n_w = model.n_x, model.n_w
+    dt, powers, held = _euler_powers(model, n_sub)
+    chunk = min(_CHUNK, n_sub)
+    advance = np.hstack(powers[1:chunk + 1].transpose(0, 2, 1))
+    f_t = (powers[:chunk] @ model.g_c).transpose(0, 2, 1)      # (E^j g_c)'
+    zero = np.zeros((n_w, n_x))
+    inject = np.block(
+        [[f_t[t - l] if t >= l else zero for t in range(chunk)] for l in range(chunk)]
+    )
+    qc = model.q_c @ model.c_c
+    kernel = model.c_c.T @ qc
+    drift_map = np.hstack(powers[1:].transpose(0, 2, 1) @ kernel)  # x' (E^i)' K
+    m_blk = n_sub * n_w
+    total = np.zeros(noise.shape[0])
+    dev = np.empty((noise.shape[0], n_sub, n_x))
+    for k, x in enumerate(starts):
+        u, w = model.inputs[k], noise[:, k * m_blk:(k + 1) * m_blk]
+        last = np.zeros((noise.shape[0], n_x))
+        for s in range(0, n_sub, chunk):
+            c = min(chunk, n_sub - s)
+            step = last @ advance[:, :c * n_x]
+            step += w[:, s * n_w:(s + c) * n_w] @ inject[:c * n_w, :c * n_x]
+            dev[:, s:s + c] = step.reshape(-1, c, n_x)
+            last = dev[:, s + c - 1]
+        offset = (held[1:] @ u) @ kernel + (model.d_c @ u - model.targets[k]) @ qc
+        lin = (x @ drift_map).reshape(dev.shape) + offset + 0.5 * (dev @ kernel)
+        total += dt * np.einsum("rin,rin->r", dev, lin)
+    return total
+
+
 def _simulate_block(args) -> dict:
     (model, disc, ref, seed, start, stop, edges) = args
     ops = ref.ops
     n_x = model.n_x
-    n_w = model.g_c.shape[1]
     m_blk = ops.block_dim
-    n_sub = ops.n_sub
-    dt = ops.dt
-    horizon = model.horizon
     reps = np.arange(start, stop)
-    draws = normal_block(seed, reps, n_x + horizon * m_blk)
-    x = model.x0_mean + draws[:, :n_x] @ _symmetric_sqrt(model.x0_cov).T
-    noise = np.sqrt(dt) * draws[:, n_x:]
+    # chi = [x0; W] is built in place in the draws
+    chi = normal_block(seed, reps, n_x + model.horizon * m_blk)
+    x = chi[:, :n_x]
+    x[...] = model.x0_mean + x @ _symmetric_sqrt(model.x0_cov).T
+    noise = chi[:, n_x:]
+    noise *= np.sqrt(ops.dt)
 
-    chi = np.concatenate([x, noise], axis=1)
-    em_vals = (
-        0.5 * np.einsum("ri,ri->r", chi @ ref.q_big, chi)
-        + chi @ ref.q_vec
-        + ref.rho
-    )
-
-    # fine-grid propagators for the pathwise quadrature
-    euler_t = (np.eye(n_x) + dt * model.a_c).T
-    g_t = model.g_c.T
-    c_t = model.c_c.T
-    q_c = model.q_c
-
-    cont_vals = np.zeros(len(reps))
-    disc_vals = np.zeros(len(reps))
-    for k in range(horizon):
+    det_vals = np.zeros(len(reps))
+    noise_vals = np.zeros(len(reps))
+    starts = []
+    for k in range(model.horizon):
+        starts.append(x)
         w_k = noise[:, k * m_blk:(k + 1) * m_blk]
         xu = np.concatenate(
             [x, np.broadcast_to(model.inputs[k], (len(reps), model.n_u))], axis=1
         )
-        stage_det = (
+        det_vals += (
             0.5 * np.einsum("ri,ri->r", xu @ disc.q, xu)
             + xu @ disc.q_k[k]
             + disc.rho_k[k]
         )
-        noise_terms = (
+        noise_vals += (
             np.einsum("ri,ri->r", xu @ ops.cross, w_k)
             + w_k @ (ops.noise_lin @ model.targets[k])
             + 0.5 * np.einsum("ri,ri->r", w_k @ ops.noise_quad, w_k)
         )
-        disc_vals += stage_det + noise_terms
-
-        # pathwise route: Euler sub-stepping of the drift state and the
-        # noise deviation; only deviation-dependent terms are integrated,
-        # so a noise-free path reproduces the deterministic stage cost
-        # exactly.
-        drift = x.copy()
-        dev = np.zeros_like(x)
-        du = model.d_c @ model.inputs[k]
-        acc = np.zeros(len(reps))
-        increments = w_k.reshape(len(reps), n_sub, n_w)
-        for i in range(n_sub):
-            drift = drift @ euler_t + dt * (model.inputs[k] @ model.b_c.T)
-            dev = dev @ euler_t + increments[:, i, :] @ g_t
-            z_det = drift @ c_t + (du - model.targets[k])
-            dz = dev @ c_t
-            acc += 0.5 * np.einsum("ri,ri->r", dz @ q_c, dz)
-            acc += np.einsum("ri,ri->r", z_det @ q_c, dz)
-        cont_vals += stage_det + dt * acc
-
         x = x @ disc.a.T + model.inputs[k] @ disc.b.T + w_k @ ops.noise_map.T
 
-    values = {"continuous": cont_vals, "discrete": disc_vals, "em_form": em_vals}
+    values = {
+        "continuous": det_vals + _pathwise_cost(model, ops.n_sub, starts, noise),
+        "discrete": det_vals + noise_vals,
+        "em_form": _em_form(ref, chi),
+    }
     partial = {"count": np.array(float(len(reps)))}
     for name, vals in values.items():
         clipped = np.clip(vals, edges[0], edges[-1])
         partial[f"sum_{name}"] = vals.sum()
         partial[f"sumsq_{name}"] = (vals * vals).sum()
         partial[f"hist_{name}"] = np.histogram(clipped, bins=edges)[0].astype(float)
-    for a, bn in (("continuous", "discrete"), ("continuous", "em_form"),
-                  ("discrete", "em_form")):
+    for a, bn in _PAIRS:
         partial[f"cross_{a}_{bn}"] = (values[a] * values[bn]).sum()
     return partial
 
@@ -661,14 +684,8 @@ def _simulate_block(args) -> dict:
 def _tree_reduce(parts: list) -> dict:
     """Pairwise reduction with a topology fixed by the block count."""
     while len(parts) > 1:
-        merged = []
-        for i in range(0, len(parts) - 1, 2):
-            merged.append({
-                key: parts[i][key] + parts[i + 1][key] for key in parts[i]
-            })
-        if len(parts) % 2:
-            merged.append(parts[-1])
-        parts = merged
+        merged = [{k: a[k] + b[k] for k in a} for a, b in zip(parts[::2], parts[1::2])]
+        parts = merged + parts[2 * len(merged):]     # an odd last part waits a round
     return parts[0]
 
 
@@ -737,26 +754,19 @@ def monte_carlo(
     total = _tree_reduce(parts)
 
     n = float(n_sims)
+    dof = max(n - 1.0, 1.0)     # one sample: variances 0, correlations 0
     sample_mean = {s: float(total[f"sum_{s}"] / n) for s in STREAMS}
-    if n_sims > 1:
-        sample_var = {
-            s: float((total[f"sumsq_{s}"] - n * sample_mean[s] ** 2) / (n - 1.0))
-            for s in STREAMS
-        }
-    else:
-        sample_var = {s: 0.0 for s in STREAMS}
+    sample_var = {
+        s: float((total[f"sumsq_{s}"] - n * sample_mean[s] ** 2) / dof)
+        if n_sims > 1 else 0.0
+        for s in STREAMS
+    }
     correlations = {}
-    for a, bn in (("continuous", "discrete"), ("continuous", "em_form"),
-                  ("discrete", "em_form")):
-        if n_sims > 1:
-            cov = (
-                total[f"cross_{a}_{bn}"] - n * sample_mean[a] * sample_mean[bn]
-            ) / (n - 1.0)
-            denom = np.sqrt(sample_var[a] * sample_var[bn])
-            corr = float(cov / denom) if denom > 0 else 0.0
-            correlations[f"{a}|{bn}"] = min(1.0, max(-1.0, corr))
-        else:
-            correlations[f"{a}|{bn}"] = 0.0
+    for a, bn in _PAIRS:
+        cov = (total[f"cross_{a}_{bn}"] - n * sample_mean[a] * sample_mean[bn]) / dof
+        denom = np.sqrt(sample_var[a] * sample_var[bn])
+        corr = float(cov / denom) if denom > 0 else 0.0
+        correlations[f"{a}|{bn}"] = min(1.0, max(-1.0, corr))
 
     return McSummary(
         n_sims=n_sims,

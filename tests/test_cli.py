@@ -187,6 +187,46 @@ def test_non_finite_result_is_one_numerical_error_line(tmp_path, scale, method):
     assert "diverged" in lines[0]
 
 
+def _run_cli(args):
+    """The CLI in a subprocess, so that numpy warnings reach stderr."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "lqdisc.cli", *args],
+        capture_output=True, text=True, env=env,
+    )
+
+
+def _projector_payload(scale):
+    """exp(A_c T_s) of this drift is the projector [[0.5, 0.5], [0.5, 0.5]]."""
+    return scalar_payload() | {
+        "A_c": [[-scale, scale], [scale, -scale]],
+        "B_c": [[1.0], [0.0]], "G_c": [[0.0, 0.0], [0.0, 0.0]],
+        "C_c": [[1.0, 0.0]], "x0_mean": [0.0, 0.0],
+        "x0_cov": [[0.0, 0.0], [0.0, 0.0]],
+    }
+
+
+def test_ill_conditioned_drift_is_one_numerical_error_line(tmp_path):
+    # ||A_c||_1 T_s eps = 4.4: the finite closed form was 0.32 off
+    path = write_model(tmp_path, _projector_payload(1e16))
+    run = _run_cli(["discretize", path, "--method", "expm"])
+    assert run.returncode == 4
+    assert run.stdout == ""
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lqdisc:"), run.stderr
+    assert "ill-conditioned" in lines[0]
+
+
+def test_large_but_trustworthy_drift_still_discretizes(tmp_path):
+    path = write_model(tmp_path, _projector_payload(1e12))
+    run = _run_cli(["discretize", path, "--method", "expm"])
+    assert run.returncode == 0, run.stderr
+    a = np.array(json.loads(run.stdout)["A"])
+    assert np.abs(a - 0.5).max() <= 1e-4
+
+
 def test_bad_workers_env_is_an_argument_error(bench_file, capsys, monkeypatch):
     monkeypatch.setenv("LQDISC_WORKERS", "many")
     code = main(["montecarlo", bench_file, "--sims", "8", "--subdiv", "4"])

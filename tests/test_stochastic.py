@@ -9,6 +9,8 @@ from lqdisc.errors import LqdiscError, ResourceLimitError, ValidationError
 from lqdisc.expm_method import discretize_expm
 from lqdisc.model import ContinuousLqModel, DiscreteLqModel
 from lqdisc.stochastic import (
+    _em_form,
+    _pathwise_cost,
     cost_moments,
     cost_moments_streaming,
     em_interval_ops,
@@ -455,3 +457,119 @@ def test_monte_carlo_rejects_a_non_integer_worker_variable(monkeypatch):
     assert isinstance(info.value, LqdiscError)
     # an explicit count never reads the variable
     assert monte_carlo(model, disc, ref, 10, seed=0, workers=1).n_sims == 10
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo and moment kernels against their direct definitions
+# ---------------------------------------------------------------------------
+
+def _loop_pathwise_cost(model, n_sub, starts, noise):
+    """Reference for the pathwise stream: one Euler sub-step per iteration.
+
+    Advances the drift and the noise deviation side by side and sums the
+    deviation-dependent cost at every right-end node.
+    """
+    dt = model.t_s / n_sub
+    m_blk = n_sub * model.n_w
+    euler_t = (np.eye(model.n_x) + dt * model.a_c).T
+    total = np.zeros(noise.shape[0])
+    for k, x in enumerate(starts):
+        u, target = model.inputs[k], model.targets[k]
+        increments = noise[:, k * m_blk:(k + 1) * m_blk].reshape(len(x), n_sub, -1)
+        drift = x.copy()
+        dev = np.zeros_like(x)
+        acc = np.zeros(len(x))
+        for i in range(n_sub):
+            drift = drift @ euler_t + dt * (u @ model.b_c.T)
+            dev = dev @ euler_t + increments[:, i, :] @ model.g_c.T
+            z_det = drift @ model.c_c.T + (model.d_c @ u - target)
+            dz = dev @ model.c_c.T
+            acc += 0.5 * np.einsum("ri,ri->r", dz @ model.q_c, dz)
+            acc += np.einsum("ri,ri->r", z_det @ model.q_c, dz)
+        total += dt * acc
+    return total
+
+
+def _hstack_cost_moments(ref):
+    """Reference moments through the ``dim x dim`` product ``q_big P``."""
+    n_x = ref.n_x
+    q_big, q_vec, m_bar = ref.q_big, ref.q_vec, ref.m_bar
+    qm = q_big[:, :n_x] @ m_bar[:n_x]
+    trace_qp = float(
+        np.einsum("ij,ji->", q_big[:n_x, :n_x], ref.x0_cov)
+    ) + ref.dt * float(np.trace(q_big[n_x:, n_x:]))
+    mean = (
+        0.5 * float(m_bar[:n_x] @ qm[:n_x])
+        + float(q_vec @ m_bar)
+        + ref.rho
+        + 0.5 * trace_qp
+    )
+    lin = qm + q_vec
+    p_lin = np.concatenate([ref.x0_cov @ lin[:n_x], ref.dt * lin[n_x:]])
+    qp = np.hstack([q_big[:, :n_x] @ ref.x0_cov, ref.dt * q_big[:, n_x:]])
+    var = float(lin @ p_lin) + 0.5 * float(np.einsum("ij,ji->", qp, qp))
+    return mean, var
+
+
+def _starts_and_noise(rng, model, n_sub, reps=48):
+    starts = [rng.normal(size=(reps, model.n_x)) for _ in range(model.horizon)]
+    noise = rng.normal(size=(reps, model.horizon * n_sub * model.n_w))
+    return starts, noise * np.sqrt(model.t_s / n_sub)
+
+
+@pytest.mark.parametrize("n_sub", [1, 7, 16, 17, 256])
+@pytest.mark.parametrize("name", ["benchmark", "n_w_above_n_x"])
+def test_pathwise_stream_matches_the_sub_step_loop(name, n_sub):
+    rng = np.random.default_rng(n_sub)
+    model = _interval_test_models()[name]
+    model = dataclasses.replace(
+        model,
+        inputs=rng.normal(size=(3, model.n_u)),
+        targets=rng.normal(size=(3, model.n_z)),
+    )
+    starts, noise = _starts_and_noise(rng, model, n_sub)
+    got = _pathwise_cost(model, n_sub, starts, noise)
+    want = _loop_pathwise_cost(model, n_sub, starts, noise)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("horizon, n_sub", [(1, 8), (3, 16), (4, 5)])
+def test_em_form_matches_the_dense_quadratic_form(horizon, n_sub):
+    rng = np.random.default_rng(horizon)
+    model = make_benchmark_model(horizon=horizon)
+    ref = em_reformulate(model, n_sub)
+    chi = rng.normal(size=(40, ref.dim))
+    chi[:, model.n_x:] *= np.sqrt(ref.dt)
+    want = 0.5 * np.einsum("ri,ri->r", chi @ ref.q_big, chi) + chi @ ref.q_vec + ref.rho
+    got = _em_form(ref, chi)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_monte_carlo_stream_means_agree_at_benchmark_size():
+    model = make_benchmark_model(horizon=4)
+    disc = discretize_expm(model)
+    summary = monte_carlo(model, disc, em_reformulate(model, 256, disc=disc), 2048, seed=31)
+    means = summary.sample_mean
+    spread = max(means.values()) - min(means.values())
+    assert spread <= 1e-9 * abs(summary.analytic_mean)
+
+
+def _moment_test_models():
+    rng = np.random.default_rng(77)
+    off_diagonal = random_stable_model(rng, n_x=3, n_u=2, n_z=2, horizon=3)
+    assert np.abs(off_diagonal.x0_cov - np.diag(np.diag(off_diagonal.x0_cov))).max() > 0.0
+    return [
+        (make_benchmark_model(horizon=3), 8),
+        (make_benchmark_model(horizon=3), 64),
+        (off_diagonal, 8),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_cost_moments_match_the_dense_formula(case):
+    model, n_sub = _moment_test_models()[case]
+    ref = em_reformulate(model, n_sub)
+    got = cost_moments(ref)
+    want = _hstack_cost_moments(ref)
+    assert got[0] == want[0]
+    assert got[1] == pytest.approx(want[1], rel=1e-12)
