@@ -8,7 +8,7 @@ distribution of the stochastic cost both in closed form and by
 simulation.
 """
 
-from .butcher import SCHEMES, ButcherTableau, PrecomputedCoefficients, precompute, tableau
+from .butcher import SCHEMES, ButcherTableau, tableau
 from .doubling import discretize_step_doubling
 from .errors import (
     ConvexityError,
@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .expm_method import discretize_expm
-from .linalg import LuFactorization, expm, is_psd, solve_linear, symmetrize
+from .linalg import expm, is_psd, symmetrize
 from .lqsolve import LqSolution, solve_finite_horizon
 from .model import (
     ContinuousLqModel,
@@ -38,7 +38,6 @@ from .model import (
 from .ode_method import discretize_ode
 from .oracle import OracleConfig, oracle_cost, oracle_discretize
 from .stochastic import (
-    EmIntervalOps,
     EmReformulation,
     McSummary,
     cost_moments,
@@ -59,16 +58,13 @@ __all__ = [
     "ConvexityError",
     "DiscreteLqModel",
     "DivergenceError",
-    "EmIntervalOps",
     "EmReformulation",
     "IllConditionedError",
     "LqSolution",
     "LqdiscError",
-    "LuFactorization",
     "McSummary",
     "NormOverflowError",
     "OracleConfig",
-    "PrecomputedCoefficients",
     "ResourceLimitError",
     "SingularMatrixError",
     "TrackingSpec",
@@ -91,11 +87,9 @@ __all__ = [
     "monte_carlo",
     "oracle_cost",
     "oracle_discretize",
-    "precompute",
     "propagate_covariance",
     "require_valid",
     "solve_finite_horizon",
-    "solve_linear",
     "symmetrize",
     "tableau",
     "validate",

@@ -3,7 +3,7 @@
 Subcommands: ``discretize``, ``benchmark``, ``montecarlo``,
 ``expected-cost``, ``solve``.  Models are JSON files; results go to
 stdout or ``-o``.  Exit codes: 0 success, 2 bad usage/arguments,
-3 invalid model data, 4 numerical failure (divergence, singular pivot,
+3 invalid model data, 4 numerical failure (divergence, singular stage,
 non-convex stage, overflowing norm), 5 resource cap exceeded.
 """
 

@@ -14,7 +14,8 @@ class ValidationError(LqdiscError):
 
 
 class SingularMatrixError(LqdiscError):
-    """A linear solve hit a numerically singular pivot."""
+    """An implicit Runge-Kutta stage matrix is singular or numerically
+    singular (1-norm condition number of ``1e14`` or more)."""
 
 
 class DivergenceError(LqdiscError):

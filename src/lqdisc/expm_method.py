@@ -17,8 +17,10 @@ interval keeps those factors small; over-splitting costs digits too, which
 is why ``s`` is not larger.  The extended transition is read from the
 affine-cost block, which has no growing factor, not from the
 quadratic-cost block, where it shares a matrix with ``exp(-h_ext' tau)``.
-This route involves no step-size choice and serves as the reference the
-iterative methods are judged against.
+The cost and noise kernels are divided by a scale before exponentiating
+and their blocks multiplied back (:func:`_kernel_scale`), so their size
+sets no squarings.  This route involves no step-size choice and serves as
+the reference the iterative methods are judged against.
 
 Two different block matrices appear that the source notation would both
 call by one letter: the *output* map ``h_out = [c_c d_c]`` and the
@@ -35,6 +37,20 @@ from .linalg import expm, norm1, pade_squarings
 from .model import ContinuousLqModel, DiscreteLqModel, require_valid
 
 __all__ = ["discretize_expm"]
+
+
+def _kernel_scale(diagonal: np.ndarray, kernel: np.ndarray) -> float:
+    """``c = max(1, ||kernel||_1 / ||diagonal||_1)``, and 1 for a zero
+    diagonal.
+
+    The (1,2) block of ``exp([[X, Y], [0, Z]])`` is linear in ``Y``, so
+    exponentiating with ``Y / c`` and multiplying that block by ``c`` gives
+    the same integral (Van Loan 1978) without letting a large kernel set
+    the exponential's internal squarings, so the result does not depend on
+    the units of ``q_c`` or ``g_c``.
+    """
+    k, d = norm1(kernel), norm1(diagonal)
+    return k / d if k > d > 0.0 else 1.0
 
 
 def expm_seed(model: ContinuousLqModel, halvings: int) -> IntervalMaps:
@@ -55,8 +71,9 @@ def expm_seed(model: ContinuousLqModel, halvings: int) -> IntervalMaps:
 
     block1 = np.zeros((2 * n_xu, 2 * n_xu))
     block1[:n_xu, :n_xu] = -h_ext.T
-    block1[:n_xu, n_xu:] = q_bar
     block1[n_xu:, n_xu:] = h_ext
+    c1 = _kernel_scale(block1, q_bar)
+    block1[:n_xu, n_xu:] = q_bar / c1
     phi1 = expm(block1 * tau)
 
     block2 = np.zeros((2 * n_xu, 2 * n_xu))
@@ -66,16 +83,17 @@ def expm_seed(model: ContinuousLqModel, halvings: int) -> IntervalMaps:
 
     block3 = np.zeros((2 * n_x, 2 * n_x))
     block3[:n_x, :n_x] = -model.a_c
-    block3[:n_x, n_x:] = g_bar
     block3[n_x:, n_x:] = model.a_c.T
+    c3 = _kernel_scale(block3, g_bar)
+    block3[:n_x, n_x:] = g_bar / c3
     phi3 = expm(block3 * tau)
 
     ext = phi2[:n_xu, :n_xu]
     return IntervalMaps(
         ext=ext,
-        quad=ext.T @ phi1[:n_xu, n_xu:],
+        quad=c1 * (ext.T @ phi1[:n_xu, n_xu:]),
         lin=phi2[:n_xu, n_xu:].T @ m_bar,
-        cov=phi3[n_x:, n_x:].T @ phi3[:n_x, n_x:],
+        cov=c3 * (phi3[n_x:, n_x:].T @ phi3[:n_x, n_x:]),
     )
 
 

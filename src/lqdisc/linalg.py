@@ -1,9 +1,10 @@
 """Dense linear-algebra kernels shared by all discretization routines.
 
 Matrices are plain 2-D ``float64`` numpy arrays throughout.  The kernels
-here are deliberately small and self-contained: a Pade-13
-scaling-and-squaring matrix exponential, a partial-pivoting LU solve that
-reports *which* pivot failed, and a couple of symmetry helpers.
+here are deliberately small: a Pade-13 scaling-and-squaring matrix
+exponential, whose rational quotient is one LAPACK solve
+(``np.linalg.solve``) with the coefficients normalized to ``b0 = 1``, and a
+couple of symmetry helpers.
 """
 
 from __future__ import annotations
@@ -12,21 +13,22 @@ import math
 
 import numpy as np
 
-from .errors import NormOverflowError, SingularMatrixError, ValidationError
+from .errors import NormOverflowError, ValidationError
 
 __all__ = [
     "expm",
     "norm1",
     "pade_squarings",
-    "solve_linear",
-    "LuFactorization",
     "symmetrize",
     "is_psd",
     "psd_shortfall",
 ]
 
-# Pade-13 numerator coefficients (Higham 2005, Table 10.4).
-_PADE13 = (
+# Pade-13 numerator coefficients (Higham 2005, Table 10.4), divided by the
+# first, 64764752532480000.  With b0 = 1 the denominator is I + O(A), so
+# the solve returns exactly I for A = 0; LAPACK's triangular solve
+# multiplies by reciprocal pivots, and 1/6.48e16 is not exact.
+_PADE13 = tuple(c / 64764752532480000.0 for c in (
     64764752532480000.0,
     32382376266240000.0,
     7771770303897600.0,
@@ -41,7 +43,7 @@ _PADE13 = (
     16380.0,
     182.0,
     1.0,
-)
+))
 
 # 1-norm threshold above which the argument is scaled down by powers of two.
 _PADE13_THETA = 5.371920351148152
@@ -86,8 +88,9 @@ def expm(m) -> np.ndarray:
     """Matrix exponential via Pade-13 with scaling and squaring.
 
     The argument is scaled by ``2**-s`` until its 1-norm drops below the
-    order-13 threshold, the diagonal Pade approximant is evaluated, and the
-    result is squared ``s`` times.
+    order-13 threshold, the diagonal Pade approximant ``(v - u)^-1 (v + u)``
+    is evaluated with one LAPACK solve, and the result is squared ``s``
+    times.
 
     Parameters
     ----------
@@ -122,67 +125,10 @@ def expm(m) -> np.ndarray:
         a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
     )
-    r = solve_linear(v - u, v + u)
+    r = np.linalg.solve(v - u, v + u)
     for _ in range(squarings):
         r = r @ r
     return r
-
-
-class LuFactorization:
-    """LU factorization with partial pivoting.
-
-    Factor once, solve many times — used for implicit Runge-Kutta stages
-    that share a diagonal coefficient.  Raises
-    :class:`~lqdisc.errors.SingularMatrixError` naming the offending pivot
-    column when the matrix is numerically singular.
-    """
-
-    def __init__(self, m, name: str = "matrix"):
-        a = _as_matrix(m, name).copy()
-        n, nc = a.shape
-        if n != nc:
-            raise ValidationError(f"{name} must be square, got {a.shape}")
-        perm = np.arange(n)
-        scale = max(1.0, np.abs(a).max()) if a.size else 1.0
-        for k in range(n):
-            p = k + int(np.argmax(np.abs(a[k:, k])))
-            if abs(a[p, k]) <= 1e-14 * scale:
-                raise SingularMatrixError(
-                    f"{name} is numerically singular at pivot step {k} "
-                    f"(pivot magnitude {abs(a[p, k]):.3e})"
-                )
-            if p != k:
-                a[[k, p]] = a[[p, k]]
-                perm[[k, p]] = perm[[p, k]]
-            a[k + 1:, k] /= a[k, k]
-            a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
-        self._lu = a
-        self._perm = perm
-        self._n = n
-
-    def solve(self, rhs) -> np.ndarray:
-        b = np.asarray(rhs, dtype=float)
-        vector = b.ndim == 1
-        if vector:
-            b = b[:, None]
-        if b.shape[0] != self._n:
-            raise ValidationError(
-                f"right-hand side has {b.shape[0]} rows, expected {self._n}"
-            )
-        x = b[self._perm].copy()
-        lu = self._lu
-        for k in range(self._n):          # forward: L y = P b
-            x[k + 1:] -= np.outer(lu[k + 1:, k], x[k])
-        for k in range(self._n - 1, -1, -1):  # backward: U x = y
-            x[k] /= lu[k, k]
-            if k:
-                x[:k] -= np.outer(lu[:k, k], x[k])
-        return x[:, 0] if vector else x
-
-
-def solve_linear(a, rhs, name: str = "matrix") -> np.ndarray:
-    """Solve ``a @ x = rhs`` by partial-pivoting LU."""
-    return LuFactorization(a, name).solve(rhs)
 
 
 def symmetrize(m) -> np.ndarray:

@@ -59,9 +59,7 @@ class EmIntervalOps:
     ``coarse_*`` map the interval: ``x_next = coarse_a x + coarse_b u +
     noise_map w`` with ``w`` the stacked sub-step increments (covariance
     ``dt I``).  ``cross``/``noise_quad``/``noise_lin`` are the noise
-    blocks of the refined stage cost; ``quad_approx``/``lin_approx`` are
-    the refinement's own (first-order) versions of the deterministic cost
-    weights, used by the continuous-quadrature Monte Carlo stream.
+    blocks of the refined stage cost.
     """
 
     n_sub: int
@@ -72,8 +70,6 @@ class EmIntervalOps:
     cross: np.ndarray            # (n_xu, n_sub * n_w)
     noise_quad: np.ndarray       # (n_sub * n_w, n_sub * n_w)
     noise_lin: np.ndarray        # (n_sub * n_w, n_z)
-    quad_approx: np.ndarray      # (n_xu, n_xu)
-    lin_approx: np.ndarray       # (n_xu, n_z)
     trace_integral: float        # integral of tr(weight * within-interval noise cov)
 
     @property
@@ -123,15 +119,6 @@ def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
         raise ValidationError(f"n_sub must be >= 1, got {n_sub}")
     n_x, n_u, n_z, n_w = model.n_x, model.n_u, model.n_z, model.n_w
     dt, powers, held = _euler_powers(model, n_sub)
-
-    # gam[i] = output-flow map at node i+1 (right-endpoint nodes)
-    gam = np.empty((n_sub, n_z, n_x + n_u))
-    gam[:, :, :n_x] = model.c_c @ powers[1:]
-    gam[:, :, n_x:] = model.c_c @ held[1:] + model.d_c
-
-    weighted_gam = model.q_c @ gam
-    quad_approx = dt * np.einsum("izr,izc->rc", gam, weighted_gam)
-    lin_approx = -dt * gam.sum(axis=0).T @ model.q_c
 
     noise_w = model.c_c.T @ model.q_c @ model.c_c      # weight on the noise state
     f = powers[:n_sub] @ model.g_c                      # f[i] = euler^i g_c
@@ -184,8 +171,6 @@ def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
         cross=cross,
         noise_quad=noise_quad,
         noise_lin=noise_lin,
-        quad_approx=symmetrize(quad_approx),
-        lin_approx=lin_approx,
         trace_integral=trace_integral,
     )
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lqdisc import SCHEMES, SingularMatrixError, ValidationError, precompute, tableau
+from lqdisc import SCHEMES, SingularMatrixError, ValidationError, tableau
+from lqdisc.butcher import precompute
 from lqdisc.linalg import expm, is_psd
 from tests.conftest import make_benchmark_model, random_stable_model
 

@@ -8,8 +8,8 @@ from lqdisc import (
     ValidationError,
     discretize_ode,
     discretize_step_doubling,
-    precompute,
 )
+from lqdisc.butcher import precompute
 from lqdisc.intervals import compose
 from lqdisc.linalg import is_psd
 from lqdisc.ode_method import rk_seed

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -84,6 +85,24 @@ def test_wide_systems_against_high_precision_reference(system):
     for field, key in (("a", "A"), ("b", "B"), ("q", "Q"), ("m", "M"), ("r_ww", "R_ww")):
         exact = np.array([[float(v) for v in row] for row in reference[key]])
         err = np.max(np.abs(getattr(disc, field) - exact)) / np.max(np.abs(exact))
+        assert err <= 1e-13, (field, err)
+
+
+@pytest.mark.parametrize("system", ["stiff", "wide10", "wide40"])
+def test_result_does_not_depend_on_the_units_of_the_kernels(system):
+    # The cost and noise blocks are linear in q_c and g_c g_c'; rescaling
+    # them must rescale Q, M and R_ww and leave A and B untouched, which
+    # holds only if a large kernel does not set the exponentials' squarings.
+    with open(BENCH_DATA / f"{system}.json", encoding="utf-8") as fh:
+        model = continuous_model_from_dict(json.load(fh))
+    base = discretize_expm(model)
+    scaled = discretize_expm(
+        dataclasses.replace(model, q_c=1e8 * model.q_c, g_c=1e4 * model.g_c)
+    )
+    assert np.array_equal(scaled.a, base.a) and np.array_equal(scaled.b, base.b)
+    for field in ("q", "m", "r_ww"):
+        want = getattr(base, field)
+        err = np.max(np.abs(getattr(scaled, field) / 1e8 - want)) / np.max(np.abs(want))
         assert err <= 1e-13, (field, err)
 
 

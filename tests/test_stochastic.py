@@ -71,8 +71,6 @@ def _loop_interval_ops(model, n_sub):
     gam = np.empty((n_sub, n_z, n_x + n_u))
     gam[:, :, :n_x] = model.c_c @ powers[1:]
     gam[:, :, n_x:] = model.c_c @ held[1:] + model.d_c
-    quad_approx = dt * np.einsum("izr,izc->rc", gam, model.q_c @ gam)
-    lin_approx = -dt * gam.sum(axis=0).T @ model.q_c
 
     noise_w = model.c_c.T @ model.q_c @ model.c_c
     f = powers[:n_sub] @ model.g_c
@@ -115,8 +113,6 @@ def _loop_interval_ops(model, n_sub):
         "cross": cross,
         "noise_quad": noise_quad,
         "noise_lin": noise_lin,
-        "quad_approx": 0.5 * (quad_approx + quad_approx.T),
-        "lin_approx": lin_approx,
         "trace_integral": trace_integral,
     }
 
