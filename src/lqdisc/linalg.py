@@ -132,9 +132,9 @@ def expm(m) -> np.ndarray:
 
 
 def symmetrize(m) -> np.ndarray:
-    """Return ``(m + m.T) / 2``."""
+    """Return ``(m + m') / 2``, for one matrix or each matrix of a stack."""
     a = np.asarray(m, dtype=float)
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def psd_shortfall(m, tol: float = 1e-10) -> float | None:

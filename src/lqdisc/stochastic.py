@@ -9,6 +9,14 @@ come from an Euler-Maruyama refinement of each interval with step
 (a generalized chi-square); a streaming variant produces the same moments
 without ever holding the big matrix; Monte Carlo evaluates three
 independent regroupings of the same sampled cost and cross-checks them.
+
+The horizon walks (streaming moments, expected cost, covariance
+propagation, the ODE noise quadrature) are linear recursions with a
+constant transition.  They run in blocks of at most ``_WALK_BLOCK`` steps:
+the powers of the transition and their Gramian partial sums are stacked
+once, and each block is a fixed number of batched numpy products, so no
+step costs a Python iteration and the working memory does not grow with
+the horizon.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ __all__ = [
 DEFAULT_DIM_CAP = 4096
 _BLOCK = 2048          # Monte Carlo replicates per work unit (fixed)
 _CHUNK = 16            # Euler sub-steps per product in the pathwise stream
+_WALK_BLOCK = 256      # steps per block of a horizon walk (bounds its memory)
 STREAMS = ("continuous", "discrete", "em_form")
 _PAIRS = (("continuous", "discrete"), ("continuous", "em_form"),
           ("discrete", "em_form"))
@@ -91,6 +100,16 @@ def _euler_powers(model: ContinuousLqModel, n_sub: int):
         powers[i + 1] = euler @ powers[i]
         held[i + 1] = euler @ held[i] + dt * model.b_c
     return dt, powers, held
+
+
+def _trace_integral(model: ContinuousLqModel, dt: float, powers: np.ndarray) -> float:
+    """Euler-Maruyama sum for the integral of tr(weight * within-interval
+    noise covariance), from the powers of :func:`_euler_powers`."""
+    n_sub = len(powers) - 1
+    noise_w = model.c_c.T @ model.q_c @ model.c_c
+    f = powers[:n_sub] @ model.g_c
+    per_node = np.einsum("kxw,xy,kyw->k", f, noise_w, f)
+    return dt * dt * float(((n_sub - np.arange(n_sub)) * per_node).sum())
 
 
 def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
@@ -156,12 +175,6 @@ def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
         m_blk, n_z
     )
 
-    # integral of tr(noise_w * cov of the within-interval noise state)
-    per_node = np.einsum("kxw,xy,kyw->k", f, noise_w, f)
-    trace_integral = dt * dt * float(
-        ((n_sub - np.arange(n_sub)) * per_node).sum()
-    )
-
     return EmIntervalOps(
         n_sub=n_sub,
         dt=dt,
@@ -171,7 +184,7 @@ def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
         cross=cross,
         noise_quad=noise_quad,
         noise_lin=noise_lin,
-        trace_integral=trace_integral,
+        trace_integral=_trace_integral(model, dt, powers),
     )
 
 
@@ -229,7 +242,8 @@ def em_reformulate(
     Euler-Maruyama refinement.  Requests whose total dimension
     ``n_x + horizon * n_sub * n_w`` exceeds ``dim_cap`` raise
     :class:`~lqdisc.errors.ResourceLimitError` — use
-    :func:`cost_moments_streaming` for those.
+    :func:`cost_moments_streaming` for those.  A ``disc`` whose horizon is
+    not the model's raises :class:`~lqdisc.errors.ValidationError`.
     """
     require_valid(model)
     horizon = model.horizon
@@ -242,6 +256,7 @@ def em_reformulate(
         )
     if disc is None:
         disc = discretize_expm(model)
+    _require_same_horizon(model, disc)
     ops = em_interval_ops(model, n_sub)
     m_blk = ops.block_dim
 
@@ -327,6 +342,60 @@ def cost_moments(ref: EmReformulation) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
+# blocked horizon walks
+# ---------------------------------------------------------------------------
+
+def _require_same_horizon(model: ContinuousLqModel, disc: DiscreteLqModel) -> None:
+    if disc.horizon != model.horizon:
+        raise ValidationError(
+            f"disc has horizon {disc.horizon} but the model has horizon "
+            f"{model.horizon}"
+        )
+
+
+def _powers(a: np.ndarray, n: int) -> np.ndarray:
+    """``a^0 .. a^n`` stacked, by doubling: each batched product
+    ``a^(j-1) @ a^(1..j-1)`` nearly doubles the stack, so about ``log2 n``."""
+    out = np.empty((n + 1,) + a.shape)
+    out[0] = np.eye(a.shape[0])
+    if n:
+        out[1] = a
+    known = 2
+    while known <= n:
+        take = min(known - 1, n + 1 - known)
+        out[known:known + take] = out[known - 1] @ out[1:take + 1]
+        known += take
+    return out
+
+
+def _gramians(powers: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Partial Gramian sums ``out[i] = sum_{j<i} powers[j] m powers[j]'``,
+    one per entry of ``powers`` (``out[0] = 0``)."""
+    out = np.zeros_like(powers)
+    terms = powers[:-1] @ m @ powers[:-1].transpose(0, 2, 1)
+    np.cumsum(terms, axis=0, out=out[1:])
+    return out
+
+
+def _affine_scan(powers: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Rows ``z_i = sum_{m<=i} A^(i-m) c_m``, i.e. ``z_i = A z_{i-1} + c_i``,
+    by doubling the stride (Hillis-Steele): about ``log2 len(c)`` products
+    with ``powers[s] = A^s`` (``len(powers) >= len(c)``)."""
+    z = np.array(c, dtype=float)
+    stride = 1
+    while stride < len(z):
+        z[stride:] += z[:-stride] @ powers[stride].T
+        stride *= 2
+    return z
+
+
+def _mean_block(powers: np.ndarray, disc: DiscreteLqModel, x, inputs) -> np.ndarray:
+    """Means ``x_0 .. x_L`` of ``x_{i+1} = a x_i + b u_i`` from ``x_0 = x``
+    over the ``L`` rows of ``inputs`` (``powers`` holds ``a^0 .. a^L``)."""
+    return _affine_scan(powers, np.vstack([x, inputs @ disc.b.T]))
+
+
+# ---------------------------------------------------------------------------
 # streaming moments
 # ---------------------------------------------------------------------------
 
@@ -337,10 +406,13 @@ def cost_moments_streaming(
 ) -> tuple[float, float]:
     """Mean and variance of the same quadratic form, never materialized.
 
-    Walks the horizon once, propagating the state mean/covariance and two
-    cross-covariance accumulators that carry every past stage's influence
-    on future stages.  Matches :func:`cost_moments` to rounding on
-    instances small enough to materialize, with per-step memory only.
+    Walks the horizon once, propagating the state mean and covariance and
+    two accumulators that carry every past stage's influence on later
+    stages: stage ``k`` adds ``tr(q_xx H_k) + 2 g_k' h_k`` to the variance,
+    with ``H_{k+1} = a H_k a' + kernel_k`` and ``h_{k+1} = a h_k +
+    gamma_k``.  Matches :func:`cost_moments` to rounding on instances small
+    enough to materialize.  A ``disc`` whose horizon is not the model's
+    raises :class:`~lqdisc.errors.ValidationError`.
 
     Every product with a factor of size ``m_blk = n_sub * n_w`` is a loop
     invariant and is taken once before the walk: the stage's noise
@@ -349,17 +421,30 @@ def cost_moments_streaming(
     ``noise_lin' noise_lin``) and ``noise_map g_w`` (via ``noise_map
     cross'`` and ``noise_map noise_lin``), and the noise part of each
     stage kernel through ``cross_x noise_map'`` and ``noise_map
-    noise_quad noise_map'``.  So the work per step depends on ``n_x``,
-    ``n_u`` and ``n_z`` only, not on ``n_sub``.
+    noise_quad noise_map'``.  So the walk depends on ``n_x``, ``n_u`` and
+    ``n_z`` only, not on ``n_sub``.
+
+    The walk runs in blocks of at most ``B = _WALK_BLOCK`` steps, with
+    ``A^0 .. A^B`` stacked once by doubling.  In a block of ``L`` steps the
+    means are a doubling scan, the covariances are ``A^i P A^i' + S_i``
+    (``S_i`` the partial Gramian sums of the step noise) and every
+    per-step term is one batched product.  The accumulators unroll to
+
+        sum_k tr(q_xx H_k) = tr(O_L H) + sum_j tr(O_{L-1-j} kernel_j)
+        sum_k g_k' h_k     = lam_{-1}' h + sum_j gamma_j' lam_j
+
+    with ``O_r = sum_{m<r} (A^m)' q_xx A^m``, ``lam_j = sum_{k>j}
+    (A^(k-1-j))' g_k`` (a backward scan) and ``(H, h)`` carried into the
+    block.  Memory is ``O(B n_x^2 + m_blk^2)``, independent of the horizon.
     """
     require_valid(model)
     if disc is None:
         disc = discretize_expm(model)
+    _require_same_horizon(model, disc)
     ops = em_interval_ops(model, n_sub)
-    n_x = model.n_x
+    n_x, horizon = model.n_x, model.horizon
     dt = ops.dt
-    a, b = disc.a, disc.b
-    quad, cross, noise_quad = disc.q, ops.cross, ops.noise_quad
+    a, quad, cross, noise_quad = disc.a, disc.q, ops.cross, ops.noise_quad
     noise_map, noise_lin = ops.noise_map, ops.noise_lin
     q_xx = quad[:n_x, :n_x]
 
@@ -374,65 +459,83 @@ def cost_moments_streaming(
     map_quad = noise_map @ noise_quad @ noise_map.T  # (n_x, n_x)
     noise_cov_step = dt * (noise_map @ noise_map.T)
 
+    powers = _powers(a, min(horizon, _WALK_BLOCK))
+    powers_t = powers.transpose(0, 2, 1)
+    state_gram = _gramians(powers, noise_cov_step)   # S_i
+    cost_gram = _gramians(powers_t, q_xx)            # O_r
+
     mean = 0.0
     var = 0.0
-    state_mean = np.asarray(model.x0_mean, dtype=float).copy()
-    state_cov = np.asarray(model.x0_cov, dtype=float).copy()
-    hist_quad = np.zeros((n_x, n_x))     # transported sum of past R_j kernels
+    state_mean = np.asarray(model.x0_mean, dtype=float)
+    state_cov = np.asarray(model.x0_cov, dtype=float)
+    hist_quad = np.zeros((n_x, n_x))     # transported sum of past stage kernels
     hist_lin = np.zeros(n_x)             # transported sum of past gamma_j
 
-    for k in range(model.horizon):
-        mu = np.concatenate([state_mean, model.inputs[k]])
-        target = model.targets[k]
-        b_xi = disc.q_k[k]
+    for start in range(0, horizon, _WALK_BLOCK):
+        stop = min(start + _WALK_BLOCK, horizon)
+        n = stop - start
+        pw, pw_t = powers[:n + 1], powers_t[:n + 1]
+        inputs = model.inputs[start:stop]
+        target = model.targets[start:stop]
+        b_xi = disc.q_k[start:stop]
+        means = _mean_block(pw, disc, state_mean, inputs)
+        covs = symmetrize(pw @ state_cov @ pw_t + state_gram[:n + 1])
+        mu = np.hstack([means[:n], inputs])
+        cov = covs[:n]
 
         mean += (
-            0.5 * float(mu @ quad @ mu)
-            + float(b_xi @ mu)
-            + float(disc.rho_k[k])
-            + 0.5 * (float(np.einsum("ij,ji->", q_xx, state_cov)) + trace_noise)
+            0.5 * float(np.einsum("ki,ij,kj->", mu, quad, mu))
+            + float(np.einsum("ki,ki->", b_xi, mu))
+            + float(disc.rho_k[start:stop].sum())
+            + 0.5 * (float(np.einsum("ij,kji->", q_xx, cov)) + n * trace_noise)
         )
 
-        g_xi = quad @ mu + b_xi
+        g_x = (mu @ quad.T + b_xi)[:, :n_x]
         g_w_sq = float(
-            mu @ cross_gram @ mu
-            + 2.0 * (mu @ cross_lin @ target)
-            + target @ lin_gram @ target
+            np.einsum("ki,ij,kj->", mu, cross_gram, mu)
+            + 2.0 * np.einsum("ki,ij,kj->", mu, cross_lin, target)
+            + np.einsum("ki,ij,kj->", target, lin_gram, target)
         )
-
-        t1 = quad[:, :n_x] @ state_cov          # (n_xu, n_x) slice of A Sigma
+        t1 = q_xx @ cov
         own = (
             0.5 * (
-                float(np.einsum("ij,ji->", t1[:n_x], t1[:n_x]))
+                float(np.einsum("kij,kji->", t1, t1))
                 + 2.0 * dt * float(
-                    np.einsum("ab,ab->", state_cov, cross_gram[:n_x, :n_x])
+                    np.einsum("kab,ab->", cov, cross_gram[:n_x, :n_x])
                 )
-                + trace_noise_sq
+                + n * trace_noise_sq
             )
-            + float(g_xi[:n_x] @ state_cov @ g_xi[:n_x])
+            + float(np.einsum("ki,kij,kj->", g_x, cov, g_x))
             + dt * g_w_sq
         )
 
-        # cross-covariance with every earlier stage, via the accumulators
-        var += own + 2.0 * (
-            0.5 * float(np.einsum("ij,ji->", q_xx, hist_quad))
-            + float(g_xi[:n_x] @ hist_lin)
-        )
-
-        # fold this stage into the accumulators (covariance with x_{k+1});
-        # the noise rows of Cov(v_k, x_{k+1}) are dt * noise_map'
-        k_xi = state_cov @ a.T                   # x-rows of Cov(v_k, x_{k+1})
+        # each stage's covariance with x_{k+1}; the noise rows of
+        # Cov(v_k, x_{k+1}) are dt * noise_map'
+        k_xi = cov @ a.T                         # x-rows of Cov(v_k, x_{k+1})
         kernel = (
-            k_xi.T @ (q_xx @ k_xi + dt * cross_map)
+            k_xi.transpose(0, 2, 1) @ (q_xx @ k_xi + dt * cross_map)
             + dt * (cross_map.T @ k_xi)
             + (dt * dt) * map_quad
         )
-        gamma = k_xi.T @ g_xi[:n_x] + dt * (map_cross @ mu + map_lin @ target)
-        hist_quad = a @ hist_quad @ a.T + kernel
-        hist_lin = a @ hist_lin + gamma
+        gamma = np.einsum("kxy,kx->ky", k_xi, g_x) + dt * (
+            mu @ map_cross.T + target @ map_lin.T
+        )
+        lam = _affine_scan(pw_t, g_x[::-1])[::-1]    # lam[j] is lam_{j-1}
 
-        state_mean = a @ state_mean + b @ model.inputs[k]
-        state_cov = symmetrize(a @ state_cov @ a.T + noise_cov_step)
+        # cross-covariance with every earlier stage, via the accumulators
+        var += own + (
+            float(np.einsum("ij,ji->", cost_gram[n], hist_quad))
+            + float(np.einsum("kij,kji->", cost_gram[n - 1::-1], kernel))
+            + 2.0 * (
+                float(lam[0] @ hist_lin)
+                + float(np.einsum("kx,kx->", gamma[:-1], lam[1:]))
+            )
+        )
+
+        back, back_t = pw[n - 1::-1], pw_t[n - 1::-1]      # A^(L-1-j)
+        hist_quad = pw[n] @ hist_quad @ pw_t[n] + (back @ kernel @ back_t).sum(axis=0)
+        hist_lin = pw[n] @ hist_lin + np.einsum("kxy,ky->x", back, gamma)
+        state_mean, state_cov = means[n], covs[n]
 
     return mean, var
 
@@ -442,16 +545,31 @@ def cost_moments_streaming(
 # ---------------------------------------------------------------------------
 
 def propagate_covariance(disc: DiscreteLqModel, p0, n_steps: int) -> np.ndarray:
-    """State covariances P_0 .. P_n under the discrete noise recursion."""
+    """State covariances P_0 .. P_n of ``P_{k+1} = a P_k a' + r_ww``.
+
+    In blocks of at most ``_WALK_BLOCK`` steps, ``P_{s+i} = A^i P_s A^i' +
+    S_i``, with ``A^i`` stacked by doubling and ``S_i`` the partial Gramian
+    sums of ``r_ww``; the whole stack is symmetrized once.  ``n_steps = 0``
+    gives ``[P_0]``; a negative ``n_steps`` raises
+    :class:`~lqdisc.errors.ValidationError`.
+    """
     p0 = np.asarray(p0, dtype=float)
     n_x = disc.n_x
     if p0.shape != (n_x, n_x):
         raise ValidationError(f"p0 must have shape ({n_x}, {n_x}), got {p0.shape}")
+    if n_steps < 0:
+        raise ValidationError(f"n_steps must be >= 0, got {n_steps}")
+    powers = _powers(disc.a, min(n_steps, _WALK_BLOCK))
+    powers_t = powers.transpose(0, 2, 1)
+    gram = _gramians(powers, disc.r_ww)
     out = np.empty((n_steps + 1, n_x, n_x))
-    out[0] = symmetrize(p0)
-    for k in range(n_steps):
-        out[k + 1] = symmetrize(disc.a @ out[k] @ disc.a.T + disc.r_ww)
-    return out
+    out[0] = p0
+    for start in range(0, n_steps, _WALK_BLOCK):
+        n = min(_WALK_BLOCK, n_steps - start)
+        out[start:start + n + 1] = (
+            powers[:n + 1] @ out[start] @ powers_t[:n + 1] + gram[:n + 1]
+        )
+    return symmetrize(out)
 
 
 def noise_rate_integral_ode(
@@ -461,7 +579,10 @@ def noise_rate_integral_ode(
 
     Quadrature rides the same per-step coefficients as the fixed-step
     discretizer: the scalar accumulator uses the scheme's own stage
-    weights against the running covariance accumulator.
+    weights against the running covariance accumulator.  Step ``i`` sees
+    the transition ``lam^i``; the steps run in blocks of at most
+    ``_WALK_BLOCK`` with ``lam^0 .. lam^B`` stacked once, so the memory
+    does not grow with ``n_steps``.
     """
     require_valid(model)
     coeffs = precompute(model, scheme, n_steps)
@@ -474,18 +595,24 @@ def noise_rate_integral_ode(
         for j in range(tab.stages)
     )
     h = coeffs.h
-    # the stage maps commute with trans, so each step's covariance
-    # increment is trans @ r_tilde @ trans.T
+    # the stage maps commute with the transition, so step i's covariance
+    # increment is lam^i r_tilde lam^i' and its stage increment
+    # lam^i r_bar lam^i'
     r_tilde = weighted_conjugation(coeffs, coeffs.r_bar)
-    trans = np.eye(model.n_x)
-    cov = np.zeros((model.n_x, model.n_x))
+    powers = _powers(coeffs.lam, min(n_steps, _WALK_BLOCK))
+    trans = np.eye(model.n_x)                    # lam^start
+    cov = np.zeros((model.n_x, model.n_x))       # covariance at step start
     total = 0.0
-    for _ in range(n_steps):
-        inc = trans @ coeffs.r_bar @ trans.T
-        total += h * float(np.einsum("ij,ji->", noise_w, cov))
-        total += h * float(np.einsum("ij,ji->", stage_kernel, inc))
-        cov += trans @ r_tilde @ trans.T
-        trans = coeffs.lam @ trans
+    for start in range(0, n_steps, _WALK_BLOCK):
+        n = min(_WALK_BLOCK, n_steps - start)
+        steps = powers[:n + 1] @ trans
+        covs = cov + _gramians(steps, r_tilde)
+        inc = steps[:n] @ coeffs.r_bar @ steps[:n].transpose(0, 2, 1)
+        total += h * (
+            float(np.einsum("ij,kji->", noise_w, covs[:n]))
+            + float(np.einsum("ij,kji->", stage_kernel, inc))
+        )
+        trans, cov = steps[n], covs[n]
     return total
 
 
@@ -502,31 +629,44 @@ def expected_cost(
     Each stage contributes its cost at the mean trajectory, a trace
     correction for the state covariance, and the within-interval noise
     trace integral (route ``"ode"``: scheme-weight quadrature; route
-    ``"em"``: the Euler-Maruyama refinement sum).
+    ``"em"``: the Euler-Maruyama refinement sum).  The mean path is a
+    doubling scan in blocks of ``_WALK_BLOCK`` steps, the covariances come
+    from :func:`propagate_covariance`, and the stage costs are batched
+    products over the horizon.  A ``disc`` whose horizon is not the
+    model's raises :class:`~lqdisc.errors.ValidationError`.
     """
     require_valid(model)
+    _require_same_horizon(model, disc)
     if p0 is None:
         p0 = model.x0_cov
     if trace_route == "ode":
         noise_trace = noise_rate_integral_ode(model, n_steps=quad_steps)
     elif trace_route == "em":
-        noise_trace = em_interval_ops(model, n_sub).trace_integral
+        dt, euler_powers, _ = _euler_powers(model, n_sub)
+        noise_trace = _trace_integral(model, dt, euler_powers)
     else:
         raise ValidationError(f"unknown trace route {trace_route!r}")
 
-    horizon = model.horizon
-    n_x = model.n_x
-    covs = propagate_covariance(disc, p0, horizon)
-    q_xx = disc.q[:n_x, :n_x]
-    total = 0.0
-    x = np.asarray(model.x0_mean, dtype=float).copy()
-    for k in range(horizon):
-        total += disc.stage_cost(x, model.inputs[k], k)
-        total += 0.5 * (
-            float(np.einsum("ij,ji->", q_xx, covs[k])) + noise_trace
+    horizon, n_x = model.horizon, model.n_x
+    powers = _powers(disc.a, min(horizon, _WALK_BLOCK))
+    means = np.empty((horizon + 1, n_x))
+    means[0] = model.x0_mean
+    for start in range(0, horizon, _WALK_BLOCK):
+        stop = min(start + _WALK_BLOCK, horizon)
+        means[start:stop + 1] = _mean_block(
+            powers[:stop - start + 1], disc, means[start], model.inputs[start:stop]
         )
-        x = disc.a @ x + disc.b @ model.inputs[k]
-    return total
+    covs = propagate_covariance(disc, p0, horizon)[:horizon]
+    xu = np.hstack([means[:horizon], model.inputs])
+    return (
+        0.5 * float(np.einsum("ki,ij,kj->", xu, disc.q, xu))
+        + float(np.einsum("ki,ki->", disc.q_k, xu))
+        + float(disc.rho_k.sum())
+        + 0.5 * (
+            float(np.einsum("ij,kji->", disc.q[:n_x, :n_x], covs))
+            + horizon * noise_trace
+        )
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,21 @@
 """Cost moments (materialized and streaming), expected cost, Monte Carlo."""
 
 import dataclasses
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
+from lqdisc import stochastic
+from lqdisc.butcher import precompute
 from lqdisc.errors import LqdiscError, ResourceLimitError, ValidationError
 from lqdisc.expm_method import discretize_expm
+from lqdisc.linalg import symmetrize
 from lqdisc.model import ContinuousLqModel, DiscreteLqModel
+from lqdisc.ode_method import weighted_conjugation
 from lqdisc.stochastic import (
+    _WALK_BLOCK,
     _em_form,
     _pathwise_cost,
     cost_moments,
@@ -17,6 +24,7 @@ from lqdisc.stochastic import (
     em_reformulate,
     expected_cost,
     monte_carlo,
+    noise_rate_integral_ode,
     propagate_covariance,
 )
 
@@ -569,3 +577,285 @@ def test_cost_moments_match_the_dense_formula(case):
     want = _hstack_cost_moments(ref)
     assert got[0] == want[0]
     assert got[1] == pytest.approx(want[1], rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# blocked horizon walks against the per-step recursions
+# ---------------------------------------------------------------------------
+
+def _loop_streaming_moments(model, n_sub, disc):
+    """Reference for the streaming moments: one Python iteration per step.
+
+    Propagates the state mean and covariance and the two accumulators
+    (``hist_quad``, ``hist_lin``) that carry every earlier stage's
+    covariance with the current one.
+    """
+    ops = em_interval_ops(model, n_sub)
+    n_x = model.n_x
+    dt = ops.dt
+    a, b = disc.a, disc.b
+    quad, cross, noise_quad = disc.q, ops.cross, ops.noise_quad
+    noise_map, noise_lin = ops.noise_map, ops.noise_lin
+    q_xx = quad[:n_x, :n_x]
+
+    trace_noise = dt * float(np.trace(noise_quad))
+    trace_noise_sq = dt * dt * float(np.einsum("ij,ij->", noise_quad, noise_quad))
+    cross_gram = cross @ cross.T
+    cross_lin = cross @ noise_lin
+    lin_gram = noise_lin.T @ noise_lin
+    map_cross = noise_map @ cross.T
+    map_lin = noise_map @ noise_lin
+    cross_map = map_cross[:, :n_x].T
+    map_quad = noise_map @ noise_quad @ noise_map.T
+    noise_cov_step = dt * (noise_map @ noise_map.T)
+
+    mean = 0.0
+    var = 0.0
+    state_mean = np.asarray(model.x0_mean, dtype=float).copy()
+    state_cov = np.asarray(model.x0_cov, dtype=float).copy()
+    hist_quad = np.zeros((n_x, n_x))
+    hist_lin = np.zeros(n_x)
+
+    for k in range(model.horizon):
+        mu = np.concatenate([state_mean, model.inputs[k]])
+        target = model.targets[k]
+        b_xi = disc.q_k[k]
+
+        mean += (
+            0.5 * float(mu @ quad @ mu)
+            + float(b_xi @ mu)
+            + float(disc.rho_k[k])
+            + 0.5 * (float(np.einsum("ij,ji->", q_xx, state_cov)) + trace_noise)
+        )
+
+        g_xi = quad @ mu + b_xi
+        g_w_sq = float(
+            mu @ cross_gram @ mu
+            + 2.0 * (mu @ cross_lin @ target)
+            + target @ lin_gram @ target
+        )
+
+        t1 = quad[:, :n_x] @ state_cov
+        own = (
+            0.5 * (
+                float(np.einsum("ij,ji->", t1[:n_x], t1[:n_x]))
+                + 2.0 * dt * float(
+                    np.einsum("ab,ab->", state_cov, cross_gram[:n_x, :n_x])
+                )
+                + trace_noise_sq
+            )
+            + float(g_xi[:n_x] @ state_cov @ g_xi[:n_x])
+            + dt * g_w_sq
+        )
+
+        var += own + 2.0 * (
+            0.5 * float(np.einsum("ij,ji->", q_xx, hist_quad))
+            + float(g_xi[:n_x] @ hist_lin)
+        )
+
+        k_xi = state_cov @ a.T
+        kernel = (
+            k_xi.T @ (q_xx @ k_xi + dt * cross_map)
+            + dt * (cross_map.T @ k_xi)
+            + (dt * dt) * map_quad
+        )
+        gamma = k_xi.T @ g_xi[:n_x] + dt * (map_cross @ mu + map_lin @ target)
+        hist_quad = a @ hist_quad @ a.T + kernel
+        hist_lin = a @ hist_lin + gamma
+
+        state_mean = a @ state_mean + b @ model.inputs[k]
+        state_cov = symmetrize(a @ state_cov @ a.T + noise_cov_step)
+
+    return mean, var
+
+
+def _loop_propagate_covariance(disc, p0, n_steps):
+    """Reference covariance recursion, one symmetrized step at a time."""
+    p0 = np.asarray(p0, dtype=float)
+    out = np.empty((n_steps + 1,) + p0.shape)
+    out[0] = symmetrize(p0)
+    for k in range(n_steps):
+        out[k + 1] = symmetrize(disc.a @ out[k] @ disc.a.T + disc.r_ww)
+    return out
+
+
+def _loop_noise_rate_integral(model, scheme="classic_rk4", n_steps=256):
+    """Reference for the scheme-weight noise quadrature, one step at a time."""
+    coeffs = precompute(model, scheme, n_steps)
+    tab = coeffs.scheme
+    noise_w = model.c_c.T @ model.q_c @ model.c_c
+    beta = tab.b @ tab.a
+    stage_kernel = sum(
+        beta[j] * (coeffs.lam_stages[j].T @ noise_w @ coeffs.lam_stages[j])
+        for j in range(tab.stages)
+    )
+    h = coeffs.h
+    r_tilde = weighted_conjugation(coeffs, coeffs.r_bar)
+    trans = np.eye(model.n_x)
+    cov = np.zeros((model.n_x, model.n_x))
+    total = 0.0
+    for _ in range(n_steps):
+        inc = trans @ coeffs.r_bar @ trans.T
+        total += h * float(np.einsum("ij,ji->", noise_w, cov))
+        total += h * float(np.einsum("ij,ji->", stage_kernel, inc))
+        cov += trans @ r_tilde @ trans.T
+        trans = coeffs.lam @ trans
+    return total
+
+
+def _loop_expected_cost(model, disc, noise_trace):
+    """Reference expected cost: stage costs along the mean, one step at a time."""
+    n_x = model.n_x
+    covs = _loop_propagate_covariance(disc, model.x0_cov, model.horizon)
+    total = 0.0
+    x = np.asarray(model.x0_mean, dtype=float)
+    for k in range(model.horizon):
+        total += disc.stage_cost(x, model.inputs[k], k)
+        total += 0.5 * (
+            float(np.einsum("ij,ji->", disc.q[:n_x, :n_x], covs[k])) + noise_trace
+        )
+        x = disc.a @ x + disc.b @ model.inputs[k]
+    return total
+
+
+# horizons around the block size: one step, a partial block, a full one,
+# and a ragged third block that needs both carried accumulators
+_WALK_HORIZONS = [1, 2, _WALK_BLOCK - 1, _WALK_BLOCK, 2 * _WALK_BLOCK + 3]
+
+
+def _varied_benchmark_model(horizon):
+    """The benchmark system with inputs and targets that change every step."""
+    rng = np.random.default_rng(horizon)
+    model = make_benchmark_model(horizon=horizon)
+    return dataclasses.replace(
+        model,
+        inputs=rng.normal(size=(horizon, model.n_u)),
+        targets=rng.normal(size=(horizon, model.n_z)),
+    )
+
+
+def _random_walk_model(horizon, n_x, n_w):
+    rng = np.random.default_rng(100 * n_x + n_w)
+    model = random_stable_model(rng, n_x=n_x, n_u=2, n_z=2, horizon=horizon)
+    model = _with_noise_input(rng, model, n_w)
+    assert np.abs(model.x0_cov - np.diag(np.diag(model.x0_cov))).max() > 0.0
+    return model
+
+
+_WALK_MODELS = {
+    **{f"benchmark-H{h}": partial(_varied_benchmark_model, h) for h in _WALK_HORIZONS},
+    **{f"random-H{h}-nx{n_x}-nw{n_w}": partial(_random_walk_model, h, n_x, n_w)
+       for h, n_x, n_w in ((3, 3, 1), (_WALK_BLOCK + 5, 2, 3),
+                           (2 * _WALK_BLOCK + 3, 3, 2))},
+}
+
+
+def _assert_close(got, want, rel=1e-12):
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    assert got.shape == want.shape
+    err = np.abs(got - want).max()
+    assert err <= rel * np.abs(want).max(), err
+
+
+@pytest.mark.parametrize("name", list(_WALK_MODELS))
+def test_streaming_moments_match_the_step_loop(name):
+    model = _WALK_MODELS[name]()
+    disc = discretize_expm(model)
+    got = cost_moments_streaming(model, 8, disc)
+    want = _loop_streaming_moments(model, 8, disc)
+    _assert_close(got[0], want[0])
+    _assert_close(got[1], want[1])
+
+
+@pytest.mark.parametrize("name", list(_WALK_MODELS))
+def test_expected_cost_matches_the_step_loop(name):
+    model = _WALK_MODELS[name]()
+    disc = discretize_expm(model)
+    noise_trace = em_interval_ops(model, 16).trace_integral
+    got = expected_cost(model, disc, trace_route="em", n_sub=16)
+    _assert_close(got, _loop_expected_cost(model, disc, noise_trace))
+
+
+@pytest.mark.parametrize("n_steps", [0] + _WALK_HORIZONS)
+@pytest.mark.parametrize("name", ["benchmark-H1", "random-H3-nx3-nw1"])
+def test_propagate_covariance_matches_the_step_loop(name, n_steps):
+    model = _WALK_MODELS[name]()
+    disc = discretize_expm(model)
+    got = propagate_covariance(disc, model.x0_cov, n_steps)
+    _assert_close(got, _loop_propagate_covariance(disc, model.x0_cov, n_steps))
+
+
+@pytest.mark.parametrize("n_steps", _WALK_HORIZONS)
+@pytest.mark.parametrize("scheme", ["classic_rk4", "esdirk34"])
+@pytest.mark.parametrize("name", ["benchmark-H1", "random-H3-nx3-nw1"])
+def test_noise_rate_integral_matches_the_step_loop(name, scheme, n_steps):
+    model = _WALK_MODELS[name]()
+    got = noise_rate_integral_ode(model, scheme, n_steps)
+    _assert_close(got, _loop_noise_rate_integral(model, scheme, n_steps))
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streaming_memory_does_not_grow_with_the_horizon():
+    peaks = []
+    for horizon in (_WALK_BLOCK, 8 * _WALK_BLOCK):
+        model = make_benchmark_model(horizon=horizon)
+        disc = discretize_expm(model)
+        peaks.append(_traced_peak(lambda: cost_moments_streaming(model, 8, disc)))
+    assert peaks[1] < 2 * peaks[0], peaks
+
+
+def test_noise_rate_integral_memory_does_not_grow_with_n_steps():
+    model = make_benchmark_model()
+    peaks = [
+        _traced_peak(lambda n=n: noise_rate_integral_ode(model, n_steps=n))
+        for n in (_WALK_BLOCK, 8 * _WALK_BLOCK)
+    ]
+    assert peaks[1] < 2 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("disc_horizon", [1, 5])
+def test_a_disc_of_another_horizon_is_refused(disc_horizon):
+    model = make_benchmark_model(horizon=3)
+    disc = discretize_expm(make_benchmark_model(horizon=disc_horizon))
+    calls = {
+        "streaming": lambda: cost_moments_streaming(model, 4, disc),
+        "expected_cost": lambda: expected_cost(model, disc),
+        "em_reformulate": lambda: em_reformulate(model, 4, disc=disc),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValidationError, match="horizon") as info:
+            call()
+        message = str(info.value)
+        assert f"horizon {disc_horizon}" in message and "horizon 3" in message, name
+
+
+def test_propagate_covariance_step_counts():
+    model = make_benchmark_model()
+    disc = discretize_expm(model)
+    with pytest.raises(ValidationError, match="n_steps"):
+        propagate_covariance(disc, model.x0_cov, -1)
+    only = propagate_covariance(disc, model.x0_cov, 0)
+    assert only.shape == (1, 2, 2)
+    assert np.array_equal(only[0], model.x0_cov)
+
+
+def test_expected_cost_em_route_builds_no_interval_ops(monkeypatch):
+    model = make_benchmark_model(horizon=4)
+    disc = discretize_expm(model)
+    want = expected_cost(model, disc, trace_route="em", n_sub=64)
+    noise_trace = em_interval_ops(model, 64).trace_integral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the em route materialized the interval ops")
+
+    monkeypatch.setattr(stochastic, "em_interval_ops", refuse)
+    assert expected_cost(model, disc, trace_route="em", n_sub=64) == want
+    _assert_close(want, _loop_expected_cost(model, disc, noise_trace))
