@@ -24,6 +24,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,17 +89,19 @@ class EmIntervalOps:
 
 def _euler_powers(model: ContinuousLqModel, n_sub: int):
     """``dt``, ``powers[i] = E^i`` and ``held[i] = sum_{l<i} E^l dt b_c``
-    for ``i <= n_sub``, with the Euler sub-step ``E = I + dt a_c``."""
-    n_x = model.n_x
+    for ``i <= n_sub``, with the Euler sub-step ``E = I + dt a_c``.
+
+    The powers are stacked by doubling (:func:`_powers`, about ``log2
+    n_sub`` batched products) and ``held`` is their cumulative sum against
+    ``dt b_c``.  Every Euler-Maruyama path starts here, so this is where an
+    ``n_sub`` below 1 raises :class:`~lqdisc.errors.ValidationError`.
+    """
+    if n_sub < 1:
+        raise ValidationError(f"n_sub must be >= 1, got {n_sub}")
     dt = model.t_s / n_sub
-    euler = np.eye(n_x) + dt * model.a_c
-    powers = np.empty((n_sub + 1, n_x, n_x))
-    held = np.empty((n_sub + 1, n_x, model.n_u))
-    powers[0] = np.eye(n_x)
-    held[0] = 0.0
-    for i in range(n_sub):
-        powers[i + 1] = euler @ powers[i]
-        held[i + 1] = euler @ held[i] + dt * model.b_c
+    powers = _powers(np.eye(model.n_x) + dt * model.a_c, n_sub)
+    held = np.zeros((n_sub + 1, model.n_x, model.n_u))
+    np.cumsum(powers[:n_sub] @ (dt * model.b_c), axis=0, out=held[1:])
     return dt, powers, held
 
 
@@ -112,30 +115,30 @@ def _trace_integral(model: ContinuousLqModel, dt: float, powers: np.ndarray) -> 
     return dt * dt * float(((n_sub - np.arange(n_sub)) * per_node).sum())
 
 
-def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
-    """Build the noise refinement maps for one sampling interval.
+class _EmCore(NamedTuple):
+    """The parts of :class:`EmIntervalOps` whose size is linear in
+    ``m_blk = n_sub * n_w``, with the Euler powers they come from."""
 
-    With ``E = I + dt a_c``, ``f[i] = E^i g_c``, ``W = c_c' q_c c_c`` and
-    ``held[i] = sum_{l<i} E^l dt b_c``, the noise blocks are sums over
-    pairs of sub-steps; each reduces to prefix sums over powers of ``E``
-    (discrete analogues of Van Loan's Gramian integrals):
+    dt: float
+    powers: np.ndarray           # E^0 .. E^n_sub
+    held: np.ndarray             # sum_{l<i} E^l dt b_c, i = 0 .. n_sub
+    f: np.ndarray                # f[i] = E^i g_c, i < n_sub
+    noise_map: np.ndarray
+    cross: np.ndarray
+    noise_lin: np.ndarray
 
-    * ``noise_quad[p, q] = dt sum_{t >= max(p, q)} f[t-p]' W f[t-q]``.
-      In the block order of ``noise_map`` (block ``p`` holds
-      ``f[n_sub-1-p]``) this is a suffix sum along the block diagonals of
-      the Gram matrix ``noise_map' W noise_map``.
-    * ``cross[:, q]``: with ``S_r = sum_{m <= r} (E^m)' W f[m]`` and
-      ``P_r = sum_{m <= r} (c_c held[m] + d_c)' q_c c_c f[m]``, the x-rows
-      are ``dt (E^{q+1})' S_{n_sub-1-q}`` and the u-rows
-      ``dt (held[q+1]' S_{n_sub-1-q} + P_{n_sub-1-q})``, by
-      ``held[a+b] = E^a held[b] + held[a]``.
-    * ``noise_lin[q] = -dt (sum_{m <= n_sub-1-q} f[m])' c_c' q_c``.
 
-    Apart from the ``O(n_sub)`` power recursion, every piece is a batched
-    numpy product or cumulative sum.
+def _em_core(model: ContinuousLqModel, n_sub: int) -> _EmCore:
+    """``noise_map``, ``cross`` and ``noise_lin`` of :func:`em_interval_ops`
+    (whose docstring defines ``E``, ``f``, ``W`` and ``held``).
+
+    With ``S_r = sum_{m <= r} (E^m)' W f[m]`` and ``P_r = sum_{m <= r}
+    (c_c held[m] + d_c)' q_c c_c f[m]``, the x-rows of ``cross[:, q]`` are
+    ``dt (E^{q+1})' S_{n_sub-1-q}`` and its u-rows ``dt (held[q+1]'
+    S_{n_sub-1-q} + P_{n_sub-1-q})``, by ``held[a+b] = E^a held[b] +
+    held[a]``; ``noise_lin[q] = -dt (sum_{m <= n_sub-1-q} f[m])' c_c' q_c``.
+    Every piece is a batched product or cumulative sum.
     """
-    if n_sub < 1:
-        raise ValidationError(f"n_sub must be >= 1, got {n_sub}")
     n_x, n_u, n_z, n_w = model.n_x, model.n_u, model.n_z, model.n_w
     dt, powers, held = _euler_powers(model, n_sub)
 
@@ -145,13 +148,6 @@ def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
 
     m_blk = n_sub * n_w
     noise_map = f[::-1].transpose(1, 0, 2).reshape(n_x, m_blk)
-    # suffix sums along the block diagonals of the Gram matrix, in place
-    gram = (noise_map.T @ (noise_w @ noise_map)).reshape(n_sub, n_w, n_sub, n_w)
-    for p in range(n_sub - 2, -1, -1):
-        gram[p, :, :-1] += gram[p + 1, :, 1:]
-    gram = gram.reshape(m_blk, m_blk)
-    noise_quad = gram + gram.T
-    noise_quad *= 0.5 * dt
 
     # cross: x-rows dt (E^{q+1})' S_r, u-rows dt (held[q+1]' S_r + P_r),
     # with r = n_sub-1-q
@@ -174,18 +170,88 @@ def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
     noise_lin = -dt * np.einsum("qxw,xz->qwz", f_cum_rev, back_weight).reshape(
         m_blk, n_z
     )
+    return _EmCore(dt, powers, held, f, noise_map, cross, noise_lin)
+
+
+def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
+    """Build the noise refinement maps for one sampling interval.
+
+    With ``E = I + dt a_c``, ``f[i] = E^i g_c``, ``W = c_c' q_c c_c`` and
+    ``held[i] = sum_{l<i} E^l dt b_c``, the noise blocks are sums over
+    pairs of sub-steps; each reduces to prefix sums over powers of ``E``
+    (discrete analogues of Van Loan's Gramian integrals).  ``noise_map``,
+    ``cross`` and ``noise_lin`` come from :func:`_em_core`; on top of them
+    this builds the dense ``m_blk x m_blk`` block
+
+    * ``noise_quad[p, q] = dt sum_{t >= max(p, q)} f[t-p]' W f[t-q]``.
+      In the block order of ``noise_map`` (block ``p`` holds
+      ``f[n_sub-1-p]``) this is a suffix sum along the block diagonals of
+      the Gram matrix ``noise_map' W noise_map``.
+
+    Only the materialized form and Monte Carlo need ``noise_quad``;
+    :func:`cost_moments_streaming` takes its three summaries from
+    :func:`_noise_quad_summaries` instead.  An ``n_sub`` below 1 raises
+    :class:`~lqdisc.errors.ValidationError`.
+    """
+    core = _em_core(model, n_sub)
+    n_w, noise_map = model.n_w, core.noise_map
+    noise_w = model.c_c.T @ model.q_c @ model.c_c
+    m_blk = n_sub * n_w
+    # suffix sums along the block diagonals of the Gram matrix, in place
+    gram = (noise_map.T @ (noise_w @ noise_map)).reshape(n_sub, n_w, n_sub, n_w)
+    for p in range(n_sub - 2, -1, -1):
+        gram[p, :, :-1] += gram[p + 1, :, 1:]
+    gram = gram.reshape(m_blk, m_blk)
+    noise_quad = gram + gram.T
+    noise_quad *= 0.5 * core.dt
 
     return EmIntervalOps(
         n_sub=n_sub,
-        dt=dt,
-        coarse_a=powers[n_sub],
-        coarse_b=held[n_sub],
+        dt=core.dt,
+        coarse_a=core.powers[n_sub],
+        coarse_b=core.held[n_sub],
         noise_map=noise_map,
-        cross=cross,
+        cross=core.cross,
         noise_quad=noise_quad,
-        noise_lin=noise_lin,
-        trace_integral=_trace_integral(model, dt, powers),
+        noise_lin=core.noise_lin,
+        trace_integral=_trace_integral(model, core.dt, core.powers),
     )
+
+
+def _noise_quad_summaries(model: ContinuousLqModel, core: _EmCore):
+    """``tr(noise_quad)``, ``|noise_quad|_F^2`` and ``noise_map noise_quad
+    noise_map'`` without forming the ``m_blk x m_blk`` matrix.
+
+    With ``F_d = f[d]``, the discrete Gramians ``O_r = sum_{s <= r}
+    (E^s)' W E^s`` and ``G_r = O_r g_c``, block ``(p <= q)`` of
+    ``noise_quad`` is ``dt F_d' G_r`` with ``d = q - p`` and ``r = n_sub - 1
+    - q``.  Summing over the blocks, with ``P_k = sum_{d <= k} c_d F_d
+    F_d'`` (``c_0 = 1``, ``c_d = 2`` above) and ``Pg_k = sum_{e <= k} F_e
+    F_e'``:
+
+    * ``tr = dt sum_r tr(g_c' G_r)``;
+    * ``|.|_F^2 = dt^2 sum_r tr(G_r' P_{n_sub-1-r} G_r)``;
+    * ``noise_map noise_quad noise_map' = X + X' - D`` with ``X = dt
+      sum_b E^b Pg_{n_sub-1-b} G_b F_b'`` and ``D = dt sum_b F_b (g_c'
+      G_b) F_b'`` (the block diagonal, counted in both ``X`` and ``X'``).
+
+    Each sum is a batched product or cumulative sum: ``O(n_sub n_x^3)``
+    work and ``O(n_sub n_x^2)`` memory.
+    """
+    dt, powers, f = core.dt, core.powers[:-1], core.f
+    g_c = model.g_c
+    noise_w = model.c_c.T @ model.q_c @ model.c_c
+    gram_g = _gramians(core.powers.transpose(0, 2, 1), noise_w)[1:] @ g_c   # G_r
+    outer = f @ f.transpose(0, 2, 1)                    # F_d F_d'
+    outer_sum = np.cumsum(outer, axis=0)                # Pg_k
+    weighted_sum = 2.0 * outer_sum - outer[0]           # P_k
+    trace = dt * float(np.einsum("xw,rxw->", g_c, gram_g))
+    frob_sq = dt * dt * float(
+        np.einsum("rxw,rxy,ryw->", gram_g, weighted_sum[::-1], gram_g)
+    )
+    x = dt * np.einsum("bxw,bzw->xz", powers @ outer_sum[::-1] @ gram_g, f)
+    diag = dt * np.einsum("bxv,bvw,bzw->xz", f, g_c.T @ gram_g, f)
+    return trace, frob_sq, x + x.T - diag
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +488,11 @@ def cost_moments_streaming(
     cross'`` and ``noise_map noise_lin``), and the noise part of each
     stage kernel through ``cross_x noise_map'`` and ``noise_map
     noise_quad noise_map'``.  So the walk depends on ``n_x``, ``n_u`` and
-    ``n_z`` only, not on ``n_sub``.
+    ``n_z`` only, not on ``n_sub``.  The dense ``m_blk x m_blk``
+    ``noise_quad`` is never formed: its trace, squared Frobenius norm and
+    ``noise_map noise_quad noise_map'`` come from the prefix Gramians of
+    :func:`_noise_quad_summaries`, and the other noise maps from
+    :func:`_em_core`.
 
     The walk runs in blocks of at most ``B = _WALK_BLOCK`` steps, with
     ``A^0 .. A^B`` stacked once by doubling.  In a block of ``L`` steps the
@@ -435,28 +505,30 @@ def cost_moments_streaming(
 
     with ``O_r = sum_{m<r} (A^m)' q_xx A^m``, ``lam_j = sum_{k>j}
     (A^(k-1-j))' g_k`` (a backward scan) and ``(H, h)`` carried into the
-    block.  Memory is ``O(B n_x^2 + m_blk^2)``, independent of the horizon.
+    block.  Memory is ``O(B n_x^2 + n_sub d^2)`` with ``d = n_x + n_u +
+    n_z + n_w``: it does not grow with the horizon and grows linearly with
+    ``n_sub``.
     """
     require_valid(model)
     if disc is None:
         disc = discretize_expm(model)
     _require_same_horizon(model, disc)
-    ops = em_interval_ops(model, n_sub)
+    core = _em_core(model, n_sub)
     n_x, horizon = model.n_x, model.horizon
-    dt = ops.dt
-    a, quad, cross, noise_quad = disc.a, disc.q, ops.cross, ops.noise_quad
-    noise_map, noise_lin = ops.noise_map, ops.noise_lin
+    dt = core.dt
+    a, quad, cross = disc.a, disc.q, core.cross
+    noise_map, noise_lin = core.noise_map, core.noise_lin
     q_xx = quad[:n_x, :n_x]
 
-    trace_noise = dt * float(np.trace(noise_quad))
-    trace_noise_sq = dt * dt * float(np.einsum("ij,ij->", noise_quad, noise_quad))
+    quad_trace, quad_frob_sq, map_quad = _noise_quad_summaries(model, core)
+    trace_noise = dt * quad_trace
+    trace_noise_sq = dt * dt * quad_frob_sq
     cross_gram = cross @ cross.T                     # (n_xu, n_xu)
     cross_lin = cross @ noise_lin                    # (n_xu, n_z)
     lin_gram = noise_lin.T @ noise_lin               # (n_z, n_z)
     map_cross = noise_map @ cross.T                  # (n_x, n_xu)
     map_lin = noise_map @ noise_lin                  # (n_x, n_z)
     cross_map = map_cross[:, :n_x].T                 # cross_x noise_map'
-    map_quad = noise_map @ noise_quad @ noise_map.T  # (n_x, n_x)
     noise_cov_step = dt * (noise_map @ noise_map.T)
 
     powers = _powers(a, min(horizon, _WALK_BLOCK))

@@ -859,3 +859,91 @@ def test_expected_cost_em_route_builds_no_interval_ops(monkeypatch):
     monkeypatch.setattr(stochastic, "em_interval_ops", refuse)
     assert expected_cost(model, disc, trace_route="em", n_sub=64) == want
     _assert_close(want, _loop_expected_cost(model, disc, noise_trace))
+
+
+# ---------------------------------------------------------------------------
+# streaming without the dense noise block
+# ---------------------------------------------------------------------------
+
+def _loop_euler_powers(model, n_sub):
+    """Reference for the Euler powers: one recursion step per sub-step."""
+    dt = model.t_s / n_sub
+    euler = np.eye(model.n_x) + dt * model.a_c
+    powers = np.empty((n_sub + 1, model.n_x, model.n_x))
+    held = np.empty((n_sub + 1, model.n_x, model.n_u))
+    powers[0] = np.eye(model.n_x)
+    held[0] = 0.0
+    for i in range(n_sub):
+        powers[i + 1] = euler @ powers[i]
+        held[i + 1] = euler @ held[i] + dt * model.b_c
+    return dt, powers, held
+
+
+@pytest.mark.parametrize("n_sub", [1, 2, 3, 17, 256, 1024])
+@pytest.mark.parametrize("name", ["benchmark", "one_noise_column", "n_w_above_n_x"])
+def test_euler_powers_match_the_step_recursion(name, n_sub):
+    model = _interval_test_models()[name]
+    dt, powers, held = stochastic._euler_powers(model, n_sub)
+    want_dt, want_powers, want_held = _loop_euler_powers(model, n_sub)
+    assert dt == want_dt
+    _assert_close(powers, want_powers)
+    _assert_close(held, want_held)
+
+
+@pytest.mark.parametrize("n_sub", [1, 2, 3, 17, 64, 256])
+@pytest.mark.parametrize("name", ["benchmark", "one_noise_column", "n_w_above_n_x"])
+def test_noise_quad_summaries_match_the_dense_matrix(name, n_sub):
+    model = _interval_test_models()[name]
+    ops = em_interval_ops(model, n_sub)
+    noise_quad, noise_map = ops.noise_quad, ops.noise_map
+    trace, frob_sq, map_quad = stochastic._noise_quad_summaries(
+        model, stochastic._em_core(model, n_sub)
+    )
+    _assert_close(trace, np.trace(noise_quad))
+    _assert_close(frob_sq, np.einsum("ij,ij->", noise_quad, noise_quad))
+    _assert_close(map_quad, noise_map @ noise_quad @ noise_map.T)
+
+
+def test_streaming_moments_build_no_interval_ops(monkeypatch):
+    model = make_benchmark_model(horizon=4)
+    disc = discretize_expm(model)
+    want = cost_moments_streaming(model, 64, disc)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the streaming moments materialized the interval ops")
+
+    monkeypatch.setattr(stochastic, "em_interval_ops", refuse)
+    assert cost_moments_streaming(model, 64, disc) == want
+
+
+def test_streaming_memory_grows_linearly_with_n_sub():
+    # linear growth gives ~4x from 512 to 2048 sub-steps; a dense
+    # m_blk x m_blk block would give ~16x
+    model = make_benchmark_model()
+    disc = discretize_expm(model)
+    peaks = [
+        _traced_peak(lambda n=n: cost_moments_streaming(model, n, disc))
+        for n in (512, 2048)
+    ]
+    assert peaks[1] < 8 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("n_sub", [0, -1])
+def test_euler_maruyama_paths_refuse_n_sub_below_one(n_sub):
+    model = make_benchmark_model()
+    disc = discretize_expm(model)
+    calls = {
+        "em_interval_ops": lambda: em_interval_ops(model, n_sub),
+        "em_reformulate": lambda: em_reformulate(model, n_sub, disc=disc),
+        "streaming": lambda: cost_moments_streaming(model, n_sub, disc),
+        "expected_cost": lambda: expected_cost(
+            model, disc, trace_route="em", n_sub=n_sub
+        ),
+        "pathwise": lambda: _pathwise_cost(
+            model, n_sub, [model.x0_mean], np.zeros((1, 0))
+        ),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValidationError, match="n_sub") as info:
+            call()
+        assert f"got {n_sub}" in str(info.value), name
