@@ -61,10 +61,6 @@ class ButcherTableau:
     def stages(self) -> int:
         return len(self.b)
 
-    @property
-    def is_explicit(self) -> bool:
-        return bool(np.all(np.triu(self.a) == 0.0))
-
 
 def _make_tableaus() -> dict[str, ButcherTableau]:
     g = _ESDIRK_GAMMA

@@ -2,7 +2,8 @@
 
 Subcommands: ``discretize``, ``benchmark``, ``montecarlo``,
 ``expected-cost``, ``solve``.  Models are JSON files; results go to
-stdout or ``-o``.  Exit codes: 0 success, 2 bad usage/arguments,
+stdout or ``-o``.  Exit codes: 0 success, 2 bad usage/arguments
+(including an unreadable model file or an unwritable output path),
 3 invalid model data, 4 numerical failure (divergence, singular stage,
 non-convex stage, overflowing norm), 5 resource cap exceeded.
 """
@@ -52,7 +53,7 @@ _PROG = "lqdisc"
 
 
 class _UsageError(Exception):
-    """Bad arguments or unreadable input file (exit code 2)."""
+    """Bad arguments, unreadable input or unwritable output file (exit code 2)."""
 
 
 def _fail(message: str) -> None:
@@ -118,10 +119,13 @@ def _emit(text: str, out_path: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            raise _UsageError(f"cannot write output file: {exc}") from exc
 
 
 def _json_text(payload) -> str:

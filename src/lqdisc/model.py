@@ -41,13 +41,41 @@ _SYM_TOL = 1e-12
 _PSD_TOL = 1e-10
 
 
-def _array(value, name, ndim):
-    a = np.asarray(value, dtype=float)
-    if a.ndim != ndim:
-        raise ValidationError(f"{name} must be {ndim}-D, got shape {a.shape}")
-    a = np.ascontiguousarray(a)
+def _array(value, name, ndim, shape=None):
+    """``value`` as a read-only C-contiguous float array, checked by shape.
+
+    The array has rank ``ndim`` (any rank when ``ndim`` is None), and each
+    entry of ``shape`` that is not None fixes that dimension.  Nothing is
+    copied when ``value`` already is such an array.  A non-numeric or
+    ragged ``value``, like a wrong shape, raises ``ValidationError`` naming
+    ``name``.
+    """
+    try:
+        a = np.asarray(value, dtype=float, order="C")
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"{name} is not a number or a rectangular array of numbers ({exc})"
+        ) from None
+    if ndim is not None:
+        bad = a.ndim != ndim
+        for want, got in zip(shape or (), a.shape):
+            bad = bad or want not in (None, got)
+        if bad:
+            want = ", ".join(
+                "*" if d is None else str(d) for d in shape or (None,) * ndim
+            )
+            raise ValidationError(
+                f"{name} must have shape ({want}{',' * (ndim == 1)}), "
+                f"got {a.shape}"
+            )
     a.setflags(write=False)
     return a
+
+
+def _freeze(obj, **values):
+    """Set fields of a frozen dataclass (from its ``__post_init__``)."""
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
 
 
 def _sequence(value, n, width, name):
@@ -57,20 +85,12 @@ def _sequence(value, n, width, name):
     """
     if width == 0:
         return _array(np.zeros((n, 0)), name, 2)
-    a = np.asarray(value, dtype=float)
+    a = _array(value, name, None)
     if a.ndim == 2 and a.shape[0] == 1:
         a = a[0]
     if a.ndim == 1:
-        if a.shape[0] != width:
-            raise ValidationError(
-                f"{name} row has length {a.shape[0]}, expected {width}"
-            )
-        a = np.tile(a, (n, 1))
-    if a.ndim != 2 or a.shape != (n, width):
-        raise ValidationError(
-            f"{name} must have shape ({n}, {width}), got {np.asarray(value).shape}"
-        )
-    return _array(a, name, 2)
+        a = np.tile(_array(a, f"{name} row", 1, (width,)), (n, 1))
+    return _array(a, name, 2, (n, width))
 
 
 @dataclass(frozen=True)
@@ -110,72 +130,26 @@ class ContinuousLqModel:
     def __post_init__(self):
         a_c = _array(self.a_c, "a_c", 2)
         n_x = a_c.shape[0]
-        if a_c.shape != (n_x, n_x):
-            raise ValidationError(f"a_c must be square, got {a_c.shape}")
-        b_c = _array(self.b_c, "b_c", 2)
-        if b_c.shape[0] != n_x:
-            raise ValidationError(
-                f"b_c has {b_c.shape[0]} rows, expected {n_x}"
-            )
-        n_u = b_c.shape[1]
-        g_c = _array(self.g_c, "g_c", 2)
-        if g_c.shape[0] != n_x:
-            raise ValidationError(
-                f"g_c has {g_c.shape[0]} rows, expected {n_x}"
-            )
-        c_c = _array(self.c_c, "c_c", 2)
-        if c_c.shape[1] != n_x:
-            raise ValidationError(
-                f"c_c has {c_c.shape[1]} columns, expected {n_x}"
-            )
-        n_z = c_c.shape[0]
-        d_c = _array(self.d_c, "d_c", 2)
-        if d_c.shape != (n_z, n_u):
-            raise ValidationError(
-                f"d_c must have shape ({n_z}, {n_u}), got {d_c.shape}"
-            )
-        q_c = _array(self.q_c, "q_c", 2)
-        if q_c.shape != (n_z, n_z):
-            raise ValidationError(
-                f"q_c must have shape ({n_z}, {n_z}), got {q_c.shape}"
-            )
-        inputs = np.asarray(self.inputs, dtype=float)
-        if inputs.ndim != 2:
-            raise ValidationError(
-                f"inputs must be a (N, n_u) array, got shape {inputs.shape}"
-            )
-        n = inputs.shape[0]
-        if n < 1:
+        b_c = _array(self.b_c, "b_c", 2, (n_x, None))
+        c_c = _array(self.c_c, "c_c", 2, (None, n_x))
+        n_u, n_z = b_c.shape[1], c_c.shape[0]
+        inputs = _array(self.inputs, "inputs", 2, (None, n_u))
+        if inputs.shape[0] < 1:
             raise ValidationError("inputs must cover at least one interval")
-        if inputs.shape[1] != n_u:
-            raise ValidationError(
-                f"inputs have width {inputs.shape[1]}, expected {n_u}"
-            )
-        targets = np.asarray(self.targets, dtype=float)
-        if targets.shape != (n, n_z):
-            raise ValidationError(
-                f"targets must have shape ({n}, {n_z}), got {targets.shape}"
-            )
-        x0_mean = np.asarray(self.x0_mean, dtype=float)
-        if x0_mean.shape != (n_x,):
-            raise ValidationError(
-                f"x0_mean must have shape ({n_x},), got {x0_mean.shape}"
-            )
-        x0_cov = _array(self.x0_cov, "x0_cov", 2)
-        if x0_cov.shape != (n_x, n_x):
-            raise ValidationError(
-                f"x0_cov must have shape ({n_x}, {n_x}), got {x0_cov.shape}"
-            )
-        for name, val in (
-            ("a_c", a_c), ("b_c", b_c), ("g_c", g_c), ("c_c", c_c),
-            ("d_c", d_c), ("q_c", q_c),
-            ("inputs", _array(inputs, "inputs", 2)),
-            ("targets", _array(targets, "targets", 2)),
-            ("x0_mean", _array(x0_mean, "x0_mean", 1)),
-            ("x0_cov", x0_cov),
-        ):
-            object.__setattr__(self, name, val)
-        object.__setattr__(self, "t_s", float(self.t_s))
+        _freeze(
+            self,
+            a_c=_array(a_c, "a_c", 2, (n_x, n_x)),
+            b_c=b_c,
+            g_c=_array(self.g_c, "g_c", 2, (n_x, None)),
+            c_c=c_c,
+            d_c=_array(self.d_c, "d_c", 2, (n_z, n_u)),
+            q_c=_array(self.q_c, "q_c", 2, (n_z, n_z)),
+            t_s=float(_array(self.t_s, "t_s", 0)),
+            inputs=inputs,
+            targets=_array(self.targets, "targets", 2, (inputs.shape[0], n_z)),
+            x0_mean=_array(self.x0_mean, "x0_mean", 1, (n_x,)),
+            x0_cov=_array(self.x0_cov, "x0_cov", 2, (n_x, n_x)),
+        )
 
     @property
     def n_x(self) -> int:
@@ -196,12 +170,6 @@ class ContinuousLqModel:
     @property
     def horizon(self) -> int:
         return self.inputs.shape[0]
-
-    def cost_rate(self, x, u, target) -> float:
-        """Instantaneous cost rate 0.5 * (z - target)' q_c (z - target)."""
-        err = self.c_c @ np.asarray(x, float) + self.d_c @ np.asarray(u, float)
-        err = err - np.asarray(target, float)
-        return 0.5 * float(err @ self.q_c @ err)
 
 
 def _symmetry_violation(m, name, tol):
@@ -263,23 +231,16 @@ class TrackingSpec:
     q_input: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "c", _array(self.c, "tracking c", 2))
-        object.__setattr__(self, "d", _array(self.d, "tracking d", 2))
-        object.__setattr__(self, "q_output", _array(self.q_output, "q_output", 2))
-        object.__setattr__(self, "q_input", _array(self.q_input, "q_input", 2))
-        n_y, n_u = self.c.shape[0], self.d.shape[1]
-        if self.d.shape[0] != n_y:
-            raise ValidationError(
-                f"tracking d has {self.d.shape[0]} rows, expected {n_y}"
-            )
-        if self.q_output.shape != (n_y, n_y):
-            raise ValidationError(
-                f"q_output must have shape ({n_y}, {n_y}), got {self.q_output.shape}"
-            )
-        if self.q_input.shape != (n_u, n_u):
-            raise ValidationError(
-                f"q_input must have shape ({n_u}, {n_u}), got {self.q_input.shape}"
-            )
+        c = _array(self.c, "tracking c", 2)
+        d = _array(self.d, "tracking d", 2, (c.shape[0], None))
+        n_y, n_u = d.shape
+        _freeze(
+            self,
+            c=c,
+            d=d,
+            q_output=_array(self.q_output, "q_output", 2, (n_y, n_y)),
+            q_input=_array(self.q_input, "q_input", 2, (n_u, n_u)),
+        )
 
 
 def build_stacked_model(
@@ -309,14 +270,8 @@ def build_stacked_model(
     b_c = _array(b_c, "b_c", 2)
     n_x, n_u = a_c.shape[0], b_c.shape[1]
     n_y = tracking.c.shape[0]
-    if tracking.c.shape[1] != n_x:
-        raise ValidationError(
-            f"tracking c has {tracking.c.shape[1]} columns, expected {n_x}"
-        )
-    if tracking.d.shape[1] != n_u:
-        raise ValidationError(
-            f"tracking d has {tracking.d.shape[1]} columns, expected {n_u}"
-        )
+    _array(tracking.c, "tracking c", 2, (None, n_x))
+    _array(tracking.d, "tracking d", 2, (None, n_u))
 
     c_stack = np.vstack([tracking.c, np.zeros((n_u, n_x))])
     d_stack = np.vstack([tracking.d, np.eye(n_u)])
@@ -324,11 +279,15 @@ def build_stacked_model(
     q_stack[:n_y, :n_y] = tracking.q_output
     q_stack[n_y:, n_y:] = tracking.q_input
 
-    def _rows(v):
-        a = np.asarray(v, dtype=float)
+    def _rows(v, name):
+        a = _array(v, name, None)
         return 1 if a.ndim <= 1 else a.shape[0]
 
-    n = max(_rows(inputs), _rows(output_targets), _rows(input_targets))
+    n = max(
+        _rows(inputs, "inputs"),
+        _rows(output_targets, "output_targets"),
+        _rows(input_targets, "input_targets"),
+    )
     inputs = _sequence(inputs, n, n_u, "inputs")
     y_ref = _sequence(output_targets, n, n_y, "output_targets")
     u_ref = _sequence(input_targets, n, n_u, "input_targets")
@@ -373,49 +332,32 @@ class DiscreteLqModel:
     def __post_init__(self):
         a = _array(self.a, "a", 2)
         n_x = a.shape[0]
-        b = _array(self.b, "b", 2)
+        b = _array(self.b, "b", 2, (n_x, None))
         n_u = b.shape[1]
         n_xu = n_x + n_u
-        q = _array(self.q, "q", 2)
-        m = _array(self.m, "m", 2)
-        r_ww = _array(self.r_ww, "r_ww", 2)
-        if a.shape != (n_x, n_x) or b.shape[0] != n_x:
-            raise ValidationError("inconsistent a/b shapes")
-        if q.shape != (n_xu, n_xu):
-            raise ValidationError(
-                f"q must have shape ({n_xu}, {n_xu}), got {q.shape}"
-            )
-        if r_ww.shape != (n_x, n_x):
-            raise ValidationError(
-                f"r_ww must have shape ({n_x}, {n_x}), got {r_ww.shape}"
-            )
-        if m.shape[0] != n_xu:
-            raise ValidationError(
-                f"m must have {n_xu} rows, got {m.shape[0]}"
-            )
+        m = _array(self.m, "m", 2, (n_xu, None))
+        n_z = m.shape[1]
+        q_k = _array(self.q_k, "q_k", 2, (None, n_xu))
+        _freeze(
+            self,
+            a=_array(a, "a", 2, (n_x, n_x)),
+            b=b,
+            c=_array(self.c, "c", 2, (n_z, n_x)),
+            d=_array(self.d, "d", 2, (n_z, n_u)),
+            q=_array(self.q, "q", 2, (n_xu, n_xu)),
+            m=m,
+            r_ww=_array(self.r_ww, "r_ww", 2, (n_x, n_x)),
+            t_s=float(_array(self.t_s, "t_s", 0)),
+            q_k=q_k,
+            rho_k=_array(self.rho_k, "rho_k", 1, q_k.shape[:1]),
+        )
         # symmetry is structural; definiteness is not enforced here because
         # quadrature weights with negative entries can produce (slightly)
         # indefinite cost matrices at very coarse steps
-        for mat, name in ((q, "q"), (r_ww, "r_ww")):
-            msg = _symmetry_violation(mat, name, 1e-10)
+        for name in ("q", "r_ww"):
+            msg = _symmetry_violation(getattr(self, name), name, 1e-10)
             if msg:
                 raise ValidationError(msg)
-        q_k = _array(self.q_k, "q_k", 2)
-        rho_k = np.asarray(self.rho_k, dtype=float)
-        if q_k.shape[1] != n_xu or rho_k.shape != (q_k.shape[0],):
-            raise ValidationError("q_k / rho_k sequences have wrong shape")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", _array(self.c, "c", 2))
-        object.__setattr__(self, "d", _array(self.d, "d", 2))
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "r_ww", r_ww)
-        object.__setattr__(self, "t_s", float(self.t_s))
-        object.__setattr__(self, "q_k", q_k)
-        rho_k = np.ascontiguousarray(rho_k)
-        rho_k.setflags(write=False)
-        object.__setattr__(self, "rho_k", rho_k)
 
     @property
     def n_x(self) -> int:
@@ -441,28 +383,31 @@ def _matrix_list(a):
     return np.asarray(a, dtype=float).tolist()
 
 
-_CONTINUOUS_KEYS = {
-    "A_c", "B_c", "G_c", "T_s", "N", "u", "x0_mean", "x0_cov",
-    "C_c", "D_c", "Q_c", "zbar", "tracking",
-}
+_MODEL_KEYS = {"A_c", "B_c", "G_c", "T_s", "N", "u", "x0_mean", "x0_cov"}
+_STACKED_KEYS = {"C_c", "D_c", "Q_c", "zbar"}
 _TRACKING_KEYS = {"C", "D", "Q_zz", "Q_uu", "zbar", "ubar"}
+_DISCRETE_KEYS = {"A", "B", "C", "D", "Q", "M", "R_ww", "T_s", "q_k", "rho_k"}
+
+
+def _check_keys(payload, what, required, optional=frozenset()):
+    """Reject a ``payload`` that is not a dict or has unknown or missing keys."""
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    unknown = set(payload) - required - optional
+    if unknown:
+        raise ValidationError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = required - set(payload)
+    if missing:
+        raise ValidationError(f"missing {what} keys: {sorted(missing)}")
 
 
 def continuous_model_from_dict(payload: dict) -> ContinuousLqModel:
     """Build a model from the documented JSON schema (strict keys)."""
-    if not isinstance(payload, dict):
-        raise ValidationError("model file must contain a JSON object")
-    unknown = set(payload) - _CONTINUOUS_KEYS
-    if unknown:
-        raise ValidationError(f"unknown model keys: {sorted(unknown)}")
-    missing = {"A_c", "B_c", "G_c", "T_s", "N", "u", "x0_mean", "x0_cov"} - set(payload)
-    if missing:
-        raise ValidationError(f"missing model keys: {sorted(missing)}")
-    has_stacked = {"C_c", "D_c", "Q_c", "zbar"} <= set(payload)
+    _check_keys(payload, "model", _MODEL_KEYS, _STACKED_KEYS | {"tracking"})
     has_tracking = "tracking" in payload
-    if has_tracking and ({"C_c", "D_c", "Q_c", "zbar"} & set(payload)):
+    if has_tracking and (_STACKED_KEYS & set(payload)):
         raise ValidationError("give either C_c/D_c/Q_c/zbar or tracking, not both")
-    if not has_stacked and not has_tracking:
+    if not has_tracking and not _STACKED_KEYS <= set(payload):
         raise ValidationError(
             "model needs either the stacked keys C_c/D_c/Q_c/zbar or a tracking block"
         )
@@ -477,14 +422,7 @@ def continuous_model_from_dict(payload: dict) -> ContinuousLqModel:
 
     if has_tracking:
         t = payload["tracking"]
-        if not isinstance(t, dict):
-            raise ValidationError("tracking must be an object")
-        unknown = set(t) - _TRACKING_KEYS
-        if unknown:
-            raise ValidationError(f"unknown tracking keys: {sorted(unknown)}")
-        missing = _TRACKING_KEYS - set(t)
-        if missing:
-            raise ValidationError(f"missing tracking keys: {sorted(missing)}")
+        _check_keys(t, "tracking", _TRACKING_KEYS)
         spec = TrackingSpec(
             c=t["C"], d=t["D"], q_output=t["Q_zz"], q_input=t["Q_uu"]
         )
@@ -546,13 +484,7 @@ def discrete_model_to_dict(disc: DiscreteLqModel) -> dict:
 
 
 def discrete_model_from_dict(payload: dict) -> DiscreteLqModel:
-    keys = {"A", "B", "C", "D", "Q", "M", "R_ww", "T_s", "q_k", "rho_k"}
-    unknown = set(payload) - keys
-    if unknown:
-        raise ValidationError(f"unknown discrete-model keys: {sorted(unknown)}")
-    missing = keys - set(payload)
-    if missing:
-        raise ValidationError(f"missing discrete-model keys: {sorted(missing)}")
+    _check_keys(payload, "discrete-model", _DISCRETE_KEYS)
     return DiscreteLqModel(
         a=payload["A"], b=payload["B"], c=payload["C"], d=payload["D"],
         q=payload["Q"], m=payload["M"], r_ww=payload["R_ww"],

@@ -926,6 +926,7 @@ def monte_carlo(
     tree, so the summary is identical for any worker count.
     """
     require_valid(model)
+    _require_same_horizon(model, disc)
     if n_sims < 1:
         raise ValidationError(f"n_sims must be >= 1, got {n_sims}")
     workers = resolve_workers(workers)

@@ -107,6 +107,38 @@ def test_invalid_model_data_is_a_model_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("lqdisc:")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("A_c", [[-49.0, 24.0], [-64.0]]),              # ragged row
+    ("u", [[1.0, 1.0], [1.0]]),
+    ("A_c", [["x", 24.0], [-64.0, 31.0]]),          # non-numeric entries
+    ("B_c", [[{}, 0.5], [1.0, 3.0]]),
+    ("T_s", None),
+    ("T_s", [1.0]),
+], ids=["ragged-A_c", "ragged-u", "string", "object", "T_s-null", "T_s-list"])
+def test_malformed_numbers_are_one_model_error_line(tmp_path, capsys, key, value):
+    payload = benchmark_payload(horizon=2) | {"zbar": [3.0, 0.0, 0.0], key: value}
+    assert main(["discretize", write_model(tmp_path, payload)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lqdisc:"), lines
+    assert key.lower() in lines[0].lower()
+
+
+@pytest.mark.parametrize("args", [
+    ["discretize"],
+    ["solve"],
+    ["expected-cost", "--quad-steps", "4", "--subdiv", "4"],
+    ["montecarlo", "--sims", "8", "--subdiv", "4"],
+    ["benchmark", "--schemes", "classic_rk4", "--max-exp", "0", "--reps", "1"],
+], ids=lambda args: args[0])
+def test_unwritable_output_is_an_argument_error(tmp_path, capsys, args):
+    model = write_model(tmp_path, scalar_payload())
+    out = tmp_path / "missing" / "out"
+    assert main([args[0], model, *args[1:], "-o", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lqdisc:"), lines
+    assert "cannot write output file" in lines[0]
+
+
 def test_unknown_method_is_an_argument_error(tmp_path, capsys):
     path = write_model(tmp_path, scalar_payload())
     assert main(["discretize", path, "--method", "magic"]) == 2

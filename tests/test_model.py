@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lqdisc import (
     ContinuousLqModel,
+    DiscreteLqModel,
     TrackingSpec,
     ValidationError,
     build_stacked_model,
@@ -210,3 +213,66 @@ def test_from_dict_broadcasts_one_row_matrices_like_vectors(benchmark_model):
     payload["u"] = [[1.0, 1.0], [2.0, 2.0]]
     with pytest.raises(ValidationError, match=r"u must have shape \(10, 2\)"):
         continuous_model_from_dict(payload)
+
+
+def _grow(value, axis):
+    """``value`` with one more zero row (axis 0) or column (axis 1)."""
+    a = np.asarray(value, dtype=float)
+    pad = list(a.shape)
+    pad[axis] = 1
+    return np.concatenate([a, np.zeros(pad)], axis=axis)
+
+
+def _valid_instances():
+    model = make_benchmark_model()
+    return {
+        ContinuousLqModel: model,
+        DiscreteLqModel: discretize_expm(model),
+        TrackingSpec: TrackingSpec(
+            c=[[1.0, 1.0]], d=[[0.0, 0.0]], q_output=[[1.0]], q_input=np.eye(2),
+        ),
+    }
+
+
+# (class, field, axis to grow for a wrong dimension); ``None`` marks a
+# field that only sets the dimensions its siblings are checked against
+_SHAPED_FIELDS = [
+    (ContinuousLqModel, "a_c", 1),
+    (ContinuousLqModel, "b_c", 0),
+    (ContinuousLqModel, "g_c", 0),
+    (ContinuousLqModel, "c_c", 1),
+    (ContinuousLqModel, "d_c", 1),
+    (ContinuousLqModel, "q_c", 0),
+    (ContinuousLqModel, "inputs", 1),
+    (ContinuousLqModel, "targets", 1),
+    (ContinuousLqModel, "x0_mean", 0),
+    (ContinuousLqModel, "x0_cov", 0),
+    (DiscreteLqModel, "a", 1),
+    (DiscreteLqModel, "b", 0),
+    (DiscreteLqModel, "c", 1),
+    (DiscreteLqModel, "d", 1),
+    (DiscreteLqModel, "q", 0),
+    (DiscreteLqModel, "m", 0),
+    (DiscreteLqModel, "r_ww", 0),
+    (DiscreteLqModel, "q_k", 1),
+    (DiscreteLqModel, "rho_k", 0),
+    (TrackingSpec, "c", None),
+    (TrackingSpec, "d", 0),
+    (TrackingSpec, "q_output", 0),
+    (TrackingSpec, "q_input", 0),
+]
+_SHAPE_CASES = [
+    pytest.param(cls, name, kind, axis, id=f"{cls.__name__}.{name}-{kind}")
+    for cls, name, grow in _SHAPED_FIELDS
+    for kind, axis in (("rank", None), ("dimension", grow))
+    if kind == "rank" or grow is not None
+]
+
+
+@pytest.mark.parametrize("cls, name, kind, axis", _SHAPE_CASES)
+def test_each_array_field_rejects_a_wrong_shape_by_name(cls, name, kind, axis):
+    valid = _valid_instances()[cls]
+    value = getattr(valid, name)
+    bad = value[None] if kind == "rank" else _grow(value, axis)
+    with pytest.raises(ValidationError, match=rf"\b{name}\b"):
+        dataclasses.replace(valid, **{name: bad})

@@ -829,6 +829,9 @@ def test_a_disc_of_another_horizon_is_refused(disc_horizon):
         "streaming": lambda: cost_moments_streaming(model, 4, disc),
         "expected_cost": lambda: expected_cost(model, disc),
         "em_reformulate": lambda: em_reformulate(model, 4, disc=disc),
+        "monte_carlo": lambda: monte_carlo(
+            model, disc, em_reformulate(model, 4), 8, seed=0
+        ),
     }
     for name, call in calls.items():
         with pytest.raises(ValidationError, match="horizon") as info:
