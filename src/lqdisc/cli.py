@@ -44,7 +44,7 @@ from .ode_method import discretize_ode
 from .stochastic import (
     cost_moments,
     em_reformulate,
-    expected_cost,
+    expected_costs,
     monte_carlo,
     resolve_workers,
 )
@@ -310,16 +310,9 @@ def _cmd_expected_cost(args) -> int:
     _require_at_least(args.subdiv, 1, "--subdiv")
     model = _load_model(args.model)
     disc = discretize_expm(model)
-    values = {
-        route: expected_cost(
-            model,
-            disc,
-            trace_route=route,
-            quad_steps=args.quad_steps,
-            n_sub=args.subdiv,
-        )
-        for route in ("ode", "em")
-    }
+    values = expected_costs(
+        model, disc, quad_steps=args.quad_steps, n_sub=args.subdiv
+    )
     _emit(_json_text({"expected_cost": values}), args.output)
     return 0
 
@@ -348,7 +341,7 @@ def _cmd_solve(args) -> int:
         writer.writerow(row)
     _emit(buf.getvalue(), args.output)
     if args.output is not None:
-        print(f"wrote {args.output}: value={sol.value!r}")
+        print(f"wrote {args.output}: value={float(sol.value)!r}")
     return 0
 
 

@@ -9,10 +9,11 @@ Every discretization route describes one interval by four maps:
 
 Two consecutive intervals join by one exact rule (:func:`compose`), so each
 route is a seed for a short interval followed by compositions: the
-fixed-step route appends the seed ``n - 1`` times, step doubling and the
-block-exponential route compose the seed with itself.  Cost accrued later
-is pulled back through the earlier transition; noise added earlier is
-pushed forward through the later one.
+fixed-step route chains ``n`` copies of the seed (:func:`repeat`, the same
+rule specialised to equal maps), step doubling and the block-exponential
+route compose the seed with itself.  Cost accrued later is pulled back
+through the earlier transition; noise added earlier is pushed forward
+through the later one.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DivergenceError, IllConditionedError
+from .errors import DivergenceError, IllConditionedError, ValidationError
 from .linalg import norm1, symmetrize
 from .model import ContinuousLqModel, DiscreteLqModel
 
@@ -38,8 +39,8 @@ class IntervalMaps(NamedTuple):
 def compose(first: IntervalMaps, second: IntervalMaps) -> IntervalMaps:
     """The maps of ``first`` followed by ``second``.
 
-    No symmetrization and no finiteness check: callers run this once per
-    step and check what they need.
+    No symmetrization and no finiteness check: callers check what they
+    need, once.
     """
     n_x = first.cov.shape[0]
     trans = second.ext[:n_x, :n_x]
@@ -49,6 +50,56 @@ def compose(first: IntervalMaps, second: IntervalMaps) -> IntervalMaps:
         lin=first.lin + first.ext.T @ second.lin,
         cov=second.cov + trans @ first.cov @ trans.T,
     )
+
+
+def repeat(seed: IntervalMaps, n: int) -> IntervalMaps:
+    """The maps of ``n >= 1`` consecutive copies of ``seed``.
+
+    Equal to ``n - 1`` compositions with ``seed`` up to rounding, and
+    bit-identical at ``n = 1``.  With the seed's ``ext = E`` and blocks
+    ``Q``, ``L``, ``C``, each copy prepended in front of the others gives
+    the Horner steps ``quad <- Q + E' quad E`` and ``lin <- L + E' lin``,
+    and each copy appended ``cov <- C + T cov T'`` (``T`` the transition
+    block of ``E``) and ``ext <- E ext``.  The three updates share one
+    preallocated stack of ``[quad | lin]``, the zero-padded ``cov`` and
+    the zero-padded ``ext``, so a step is one stacked product from the
+    left, one from the right and one add.  Like :func:`compose` it checks
+    nothing: the caller checks the result once.
+    """
+    if n < 1:
+        raise ValidationError(f"repeat needs n >= 1, got {n}")
+    ext, quad, lin, cov = seed
+    n_xu, n_z = lin.shape
+    n_x = cov.shape[0]
+    width = n_xu + n_z
+    stack = np.zeros((3, n_xu, width))
+    stack[0, :, :n_xu] = quad
+    stack[0, :, n_xu:] = lin
+    stack[1, :n_x, :n_x] = cov
+    stack[2, :, :n_xu] = ext
+    increment = stack[:2].copy()
+    # [[E, B], [0, I]] @ pad(cov) @ pad(E)' = pad(T cov T'); the identity
+    # columns carry lin and ext through the right-hand product unchanged
+    left = np.stack([ext.T, ext, ext])
+    right = np.tile(np.eye(width), (3, 1, 1))
+    right[0, :n_xu, :n_xu] = ext
+    right[1, :n_xu, :n_xu] = ext.T
+    work = np.empty_like(stack)
+    for _ in range(n - 1):
+        np.matmul(left, stack, out=work)
+        np.matmul(work, right, out=stack)
+        stack[:2] += increment
+    return IntervalMaps(
+        ext=stack[2, :, :n_xu],
+        quad=stack[0, :, :n_xu],
+        lin=stack[0, :, n_xu:],
+        cov=stack[1, :n_x, :n_x],
+    )
+
+
+def diverged(maps: IntervalMaps) -> bool:
+    """Whether the transition or the cost weight of ``maps`` is not finite."""
+    return not (np.isfinite(maps.ext).all() and np.isfinite(maps.quad).all())
 
 
 def to_discrete(model: ContinuousLqModel, maps: IntervalMaps, route: str) -> DiscreteLqModel:

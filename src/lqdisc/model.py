@@ -46,9 +46,10 @@ def _array(value, name, ndim, shape=None):
 
     The array has rank ``ndim`` (any rank when ``ndim`` is None), and each
     entry of ``shape`` that is not None fixes that dimension.  Nothing is
-    copied when ``value`` already is such an array.  A non-numeric or
-    ragged ``value``, like a wrong shape, raises ``ValidationError`` naming
-    ``name``.
+    copied when ``value`` already is such an array; a writeable one is
+    returned as a read-only view, so ``value`` itself stays writeable.  A
+    non-numeric or ragged ``value``, like a wrong shape, raises
+    ``ValidationError`` naming ``name``.
     """
     try:
         a = np.asarray(value, dtype=float, order="C")
@@ -68,6 +69,8 @@ def _array(value, name, ndim, shape=None):
                 f"{name} must have shape ({want}{',' * (ndim == 1)}), "
                 f"got {a.shape}"
             )
+    if a is value and a.flags.writeable:
+        a = a.view()
     a.setflags(write=False)
     return a
 

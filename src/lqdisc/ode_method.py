@@ -1,8 +1,11 @@
 """Fixed-step discretization by Runge-Kutta matrix recursions.
 
 One precomputation per (model, scheme, step count) gives the interval maps
-of a single sub-step (:func:`rk_seed`); ``n_steps - 1`` compositions with
-that seed cover the sampling interval (:mod:`lqdisc.intervals`).  The RK
+of a single sub-step (:func:`rk_seed`); ``n_steps`` copies of that seed,
+chained by :func:`lqdisc.intervals.repeat`, cover the sampling interval.
+Finiteness is checked once, on the result; only a diverged result walks
+the copies again, one composition at a time, to name the first step whose
+maps stopped being finite.  The RK
 stage maps are functions of ``a_c`` and so commute with the state
 transition: ``A`` and ``B`` are the blocks ``[[A, B], [0, I]]`` of the
 extended transition, and the scheme's noise increment
@@ -16,7 +19,7 @@ import numpy as np
 
 from .butcher import PrecomputedCoefficients, precompute
 from .errors import DivergenceError
-from .intervals import IntervalMaps, compose, to_discrete
+from .intervals import IntervalMaps, compose, diverged, repeat, to_discrete
 from .model import ContinuousLqModel, DiscreteLqModel, require_valid
 
 __all__ = ["discretize_ode"]
@@ -70,11 +73,23 @@ def discretize_ode(
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = precompute(model, scheme, n_steps)
         seed = rk_seed(coeffs)
-        for k in range(1, n_steps + 1):
-            maps = seed if k == 1 else compose(maps, seed)
-            if not (np.isfinite(maps.ext).all() and np.isfinite(maps.quad).all()):
-                raise DivergenceError(
-                    f"scheme {scheme!r} diverged at step {k} of {n_steps} "
-                    f"(step size {coeffs.h:.6g})"
-                )
+        maps = repeat(seed, n_steps)
+        if diverged(maps):
+            raise DivergenceError(
+                f"scheme {scheme!r} diverged at step "
+                f"{_first_diverged_step(seed, n_steps)} of {n_steps} "
+                f"(step size {coeffs.h:.6g})"
+            )
     return to_discrete(model, maps, f"scheme {scheme!r}")
+
+
+def _first_diverged_step(seed: IntervalMaps, n_steps: int) -> int:
+    """The first ``k`` whose ``k`` chained copies of ``seed`` diverged.
+
+    The error path of :func:`discretize_ode`: ``n_steps`` when no shorter
+    chain diverged.
+    """
+    maps, k = seed, 1
+    while k < n_steps and not diverged(maps):
+        maps, k = compose(maps, seed), k + 1
+    return k

@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ResourceLimitError, ValidationError
 from .expm_method import discretize_expm
@@ -45,6 +46,7 @@ __all__ = [
     "cost_moments_streaming",
     "propagate_covariance",
     "expected_cost",
+    "expected_costs",
     "monte_carlo",
     "resolve_workers",
 ]
@@ -184,9 +186,11 @@ def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
     this builds the dense ``m_blk x m_blk`` block
 
     * ``noise_quad[p, q] = dt sum_{t >= max(p, q)} f[t-p]' W f[t-q]``.
-      In the block order of ``noise_map`` (block ``p`` holds
-      ``f[n_sub-1-p]``) this is a suffix sum along the block diagonals of
-      the Gram matrix ``noise_map' W noise_map``.
+      With the discrete Gramians ``G_r`` of :func:`_noise_gramians`, block
+      ``(p >= q)`` is ``dt G_{n_sub-1-p}' f[p-q]``: one product of the
+      stacked ``G_r`` with ``noise_map`` gives every such pair, a skewed
+      view of it lays them out as the lower block triangle, and the upper
+      one is its transpose.
 
     Only the materialized form and Monte Carlo need ``noise_quad``;
     :func:`cost_moments_streaming` takes its three summaries from
@@ -194,23 +198,39 @@ def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
     :class:`~lqdisc.errors.ValidationError`.
     """
     core = _em_core(model, n_sub)
-    n_w, noise_map = model.n_w, core.noise_map
-    noise_w = model.c_c.T @ model.q_c @ model.c_c
+    n_x, n_w = model.n_x, model.n_w
     m_blk = n_sub * n_w
-    # suffix sums along the block diagonals of the Gram matrix, in place
-    gram = (noise_map.T @ (noise_w @ noise_map)).reshape(n_sub, n_w, n_sub, n_w)
-    for p in range(n_sub - 2, -1, -1):
-        gram[p, :, :-1] += gram[p + 1, :, 1:]
-    gram = gram.reshape(m_blk, m_blk)
-    noise_quad = gram + gram.T
-    noise_quad *= 0.5 * core.dt
+    gram_g = _noise_gramians(model, core)
+    # pairs[(s, a), (c, b)] = dt (G_{n_sub-1-s}' f[n_sub-1-c])[a, b]: the
+    # blocks of noise_map run backwards
+    pairs = gram_g[::-1].transpose(0, 2, 1).reshape(m_blk, n_x) @ core.noise_map
+    pairs *= core.dt
+    diag = pairs[:, m_blk - n_w:].reshape(n_sub, n_w, n_w)     # f[0] blocks
+    diag[:] = 0.5 * (diag + diag.transpose(0, 2, 1))
+    # block (p, q <= p) of noise_quad is pairs block (p, n_sub-1-p+q), so
+    # the view below steps one block down and one block left per p.  Its
+    # largest address (p = q = n_sub-1) is the last entry of ``pairs``;
+    # for q > p it reads entries of other blocks, which ``np.where``
+    # replaces by the transposed lower blocks
+    item = pairs.itemsize
+    lower = as_strided(
+        pairs[:, (n_sub - 1) * n_w:],
+        shape=(n_sub, n_w, n_sub, n_w),
+        strides=((m_blk - 1) * n_w * item, m_blk * item, n_w * item, item),
+        writeable=False,
+    )
+    block = np.arange(n_sub)
+    below = (block[:, None] >= block)[:, None, :, None]
+    noise_quad = np.where(below, lower, lower.transpose(2, 3, 0, 1)).reshape(
+        m_blk, m_blk
+    )
 
     return EmIntervalOps(
         n_sub=n_sub,
         dt=core.dt,
         coarse_a=core.powers[n_sub],
         coarse_b=core.held[n_sub],
-        noise_map=noise_map,
+        noise_map=core.noise_map,
         cross=core.cross,
         noise_quad=noise_quad,
         noise_lin=core.noise_lin,
@@ -218,16 +238,22 @@ def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
     )
 
 
+def _noise_gramians(model: ContinuousLqModel, core: _EmCore) -> np.ndarray:
+    """``G_r = O_r g_c`` for ``r < n_sub``, with the discrete Gramians
+    ``O_r = sum_{s <= r} (E^s)' W E^s`` and ``W = c_c' q_c c_c``."""
+    noise_w = model.c_c.T @ model.q_c @ model.c_c
+    return _gramians(core.powers.transpose(0, 2, 1), noise_w)[1:] @ model.g_c
+
+
 def _noise_quad_summaries(model: ContinuousLqModel, core: _EmCore):
     """``tr(noise_quad)``, ``|noise_quad|_F^2`` and ``noise_map noise_quad
     noise_map'`` without forming the ``m_blk x m_blk`` matrix.
 
-    With ``F_d = f[d]``, the discrete Gramians ``O_r = sum_{s <= r}
-    (E^s)' W E^s`` and ``G_r = O_r g_c``, block ``(p <= q)`` of
-    ``noise_quad`` is ``dt F_d' G_r`` with ``d = q - p`` and ``r = n_sub - 1
-    - q``.  Summing over the blocks, with ``P_k = sum_{d <= k} c_d F_d
-    F_d'`` (``c_0 = 1``, ``c_d = 2`` above) and ``Pg_k = sum_{e <= k} F_e
-    F_e'``:
+    With ``F_d = f[d]`` and ``G_r`` from :func:`_noise_gramians`, block
+    ``(p <= q)`` of ``noise_quad`` is ``dt F_d' G_r`` with ``d = q - p``
+    and ``r = n_sub - 1 - q``.  Summing over the blocks, with ``P_k =
+    sum_{d <= k} c_d F_d F_d'`` (``c_0 = 1``, ``c_d = 2`` above) and
+    ``Pg_k = sum_{e <= k} F_e F_e'``:
 
     * ``tr = dt sum_r tr(g_c' G_r)``;
     * ``|.|_F^2 = dt^2 sum_r tr(G_r' P_{n_sub-1-r} G_r)``;
@@ -240,8 +266,7 @@ def _noise_quad_summaries(model: ContinuousLqModel, core: _EmCore):
     """
     dt, powers, f = core.dt, core.powers[:-1], core.f
     g_c = model.g_c
-    noise_w = model.c_c.T @ model.q_c @ model.c_c
-    gram_g = _gramians(core.powers.transpose(0, 2, 1), noise_w)[1:] @ g_c   # G_r
+    gram_g = _noise_gramians(model, core)
     outer = f @ f.transpose(0, 2, 1)                    # F_d F_d'
     outer_sum = np.cumsum(outer, axis=0)                # Pg_k
     weighted_sum = 2.0 * outer_sum - outer[0]           # P_k
@@ -707,17 +732,38 @@ def expected_cost(
     products over the horizon.  A ``disc`` whose horizon is not the
     model's raises :class:`~lqdisc.errors.ValidationError`.
     """
+    return expected_costs(
+        model, disc, p0, (trace_route,), quad_steps=quad_steps, n_sub=n_sub
+    )[trace_route]
+
+
+def expected_costs(
+    model: ContinuousLqModel,
+    disc: DiscreteLqModel,
+    p0=None,
+    trace_routes=("ode", "em"),
+    quad_steps: int = 256,
+    n_sub: int = 256,
+) -> dict:
+    """:func:`expected_cost` for each of ``trace_routes``, by route name.
+
+    Only the noise trace integral depends on the route, so the model is
+    validated and the horizon walked once for all of them; each value is
+    bit-identical to its own :func:`expected_cost` call.
+    """
     require_valid(model)
     _require_same_horizon(model, disc)
     if p0 is None:
         p0 = model.x0_cov
-    if trace_route == "ode":
-        noise_trace = noise_rate_integral_ode(model, n_steps=quad_steps)
-    elif trace_route == "em":
-        dt, euler_powers, _ = _euler_powers(model, n_sub)
-        noise_trace = _trace_integral(model, dt, euler_powers)
-    else:
-        raise ValidationError(f"unknown trace route {trace_route!r}")
+    noise_traces = {}
+    for route in trace_routes:
+        if route == "ode":
+            noise_traces[route] = noise_rate_integral_ode(model, n_steps=quad_steps)
+        elif route == "em":
+            dt, euler_powers, _ = _euler_powers(model, n_sub)
+            noise_traces[route] = _trace_integral(model, dt, euler_powers)
+        else:
+            raise ValidationError(f"unknown trace route {route!r}")
 
     horizon, n_x = model.horizon, model.n_x
     powers = _powers(disc.a, min(horizon, _WALK_BLOCK))
@@ -730,15 +776,16 @@ def expected_cost(
         )
     covs = propagate_covariance(disc, p0, horizon)[:horizon]
     xu = np.hstack([means[:horizon], model.inputs])
-    return (
+    stage_cost = (
         0.5 * float(np.einsum("ki,ij,kj->", xu, disc.q, xu))
         + float(np.einsum("ki,ki->", disc.q_k, xu))
         + float(disc.rho_k.sum())
-        + 0.5 * (
-            float(np.einsum("ij,kji->", disc.q[:n_x, :n_x], covs))
-            + horizon * noise_trace
-        )
     )
+    cov_trace = float(np.einsum("ij,kji->", disc.q[:n_x, :n_x], covs))
+    return {
+        route: stage_cost + 0.5 * (cov_trace + horizon * noise_trace)
+        for route, noise_trace in noise_traces.items()
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -505,6 +505,20 @@ def test_expected_cost_prints_both_routes(tmp_path, capsys):
     assert routes["em"] == pytest.approx(1.0 / 6.0, abs=1e-12)
 
 
+def test_solve_status_line_prints_a_plain_number(tmp_path, capsys):
+    payload = benchmark_payload(horizon=4)
+    payload["zbar"] = [[3.0, 0.0, 0.0]] * 4
+    path = write_model(tmp_path, payload)
+    out = tmp_path / "traj.csv"
+    assert main(["solve", path, "-o", str(out)]) == 0
+    line = capsys.readouterr().out.strip()
+    prefix = f"wrote {out}: value="
+    assert line.startswith(prefix)
+    # repr of a Python float, not of a numpy scalar (``np.float64(...)``)
+    value = line[len(prefix):]
+    assert value == repr(float(value))
+
+
 def test_solve_writes_trajectory_csv(tmp_path, capsys):
     payload = benchmark_payload(horizon=4)
     payload["zbar"] = [[3.0, 0.0, 0.0]] * 4

@@ -124,6 +124,19 @@ def test_divergence_is_clean():
         discretize_step_doubling(model, scheme="explicit_euler", doublings=6)
 
 
+def test_divergence_names_the_first_diverged_iteration():
+    model = ContinuousLqModel(
+        a_c=[[-64000.0]], b_c=[[1.0]], g_c=[[1.0]], c_c=[[1.0]], d_c=[[0.0]],
+        q_c=[[1.0]], t_s=1.0, inputs=[[0.0]], targets=[[0.0]],
+        x0_mean=[0.0], x0_cov=[[0.0]],
+    )
+    with pytest.raises(DivergenceError) as err:
+        discretize_step_doubling(model, scheme="explicit_euler", doublings=6)
+    assert str(err.value) == (
+        "step doubling diverged at iteration 6 (covering 64 sub-steps)"
+    )
+
+
 def test_negative_doublings_rejected(benchmark_model):
     with pytest.raises(ValidationError):
         discretize_step_doubling(benchmark_model, doublings=-1)

@@ -276,3 +276,23 @@ def test_each_array_field_rejects_a_wrong_shape_by_name(cls, name, kind, axis):
     bad = value[None] if kind == "rank" else _grow(value, axis)
     with pytest.raises(ValidationError, match=rf"\b{name}\b"):
         dataclasses.replace(valid, **{name: bad})
+
+
+@pytest.mark.parametrize("cls, name", [
+    (ContinuousLqModel, "a_c"),
+    (ContinuousLqModel, "x0_cov"),
+    (DiscreteLqModel, "a"),
+    (DiscreteLqModel, "q"),
+    (TrackingSpec, "q_input"),
+])
+def test_coercion_leaves_the_callers_array_writeable(cls, name):
+    valid = _valid_instances()[cls]
+    mine = np.array(getattr(valid, name), dtype=float, order="C")
+    built = dataclasses.replace(valid, **{name: mine})
+    stored = getattr(built, name)
+    # no copy was needed, and only the stored view is frozen
+    assert np.shares_memory(stored, mine)
+    assert mine.flags.writeable
+    assert not stored.flags.writeable
+    with pytest.raises(ValueError):
+        stored[0] = 1.0

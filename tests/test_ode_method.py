@@ -12,8 +12,8 @@ from lqdisc import (
 )
 from lqdisc.butcher import precompute
 from lqdisc.linalg import expm, is_psd, symmetrize
-from lqdisc.intervals import IntervalMaps, to_discrete
-from lqdisc.ode_method import weighted_conjugation
+from lqdisc.intervals import IntervalMaps, compose, repeat, to_discrete
+from lqdisc.ode_method import rk_seed, weighted_conjugation
 from tests.conftest import make_benchmark_model, random_stable_model
 
 
@@ -162,6 +162,47 @@ def test_divergence_raises_clean_error():
     with pytest.raises(DivergenceError) as err:
         discretize_ode(model, scheme="explicit_euler", n_steps=64)
     assert "step" in str(err.value)
+
+
+def _stiff_scalar_model():
+    return ContinuousLqModel(
+        a_c=[[-64000.0]], b_c=[[1.0]], g_c=[[1.0]], c_c=[[1.0]], d_c=[[0.0]],
+        q_c=[[1.0]], t_s=1.0, inputs=[[0.0]], targets=[[0.0]],
+        x0_mean=[0.0], x0_cov=[[0.0]],
+    )
+
+
+@pytest.mark.parametrize("n_steps, step", [(64, 53), (256, 66), (1000, 88)])
+def test_divergence_names_the_first_diverged_step(n_steps, step):
+    with pytest.raises(DivergenceError) as err:
+        discretize_ode(_stiff_scalar_model(), scheme="explicit_euler", n_steps=n_steps)
+    assert str(err.value) == (
+        f"scheme 'explicit_euler' diverged at step {step} of {n_steps} "
+        f"(step size {1.0 / n_steps:.6g})"
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_repeat_matches_a_compose_loop(name, n):
+    for index, model in enumerate(_recursion_test_models()):
+        seed = rk_seed(precompute(model, name, n))
+        want = seed
+        for _ in range(n - 1):
+            want = compose(want, seed)
+        got = repeat(seed, n)
+        for field, value, ref in zip(IntervalMaps._fields, got, want):
+            assert value.shape == ref.shape, (index, field)
+            if n == 1:
+                assert np.array_equal(value, ref), (index, field)
+            err = np.abs(value - ref).max()
+            assert err <= 1e-13 * np.abs(ref).max(), (index, field, err)
+
+
+def test_repeat_rejects_fewer_than_one_copy(benchmark_model):
+    seed = rk_seed(precompute(benchmark_model, "classic_rk4", 4))
+    with pytest.raises(ValidationError):
+        repeat(seed, 0)
 
 
 def test_bad_step_count_rejected(benchmark_model):

@@ -1,8 +1,10 @@
 """Cost moments (materialized and streaming), expected cost, Monte Carlo."""
 
 import dataclasses
+import json
 import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from lqdisc.butcher import precompute
 from lqdisc.errors import LqdiscError, ResourceLimitError, ValidationError
 from lqdisc.expm_method import discretize_expm
 from lqdisc.linalg import symmetrize
-from lqdisc.model import ContinuousLqModel, DiscreteLqModel
+from lqdisc.model import ContinuousLqModel, DiscreteLqModel, continuous_model_from_dict
 from lqdisc.ode_method import weighted_conjugation
 from lqdisc.stochastic import (
     _WALK_BLOCK,
@@ -23,12 +25,15 @@ from lqdisc.stochastic import (
     em_interval_ops,
     em_reformulate,
     expected_cost,
+    expected_costs,
     monte_carlo,
     noise_rate_integral_ode,
     propagate_covariance,
 )
 
 from conftest import make_benchmark_model, random_stable_model
+
+BENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
 
 def pure_noise_model():
@@ -360,6 +365,22 @@ def test_expected_cost_em_route_approaches_reformulation_mean():
         gaps.append(abs(via_trace - via_form))
     for coarse, fine in zip(gaps, gaps[1:]):
         assert 1.7 <= coarse / fine <= 2.4
+
+
+def test_expected_costs_walk_the_horizon_once_for_both_routes(monkeypatch):
+    model = make_benchmark_model(horizon=6)
+    disc = discretize_expm(model)
+    want = {
+        route: expected_cost(model, disc, trace_route=route, quad_steps=32, n_sub=17)
+        for route in ("ode", "em")
+    }
+    walks = []
+    walk = stochastic.propagate_covariance
+    monkeypatch.setattr(
+        stochastic, "propagate_covariance", lambda *args: walks.append(1) or walk(*args)
+    )
+    assert expected_costs(model, disc, quad_steps=32, n_sub=17) == want
+    assert len(walks) == 1
 
 
 def test_expected_cost_rejects_unknown_route():
@@ -905,6 +926,33 @@ def test_noise_quad_summaries_match_the_dense_matrix(name, n_sub):
     _assert_close(trace, np.trace(noise_quad))
     _assert_close(frob_sq, np.einsum("ij,ij->", noise_quad, noise_quad))
     _assert_close(map_quad, noise_map @ noise_quad @ noise_map.T)
+
+
+def _gram_noise_quad(model, n_sub):
+    """Reference ``noise_quad``: suffix sums along the block diagonals of
+    the full Gram matrix ``noise_map' W noise_map``, one row-block slice
+    add per sub-step, then symmetrized."""
+    core = stochastic._em_core(model, n_sub)
+    n_w, noise_map = model.n_w, core.noise_map
+    noise_w = model.c_c.T @ model.q_c @ model.c_c
+    m_blk = n_sub * n_w
+    gram = (noise_map.T @ (noise_w @ noise_map)).reshape(n_sub, n_w, n_sub, n_w)
+    for p in range(n_sub - 2, -1, -1):
+        gram[p, :, :-1] += gram[p + 1, :, 1:]
+    gram = gram.reshape(m_blk, m_blk)
+    return 0.5 * core.dt * (gram + gram.T)
+
+
+@pytest.mark.parametrize("n_sub", [1, 17, 256])
+@pytest.mark.parametrize("system", ["stiff", "wide10"])
+def test_noise_quad_matches_the_gram_construction(system, n_sub):
+    with open(BENCH_DATA / f"{system}.json", encoding="utf-8") as fh:
+        model = continuous_model_from_dict(json.load(fh))
+    got = em_interval_ops(model, n_sub).noise_quad
+    want = _gram_noise_quad(model, n_sub)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.array_equal(got, got.T)
 
 
 def test_streaming_moments_build_no_interval_ops(monkeypatch):
