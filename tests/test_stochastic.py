@@ -553,7 +553,7 @@ def test_pathwise_stream_matches_the_sub_step_loop(name, n_sub):
         targets=rng.normal(size=(3, model.n_z)),
     )
     starts, noise = _starts_and_noise(rng, model, n_sub)
-    got = _pathwise_cost(model, n_sub, starts, noise)
+    got = sum(_pathwise_cost(model, n_sub, starts, noise))
     want = _loop_pathwise_cost(model, n_sub, starts, noise)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -568,6 +568,48 @@ def test_em_form_matches_the_dense_quadratic_form(horizon, n_sub):
     want = 0.5 * np.einsum("ri,ri->r", chi @ ref.q_big, chi) + chi @ ref.q_vec + ref.rho
     got = _em_form(ref, chi)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n_sub", [1, 7, 17, 256])
+@pytest.mark.parametrize("name", ["benchmark", "one_noise_column", "n_w_above_n_x"])
+def test_pathwise_quadratic_is_the_noise_quad_form(name, n_sub):
+    # the shared quadratic of the deviation pass, interval by interval
+    rng = np.random.default_rng(n_sub)
+    model = _interval_test_models()[name]
+    model = dataclasses.replace(
+        model,
+        inputs=rng.normal(size=(3, model.n_u)),
+        targets=rng.normal(size=(3, model.n_z)),
+    )
+    noise_quad = em_interval_ops(model, n_sub).noise_quad
+    starts, noise = _starts_and_noise(rng, model, n_sub)
+    m_blk = n_sub * model.n_w
+    for k, x in enumerate(starts):
+        w = noise[:, k * m_blk:(k + 1) * m_blk]
+        quad, _ = _pathwise_cost(model, n_sub, [x], w)
+        want = 0.5 * np.einsum("ri,ri->r", w @ noise_quad, w)
+        assert np.abs(quad - want).max() <= 1e-12 * np.abs(want).max(), k
+
+
+def test_monte_carlo_streams_read_no_noise_quad():
+    model = make_benchmark_model(horizon=3)
+    disc = discretize_expm(model)
+    ref = em_reformulate(model, 16, disc=disc)
+    blind = dataclasses.replace(ref, ops=dataclasses.replace(
+        ref.ops, noise_quad=np.full_like(ref.ops.noise_quad, np.nan)
+    ))
+    want = monte_carlo(model, disc, ref, 3000, seed=13).to_dict()
+    assert monte_carlo(model, disc, blind, 3000, seed=13).to_dict() == want
+
+
+def test_monte_carlo_refuses_a_ref_of_another_horizon():
+    model = make_benchmark_model(horizon=4)
+    disc = discretize_expm(model)
+    ref = em_reformulate(make_benchmark_model(horizon=2), 8)
+    with pytest.raises(ValidationError, match="dimension") as info:
+        monte_carlo(model, disc, ref, 8, seed=0)
+    message = str(info.value)
+    assert f"dimension {ref.dim}" in message and "dimension 66" in message
 
 
 def test_monte_carlo_stream_means_agree_at_benchmark_size():
