@@ -32,8 +32,6 @@ from .model import (
     continuous_model_to_dict,
     discrete_model_from_dict,
     discrete_model_to_dict,
-    require_valid,
-    validate,
 )
 from .ode_method import discretize_ode
 from .oracle import OracleConfig, oracle_cost, oracle_discretize
@@ -88,10 +86,8 @@ __all__ = [
     "oracle_cost",
     "oracle_discretize",
     "propagate_covariance",
-    "require_valid",
     "solve_finite_horizon",
     "symmetrize",
     "tableau",
-    "validate",
     "__version__",
 ]

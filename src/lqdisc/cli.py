@@ -46,7 +46,6 @@ from .stochastic import (
     em_reformulate,
     expected_costs,
     monte_carlo,
-    resolve_workers,
 )
 
 _PROG = "lqdisc"
@@ -276,23 +275,11 @@ def _cmd_montecarlo(args) -> int:
     _require_at_least(args.sims, 1, "--sims")
     _require_at_least(args.subdiv, 1, "--subdiv")
     _require_at_least(args.bins, 1, "--bins")
-    if args.workers is not None:
-        _require_at_least(args.workers, 1, "--workers")
-    try:
-        workers = resolve_workers(args.workers)
-    except ValidationError as exc:      # a bad environment is an argument error
-        raise _UsageError(str(exc)) from exc
+    _require_at_least(args.workers, 1, "--workers")
     model = _load_model(args.model)
-    disc = discretize_expm(model)
-    ref = em_reformulate(model, args.subdiv, dim_cap=args.dim_cap, disc=disc)
+    ref = em_reformulate(model, args.subdiv, dim_cap=args.dim_cap)
     summary = monte_carlo(
-        model,
-        disc,
-        ref,
-        n_sims=args.sims,
-        seed=args.seed,
-        workers=workers,
-        n_bins=args.bins,
+        ref, n_sims=args.sims, seed=args.seed, workers=args.workers, n_bins=args.bins
     )
     json_path = f"{args.output}.json"
     csv_path = f"{args.output}.csv"
@@ -309,10 +296,7 @@ def _cmd_expected_cost(args) -> int:
     _require_at_least(args.quad_steps, 1, "--quad-steps")
     _require_at_least(args.subdiv, 1, "--subdiv")
     model = _load_model(args.model)
-    disc = discretize_expm(model)
-    values = expected_costs(
-        model, disc, quad_steps=args.quad_steps, n_sub=args.subdiv
-    )
+    values = expected_costs(model, quad_steps=args.quad_steps, n_sub=args.subdiv)
     _emit(_json_text({"expected_cost": values}), args.output)
     return 0
 
@@ -368,10 +352,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="path to a continuous model JSON file")
     p.add_argument("--method", default="expm",
                    help="expm, ode:<scheme> or sqr:<scheme>")
-    p.add_argument("--steps", type=int, default=256,
-                   help="sub-steps per interval (power of two for sqr)")
-    p.add_argument("--doubling", type=int, default=None, metavar="J",
-                   help="shortcut for --steps 2**J")
+    steps = p.add_mutually_exclusive_group()
+    steps.add_argument("--steps", type=int, default=256,
+                       help="sub-steps per interval (power of two for sqr)")
+    steps.add_argument("--doubling", type=int, default=None, metavar="J",
+                       help="shortcut for --steps 2**J")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_discretize)
 
@@ -393,8 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--subdiv", type=int, default=256,
                    help="noise refinement sub-steps per interval")
-    p.add_argument("--workers", type=int, default=None,
-                   help="thread count (default: LQDISC_WORKERS or 1)")
+    p.add_argument("--workers", type=int, default=1, help="thread count")
     p.add_argument("--bins", type=int, default=60)
     p.add_argument("--dim-cap", type=int, default=4096, dest="dim_cap")
     p.add_argument("-o", "--output", default="mc",

@@ -15,7 +15,7 @@ import numpy as np
 from .butcher import precompute
 from .errors import DivergenceError, ValidationError
 from .intervals import compose, diverged, to_discrete
-from .model import ContinuousLqModel, DiscreteLqModel, require_valid
+from .model import ContinuousLqModel, DiscreteLqModel
 from .ode_method import rk_seed
 
 __all__ = ["discretize_step_doubling"]
@@ -25,7 +25,6 @@ def discretize_step_doubling(
     model: ContinuousLqModel, scheme: str = "classic_rk4", doublings: int = 8
 ) -> DiscreteLqModel:
     """Discretize with ``2**doublings`` sub-steps in ``doublings`` iterations."""
-    require_valid(model)
     if doublings < 0:
         raise ValidationError(f"doublings must be >= 0, got {doublings}")
     # overflow to inf is the divergence signal checked below

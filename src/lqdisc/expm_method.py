@@ -34,7 +34,7 @@ import numpy as np
 
 from .intervals import IntervalMaps, compose, to_discrete
 from .linalg import expm, norm1, pade_squarings
-from .model import ContinuousLqModel, DiscreteLqModel, require_valid
+from .model import ContinuousLqModel, DiscreteLqModel
 
 __all__ = ["discretize_expm"]
 
@@ -109,7 +109,6 @@ def discretize_expm(model: ContinuousLqModel) -> DiscreteLqModel:
     DivergenceError
         If a map is not finite, e.g. when an exponential overflows.
     """
-    require_valid(model)
     halvings = pade_squarings(norm1(model.a_c) * model.t_s, "a_c * t_s")
     # overflow to inf is the divergence signal checked by to_discrete
     with np.errstate(over="ignore", invalid="ignore"):

@@ -30,7 +30,6 @@ __all__ = [
     "TrackingSpec",
     "DiscreteLqModel",
     "build_stacked_model",
-    "validate",
     "continuous_model_from_dict",
     "continuous_model_to_dict",
     "discrete_model_to_dict",
@@ -116,6 +115,12 @@ class ContinuousLqModel:
         Output target held on each interval.
     x0_mean, x0_cov : ndarray
         Initial-state distribution (point mass when ``x0_cov`` is zero).
+
+    A model is valid by construction: ``__post_init__`` (which also runs
+    under ``dataclasses.replace``) checks the shapes, then that ``t_s`` is
+    positive and finite, every entry is finite and ``q_c`` and ``x0_cov``
+    are symmetric PSD, and raises one :class:`~lqdisc.errors.ValidationError`
+    naming every violation, joined by ``"; "``.
     """
 
     a_c: np.ndarray
@@ -153,6 +158,21 @@ class ContinuousLqModel:
             x0_mean=_array(self.x0_mean, "x0_mean", 1, (n_x,)),
             x0_cov=_array(self.x0_cov, "x0_cov", 2, (n_x, n_x)),
         )
+        problems = []
+        if not (self.t_s > 0.0 and np.isfinite(self.t_s)):
+            problems.append(f"t_s must be positive and finite, got {self.t_s}")
+        problems += [
+            f"{f.name} contains non-finite entries"
+            for f in fields(self)
+            if f.name != "t_s" and not np.isfinite(getattr(self, f.name)).all()
+        ]
+        for name in ("q_c", "x0_cov"):
+            m = getattr(self, name)
+            msg = _symmetry_violation(m, name, _SYM_TOL) or _psd_violation(m, name)
+            if msg:
+                problems.append(msg)
+        if problems:
+            raise ValidationError("; ".join(problems))
 
     @property
     def n_x(self) -> int:
@@ -188,36 +208,6 @@ def _psd_violation(m, name, tol=_PSD_TOL):
     if low is not None:
         return f"{name} is not positive semidefinite (min eigenvalue {low:.3e})"
     return None
-
-
-def validate(model: ContinuousLqModel) -> list[str]:
-    """Return a list of admissibility violations (empty means valid)."""
-    problems = []
-    if not (model.t_s > 0.0 and np.isfinite(model.t_s)):
-        problems.append(f"t_s must be positive and finite, got {model.t_s}")
-    for f in fields(model):
-        if f.name == "t_s":
-            continue
-        arr = getattr(model, f.name)
-        if not np.isfinite(arr).all():
-            problems.append(f"{f.name} contains non-finite entries")
-    msg = _symmetry_violation(model.q_c, "q_c", _SYM_TOL)
-    if msg:
-        problems.append(msg)
-    elif (m := _psd_violation(model.q_c, "q_c")):
-        problems.append(m)
-    msg = _symmetry_violation(model.x0_cov, "x0_cov", _SYM_TOL)
-    if msg:
-        problems.append(msg)
-    elif (m := _psd_violation(model.x0_cov, "x0_cov")):
-        problems.append(m)
-    return problems
-
-
-def require_valid(model: ContinuousLqModel) -> None:
-    problems = validate(model)
-    if problems:
-        raise ValidationError("; ".join(problems))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 from .butcher import PrecomputedCoefficients, precompute
 from .errors import DivergenceError
 from .intervals import IntervalMaps, compose, diverged, repeat, to_discrete
-from .model import ContinuousLqModel, DiscreteLqModel, require_valid
+from .model import ContinuousLqModel, DiscreteLqModel
 
 __all__ = ["discretize_ode"]
 
@@ -68,7 +68,6 @@ def discretize_ode(
     DivergenceError
         If a map stops being finite; the message names the step.
     """
-    require_valid(model)
     # overflow to inf is the divergence signal checked below, not an error
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = precompute(model, scheme, n_steps)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import expm, symmetrize
-from .model import ContinuousLqModel, DiscreteLqModel, require_valid
+from .model import ContinuousLqModel, DiscreteLqModel
 
 __all__ = ["OracleConfig", "oracle_cost", "oracle_discretize"]
 
@@ -68,7 +68,6 @@ def oracle_cost(
     Integrates the cost rate along the exact trajectory from ``x0`` under
     the held input ``u0`` and target ``target``.
     """
-    require_valid(model)
     dt, trans, inp = _grid_maps(model, config.n_nodes)
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
@@ -85,7 +84,6 @@ def oracle_discretize(
     model: ContinuousLqModel, config: OracleConfig = OracleConfig()
 ) -> DiscreteLqModel:
     """Reference discrete equivalents by exact propagation + quadrature."""
-    require_valid(model)
     n_nodes = config.n_nodes
     dt, trans, inp = _grid_maps(model, n_nodes)
     n_x, n_u, n_z = model.n_x, model.n_u, model.n_z

@@ -21,7 +21,6 @@ the horizon.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
@@ -32,7 +31,7 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import ResourceLimitError, ValidationError
 from .expm_method import discretize_expm
 from .linalg import symmetrize
-from .model import ContinuousLqModel, DiscreteLqModel, require_valid
+from .model import ContinuousLqModel, DiscreteLqModel
 from .butcher import precompute
 from .ode_method import weighted_conjugation
 from .sampling import normal_block
@@ -48,7 +47,6 @@ __all__ = [
     "expected_cost",
     "expected_costs",
     "monte_carlo",
-    "resolve_workers",
 ]
 
 DEFAULT_DIM_CAP = 4096
@@ -292,18 +290,26 @@ class EmReformulation:
     """Total cost as a quadratic form in the Gaussian vector [x0; W].
 
     ``0.5 chi' q_big chi + q_vec' chi + rho`` with ``chi ~ N(m_bar,
-    p_bar)`` and ``p_bar = blockdiag(x0_cov, dt * I)``.
+    p_bar)`` and ``p_bar = blockdiag(x0_cov, dt * I)``.  It keeps the
+    ``model`` it was built from, that model's exact discretization
+    ``disc`` and the noise refinement ``ops``, so everything else is read
+    from them.
     """
 
-    n_sub: int
-    dt: float
+    model: ContinuousLqModel = field(repr=False)
+    disc: DiscreteLqModel = field(repr=False)
+    ops: EmIntervalOps = field(repr=False)
     q_big: np.ndarray
     q_vec: np.ndarray
     rho: float
-    m_bar: np.ndarray
-    x0_cov: np.ndarray
-    ops: EmIntervalOps = field(repr=False)
-    disc: DiscreteLqModel = field(repr=False)
+
+    @property
+    def n_sub(self) -> int:
+        return self.ops.n_sub
+
+    @property
+    def dt(self) -> float:
+        return self.ops.dt
 
     @property
     def dim(self) -> int:
@@ -311,14 +317,21 @@ class EmReformulation:
 
     @property
     def n_x(self) -> int:
-        return self.x0_cov.shape[0]
+        return self.model.n_x
+
+    @property
+    def m_bar(self) -> np.ndarray:
+        """Mean of [x0; W]: ``x0_mean``, then zeros."""
+        out = np.zeros(self.dim)
+        out[:self.n_x] = self.model.x0_mean
+        return out
 
     @property
     def p_bar(self) -> np.ndarray:
         """Materialized covariance of [x0; W] (block diagonal)."""
         n_x = self.n_x
         out = np.zeros((self.dim, self.dim))
-        out[:n_x, :n_x] = self.x0_cov
+        out[:n_x, :n_x] = self.model.x0_cov
         idx = np.arange(n_x, self.dim)
         out[idx, idx] = self.dt
         return out
@@ -328,7 +341,6 @@ def em_reformulate(
     model: ContinuousLqModel,
     n_sub: int,
     dim_cap: int = DEFAULT_DIM_CAP,
-    disc: DiscreteLqModel | None = None,
 ) -> EmReformulation:
     """Materialize the total-cost quadratic form at refinement ``n_sub``.
 
@@ -337,10 +349,8 @@ def em_reformulate(
     Euler-Maruyama refinement.  Requests whose total dimension
     ``n_x + horizon * n_sub * n_w`` exceeds ``dim_cap`` raise
     :class:`~lqdisc.errors.ResourceLimitError` — use
-    :func:`cost_moments_streaming` for those.  A ``disc`` whose horizon is
-    not the model's raises :class:`~lqdisc.errors.ValidationError`.
+    :func:`cost_moments_streaming` for those.
     """
-    require_valid(model)
     horizon = model.horizon
     n_x, n_u = model.n_x, model.n_u
     dim = n_x + horizon * n_sub * model.n_w
@@ -349,9 +359,7 @@ def em_reformulate(
             f"quadratic form dimension {dim} exceeds the cap {dim_cap}; "
             "lower the noise refinement (--subdiv) or raise the cap (--dim-cap)"
         )
-    if disc is None:
-        disc = discretize_expm(model)
-    _require_same_horizon(model, disc)
+    disc = discretize_expm(model)
     ops = em_interval_ops(model, n_sub)
     m_blk = ops.block_dim
 
@@ -389,18 +397,8 @@ def em_reformulate(
         carrier[:n_x, blk] = ops.noise_map
         shift[:n_x] = disc.a @ shift[:n_x] + disc.b @ model.inputs[k]
 
-    m_bar = np.zeros(dim)
-    m_bar[:n_x] = model.x0_mean
     return EmReformulation(
-        n_sub=n_sub,
-        dt=ops.dt,
-        q_big=symmetrize(q_big),
-        q_vec=q_vec,
-        rho=rho,
-        m_bar=m_bar,
-        x0_cov=np.asarray(model.x0_cov, dtype=float),
-        ops=ops,
-        disc=disc,
+        model=model, disc=disc, ops=ops, q_big=symmetrize(q_big), q_vec=q_vec, rho=rho
     )
 
 
@@ -413,7 +411,7 @@ def cost_moments(ref: EmReformulation) -> tuple[float, float]:
     dt I)``, ``tr(QPQP) = tr(Q_xx X Q_xx X) + 2 dt <Q_xn Q_xn', X> +
     dt^2 |Q_nn|_F^2``, so no ``dim x dim`` product is formed.
     """
-    n_x, dt, x0_cov = ref.n_x, ref.dt, ref.x0_cov
+    n_x, dt, x0_cov = ref.n_x, ref.dt, ref.model.x0_cov
     q_big, q_vec, m_bar = ref.q_big, ref.q_vec, ref.m_bar
     q_xx, q_xn, q_nn = q_big[:n_x, :n_x], q_big[:n_x, n_x:], q_big[n_x:, n_x:]
     qm = q_big[:, :n_x] @ m_bar[:n_x]
@@ -439,14 +437,6 @@ def cost_moments(ref: EmReformulation) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # blocked horizon walks
 # ---------------------------------------------------------------------------
-
-def _require_same_horizon(model: ContinuousLqModel, disc: DiscreteLqModel) -> None:
-    if disc.horizon != model.horizon:
-        raise ValidationError(
-            f"disc has horizon {disc.horizon} but the model has horizon "
-            f"{model.horizon}"
-        )
-
 
 def _powers(a: np.ndarray, n: int) -> np.ndarray:
     """``a^0 .. a^n`` stacked, by doubling: each batched product
@@ -494,11 +484,7 @@ def _mean_block(powers: np.ndarray, disc: DiscreteLqModel, x, inputs) -> np.ndar
 # streaming moments
 # ---------------------------------------------------------------------------
 
-def cost_moments_streaming(
-    model: ContinuousLqModel,
-    n_sub: int,
-    disc: DiscreteLqModel | None = None,
-) -> tuple[float, float]:
+def cost_moments_streaming(model: ContinuousLqModel, n_sub: int) -> tuple[float, float]:
     """Mean and variance of the same quadratic form, never materialized.
 
     Walks the horizon once, propagating the state mean and covariance and
@@ -506,8 +492,7 @@ def cost_moments_streaming(
     stages: stage ``k`` adds ``tr(q_xx H_k) + 2 g_k' h_k`` to the variance,
     with ``H_{k+1} = a H_k a' + kernel_k`` and ``h_{k+1} = a h_k +
     gamma_k``.  Matches :func:`cost_moments` to rounding on instances small
-    enough to materialize.  A ``disc`` whose horizon is not the model's
-    raises :class:`~lqdisc.errors.ValidationError`.
+    enough to materialize.
 
     Every product with a factor of size ``m_blk = n_sub * n_w`` is a loop
     invariant and is taken once before the walk: the stage's noise
@@ -538,10 +523,7 @@ def cost_moments_streaming(
     n_z + n_w``: it does not grow with the horizon and grows linearly with
     ``n_sub``.
     """
-    require_valid(model)
-    if disc is None:
-        disc = discretize_expm(model)
-    _require_same_horizon(model, disc)
+    disc = discretize_expm(model)
     core = _em_core(model, n_sub)
     n_x, horizon = model.n_x, model.horizon
     dt = core.dt
@@ -685,7 +667,6 @@ def noise_rate_integral_ode(
     ``_WALK_BLOCK`` with ``lam^0 .. lam^B`` stacked once, so the memory
     does not grow with ``n_steps``.
     """
-    require_valid(model)
     coeffs = precompute(model, scheme, n_steps)
     tab = coeffs.scheme
     noise_w = model.c_c.T @ model.q_c @ model.c_c
@@ -719,8 +700,6 @@ def noise_rate_integral_ode(
 
 def expected_cost(
     model: ContinuousLqModel,
-    disc: DiscreteLqModel,
-    p0=None,
     trace_route: str = "ode",
     quad_steps: int = 256,
     n_sub: int = 256,
@@ -733,18 +712,15 @@ def expected_cost(
     ``"em"``: the Euler-Maruyama refinement sum).  The mean path is a
     doubling scan in blocks of ``_WALK_BLOCK`` steps, the covariances come
     from :func:`propagate_covariance`, and the stage costs are batched
-    products over the horizon.  A ``disc`` whose horizon is not the
-    model's raises :class:`~lqdisc.errors.ValidationError`.
+    products over the horizon.  The walk starts from ``model.x0_cov``.
     """
     return expected_costs(
-        model, disc, p0, (trace_route,), quad_steps=quad_steps, n_sub=n_sub
+        model, (trace_route,), quad_steps=quad_steps, n_sub=n_sub
     )[trace_route]
 
 
 def expected_costs(
     model: ContinuousLqModel,
-    disc: DiscreteLqModel,
-    p0=None,
     trace_routes=("ode", "em"),
     quad_steps: int = 256,
     n_sub: int = 256,
@@ -752,13 +728,10 @@ def expected_costs(
     """:func:`expected_cost` for each of ``trace_routes``, by route name.
 
     Only the noise trace integral depends on the route, so the model is
-    validated and the horizon walked once for all of them; each value is
+    discretized and the horizon walked once for all of them; each value is
     bit-identical to its own :func:`expected_cost` call.
     """
-    require_valid(model)
-    _require_same_horizon(model, disc)
-    if p0 is None:
-        p0 = model.x0_cov
+    disc = discretize_expm(model)
     noise_traces = {}
     for route in trace_routes:
         if route == "ode":
@@ -778,7 +751,7 @@ def expected_costs(
         means[start:stop + 1] = _mean_block(
             powers[:stop - start + 1], disc, means[start], model.inputs[start:stop]
         )
-    covs = propagate_covariance(disc, p0, horizon)[:horizon]
+    covs = propagate_covariance(disc, model.x0_cov, horizon)[:horizon]
     xu = np.hstack([means[:horizon], model.inputs])
     stage_cost = (
         0.5 * float(np.einsum("ki,ij,kj->", xu, disc.q, xu))
@@ -824,12 +797,13 @@ def _em_form(ref: EmReformulation, chi: np.ndarray) -> np.ndarray:
     lower block triangle of ``q_big`` (one block per interval, the first
     with the ``x0`` columns): block column ``b``, read from its diagonal
     block down, adds ``chi_b . (0.5 chi_b Q_bb + chi_after Q_after,b)``,
-    ``(H + 1) / 2H`` of the dense product's flops.
+    ``(H + 1) / 2H`` of the dense product's flops.  A noise-free model
+    (``n_w = 0``) has the ``x0`` block only.
     """
     m_blk = ref.ops.block_dim
     out = chi @ ref.q_vec + ref.rho
     start = 0
-    for stop in range(ref.n_x + m_blk, ref.dim + 1, m_blk):
+    for stop in range(ref.n_x + m_blk, ref.dim + 1, m_blk or 1):
         # the column block from the diagonal down, its diagonal block halved
         col = ref.q_big[start:, start:stop].copy()
         col[:stop - start] *= 0.5
@@ -899,8 +873,8 @@ def _pathwise_cost(
 
 
 def _simulate_block(args) -> dict:
-    (model, disc, ref, seed, start, stop, edges) = args
-    ops = ref.ops
+    (ref, seed, start, stop, edges) = args
+    model, disc, ops = ref.model, ref.disc, ref.ops
     n_x = model.n_x
     m_blk = ops.block_dim
     reps = np.arange(start, stop)
@@ -956,33 +930,14 @@ def _tree_reduce(parts: list) -> dict:
     return parts[0]
 
 
-def resolve_workers(workers: int | None) -> int:
-    """``workers`` itself, or the ``LQDISC_WORKERS`` variable (default 1) if None.
-
-    Raises :class:`~lqdisc.errors.ValidationError` naming the variable when
-    it does not parse as an integer.
-    """
-    if workers is not None:
-        return workers
-    raw = os.environ.get("LQDISC_WORKERS", "1")
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValidationError(
-            f"LQDISC_WORKERS must be an integer, got {raw!r}"
-        ) from exc
-
-
 def monte_carlo(
-    model: ContinuousLqModel,
-    disc: DiscreteLqModel,
     ref: EmReformulation,
     n_sims: int,
     seed: int,
-    workers: int | None = None,
+    workers: int = 1,
     n_bins: int = 60,
 ) -> McSummary:
-    """Simulate the three cost streams and summarize them.
+    """Simulate the three cost streams of ``ref.model`` and summarize them.
 
     Streams: ``continuous`` (pathwise fine-grid quadrature along the
     sampled trajectory, with the drift-only part of each stage taken
@@ -997,21 +952,10 @@ def monte_carlo(
     to the deterministic cost when the model is noise free.  Replicate
     ``r`` depends only on ``(seed, r)``; partial results are combined
     over fixed-size blocks by a fixed pairwise tree, so the summary is
-    identical for any worker count.  A ``disc`` of another horizon, or a
-    ``ref`` whose dimension is not ``n_x + horizon * n_sub * n_w``,
-    raises :class:`~lqdisc.errors.ValidationError`.
+    identical for any worker count.
     """
-    require_valid(model)
-    _require_same_horizon(model, disc)
-    dim = model.n_x + model.horizon * ref.n_sub * model.n_w
-    if ref.dim != dim:
-        raise ValidationError(
-            f"ref has dimension {ref.dim} but the model needs dimension {dim} "
-            f"(n_x + horizon * n_sub * n_w at n_sub {ref.n_sub})"
-        )
     if n_sims < 1:
         raise ValidationError(f"n_sims must be >= 1, got {n_sims}")
-    workers = resolve_workers(workers)
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
 
@@ -1022,10 +966,7 @@ def monte_carlo(
     )
 
     starts = list(range(0, n_sims, _BLOCK))
-    jobs = [
-        (model, disc, ref, seed, s, min(s + _BLOCK, n_sims), edges)
-        for s in starts
-    ]
+    jobs = [(ref, seed, s, min(s + _BLOCK, n_sims), edges) for s in starts]
     if workers == 1:
         parts = [_simulate_block(j) for j in jobs]
     else:

@@ -180,9 +180,8 @@ def test_05_stochastic_moments_and_monte_carlo():
             assert 1.7 <= coarse / fine <= 2.4, errs
 
     model = make_benchmark_model(horizon=4)
-    disc = discretize_expm(model)
     ref = em_reformulate(model, 2 ** 8)
-    summary = monte_carlo(model, disc, ref, n_sims=30000, seed=0, workers=4)
+    summary = monte_carlo(ref, n_sims=30000, seed=0, workers=4)
     se = np.sqrt(summary.analytic_var / summary.n_sims)
     gap = abs(summary.sample_mean["em_form"] - summary.analytic_mean)
     print(f"sample-vs-analytic mean gap {gap:.4f} ({gap / se:.2f} standard errors)")
@@ -191,7 +190,7 @@ def test_05_stochastic_moments_and_monte_carlo():
         assert corr > 0.99, (pair, corr)
 
     # refinement bias shrinks as the noise grid gets finer
-    psi = expected_cost(model, disc, trace_route="ode")
+    psi = expected_cost(model, trace_route="ode")
     offset_coarse = abs(cost_moments(em_reformulate(model, 2 ** 6))[0] - psi)
     offset_fine = abs(summary.analytic_mean - psi)
     assert offset_fine < offset_coarse

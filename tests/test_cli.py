@@ -259,13 +259,6 @@ def test_large_but_trustworthy_drift_still_discretizes(tmp_path):
     assert np.abs(a - 0.5).max() <= 1e-4
 
 
-def test_bad_workers_env_is_an_argument_error(bench_file, capsys, monkeypatch):
-    monkeypatch.setenv("LQDISC_WORKERS", "many")
-    code = main(["montecarlo", bench_file, "--sims", "8", "--subdiv", "4"])
-    assert code == 2
-    assert "LQDISC_WORKERS" in capsys.readouterr().err
-
-
 # ---------------------------------------------------------------------------
 # parser reuse and the JSON writer
 # ---------------------------------------------------------------------------
@@ -292,14 +285,14 @@ def _writer_payloads():
     )
     disc = discretize_expm(model)
     ref = em_reformulate(model, 4)
-    summary = monte_carlo(model, disc, ref, 64, seed=2, n_bins=7)
+    summary = monte_carlo(ref, 64, seed=2, n_bins=7)
     return {
         "discretize": discrete_model_to_dict(disc),
         "discretize_ode": discrete_model_to_dict(
             discretize_ode(model, "esdirk34", 16)
         ),
         "expected-cost": {"expected_cost": {
-            route: expected_cost(model, disc, trace_route=route,
+            route: expected_cost(model, trace_route=route,
                                  quad_steps=16, n_sub=8)
             for route in ("ode", "em")
         }},
@@ -363,6 +356,16 @@ def test_discretize_doubling_flag_matches_power_of_two_steps(tmp_path, capsys):
                  "--steps", "8", "-o", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_discretize_refuses_steps_and_doubling_together(tmp_path, capsys):
+    model_path = write_model(tmp_path, scalar_payload())
+    code = main(["discretize", model_path, "--method", "ode:classic_rk4",
+                 "--steps", "5", "--doubling", "3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--doubling: not allowed with argument --steps" in captured.err
 
 
 def test_broadcast_input_vector_fills_the_horizon(tmp_path, capsys):
@@ -454,6 +457,20 @@ def test_benchmark_unknown_scheme_is_an_argument_error(tmp_path, capsys):
 # montecarlo
 # ---------------------------------------------------------------------------
 
+def test_montecarlo_runs_a_model_without_noise_inputs(tmp_path, capsys):
+    # G_c with no columns (n_w = 0): the quadratic form is its x0 block alone
+    payload = benchmark_payload(horizon=3) | {"zbar": [3.0, 0.0, 0.0], "G_c": [[], []]}
+    prefix = tmp_path / "quiet"
+    assert main(["montecarlo", write_model(tmp_path, payload), "--sims", "500",
+                 "--subdiv", "8", "-o", str(prefix)]) == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "quiet.json").read_text())
+    means = summary["sample_mean"]
+    assert max(means.values()) - min(means.values()) <= 1e-12 * abs(summary["analytic_mean"])
+    assert min(summary["correlations"].values()) >= 0.999999
+    assert summary["analytic_var"] > 0.0      # x0_cov still spreads the cost
+
+
 def test_montecarlo_outputs_and_worker_independence(bench_file, tmp_path, capsys):
     args = ["montecarlo", bench_file, "--sims", "2048", "--seed", "5",
             "--subdiv", "8"]
@@ -477,17 +494,6 @@ def test_montecarlo_outputs_and_worker_independence(bench_file, tmp_path, capsys
     assert len(rows) == 1 + len(summary["histogram"]["edges"]) - 1
     counted = sum(int(r[2]) for r in rows[1:])
     assert 0 < counted <= 2048
-
-
-def test_montecarlo_env_fallback_matches_flag(bench_file, tmp_path, capsys, monkeypatch):
-    args = ["montecarlo", bench_file, "--sims", "1024", "--seed", "9",
-            "--subdiv", "4"]
-    monkeypatch.setenv("LQDISC_WORKERS", "2")
-    assert main(args + ["-o", str(tmp_path / "env")]) == 0
-    monkeypatch.delenv("LQDISC_WORKERS")
-    assert main(args + ["--workers", "2", "-o", str(tmp_path / "flag")]) == 0
-    capsys.readouterr()
-    assert (tmp_path / "env.json").read_bytes() == (tmp_path / "flag.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------

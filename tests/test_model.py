@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -14,49 +15,87 @@ from lqdisc import (
     discrete_model_from_dict,
     discrete_model_to_dict,
     discretize_expm,
-    validate,
 )
 from tests.conftest import make_benchmark_model
 
 
+def _raises_exactly(message):
+    """``pytest.raises`` for a ``ValidationError`` with exactly ``message``."""
+    return pytest.raises(ValidationError, match=f"^{re.escape(message)}$")
+
+
 def test_benchmark_model_is_admissible(benchmark_model):
-    assert validate(benchmark_model) == []
+    # construction is the check, so a copy of a valid model checks clean
+    copy = dataclasses.replace(benchmark_model)
+    assert (copy.n_x, copy.horizon) == (benchmark_model.n_x, benchmark_model.horizon)
 
 
 def test_validate_reports_asymmetric_weight():
     q = np.eye(3)
     q[1, 2] = 1e-3
     m = make_benchmark_model()
-    bad = ContinuousLqModel(
-        a_c=m.a_c, b_c=m.b_c, g_c=m.g_c, c_c=m.c_c, d_c=m.d_c,
-        q_c=q, t_s=m.t_s, inputs=m.inputs, targets=m.targets,
-        x0_mean=m.x0_mean, x0_cov=m.x0_cov,
-    )
-    report = validate(bad)
-    assert any("q_c" in line and "symmetr" in line for line in report)
+    with _raises_exactly("q_c is not symmetric (max asymmetry 1.000e-03)"):
+        ContinuousLqModel(
+            a_c=m.a_c, b_c=m.b_c, g_c=m.g_c, c_c=m.c_c, d_c=m.d_c,
+            q_c=q, t_s=m.t_s, inputs=m.inputs, targets=m.targets,
+            x0_mean=m.x0_mean, x0_cov=m.x0_cov,
+        )
 
 
 def test_validate_reports_indefinite_weights_with_their_eigenvalue():
     m = make_benchmark_model()
-    bad = ContinuousLqModel(
-        a_c=m.a_c, b_c=m.b_c, g_c=m.g_c, c_c=m.c_c, d_c=m.d_c,
-        q_c=np.diag([1.0, 1.0, -0.5]), t_s=m.t_s, inputs=m.inputs,
-        targets=m.targets, x0_mean=m.x0_mean, x0_cov=np.diag([0.1, -0.2]),
-    )
-    assert validate(bad) == [
-        "q_c is not positive semidefinite (min eigenvalue -5.000e-01)",
-        "x0_cov is not positive semidefinite (min eigenvalue -2.000e-01)",
-    ]
+    with _raises_exactly(
+        "q_c is not positive semidefinite (min eigenvalue -5.000e-01); "
+        "x0_cov is not positive semidefinite (min eigenvalue -2.000e-01)"
+    ):
+        ContinuousLqModel(
+            a_c=m.a_c, b_c=m.b_c, g_c=m.g_c, c_c=m.c_c, d_c=m.d_c,
+            q_c=np.diag([1.0, 1.0, -0.5]), t_s=m.t_s, inputs=m.inputs,
+            targets=m.targets, x0_mean=m.x0_mean, x0_cov=np.diag([0.1, -0.2]),
+        )
 
 
 def test_validate_reports_nonpositive_sample_time():
     m = make_benchmark_model()
-    bad = ContinuousLqModel(
-        a_c=m.a_c, b_c=m.b_c, g_c=m.g_c, c_c=m.c_c, d_c=m.d_c,
-        q_c=m.q_c, t_s=0.0, inputs=m.inputs, targets=m.targets,
-        x0_mean=m.x0_mean, x0_cov=m.x0_cov,
+    with _raises_exactly("t_s must be positive and finite, got 0.0"):
+        ContinuousLqModel(
+            a_c=m.a_c, b_c=m.b_c, g_c=m.g_c, c_c=m.c_c, d_c=m.d_c,
+            q_c=m.q_c, t_s=0.0, inputs=m.inputs, targets=m.targets,
+            x0_mean=m.x0_mean, x0_cov=m.x0_cov,
+        )
+
+
+def test_replace_checks_the_new_model(benchmark_model):
+    a_c = np.array(benchmark_model.a_c)
+    a_c[0, 1] = np.inf
+    with _raises_exactly(
+        "t_s must be positive and finite, got nan; a_c contains non-finite entries"
+    ):
+        dataclasses.replace(benchmark_model, a_c=a_c, t_s=float("nan"))
+    with _raises_exactly("x0_cov is not symmetric (max asymmetry 5.000e-02)"):
+        dataclasses.replace(benchmark_model, x0_cov=[[0.1, 0.05], [0.0, 0.1]])
+
+
+def test_build_stacked_model_checks_the_stacked_weight():
+    tracking = TrackingSpec(
+        c=[[1.0, 1.0]], d=[[0.0, 0.0]], q_output=[[1.0]], q_input=np.diag([1.0, -2.0])
     )
-    assert any("t_s" in line for line in validate(bad))
+    with _raises_exactly("q_c is not positive semidefinite (min eigenvalue -2.000e+00)"):
+        build_stacked_model(
+            a_c=-np.eye(2), b_c=np.eye(2), g_c=np.eye(2), t_s=1.0,
+            tracking=tracking, output_targets=[0.0], input_targets=[0.0, 0.0],
+            inputs=[0.0, 0.0], x0_mean=[0.0, 0.0], x0_cov=np.zeros((2, 2)),
+        )
+
+
+def test_model_from_dict_checks_the_model(benchmark_model):
+    payload = continuous_model_to_dict(benchmark_model)
+    payload["T_s"] = -1.0
+    payload["u"] = [[1.0, float("nan")]]
+    with _raises_exactly(
+        "t_s must be positive and finite, got -1.0; inputs contains non-finite entries"
+    ):
+        continuous_model_from_dict(payload)
 
 
 def test_dimension_mismatch_raises():
@@ -94,7 +133,6 @@ def test_stacking_matches_benchmark_layout(benchmark_model):
     assert np.array_equal(stacked.d_c, benchmark_model.d_c)
     assert np.array_equal(stacked.q_c, benchmark_model.q_c)
     assert np.array_equal(stacked.targets, [[3.0, 0.0, 0.0]])
-    assert validate(stacked) == []
 
 
 def test_stacked_cost_identity():

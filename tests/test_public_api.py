@@ -1,0 +1,84 @@
+"""The public surface: what ``lqdisc`` exports and what its stochastic API takes."""
+
+import inspect
+
+import lqdisc
+from lqdisc import stochastic
+
+PUBLIC = [
+    "SCHEMES",
+    "ButcherTableau",
+    "ContinuousLqModel",
+    "ConvexityError",
+    "DiscreteLqModel",
+    "DivergenceError",
+    "EmReformulation",
+    "IllConditionedError",
+    "LqSolution",
+    "LqdiscError",
+    "McSummary",
+    "NormOverflowError",
+    "OracleConfig",
+    "ResourceLimitError",
+    "SingularMatrixError",
+    "TrackingSpec",
+    "ValidationError",
+    "build_stacked_model",
+    "continuous_model_from_dict",
+    "continuous_model_to_dict",
+    "cost_moments",
+    "cost_moments_streaming",
+    "discrete_model_from_dict",
+    "discrete_model_to_dict",
+    "discretize_expm",
+    "discretize_ode",
+    "discretize_step_doubling",
+    "em_interval_ops",
+    "em_reformulate",
+    "expected_cost",
+    "expm",
+    "is_psd",
+    "monte_carlo",
+    "oracle_cost",
+    "oracle_discretize",
+    "propagate_covariance",
+    "solve_finite_horizon",
+    "symmetrize",
+    "tableau",
+    "__version__",
+]
+
+
+def test_package_exports_exactly_the_public_names():
+    assert lqdisc.__all__ == PUBLIC
+    for name in PUBLIC:
+        assert hasattr(lqdisc, name), name
+
+
+def _public_stochastic_functions():
+    return {
+        name: fn
+        for name, fn in vars(stochastic).items()
+        if inspect.isfunction(fn)
+        and not name.startswith("_")
+        and fn.__module__ == stochastic.__name__
+    }
+
+
+def test_only_propagate_covariance_takes_a_discretization():
+    # every other entry point discretizes its model itself, so a model and a
+    # discretization of another model cannot meet
+    functions = _public_stochastic_functions()
+    assert {"em_reformulate", "cost_moments_streaming", "expected_cost",
+            "expected_costs", "monte_carlo"} <= set(functions)
+    takes_disc = {
+        name for name, fn in functions.items()
+        if "disc" in inspect.signature(fn).parameters
+    }
+    assert takes_disc == {"propagate_covariance"}
+
+
+def test_monte_carlo_reads_its_model_from_the_reformulation():
+    params = list(inspect.signature(stochastic.monte_carlo).parameters)
+    assert params == ["ref", "n_sims", "seed", "workers", "n_bins"]
+    assert inspect.signature(stochastic.monte_carlo).parameters["workers"].default == 1

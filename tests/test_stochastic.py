@@ -11,7 +11,7 @@ import pytest
 
 from lqdisc import stochastic
 from lqdisc.butcher import precompute
-from lqdisc.errors import LqdiscError, ResourceLimitError, ValidationError
+from lqdisc.errors import ResourceLimitError, ValidationError
 from lqdisc.expm_method import discretize_expm
 from lqdisc.linalg import symmetrize
 from lqdisc.model import ContinuousLqModel, DiscreteLqModel, continuous_model_from_dict
@@ -326,27 +326,25 @@ def test_expected_cost_zero_noise_reduces_to_deterministic():
     disc = discretize_expm(quiet)
     det = _deterministic_total(disc, quiet.x0_mean, quiet.inputs)
     for route in ("ode", "em"):
-        val = expected_cost(quiet, disc, trace_route=route)
+        val = expected_cost(quiet, trace_route=route)
         assert val == pytest.approx(det, rel=1e-10)
 
 
 def test_expected_cost_pure_noise_quarter():
     model = pure_noise_model()
-    disc = discretize_expm(model)
-    assert expected_cost(model, disc, trace_route="ode") == pytest.approx(
+    assert expected_cost(model, trace_route="ode") == pytest.approx(
         0.25, abs=1e-9
     )
-    assert expected_cost(model, disc, trace_route="em", n_sub=64) == (
+    assert expected_cost(model, trace_route="em", n_sub=64) == (
         pytest.approx(0.25 * (1.0 + 1.0 / 64.0), abs=1e-12)
     )
 
 
 def test_expected_cost_routes_converge_to_each_other():
     model = make_benchmark_model(horizon=4)
-    disc = discretize_expm(model)
-    ode_val = expected_cost(model, disc, trace_route="ode")
+    ode_val = expected_cost(model, trace_route="ode")
     gaps = [
-        abs(ode_val - expected_cost(model, disc, trace_route="em", n_sub=n))
+        abs(ode_val - expected_cost(model, trace_route="em", n_sub=n))
         for n in (64, 128, 256)
     ]
     for coarse, fine in zip(gaps, gaps[1:]):
@@ -357,10 +355,9 @@ def test_expected_cost_em_route_approaches_reformulation_mean():
     """Trace route and reformulation mean differ at first order in the
     sub-step (exact vs refined interval covariance) and meet in the limit."""
     model = make_benchmark_model(horizon=4)
-    disc = discretize_expm(model)
     gaps = []
     for n_sub in (32, 64, 128):
-        via_trace = expected_cost(model, disc, trace_route="em", n_sub=n_sub)
+        via_trace = expected_cost(model, trace_route="em", n_sub=n_sub)
         via_form, _ = cost_moments(em_reformulate(model, n_sub))
         gaps.append(abs(via_trace - via_form))
     for coarse, fine in zip(gaps, gaps[1:]):
@@ -369,9 +366,8 @@ def test_expected_cost_em_route_approaches_reformulation_mean():
 
 def test_expected_costs_walk_the_horizon_once_for_both_routes(monkeypatch):
     model = make_benchmark_model(horizon=6)
-    disc = discretize_expm(model)
     want = {
-        route: expected_cost(model, disc, trace_route=route, quad_steps=32, n_sub=17)
+        route: expected_cost(model, trace_route=route, quad_steps=32, n_sub=17)
         for route in ("ode", "em")
     }
     walks = []
@@ -379,15 +375,14 @@ def test_expected_costs_walk_the_horizon_once_for_both_routes(monkeypatch):
     monkeypatch.setattr(
         stochastic, "propagate_covariance", lambda *args: walks.append(1) or walk(*args)
     )
-    assert expected_costs(model, disc, quad_steps=32, n_sub=17) == want
+    assert expected_costs(model, quad_steps=32, n_sub=17) == want
     assert len(walks) == 1
 
 
 def test_expected_cost_rejects_unknown_route():
     model = make_benchmark_model()
-    disc = discretize_expm(model)
     with pytest.raises(ValidationError, match="route"):
-        expected_cost(model, disc, trace_route="exact")
+        expected_cost(model, trace_route="exact")
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +398,7 @@ def test_monte_carlo_zero_noise_single_sim_hits_deterministic():
         x0_mean=model.x0_mean, x0_cov=np.zeros((2, 2)),
     )
     disc = discretize_expm(quiet)
-    summary = monte_carlo(quiet, disc, em_reformulate(quiet, 16), 1, seed=0)
+    summary = monte_carlo(em_reformulate(quiet, 16), 1, seed=0)
     det = _deterministic_total(disc, quiet.x0_mean, quiet.inputs)
     for stream, val in summary.sample_mean.items():
         assert abs(val - det) <= 1e-8 * max(1.0, abs(det)), stream
@@ -412,8 +407,7 @@ def test_monte_carlo_zero_noise_single_sim_hits_deterministic():
 
 def test_monte_carlo_streams_are_the_same_random_variable():
     model = make_benchmark_model(horizon=2)
-    disc = discretize_expm(model)
-    summary = monte_carlo(model, disc, em_reformulate(model, 32), 4096, seed=3)
+    summary = monte_carlo(em_reformulate(model, 32), 4096, seed=3)
     means = summary.sample_mean
     scale = abs(means["em_form"])
     assert abs(means["discrete"] - means["em_form"]) <= 1e-10 * scale
@@ -424,11 +418,10 @@ def test_monte_carlo_streams_are_the_same_random_variable():
 
 def test_monte_carlo_pure_noise_recovers_analytic_moments():
     model = pure_noise_model()
-    disc = discretize_expm(model)
     ref = em_reformulate(model, 64)
     analytic_mean, analytic_var = cost_moments(ref)
     n_sims = 8192
-    summary = monte_carlo(model, disc, ref, n_sims, seed=7)
+    summary = monte_carlo(ref, n_sims, seed=7)
     se_mean = np.sqrt(analytic_var / n_sims)
     # chi-squared-type cost: spread of the sample variance needs kurtosis;
     # 5 relative standard errors with the Gaussian-quadratic excess ~ sqrt(2)
@@ -443,17 +436,15 @@ def test_monte_carlo_pure_noise_recovers_analytic_moments():
 
 def test_monte_carlo_identical_across_worker_counts():
     model = make_benchmark_model(horizon=1)
-    disc = discretize_expm(model)
     ref = em_reformulate(model, 16)
-    one = monte_carlo(model, disc, ref, 5000, seed=11, workers=1)
-    three = monte_carlo(model, disc, ref, 5000, seed=11, workers=3)
+    one = monte_carlo(ref, 5000, seed=11, workers=1)
+    three = monte_carlo(ref, 5000, seed=11, workers=3)
     assert one.to_dict() == three.to_dict()
 
 
 def test_monte_carlo_histogram_counts_every_sample():
     model = make_benchmark_model(horizon=1)
-    disc = discretize_expm(model)
-    summary = monte_carlo(model, disc, em_reformulate(model, 16), 3000, seed=5)
+    summary = monte_carlo(em_reformulate(model, 16), 3000, seed=5)
     edges = summary.histogram["edges"]
     assert len(edges) == 61
     for stream, counts in summary.histogram["counts"].items():
@@ -464,24 +455,11 @@ def test_monte_carlo_histogram_counts_every_sample():
 
 def test_monte_carlo_rejects_bad_arguments():
     model = make_benchmark_model(horizon=1)
-    disc = discretize_expm(model)
     ref = em_reformulate(model, 8)
     with pytest.raises(ValidationError, match="n_sims"):
-        monte_carlo(model, disc, ref, 0, seed=0)
+        monte_carlo(ref, 0, seed=0)
     with pytest.raises(ValidationError, match="workers"):
-        monte_carlo(model, disc, ref, 10, seed=0, workers=0)
-
-
-def test_monte_carlo_rejects_a_non_integer_worker_variable(monkeypatch):
-    model = make_benchmark_model(horizon=1)
-    disc = discretize_expm(model)
-    ref = em_reformulate(model, 8)
-    monkeypatch.setenv("LQDISC_WORKERS", "many")
-    with pytest.raises(ValidationError, match="LQDISC_WORKERS") as info:
-        monte_carlo(model, disc, ref, 10, seed=0)
-    assert isinstance(info.value, LqdiscError)
-    # an explicit count never reads the variable
-    assert monte_carlo(model, disc, ref, 10, seed=0, workers=1).n_sims == 10
+        monte_carlo(ref, 10, seed=0, workers=0)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +499,7 @@ def _hstack_cost_moments(ref):
     q_big, q_vec, m_bar = ref.q_big, ref.q_vec, ref.m_bar
     qm = q_big[:, :n_x] @ m_bar[:n_x]
     trace_qp = float(
-        np.einsum("ij,ji->", q_big[:n_x, :n_x], ref.x0_cov)
+        np.einsum("ij,ji->", q_big[:n_x, :n_x], ref.model.x0_cov)
     ) + ref.dt * float(np.trace(q_big[n_x:, n_x:]))
     mean = (
         0.5 * float(m_bar[:n_x] @ qm[:n_x])
@@ -530,8 +508,8 @@ def _hstack_cost_moments(ref):
         + 0.5 * trace_qp
     )
     lin = qm + q_vec
-    p_lin = np.concatenate([ref.x0_cov @ lin[:n_x], ref.dt * lin[n_x:]])
-    qp = np.hstack([q_big[:, :n_x] @ ref.x0_cov, ref.dt * q_big[:, n_x:]])
+    p_lin = np.concatenate([ref.model.x0_cov @ lin[:n_x], ref.dt * lin[n_x:]])
+    qp = np.hstack([q_big[:, :n_x] @ ref.model.x0_cov, ref.dt * q_big[:, n_x:]])
     var = float(lin @ p_lin) + 0.5 * float(np.einsum("ij,ji->", qp, qp))
     return mean, var
 
@@ -593,29 +571,17 @@ def test_pathwise_quadratic_is_the_noise_quad_form(name, n_sub):
 
 def test_monte_carlo_streams_read_no_noise_quad():
     model = make_benchmark_model(horizon=3)
-    disc = discretize_expm(model)
-    ref = em_reformulate(model, 16, disc=disc)
+    ref = em_reformulate(model, 16)
     blind = dataclasses.replace(ref, ops=dataclasses.replace(
         ref.ops, noise_quad=np.full_like(ref.ops.noise_quad, np.nan)
     ))
-    want = monte_carlo(model, disc, ref, 3000, seed=13).to_dict()
-    assert monte_carlo(model, disc, blind, 3000, seed=13).to_dict() == want
-
-
-def test_monte_carlo_refuses_a_ref_of_another_horizon():
-    model = make_benchmark_model(horizon=4)
-    disc = discretize_expm(model)
-    ref = em_reformulate(make_benchmark_model(horizon=2), 8)
-    with pytest.raises(ValidationError, match="dimension") as info:
-        monte_carlo(model, disc, ref, 8, seed=0)
-    message = str(info.value)
-    assert f"dimension {ref.dim}" in message and "dimension 66" in message
+    want = monte_carlo(ref, 3000, seed=13).to_dict()
+    assert monte_carlo(blind, 3000, seed=13).to_dict() == want
 
 
 def test_monte_carlo_stream_means_agree_at_benchmark_size():
     model = make_benchmark_model(horizon=4)
-    disc = discretize_expm(model)
-    summary = monte_carlo(model, disc, em_reformulate(model, 256, disc=disc), 2048, seed=31)
+    summary = monte_carlo(em_reformulate(model, 256), 2048, seed=31)
     means = summary.sample_mean
     spread = max(means.values()) - min(means.values())
     assert spread <= 1e-9 * abs(summary.analytic_mean)
@@ -824,7 +790,7 @@ def _assert_close(got, want, rel=1e-12):
 def test_streaming_moments_match_the_step_loop(name):
     model = _WALK_MODELS[name]()
     disc = discretize_expm(model)
-    got = cost_moments_streaming(model, 8, disc)
+    got = cost_moments_streaming(model, 8)
     want = _loop_streaming_moments(model, 8, disc)
     _assert_close(got[0], want[0])
     _assert_close(got[1], want[1])
@@ -835,7 +801,7 @@ def test_expected_cost_matches_the_step_loop(name):
     model = _WALK_MODELS[name]()
     disc = discretize_expm(model)
     noise_trace = em_interval_ops(model, 16).trace_integral
-    got = expected_cost(model, disc, trace_route="em", n_sub=16)
+    got = expected_cost(model, trace_route="em", n_sub=16)
     _assert_close(got, _loop_expected_cost(model, disc, noise_trace))
 
 
@@ -870,8 +836,7 @@ def test_streaming_memory_does_not_grow_with_the_horizon():
     peaks = []
     for horizon in (_WALK_BLOCK, 8 * _WALK_BLOCK):
         model = make_benchmark_model(horizon=horizon)
-        disc = discretize_expm(model)
-        peaks.append(_traced_peak(lambda: cost_moments_streaming(model, 8, disc)))
+        peaks.append(_traced_peak(lambda: cost_moments_streaming(model, 8)))
     assert peaks[1] < 2 * peaks[0], peaks
 
 
@@ -882,25 +847,6 @@ def test_noise_rate_integral_memory_does_not_grow_with_n_steps():
         for n in (_WALK_BLOCK, 8 * _WALK_BLOCK)
     ]
     assert peaks[1] < 2 * peaks[0], peaks
-
-
-@pytest.mark.parametrize("disc_horizon", [1, 5])
-def test_a_disc_of_another_horizon_is_refused(disc_horizon):
-    model = make_benchmark_model(horizon=3)
-    disc = discretize_expm(make_benchmark_model(horizon=disc_horizon))
-    calls = {
-        "streaming": lambda: cost_moments_streaming(model, 4, disc),
-        "expected_cost": lambda: expected_cost(model, disc),
-        "em_reformulate": lambda: em_reformulate(model, 4, disc=disc),
-        "monte_carlo": lambda: monte_carlo(
-            model, disc, em_reformulate(model, 4), 8, seed=0
-        ),
-    }
-    for name, call in calls.items():
-        with pytest.raises(ValidationError, match="horizon") as info:
-            call()
-        message = str(info.value)
-        assert f"horizon {disc_horizon}" in message and "horizon 3" in message, name
 
 
 def test_propagate_covariance_step_counts():
@@ -916,14 +862,14 @@ def test_propagate_covariance_step_counts():
 def test_expected_cost_em_route_builds_no_interval_ops(monkeypatch):
     model = make_benchmark_model(horizon=4)
     disc = discretize_expm(model)
-    want = expected_cost(model, disc, trace_route="em", n_sub=64)
+    want = expected_cost(model, trace_route="em", n_sub=64)
     noise_trace = em_interval_ops(model, 64).trace_integral
 
     def refuse(*args, **kwargs):
         raise AssertionError("the em route materialized the interval ops")
 
     monkeypatch.setattr(stochastic, "em_interval_ops", refuse)
-    assert expected_cost(model, disc, trace_route="em", n_sub=64) == want
+    assert expected_cost(model, trace_route="em", n_sub=64) == want
     _assert_close(want, _loop_expected_cost(model, disc, noise_trace))
 
 
@@ -999,23 +945,21 @@ def test_noise_quad_matches_the_gram_construction(system, n_sub):
 
 def test_streaming_moments_build_no_interval_ops(monkeypatch):
     model = make_benchmark_model(horizon=4)
-    disc = discretize_expm(model)
-    want = cost_moments_streaming(model, 64, disc)
+    want = cost_moments_streaming(model, 64)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the streaming moments materialized the interval ops")
 
     monkeypatch.setattr(stochastic, "em_interval_ops", refuse)
-    assert cost_moments_streaming(model, 64, disc) == want
+    assert cost_moments_streaming(model, 64) == want
 
 
 def test_streaming_memory_grows_linearly_with_n_sub():
     # linear growth gives ~4x from 512 to 2048 sub-steps; a dense
     # m_blk x m_blk block would give ~16x
     model = make_benchmark_model()
-    disc = discretize_expm(model)
     peaks = [
-        _traced_peak(lambda n=n: cost_moments_streaming(model, n, disc))
+        _traced_peak(lambda n=n: cost_moments_streaming(model, n))
         for n in (512, 2048)
     ]
     assert peaks[1] < 8 * peaks[0], peaks
@@ -1024,14 +968,11 @@ def test_streaming_memory_grows_linearly_with_n_sub():
 @pytest.mark.parametrize("n_sub", [0, -1])
 def test_euler_maruyama_paths_refuse_n_sub_below_one(n_sub):
     model = make_benchmark_model()
-    disc = discretize_expm(model)
     calls = {
         "em_interval_ops": lambda: em_interval_ops(model, n_sub),
-        "em_reformulate": lambda: em_reformulate(model, n_sub, disc=disc),
-        "streaming": lambda: cost_moments_streaming(model, n_sub, disc),
-        "expected_cost": lambda: expected_cost(
-            model, disc, trace_route="em", n_sub=n_sub
-        ),
+        "em_reformulate": lambda: em_reformulate(model, n_sub),
+        "streaming": lambda: cost_moments_streaming(model, n_sub),
+        "expected_cost": lambda: expected_cost(model, trace_route="em", n_sub=n_sub),
         "pathwise": lambda: _pathwise_cost(
             model, n_sub, [model.x0_mean], np.zeros((1, 0))
         ),
