@@ -41,12 +41,7 @@ from .model import (
     discrete_model_to_dict,
 )
 from .ode_method import discretize_ode
-from .stochastic import (
-    cost_moments,
-    em_reformulate,
-    expected_costs,
-    monte_carlo,
-)
+from .stochastic import em_reformulate, expected_costs, monte_carlo
 
 _PROG = "lqdisc"
 
