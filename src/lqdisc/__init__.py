@@ -42,9 +42,8 @@ from .stochastic import (
     cost_moments_streaming,
     em_interval_ops,
     em_reformulate,
-    expected_cost,
+    expected_costs,
     monte_carlo,
-    propagate_covariance,
 )
 
 __version__ = "0.1.0"
@@ -79,13 +78,12 @@ __all__ = [
     "discretize_step_doubling",
     "em_interval_ops",
     "em_reformulate",
-    "expected_cost",
+    "expected_costs",
     "expm",
     "is_psd",
     "monte_carlo",
     "oracle_cost",
     "oracle_discretize",
-    "propagate_covariance",
     "solve_finite_horizon",
     "symmetrize",
     "tableau",

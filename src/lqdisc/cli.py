@@ -271,6 +271,7 @@ def _cmd_montecarlo(args) -> int:
     _require_at_least(args.subdiv, 1, "--subdiv")
     _require_at_least(args.bins, 1, "--bins")
     _require_at_least(args.workers, 1, "--workers")
+    _require_at_least(args.dim_cap, 1, "--dim-cap")
     model = _load_model(args.model)
     ref = em_reformulate(model, args.subdiv, dim_cap=args.dim_cap)
     summary = monte_carlo(

@@ -10,9 +10,9 @@ come from an Euler-Maruyama refinement of each interval with step
 without ever holding the big matrix; Monte Carlo evaluates three
 independent regroupings of the same sampled cost and cross-checks them.
 
-The horizon walks (streaming moments, expected cost, covariance
-propagation, the ODE noise quadrature) are linear recursions with a
-constant transition.  They run in blocks of at most ``_WALK_BLOCK`` steps:
+The horizon walks (the state mean and covariance of the streaming moments
+and the expected cost, the ODE noise quadrature) are linear recursions
+with a constant transition.  They run in blocks of at most ``_WALK_BLOCK`` steps:
 the powers of the transition and their Gramian partial sums are stacked
 once, and each block is a fixed number of batched numpy products, so no
 step costs a Python iteration and the working memory does not grow with
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -43,8 +42,6 @@ __all__ = [
     "em_reformulate",
     "cost_moments",
     "cost_moments_streaming",
-    "propagate_covariance",
-    "expected_cost",
     "expected_costs",
     "monte_carlo",
 ]
@@ -66,22 +63,26 @@ _PAIRS = (("continuous", "discrete"), ("continuous", "em_form"),
 class EmIntervalOps:
     """Euler-Maruyama refinement of one sampling interval.
 
-    ``coarse_*`` map the interval: ``x_next = coarse_a x + coarse_b u +
-    noise_map w`` with ``w`` the stacked sub-step increments (covariance
-    ``dt I``).  ``cross``/``noise_quad``/``noise_lin`` are the noise
-    blocks of the refined stage cost; only :func:`em_reformulate` reads
-    ``noise_quad``.
+    With ``E = I + dt a_c`` the Euler sub-step, ``powers[i] = E^i`` and
+    ``held[i] = sum_{l<i} E^l dt b_c`` for ``i <= n_sub`` (so ``x_next =
+    powers[n_sub] x + held[n_sub] u + noise_map w``, with ``w`` the stacked
+    sub-step increments of covariance ``dt I``) and ``f[i] = E^i g_c`` for
+    ``i < n_sub``.  ``cross`` and ``noise_lin`` are the noise blocks of the
+    refined stage cost; its dense ``m_blk x m_blk`` noise block comes from
+    :func:`_noise_quad`, which only :func:`em_reformulate` calls.
     """
 
-    n_sub: int
     dt: float
-    coarse_a: np.ndarray
-    coarse_b: np.ndarray
+    powers: np.ndarray           # E^0 .. E^n_sub
+    held: np.ndarray             # sum_{l<i} E^l dt b_c, i = 0 .. n_sub
+    f: np.ndarray                # f[i] = E^i g_c, i < n_sub
     noise_map: np.ndarray        # (n_x, n_sub * n_w)
     cross: np.ndarray            # (n_xu, n_sub * n_w)
-    noise_quad: np.ndarray       # (n_sub * n_w, n_sub * n_w)
     noise_lin: np.ndarray        # (n_sub * n_w, n_z)
-    trace_integral: float        # integral of tr(weight * within-interval noise cov)
+
+    @property
+    def n_sub(self) -> int:
+        return len(self.powers) - 1
 
     @property
     def block_dim(self) -> int:
@@ -108,7 +109,8 @@ def _euler_powers(model: ContinuousLqModel, n_sub: int):
 
 def _trace_integral(model: ContinuousLqModel, dt: float, powers: np.ndarray) -> float:
     """Euler-Maruyama sum for the integral of tr(weight * within-interval
-    noise covariance), from the powers of :func:`_euler_powers`."""
+    noise covariance), from the powers of :func:`_euler_powers`; it is
+    ``dt tr(noise_quad)``."""
     n_sub = len(powers) - 1
     noise_w = model.c_c.T @ model.q_c @ model.c_c
     f = powers[:n_sub] @ model.g_c
@@ -116,29 +118,21 @@ def _trace_integral(model: ContinuousLqModel, dt: float, powers: np.ndarray) -> 
     return dt * dt * float(((n_sub - np.arange(n_sub)) * per_node).sum())
 
 
-class _EmCore(NamedTuple):
-    """The parts of :class:`EmIntervalOps` whose size is linear in
-    ``m_blk = n_sub * n_w``, with the Euler powers they come from."""
+def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
+    """Build the noise refinement maps for one sampling interval.
 
-    dt: float
-    powers: np.ndarray           # E^0 .. E^n_sub
-    held: np.ndarray             # sum_{l<i} E^l dt b_c, i = 0 .. n_sub
-    f: np.ndarray                # f[i] = E^i g_c, i < n_sub
-    noise_map: np.ndarray
-    cross: np.ndarray
-    noise_lin: np.ndarray
-
-
-def _em_core(model: ContinuousLqModel, n_sub: int) -> _EmCore:
-    """``noise_map``, ``cross`` and ``noise_lin`` of :func:`em_interval_ops`
-    (whose docstring defines ``E``, ``f``, ``W`` and ``held``).
-
-    With ``S_r = sum_{m <= r} (E^m)' W f[m]`` and ``P_r = sum_{m <= r}
-    (c_c held[m] + d_c)' q_c c_c f[m]``, the x-rows of ``cross[:, q]`` are
-    ``dt (E^{q+1})' S_{n_sub-1-q}`` and its u-rows ``dt (held[q+1]'
-    S_{n_sub-1-q} + P_{n_sub-1-q})``, by ``held[a+b] = E^a held[b] +
-    held[a]``; ``noise_lin[q] = -dt (sum_{m <= n_sub-1-q} f[m])' c_c' q_c``.
-    Every piece is a batched product or cumulative sum.
+    With ``W = c_c' q_c c_c`` and ``E``, ``f``, ``held`` as in
+    :class:`EmIntervalOps`, the noise blocks are sums over pairs of
+    sub-steps; each reduces to prefix sums over powers of ``E`` (discrete
+    analogues of Van Loan's Gramian integrals).  With ``S_r = sum_{m <= r}
+    (E^m)' W f[m]`` and ``P_r = sum_{m <= r} (c_c held[m] + d_c)' q_c c_c
+    f[m]``, the x-rows of ``cross[:, q]`` are ``dt (E^{q+1})'
+    S_{n_sub-1-q}`` and its u-rows ``dt (held[q+1]' S_{n_sub-1-q} +
+    P_{n_sub-1-q})``, by ``held[a+b] = E^a held[b] + held[a]``;
+    ``noise_lin[q] = -dt (sum_{m <= n_sub-1-q} f[m])' c_c' q_c``.  Every
+    piece is a batched product or cumulative sum, linear in ``m_blk =
+    n_sub * n_w``.  An ``n_sub`` below 1 raises
+    :class:`~lqdisc.errors.ValidationError`.
     """
     n_x, n_u, n_z, n_w = model.n_x, model.n_u, model.n_z, model.n_w
     dt, powers, held = _euler_powers(model, n_sub)
@@ -171,42 +165,31 @@ def _em_core(model: ContinuousLqModel, n_sub: int) -> _EmCore:
     noise_lin = -dt * np.einsum("qxw,xz->qwz", f_cum_rev, back_weight).reshape(
         m_blk, n_z
     )
-    return _EmCore(dt, powers, held, f, noise_map, cross, noise_lin)
+    return EmIntervalOps(dt, powers, held, f, noise_map, cross, noise_lin)
 
 
-def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
-    """Build the noise refinement maps for one sampling interval.
+def _noise_quad(model: ContinuousLqModel, ops: EmIntervalOps) -> np.ndarray:
+    """The dense ``m_blk x m_blk`` noise block of the refined stage cost,
+    ``noise_quad[p, q] = dt sum_{t >= max(p, q)} f[t-p]' W f[t-q]``.
 
-    With ``E = I + dt a_c``, ``f[i] = E^i g_c``, ``W = c_c' q_c c_c`` and
-    ``held[i] = sum_{l<i} E^l dt b_c``, the noise blocks are sums over
-    pairs of sub-steps; each reduces to prefix sums over powers of ``E``
-    (discrete analogues of Van Loan's Gramian integrals).  ``noise_map``,
-    ``cross`` and ``noise_lin`` come from :func:`_em_core`; on top of them
-    this builds the dense ``m_blk x m_blk`` block
-
-    * ``noise_quad[p, q] = dt sum_{t >= max(p, q)} f[t-p]' W f[t-q]``.
-      With the discrete Gramians ``G_r`` of :func:`_noise_gramians`, block
-      ``(p >= q)`` is ``dt G_{n_sub-1-p}' f[p-q]``: one product of the
-      stacked ``G_r`` with ``noise_map`` gives every such pair, a skewed
-      view of it lays them out as the lower block triangle, and the upper
-      one is its transpose.
-
-    Only the materialized form (:func:`em_reformulate`, and so Monte
-    Carlo's ``em_form`` stream) needs ``noise_quad``;
-    :func:`cost_moments_streaming` takes its three summaries from
+    With the discrete Gramians ``G_r`` of :func:`_noise_gramians`, block
+    ``(p >= q)`` is ``dt G_{n_sub-1-p}' f[p-q]``: one product of the
+    stacked ``G_r`` with ``noise_map`` gives every such pair, a skewed view
+    of it lays them out as the lower block triangle, and the upper one is
+    its transpose.  Only the materialized form (:func:`em_reformulate`, and
+    so Monte Carlo's ``em_form`` stream) needs it:
+    :func:`cost_moments_streaming` takes its summaries from
     :func:`_noise_quad_summaries`, and the other Monte Carlo streams take
     ``0.5 w' noise_quad w`` from the Euler deviation of
-    :func:`_pathwise_cost`.  An ``n_sub`` below 1 raises
-    :class:`~lqdisc.errors.ValidationError`.
+    :func:`_pathwise_cost`.
     """
-    core = _em_core(model, n_sub)
-    n_x, n_w = model.n_x, model.n_w
-    m_blk = n_sub * n_w
-    gram_g = _noise_gramians(model, core)
+    n_sub, n_x, n_w = ops.n_sub, model.n_x, model.n_w
+    m_blk = ops.block_dim
+    gram_g = _noise_gramians(model, ops)
     # pairs[(s, a), (c, b)] = dt (G_{n_sub-1-s}' f[n_sub-1-c])[a, b]: the
     # blocks of noise_map run backwards
-    pairs = gram_g[::-1].transpose(0, 2, 1).reshape(m_blk, n_x) @ core.noise_map
-    pairs *= core.dt
+    pairs = gram_g[::-1].transpose(0, 2, 1).reshape(m_blk, n_x) @ ops.noise_map
+    pairs *= ops.dt
     diag = pairs[:, m_blk - n_w:].reshape(n_sub, n_w, n_w)     # f[0] blocks
     diag[:] = 0.5 * (diag + diag.transpose(0, 2, 1))
     # block (p, q <= p) of noise_quad is pairs block (p, n_sub-1-p+q), so
@@ -223,33 +206,20 @@ def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
     )
     block = np.arange(n_sub)
     below = (block[:, None] >= block)[:, None, :, None]
-    noise_quad = np.where(below, lower, lower.transpose(2, 3, 0, 1)).reshape(
-        m_blk, m_blk
-    )
-
-    return EmIntervalOps(
-        n_sub=n_sub,
-        dt=core.dt,
-        coarse_a=core.powers[n_sub],
-        coarse_b=core.held[n_sub],
-        noise_map=core.noise_map,
-        cross=core.cross,
-        noise_quad=noise_quad,
-        noise_lin=core.noise_lin,
-        trace_integral=_trace_integral(model, core.dt, core.powers),
-    )
+    return np.where(below, lower, lower.transpose(2, 3, 0, 1)).reshape(m_blk, m_blk)
 
 
-def _noise_gramians(model: ContinuousLqModel, core: _EmCore) -> np.ndarray:
+def _noise_gramians(model: ContinuousLqModel, ops: EmIntervalOps) -> np.ndarray:
     """``G_r = O_r g_c`` for ``r < n_sub``, with the discrete Gramians
     ``O_r = sum_{s <= r} (E^s)' W E^s`` and ``W = c_c' q_c c_c``."""
     noise_w = model.c_c.T @ model.q_c @ model.c_c
-    return _gramians(core.powers.transpose(0, 2, 1), noise_w)[1:] @ model.g_c
+    return _gramians(ops.powers.transpose(0, 2, 1), noise_w)[1:] @ model.g_c
 
 
-def _noise_quad_summaries(model: ContinuousLqModel, core: _EmCore):
-    """``tr(noise_quad)``, ``|noise_quad|_F^2`` and ``noise_map noise_quad
-    noise_map'`` without forming the ``m_blk x m_blk`` matrix.
+def _noise_quad_summaries(model: ContinuousLqModel, ops: EmIntervalOps):
+    """``|noise_quad|_F^2`` and ``noise_map noise_quad noise_map'`` without
+    forming the ``m_blk x m_blk`` matrix (its trace is
+    :func:`_trace_integral` over ``dt``).
 
     With ``F_d = f[d]`` and ``G_r`` from :func:`_noise_gramians`, block
     ``(p <= q)`` of ``noise_quad`` is ``dt F_d' G_r`` with ``d = q - p``
@@ -257,7 +227,6 @@ def _noise_quad_summaries(model: ContinuousLqModel, core: _EmCore):
     sum_{d <= k} c_d F_d F_d'`` (``c_0 = 1``, ``c_d = 2`` above) and
     ``Pg_k = sum_{e <= k} F_e F_e'``:
 
-    * ``tr = dt sum_r tr(g_c' G_r)``;
     * ``|.|_F^2 = dt^2 sum_r tr(G_r' P_{n_sub-1-r} G_r)``;
     * ``noise_map noise_quad noise_map' = X + X' - D`` with ``X = dt
       sum_b E^b Pg_{n_sub-1-b} G_b F_b'`` and ``D = dt sum_b F_b (g_c'
@@ -266,19 +235,17 @@ def _noise_quad_summaries(model: ContinuousLqModel, core: _EmCore):
     Each sum is a batched product or cumulative sum: ``O(n_sub n_x^3)``
     work and ``O(n_sub n_x^2)`` memory.
     """
-    dt, powers, f = core.dt, core.powers[:-1], core.f
-    g_c = model.g_c
-    gram_g = _noise_gramians(model, core)
+    dt, powers, f = ops.dt, ops.powers[:-1], ops.f
+    gram_g = _noise_gramians(model, ops)
     outer = f @ f.transpose(0, 2, 1)                    # F_d F_d'
     outer_sum = np.cumsum(outer, axis=0)                # Pg_k
     weighted_sum = 2.0 * outer_sum - outer[0]           # P_k
-    trace = dt * float(np.einsum("xw,rxw->", g_c, gram_g))
     frob_sq = dt * dt * float(
         np.einsum("rxw,rxy,ryw->", gram_g, weighted_sum[::-1], gram_g)
     )
     x = dt * np.einsum("bxw,bzw->xz", powers @ outer_sum[::-1] @ gram_g, f)
-    diag = dt * np.einsum("bxv,bvw,bzw->xz", f, g_c.T @ gram_g, f)
-    return trace, frob_sq, x + x.T - diag
+    diag = dt * np.einsum("bxv,bvw,bzw->xz", f, model.g_c.T @ gram_g, f)
+    return frob_sq, x + x.T - diag
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +328,7 @@ def em_reformulate(
         )
     disc = discretize_expm(model)
     ops = em_interval_ops(model, n_sub)
+    noise_quad = _noise_quad(model, ops)
     m_blk = ops.block_dim
 
     q_big = np.zeros((dim, dim))
@@ -381,7 +349,7 @@ def em_reformulate(
         q_big[active, active.start:active.stop] += l_act.T @ (disc.q @ l_act)
         q_big[active, blk] += l_act.T @ ops.cross
         q_big[blk, active] += ops.cross.T @ l_act
-        q_big[blk, blk] += ops.noise_quad
+        q_big[blk, blk] += noise_quad
 
         stage_lin = disc.q @ shift + disc.q_k[k]
         q_vec[active] += l_act.T @ stage_lin
@@ -474,10 +442,30 @@ def _affine_scan(powers: np.ndarray, c: np.ndarray) -> np.ndarray:
     return z
 
 
-def _mean_block(powers: np.ndarray, disc: DiscreteLqModel, x, inputs) -> np.ndarray:
-    """Means ``x_0 .. x_L`` of ``x_{i+1} = a x_i + b u_i`` from ``x_0 = x``
-    over the ``L`` rows of ``inputs`` (``powers`` holds ``a^0 .. a^L``)."""
-    return _affine_scan(powers, np.vstack([x, inputs @ disc.b.T]))
+def _state_blocks(powers: np.ndarray, model: ContinuousLqModel, disc: DiscreteLqModel,
+                  step_cov: np.ndarray):
+    """The state means and covariances of ``x_{k+1} = a x_k + b u_k +
+    noise`` (noise covariance ``step_cov``) from ``model.x0_mean`` and
+    ``model.x0_cov``, one block of at most ``_WALK_BLOCK`` steps at a time.
+
+    Yields ``(start, stop, means, covs)`` with the ``stop - start + 1``
+    rows for steps ``start .. stop``; ``powers`` holds ``a^0 .. a^B`` for
+    the longest block ``B``.  In a block the means are a doubling scan and
+    the covariances ``P_{start+i} = A^i P_start A^i' + S_i``, with ``S_i``
+    the partial Gramian sums of ``step_cov``, symmetrized.
+    """
+    powers_t = powers.transpose(0, 2, 1)
+    gram = _gramians(powers, step_cov)
+    mean = np.asarray(model.x0_mean, dtype=float)
+    cov = np.asarray(model.x0_cov, dtype=float)
+    for start in range(0, model.horizon, _WALK_BLOCK):
+        stop = min(start + _WALK_BLOCK, model.horizon)
+        n = stop - start
+        drive = model.inputs[start:stop] @ disc.b.T
+        means = _affine_scan(powers, np.vstack([mean, drive]))
+        covs = symmetrize(powers[:n + 1] @ cov @ powers_t[:n + 1] + gram[:n + 1])
+        yield start, stop, means, covs
+        mean, cov = means[n], covs[n]
 
 
 # ---------------------------------------------------------------------------
@@ -503,16 +491,14 @@ def cost_moments_streaming(model: ContinuousLqModel, n_sub: int) -> tuple[float,
     stage kernel through ``cross_x noise_map'`` and ``noise_map
     noise_quad noise_map'``.  So the walk depends on ``n_x``, ``n_u`` and
     ``n_z`` only, not on ``n_sub``.  The dense ``m_blk x m_blk``
-    ``noise_quad`` is never formed: its trace, squared Frobenius norm and
+    ``noise_quad`` is never formed: its squared Frobenius norm and
     ``noise_map noise_quad noise_map'`` come from the prefix Gramians of
-    :func:`_noise_quad_summaries`, and the other noise maps from
-    :func:`_em_core`.
+    :func:`_noise_quad_summaries` and its trace from
+    :func:`_trace_integral`.
 
-    The walk runs in blocks of at most ``B = _WALK_BLOCK`` steps, with
-    ``A^0 .. A^B`` stacked once by doubling.  In a block of ``L`` steps the
-    means are a doubling scan, the covariances are ``A^i P A^i' + S_i``
-    (``S_i`` the partial Gramian sums of the step noise) and every
-    per-step term is one batched product.  The accumulators unroll to
+    The walk runs in the blocks of :func:`_state_blocks`, with ``A^0 ..
+    A^B`` stacked once by doubling.  In a block of ``L`` steps every
+    per-step term is one batched product, and the accumulators unroll to
 
         sum_k tr(q_xx H_k) = tr(O_L H) + sum_j tr(O_{L-1-j} kernel_j)
         sum_k g_k' h_k     = lam_{-1}' h + sum_j gamma_j' lam_j
@@ -524,15 +510,15 @@ def cost_moments_streaming(model: ContinuousLqModel, n_sub: int) -> tuple[float,
     ``n_sub``.
     """
     disc = discretize_expm(model)
-    core = _em_core(model, n_sub)
-    n_x, horizon = model.n_x, model.horizon
-    dt = core.dt
-    a, quad, cross = disc.a, disc.q, core.cross
-    noise_map, noise_lin = core.noise_map, core.noise_lin
+    ops = em_interval_ops(model, n_sub)
+    n_x = model.n_x
+    dt = ops.dt
+    a, quad, cross = disc.a, disc.q, ops.cross
+    noise_map, noise_lin = ops.noise_map, ops.noise_lin
     q_xx = quad[:n_x, :n_x]
 
-    quad_trace, quad_frob_sq, map_quad = _noise_quad_summaries(model, core)
-    trace_noise = dt * quad_trace
+    trace_noise = _trace_integral(model, dt, ops.powers)
+    quad_frob_sq, map_quad = _noise_quad_summaries(model, ops)
     trace_noise_sq = dt * dt * quad_frob_sq
     cross_gram = cross @ cross.T                     # (n_xu, n_xu)
     cross_lin = cross @ noise_lin                    # (n_xu, n_z)
@@ -542,27 +528,21 @@ def cost_moments_streaming(model: ContinuousLqModel, n_sub: int) -> tuple[float,
     cross_map = map_cross[:, :n_x].T                 # cross_x noise_map'
     noise_cov_step = dt * (noise_map @ noise_map.T)
 
-    powers = _powers(a, min(horizon, _WALK_BLOCK))
+    powers = _powers(a, min(model.horizon, _WALK_BLOCK))
     powers_t = powers.transpose(0, 2, 1)
-    state_gram = _gramians(powers, noise_cov_step)   # S_i
     cost_gram = _gramians(powers_t, q_xx)            # O_r
 
     mean = 0.0
     var = 0.0
-    state_mean = np.asarray(model.x0_mean, dtype=float)
-    state_cov = np.asarray(model.x0_cov, dtype=float)
     hist_quad = np.zeros((n_x, n_x))     # transported sum of past stage kernels
     hist_lin = np.zeros(n_x)             # transported sum of past gamma_j
 
-    for start in range(0, horizon, _WALK_BLOCK):
-        stop = min(start + _WALK_BLOCK, horizon)
+    for start, stop, means, covs in _state_blocks(powers, model, disc, noise_cov_step):
         n = stop - start
         pw, pw_t = powers[:n + 1], powers_t[:n + 1]
         inputs = model.inputs[start:stop]
         target = model.targets[start:stop]
         b_xi = disc.q_k[start:stop]
-        means = _mean_block(pw, disc, state_mean, inputs)
-        covs = symmetrize(pw @ state_cov @ pw_t + state_gram[:n + 1])
         mu = np.hstack([means[:n], inputs])
         cov = covs[:n]
 
@@ -618,42 +598,13 @@ def cost_moments_streaming(model: ContinuousLqModel, n_sub: int) -> tuple[float,
         back, back_t = pw[n - 1::-1], pw_t[n - 1::-1]      # A^(L-1-j)
         hist_quad = pw[n] @ hist_quad @ pw_t[n] + (back @ kernel @ back_t).sum(axis=0)
         hist_lin = pw[n] @ hist_lin + np.einsum("kxy,ky->x", back, gamma)
-        state_mean, state_cov = means[n], covs[n]
 
     return mean, var
 
 
 # ---------------------------------------------------------------------------
-# covariance propagation and expected cost
+# expected cost
 # ---------------------------------------------------------------------------
-
-def propagate_covariance(disc: DiscreteLqModel, p0, n_steps: int) -> np.ndarray:
-    """State covariances P_0 .. P_n of ``P_{k+1} = a P_k a' + r_ww``.
-
-    In blocks of at most ``_WALK_BLOCK`` steps, ``P_{s+i} = A^i P_s A^i' +
-    S_i``, with ``A^i`` stacked by doubling and ``S_i`` the partial Gramian
-    sums of ``r_ww``; the whole stack is symmetrized once.  ``n_steps = 0``
-    gives ``[P_0]``; a negative ``n_steps`` raises
-    :class:`~lqdisc.errors.ValidationError`.
-    """
-    p0 = np.asarray(p0, dtype=float)
-    n_x = disc.n_x
-    if p0.shape != (n_x, n_x):
-        raise ValidationError(f"p0 must have shape ({n_x}, {n_x}), got {p0.shape}")
-    if n_steps < 0:
-        raise ValidationError(f"n_steps must be >= 0, got {n_steps}")
-    powers = _powers(disc.a, min(n_steps, _WALK_BLOCK))
-    powers_t = powers.transpose(0, 2, 1)
-    gram = _gramians(powers, disc.r_ww)
-    out = np.empty((n_steps + 1, n_x, n_x))
-    out[0] = p0
-    for start in range(0, n_steps, _WALK_BLOCK):
-        n = min(_WALK_BLOCK, n_steps - start)
-        out[start:start + n + 1] = (
-            powers[:n + 1] @ out[start] @ powers_t[:n + 1] + gram[:n + 1]
-        )
-    return symmetrize(out)
-
 
 def noise_rate_integral_ode(
     model: ContinuousLqModel, scheme: str = "classic_rk4", n_steps: int = 256
@@ -698,69 +649,38 @@ def noise_rate_integral_ode(
     return total
 
 
-def expected_cost(
-    model: ContinuousLqModel,
-    trace_route: str = "ode",
-    quad_steps: int = 256,
-    n_sub: int = 256,
-) -> float:
-    """Expected total cost: mean-path stage costs plus covariance traces.
+def expected_costs(
+    model: ContinuousLqModel, quad_steps: int = 256, n_sub: int = 256
+) -> dict:
+    """Expected total cost by noise-trace route: ``{"ode": ..., "em": ...}``.
 
     Each stage contributes its cost at the mean trajectory, a trace
     correction for the state covariance, and the within-interval noise
-    trace integral (route ``"ode"``: scheme-weight quadrature; route
-    ``"em"``: the Euler-Maruyama refinement sum).  The mean path is a
-    doubling scan in blocks of ``_WALK_BLOCK`` steps, the covariances come
-    from :func:`propagate_covariance`, and the stage costs are batched
-    products over the horizon.  The walk starts from ``model.x0_cov``.
-    """
-    return expected_costs(
-        model, (trace_route,), quad_steps=quad_steps, n_sub=n_sub
-    )[trace_route]
-
-
-def expected_costs(
-    model: ContinuousLqModel,
-    trace_routes=("ode", "em"),
-    quad_steps: int = 256,
-    n_sub: int = 256,
-) -> dict:
-    """:func:`expected_cost` for each of ``trace_routes``, by route name.
-
-    Only the noise trace integral depends on the route, so the model is
-    discretized and the horizon walked once for all of them; each value is
-    bit-identical to its own :func:`expected_cost` call.
+    trace integral (route ``"ode"``: scheme-weight quadrature of
+    :func:`noise_rate_integral_ode` at ``quad_steps``; route ``"em"``: the
+    Euler-Maruyama refinement sum at ``n_sub``).  Only that integral
+    depends on the route, so the horizon is walked once for both, from
+    ``model.x0_mean`` and ``model.x0_cov`` in the blocks of
+    :func:`_state_blocks`, and the stage costs are batched products.
     """
     disc = discretize_expm(model)
-    noise_traces = {}
-    for route in trace_routes:
-        if route == "ode":
-            noise_traces[route] = noise_rate_integral_ode(model, n_steps=quad_steps)
-        elif route == "em":
-            dt, euler_powers, _ = _euler_powers(model, n_sub)
-            noise_traces[route] = _trace_integral(model, dt, euler_powers)
-        else:
-            raise ValidationError(f"unknown trace route {route!r}")
-
-    horizon, n_x = model.horizon, model.n_x
-    powers = _powers(disc.a, min(horizon, _WALK_BLOCK))
-    means = np.empty((horizon + 1, n_x))
-    means[0] = model.x0_mean
-    for start in range(0, horizon, _WALK_BLOCK):
-        stop = min(start + _WALK_BLOCK, horizon)
-        means[start:stop + 1] = _mean_block(
-            powers[:stop - start + 1], disc, means[start], model.inputs[start:stop]
+    noise_traces = {
+        "ode": noise_rate_integral_ode(model, n_steps=quad_steps),
+        "em": _trace_integral(model, *_euler_powers(model, n_sub)[:2]),
+    }
+    n_x = model.n_x
+    powers = _powers(disc.a, min(model.horizon, _WALK_BLOCK))
+    stage_cost = cov_trace = 0.0
+    for start, stop, means, covs in _state_blocks(powers, model, disc, disc.r_ww):
+        xu = np.hstack([means[:-1], model.inputs[start:stop]])
+        stage_cost += (
+            0.5 * float(np.einsum("ki,ij,kj->", xu, disc.q, xu))
+            + float(np.einsum("ki,ki->", disc.q_k[start:stop], xu))
+            + float(disc.rho_k[start:stop].sum())
         )
-    covs = propagate_covariance(disc, model.x0_cov, horizon)[:horizon]
-    xu = np.hstack([means[:horizon], model.inputs])
-    stage_cost = (
-        0.5 * float(np.einsum("ki,ij,kj->", xu, disc.q, xu))
-        + float(np.einsum("ki,ki->", disc.q_k, xu))
-        + float(disc.rho_k.sum())
-    )
-    cov_trace = float(np.einsum("ij,kji->", disc.q[:n_x, :n_x], covs))
+        cov_trace += float(np.einsum("ij,kji->", disc.q[:n_x, :n_x], covs[:-1]))
     return {
-        route: stage_cost + 0.5 * (cov_trace + horizon * noise_trace)
+        route: stage_cost + 0.5 * (cov_trace + model.horizon * noise_trace)
         for route, noise_trace in noise_traces.items()
     }
 
@@ -813,7 +733,7 @@ def _em_form(ref: EmReformulation, chi: np.ndarray) -> np.ndarray:
 
 
 def _pathwise_cost(
-    model: ContinuousLqModel, n_sub: int, starts, noise
+    model: ContinuousLqModel, ops: EmIntervalOps, starts, noise
 ) -> tuple[np.ndarray, np.ndarray]:
     """Euler deviation pass of every interval: the noise-driven cost as
     ``(quad, lin)``, each summed over intervals (rows are replicates).
@@ -835,10 +755,10 @@ def _pathwise_cost(
     plus a row dot where the result is a quadratic.
     """
     n_x, n_w = model.n_x, model.n_w
-    dt, powers, held = _euler_powers(model, n_sub)
+    n_sub, dt, powers, held = ops.n_sub, ops.dt, ops.powers, ops.held
     chunk = min(_CHUNK, n_sub)
     advance = np.hstack(powers[1:chunk + 1].transpose(0, 2, 1))
-    f_t = (powers[:chunk] @ model.g_c).transpose(0, 2, 1)      # (E^j g_c)'
+    f_t = ops.f[:chunk].transpose(0, 2, 1)              # (E^j g_c)'
     zero = np.zeros((n_w, n_x))
     inject = np.block(
         [[f_t[t - l] if t >= l else zero for t in range(chunk)] for l in range(chunk)]
@@ -846,7 +766,7 @@ def _pathwise_cost(
     qc = model.q_c @ model.c_c
     kernel = model.c_c.T @ qc
     drift_map = np.vstack(kernel.T @ powers[1:])       # block i: K' E^i
-    m_blk = n_sub * n_w
+    m_blk = ops.block_dim
     reps = noise.shape[0]
     quad = np.zeros(reps)
     lin = np.zeros(reps)
@@ -905,7 +825,7 @@ def _simulate_block(args) -> dict:
         )
         x = x @ disc.a.T + model.inputs[k] @ disc.b.T + w_k @ ops.noise_map.T
 
-    quad, lin = _pathwise_cost(model, ops.n_sub, starts, noise)
+    quad, lin = _pathwise_cost(model, ops, starts, noise)
     values = {
         "continuous": det_vals + lin + quad,
         "discrete": det_vals + noise_vals + quad,
@@ -958,6 +878,8 @@ def monte_carlo(
         raise ValidationError(f"n_sims must be >= 1, got {n_sims}")
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
+    if n_bins < 1:
+        raise ValidationError(f"n_bins must be >= 1, got {n_bins}")
 
     analytic_mean, analytic_var = cost_moments(ref)
     spread = np.sqrt(max(analytic_var, 1e-12))

@@ -24,7 +24,7 @@ from lqdisc.oracle import oracle_cost
 from lqdisc.stochastic import (
     cost_moments,
     em_reformulate,
-    expected_cost,
+    expected_costs,
     monte_carlo,
 )
 
@@ -190,7 +190,7 @@ def test_05_stochastic_moments_and_monte_carlo():
         assert corr > 0.99, (pair, corr)
 
     # refinement bias shrinks as the noise grid gets finer
-    psi = expected_cost(model, trace_route="ode")
+    psi = expected_costs(model)["ode"]
     offset_coarse = abs(cost_moments(em_reformulate(model, 2 ** 6))[0] - psi)
     offset_fine = abs(summary.analytic_mean - psi)
     assert offset_fine < offset_coarse

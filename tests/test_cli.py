@@ -20,7 +20,7 @@ from lqdisc.model import (
     discrete_model_to_dict,
 )
 from lqdisc.ode_method import discretize_ode
-from lqdisc.stochastic import em_reformulate, expected_cost, monte_carlo
+from lqdisc.stochastic import em_reformulate, expected_costs, monte_carlo
 
 
 def benchmark_payload(horizon=1):
@@ -175,6 +175,13 @@ def test_dimension_cap_is_a_resource_error(bench_file, capsys):
     assert "--subdiv" in err and "--dim-cap" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_dimension_cap_below_one_is_an_argument_error(bench_file, capsys, cap):
+    assert main(["montecarlo", bench_file, "--sims", "1", "--dim-cap", cap]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"lqdisc: --dim-cap must be >= 1, got {cap}"], lines
+
+
 def test_overflowing_norm_is_a_numerical_error(tmp_path, capsys):
     payload = scalar_payload() | {
         "A_c": [[-1e308, 1e308], [1e308, -1e308]],
@@ -291,11 +298,9 @@ def _writer_payloads():
         "discretize_ode": discrete_model_to_dict(
             discretize_ode(model, "esdirk34", 16)
         ),
-        "expected-cost": {"expected_cost": {
-            route: expected_cost(model, trace_route=route,
-                                 quad_steps=16, n_sub=8)
-            for route in ("ode", "em")
-        }},
+        "expected-cost": {
+            "expected_cost": expected_costs(model, quad_steps=16, n_sub=8)
+        },
         "montecarlo": summary.to_dict(),
         "special": {
             "z": [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-310, 2.5e300],

@@ -35,13 +35,12 @@ PUBLIC = [
     "discretize_step_doubling",
     "em_interval_ops",
     "em_reformulate",
-    "expected_cost",
+    "expected_costs",
     "expm",
     "is_psd",
     "monte_carlo",
     "oracle_cost",
     "oracle_discretize",
-    "propagate_covariance",
     "solve_finite_horizon",
     "symmetrize",
     "tableau",
@@ -65,17 +64,22 @@ def _public_stochastic_functions():
     }
 
 
-def test_only_propagate_covariance_takes_a_discretization():
-    # every other entry point discretizes its model itself, so a model and a
+def test_no_public_stochastic_function_takes_a_discretization():
+    # every entry point discretizes its model itself, so a model and a
     # discretization of another model cannot meet
     functions = _public_stochastic_functions()
-    assert {"em_reformulate", "cost_moments_streaming", "expected_cost",
-            "expected_costs", "monte_carlo"} <= set(functions)
+    assert {"em_interval_ops", "em_reformulate", "cost_moments",
+            "cost_moments_streaming", "expected_costs", "monte_carlo"} <= set(functions)
     takes_disc = {
         name for name, fn in functions.items()
         if "disc" in inspect.signature(fn).parameters
     }
-    assert takes_disc == {"propagate_covariance"}
+    assert takes_disc == set()
+
+
+def test_expected_costs_takes_no_route_option():
+    params = list(inspect.signature(stochastic.expected_costs).parameters)
+    assert params == ["model", "quad_steps", "n_sub"]
 
 
 def test_monte_carlo_reads_its_model_from_the_reformulation():

@@ -19,16 +19,18 @@ from lqdisc.ode_method import weighted_conjugation
 from lqdisc.stochastic import (
     _WALK_BLOCK,
     _em_form,
+    _noise_quad,
     _pathwise_cost,
+    _powers,
+    _state_blocks,
+    _trace_integral,
     cost_moments,
     cost_moments_streaming,
     em_interval_ops,
     em_reformulate,
-    expected_cost,
     expected_costs,
     monte_carlo,
     noise_rate_integral_ode,
-    propagate_covariance,
 )
 
 from conftest import make_benchmark_model, random_stable_model
@@ -64,11 +66,13 @@ def _with_noise_input(rng, model, n_w):
 
 
 def _loop_interval_ops(model, n_sub):
-    """Reference definition of every EmIntervalOps field, one block at a time.
+    """Reference definition of every EmIntervalOps field, of the dense
+    ``noise_quad`` and of the noise trace integral, one block at a time.
 
     A direct transcription of the sums over pairs of sub-steps (double
     loop over block lags and columns), kept as the definition that the
-    prefix-sum construction in :func:`em_interval_ops` must reproduce.
+    prefix-sum constructions of :func:`em_interval_ops`, ``_noise_quad``
+    and ``_trace_integral`` must reproduce.
     """
     n_x, n_u, n_z, n_w = model.n_x, model.n_u, model.n_z, model.n_w
     dt = model.t_s / n_sub
@@ -118,10 +122,10 @@ def _loop_interval_ops(model, n_sub):
     per_node = np.einsum("kxw,xy,kyw->k", f, noise_w, f)
     trace_integral = dt * dt * float(((n_sub - np.arange(n_sub)) * per_node).sum())
     return {
-        "n_sub": n_sub,
         "dt": dt,
-        "coarse_a": powers[n_sub],
-        "coarse_b": held[n_sub],
+        "powers": powers,
+        "held": held,
+        "f": f,
         "noise_map": f[::-1].transpose(1, 0, 2).reshape(n_x, m_blk),
         "cross": cross,
         "noise_quad": noise_quad,
@@ -155,14 +159,22 @@ def test_interval_ops_match_the_loop_definition(name, n_sub):
     model = _interval_test_models()[name]
     if name == "n_w_above_n_x":
         assert model.n_w > model.n_x and np.abs(model.d_c).max() > 0.0
-    got = em_interval_ops(model, n_sub)
+    ops = em_interval_ops(model, n_sub)
     want = _loop_interval_ops(model, n_sub)
-    assert {f.name for f in dataclasses.fields(got)} == set(want)
-    assert got.n_sub == want["n_sub"] and got.dt == want["dt"]
+    want["coarse_a"], want["coarse_b"] = want["powers"][n_sub], want["held"][n_sub]
+    got = {f.name: getattr(ops, f.name) for f in dataclasses.fields(ops)} | {
+        "coarse_a": ops.powers[n_sub],
+        "coarse_b": ops.held[n_sub],
+        "noise_quad": _noise_quad(model, ops),
+        "trace_integral": _trace_integral(model, ops.dt, ops.powers),
+    }
+    assert set(got) == set(want)
+    assert ops.n_sub == n_sub and ops.dt == want["dt"]
+    assert ops.block_dim == n_sub * model.n_w
     for field_name, ref in want.items():
-        if field_name in ("n_sub", "dt"):
+        if field_name == "dt":
             continue
-        value = np.asarray(getattr(got, field_name))
+        value = np.asarray(got[field_name])
         ref = np.asarray(ref)
         assert value.shape == ref.shape, field_name
         err = np.abs(value - ref).max()
@@ -290,8 +302,23 @@ def test_streaming_handles_sizes_past_the_cap():
 
 
 # ---------------------------------------------------------------------------
-# covariance propagation and expected cost
+# state walk and expected cost
 # ---------------------------------------------------------------------------
+
+def _walk_states(model, disc, step_cov):
+    """Every state mean and covariance of :func:`_state_blocks`, steps
+    0 .. horizon, with the blocks checked to tile the horizon."""
+    powers = _powers(disc.a, min(model.horizon, _WALK_BLOCK))
+    blocks = list(_state_blocks(powers, model, disc, step_cov))
+    starts = [start for start, *_ in blocks]
+    assert starts == list(range(0, model.horizon, _WALK_BLOCK))
+    assert [stop for _, stop, *_ in blocks] == starts[1:] + [model.horizon]
+    for start, stop, means, covs in blocks:
+        assert len(means) == len(covs) == stop - start + 1
+    means = np.concatenate([m[:-1] for _, _, m, _ in blocks] + [blocks[-1][2][-1:]])
+    covs = np.concatenate([c[:-1] for *_, c in blocks] + [blocks[-1][3][-1:]])
+    return means, covs
+
 
 def test_propagate_covariance_scalar_recursion():
     disc = DiscreteLqModel(
@@ -299,20 +326,15 @@ def test_propagate_covariance_scalar_recursion():
         q=np.eye(2), m=np.zeros((2, 1)), r_ww=[[0.75]], t_s=1.0,
         q_k=np.zeros((1, 2)), rho_k=np.zeros(1),
     )
-    covs = propagate_covariance(disc, [[1.0]], 3)
+    model = dataclasses.replace(pure_noise_model(), inputs=np.zeros((3, 1)),
+                                targets=np.zeros((3, 1)), x0_cov=[[1.0]])
+    _, covs = _walk_states(model, disc, disc.r_ww)
     # P_{k+1} = P_k / 4 + 3/4 has fixed point 1
     assert covs.shape == (4, 1, 1)
     assert np.allclose(covs[:, 0, 0], 1.0, atol=1e-15)
-    ramp = propagate_covariance(disc, [[0.0]], 2)
+    _, ramp = _walk_states(dataclasses.replace(model, x0_cov=[[0.0]]), disc, disc.r_ww)
     assert ramp[1, 0, 0] == 0.75
     assert ramp[2, 0, 0] == 0.75 + 0.75 / 4.0
-
-
-def test_propagate_covariance_rejects_bad_shape():
-    model = make_benchmark_model()
-    disc = discretize_expm(model)
-    with pytest.raises(ValidationError, match="p0"):
-        propagate_covariance(disc, np.eye(3), 2)
 
 
 def test_expected_cost_zero_noise_reduces_to_deterministic():
@@ -325,26 +347,25 @@ def test_expected_cost_zero_noise_reduces_to_deterministic():
     )
     disc = discretize_expm(quiet)
     det = _deterministic_total(disc, quiet.x0_mean, quiet.inputs)
-    for route in ("ode", "em"):
-        val = expected_cost(quiet, trace_route=route)
+    values = expected_costs(quiet)
+    assert set(values) == {"ode", "em"}
+    for val in values.values():
         assert val == pytest.approx(det, rel=1e-10)
 
 
 def test_expected_cost_pure_noise_quarter():
     model = pure_noise_model()
-    assert expected_cost(model, trace_route="ode") == pytest.approx(
-        0.25, abs=1e-9
-    )
-    assert expected_cost(model, trace_route="em", n_sub=64) == (
+    assert expected_costs(model)["ode"] == pytest.approx(0.25, abs=1e-9)
+    assert expected_costs(model, n_sub=64)["em"] == (
         pytest.approx(0.25 * (1.0 + 1.0 / 64.0), abs=1e-12)
     )
 
 
 def test_expected_cost_routes_converge_to_each_other():
     model = make_benchmark_model(horizon=4)
-    ode_val = expected_cost(model, trace_route="ode")
+    ode_val = expected_costs(model)["ode"]
     gaps = [
-        abs(ode_val - expected_cost(model, trace_route="em", n_sub=n))
+        abs(ode_val - expected_costs(model, n_sub=n)["em"])
         for n in (64, 128, 256)
     ]
     for coarse, fine in zip(gaps, gaps[1:]):
@@ -357,7 +378,7 @@ def test_expected_cost_em_route_approaches_reformulation_mean():
     model = make_benchmark_model(horizon=4)
     gaps = []
     for n_sub in (32, 64, 128):
-        via_trace = expected_cost(model, trace_route="em", n_sub=n_sub)
+        via_trace = expected_costs(model, n_sub=n_sub)["em"]
         via_form, _ = cost_moments(em_reformulate(model, n_sub))
         gaps.append(abs(via_trace - via_form))
     for coarse, fine in zip(gaps, gaps[1:]):
@@ -366,23 +387,14 @@ def test_expected_cost_em_route_approaches_reformulation_mean():
 
 def test_expected_costs_walk_the_horizon_once_for_both_routes(monkeypatch):
     model = make_benchmark_model(horizon=6)
-    want = {
-        route: expected_cost(model, trace_route=route, quad_steps=32, n_sub=17)
-        for route in ("ode", "em")
-    }
+    want = expected_costs(model, quad_steps=32, n_sub=17)
     walks = []
-    walk = stochastic.propagate_covariance
+    walk = stochastic._state_blocks
     monkeypatch.setattr(
-        stochastic, "propagate_covariance", lambda *args: walks.append(1) or walk(*args)
+        stochastic, "_state_blocks", lambda *args: walks.append(1) or walk(*args)
     )
     assert expected_costs(model, quad_steps=32, n_sub=17) == want
     assert len(walks) == 1
-
-
-def test_expected_cost_rejects_unknown_route():
-    model = make_benchmark_model()
-    with pytest.raises(ValidationError, match="route"):
-        expected_cost(model, trace_route="exact")
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +472,8 @@ def test_monte_carlo_rejects_bad_arguments():
         monte_carlo(ref, 0, seed=0)
     with pytest.raises(ValidationError, match="workers"):
         monte_carlo(ref, 10, seed=0, workers=0)
+    with pytest.raises(ValidationError, match="n_bins must be >= 1, got 0"):
+        monte_carlo(ref, 10, seed=0, n_bins=0)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +545,7 @@ def test_pathwise_stream_matches_the_sub_step_loop(name, n_sub):
         targets=rng.normal(size=(3, model.n_z)),
     )
     starts, noise = _starts_and_noise(rng, model, n_sub)
-    got = sum(_pathwise_cost(model, n_sub, starts, noise))
+    got = sum(_pathwise_cost(model, em_interval_ops(model, n_sub), starts, noise))
     want = _loop_pathwise_cost(model, n_sub, starts, noise)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -559,24 +573,28 @@ def test_pathwise_quadratic_is_the_noise_quad_form(name, n_sub):
         inputs=rng.normal(size=(3, model.n_u)),
         targets=rng.normal(size=(3, model.n_z)),
     )
-    noise_quad = em_interval_ops(model, n_sub).noise_quad
+    ops = em_interval_ops(model, n_sub)
+    noise_quad = _noise_quad(model, ops)
     starts, noise = _starts_and_noise(rng, model, n_sub)
     m_blk = n_sub * model.n_w
     for k, x in enumerate(starts):
         w = noise[:, k * m_blk:(k + 1) * m_blk]
-        quad, _ = _pathwise_cost(model, n_sub, [x], w)
+        quad, _ = _pathwise_cost(model, ops, [x], w)
         want = 0.5 * np.einsum("ri,ri->r", w @ noise_quad, w)
         assert np.abs(quad - want).max() <= 1e-12 * np.abs(want).max(), k
 
 
-def test_monte_carlo_streams_read_no_noise_quad():
+def _refuse_noise_quad(*args, **kwargs):
+    raise AssertionError("the dense noise_quad block was formed")
+
+
+def test_monte_carlo_streams_read_no_noise_quad(monkeypatch):
+    # only em_reformulate forms the block; the streams read it through q_big
     model = make_benchmark_model(horizon=3)
     ref = em_reformulate(model, 16)
-    blind = dataclasses.replace(ref, ops=dataclasses.replace(
-        ref.ops, noise_quad=np.full_like(ref.ops.noise_quad, np.nan)
-    ))
     want = monte_carlo(ref, 3000, seed=13).to_dict()
-    assert monte_carlo(blind, 3000, seed=13).to_dict() == want
+    monkeypatch.setattr(stochastic, "_noise_quad", _refuse_noise_quad)
+    assert monte_carlo(ref, 3000, seed=13).to_dict() == want
 
 
 def test_monte_carlo_stream_means_agree_at_benchmark_size():
@@ -623,7 +641,7 @@ def _loop_streaming_moments(model, n_sub, disc):
     n_x = model.n_x
     dt = ops.dt
     a, b = disc.a, disc.b
-    quad, cross, noise_quad = disc.q, ops.cross, ops.noise_quad
+    quad, cross, noise_quad = disc.q, ops.cross, _noise_quad(model, ops)
     noise_map, noise_lin = ops.noise_map, ops.noise_lin
     q_xx = quad[:n_x, :n_x]
 
@@ -800,18 +818,29 @@ def test_streaming_moments_match_the_step_loop(name):
 def test_expected_cost_matches_the_step_loop(name):
     model = _WALK_MODELS[name]()
     disc = discretize_expm(model)
-    noise_trace = em_interval_ops(model, 16).trace_integral
-    got = expected_cost(model, trace_route="em", n_sub=16)
-    _assert_close(got, _loop_expected_cost(model, disc, noise_trace))
+    got = expected_costs(model, quad_steps=64, n_sub=16)
+    noise_traces = {
+        "ode": noise_rate_integral_ode(model, n_steps=64),
+        "em": _loop_interval_ops(model, 16)["trace_integral"],
+    }
+    assert set(got) == set(noise_traces)
+    for route, noise_trace in noise_traces.items():
+        _assert_close(got[route], _loop_expected_cost(model, disc, noise_trace))
 
 
-@pytest.mark.parametrize("n_steps", [0] + _WALK_HORIZONS)
+@pytest.mark.parametrize("n_steps", _WALK_HORIZONS)
 @pytest.mark.parametrize("name", ["benchmark-H1", "random-H3-nx3-nw1"])
 def test_propagate_covariance_matches_the_step_loop(name, n_steps):
-    model = _WALK_MODELS[name]()
+    # the system of ``name`` walked over ``n_steps`` steps by _state_blocks
+    build = _WALK_MODELS[name]
+    model = build.func(n_steps, *build.args[1:])
     disc = discretize_expm(model)
-    got = propagate_covariance(disc, model.x0_cov, n_steps)
-    _assert_close(got, _loop_propagate_covariance(disc, model.x0_cov, n_steps))
+    means, covs = _walk_states(model, disc, disc.r_ww)
+    want_means = [np.asarray(model.x0_mean, dtype=float)]
+    for u in model.inputs:
+        want_means.append(disc.a @ want_means[-1] + disc.b @ u)
+    _assert_close(means, want_means)
+    _assert_close(covs, _loop_propagate_covariance(disc, model.x0_cov, model.horizon))
 
 
 @pytest.mark.parametrize("n_steps", _WALK_HORIZONS)
@@ -849,27 +878,17 @@ def test_noise_rate_integral_memory_does_not_grow_with_n_steps():
     assert peaks[1] < 2 * peaks[0], peaks
 
 
-def test_propagate_covariance_step_counts():
-    model = make_benchmark_model()
-    disc = discretize_expm(model)
-    with pytest.raises(ValidationError, match="n_steps"):
-        propagate_covariance(disc, model.x0_cov, -1)
-    only = propagate_covariance(disc, model.x0_cov, 0)
-    assert only.shape == (1, 2, 2)
-    assert np.array_equal(only[0], model.x0_cov)
-
-
 def test_expected_cost_em_route_builds_no_interval_ops(monkeypatch):
     model = make_benchmark_model(horizon=4)
     disc = discretize_expm(model)
-    want = expected_cost(model, trace_route="em", n_sub=64)
-    noise_trace = em_interval_ops(model, 64).trace_integral
+    want = expected_costs(model, n_sub=64)["em"]
+    noise_trace = _loop_interval_ops(model, 64)["trace_integral"]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the em route materialized the interval ops")
 
     monkeypatch.setattr(stochastic, "em_interval_ops", refuse)
-    assert expected_cost(model, trace_route="em", n_sub=64) == want
+    assert expected_costs(model, n_sub=64)["em"] == want
     _assert_close(want, _loop_expected_cost(model, disc, noise_trace))
 
 
@@ -907,11 +926,10 @@ def test_euler_powers_match_the_step_recursion(name, n_sub):
 def test_noise_quad_summaries_match_the_dense_matrix(name, n_sub):
     model = _interval_test_models()[name]
     ops = em_interval_ops(model, n_sub)
-    noise_quad, noise_map = ops.noise_quad, ops.noise_map
-    trace, frob_sq, map_quad = stochastic._noise_quad_summaries(
-        model, stochastic._em_core(model, n_sub)
-    )
-    _assert_close(trace, np.trace(noise_quad))
+    noise_quad, noise_map = _noise_quad(model, ops), ops.noise_map
+    frob_sq, map_quad = stochastic._noise_quad_summaries(model, ops)
+    trace = _trace_integral(model, ops.dt, ops.powers)
+    _assert_close(trace, ops.dt * np.trace(noise_quad))
     _assert_close(frob_sq, np.einsum("ij,ij->", noise_quad, noise_quad))
     _assert_close(map_quad, noise_map @ noise_quad @ noise_map.T)
 
@@ -920,15 +938,15 @@ def _gram_noise_quad(model, n_sub):
     """Reference ``noise_quad``: suffix sums along the block diagonals of
     the full Gram matrix ``noise_map' W noise_map``, one row-block slice
     add per sub-step, then symmetrized."""
-    core = stochastic._em_core(model, n_sub)
-    n_w, noise_map = model.n_w, core.noise_map
+    ops = em_interval_ops(model, n_sub)
+    n_w, noise_map = model.n_w, ops.noise_map
     noise_w = model.c_c.T @ model.q_c @ model.c_c
     m_blk = n_sub * n_w
     gram = (noise_map.T @ (noise_w @ noise_map)).reshape(n_sub, n_w, n_sub, n_w)
     for p in range(n_sub - 2, -1, -1):
         gram[p, :, :-1] += gram[p + 1, :, 1:]
     gram = gram.reshape(m_blk, m_blk)
-    return 0.5 * core.dt * (gram + gram.T)
+    return 0.5 * ops.dt * (gram + gram.T)
 
 
 @pytest.mark.parametrize("n_sub", [1, 17, 256])
@@ -936,21 +954,17 @@ def _gram_noise_quad(model, n_sub):
 def test_noise_quad_matches_the_gram_construction(system, n_sub):
     with open(BENCH_DATA / f"{system}.json", encoding="utf-8") as fh:
         model = continuous_model_from_dict(json.load(fh))
-    got = em_interval_ops(model, n_sub).noise_quad
+    got = _noise_quad(model, em_interval_ops(model, n_sub))
     want = _gram_noise_quad(model, n_sub)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     assert np.array_equal(got, got.T)
 
 
-def test_streaming_moments_build_no_interval_ops(monkeypatch):
+def test_streaming_moments_form_no_noise_quad(monkeypatch):
     model = make_benchmark_model(horizon=4)
     want = cost_moments_streaming(model, 64)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the streaming moments materialized the interval ops")
-
-    monkeypatch.setattr(stochastic, "em_interval_ops", refuse)
+    monkeypatch.setattr(stochastic, "_noise_quad", _refuse_noise_quad)
     assert cost_moments_streaming(model, 64) == want
 
 
@@ -972,10 +986,7 @@ def test_euler_maruyama_paths_refuse_n_sub_below_one(n_sub):
         "em_interval_ops": lambda: em_interval_ops(model, n_sub),
         "em_reformulate": lambda: em_reformulate(model, n_sub),
         "streaming": lambda: cost_moments_streaming(model, n_sub),
-        "expected_cost": lambda: expected_cost(model, trace_route="em", n_sub=n_sub),
-        "pathwise": lambda: _pathwise_cost(
-            model, n_sub, [model.x0_mean], np.zeros((1, 0))
-        ),
+        "expected_costs": lambda: expected_costs(model, n_sub=n_sub),
     }
     for name, call in calls.items():
         with pytest.raises(ValidationError, match="n_sub") as info:
