@@ -2,7 +2,9 @@
 
 Subcommands: ``discretize``, ``benchmark``, ``montecarlo``,
 ``expected-cost``, ``solve``.  Models are JSON files; results go to
-stdout or ``-o``.  Exit codes: 0 success, 2 bad usage/arguments
+stdout or ``-o``.  ``expected-cost`` prints both noise-integral routes:
+``ode``, exact, and ``em``, the Euler-Maruyama sum at ``--subdiv``
+sub-steps.  Exit codes: 0 success, 2 bad usage/arguments
 (including an unreadable model file or an unwritable output path),
 3 invalid model data, 4 numerical failure (divergence, singular stage,
 non-convex stage, overflowing norm), 5 resource cap exceeded.
@@ -168,8 +170,10 @@ def _cmd_discretize(args) -> int:
     _emit(_json_text(discrete_model_to_dict(disc)), args.output)
     if args.output is not None:
         n_x, n_u = disc.b.shape
+        # the closed form takes no step count
+        steps_note = "" if args.method == "expm" else f" N={steps}"
         print(
-            f"wrote {args.output}: method={args.method} N={steps} "
+            f"wrote {args.output}: method={args.method}{steps_note} "
             f"n_x={n_x} n_u={n_u} T_s={disc.t_s}"
         )
     return 0
@@ -199,7 +203,6 @@ def _cmd_benchmark(args) -> int:
                 f"unknown scheme {s!r}; choose from " + ", ".join(sorted(SCHEMES))
             )
     _require_at_least(args.max_exp, 0, "--max-exp")
-    steps = [2 ** j for j in range(args.max_exp + 1)]
     reps = args.reps
     _require_at_least(reps, 1, "--reps")
 
@@ -224,8 +227,8 @@ def _cmd_benchmark(args) -> int:
     writer.writerow(["expm", "expm", 1] + error_row(truth) + [repr(expm_t)])
 
     for scheme in schemes:
-        for n in steps:
-            doublings = _doublings_for(n)
+        for doublings in range(args.max_exp + 1):
+            n = 2 ** doublings
             ode_disc = discretize_ode(model, scheme=scheme, n_steps=n)
             ode_t = _median_seconds(
                 lambda: discretize_ode(model, scheme=scheme, n_steps=n), reps
@@ -289,10 +292,9 @@ def _cmd_montecarlo(args) -> int:
 
 
 def _cmd_expected_cost(args) -> int:
-    _require_at_least(args.quad_steps, 1, "--quad-steps")
     _require_at_least(args.subdiv, 1, "--subdiv")
     model = _load_model(args.model)
-    values = expected_costs(model, quad_steps=args.quad_steps, n_sub=args.subdiv)
+    values = expected_costs(model, n_sub=args.subdiv)
     _emit(_json_text({"expected_cost": values}), args.output)
     return 0
 
@@ -385,7 +387,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="closed-form expected total cost (both noise-"
                        "integral routes)")
     p.add_argument("model")
-    p.add_argument("--quad-steps", type=int, default=256, dest="quad_steps")
     p.add_argument("--subdiv", type=int, default=256)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_expected_cost)

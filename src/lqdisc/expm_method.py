@@ -22,6 +22,11 @@ and their blocks multiplied back (:func:`_kernel_scale`), so their size
 sets no squarings.  This route involves no step-size choice and serves as
 the reference the iterative methods are judged against.
 
+:func:`noise_trace_integral` takes the expected within-interval noise cost
+the same way: one ``3 n_x`` block exponential at ``tau`` and ``s`` exact
+doublings.  It stays out of the interval maps, which every discretization
+composes, because only the expected cost reads it.
+
 Two different block matrices appear that the source notation would both
 call by one letter: the *output* map ``h_out = [c_c d_c]`` and the
 *extended drift* ``h_ext = [[a_c, b_c], [0, 0]]``.  They are kept
@@ -36,7 +41,7 @@ from .intervals import IntervalMaps, compose, to_discrete
 from .linalg import expm, norm1, pade_squarings
 from .model import ContinuousLqModel, DiscreteLqModel
 
-__all__ = ["discretize_expm"]
+__all__ = ["discretize_expm", "noise_trace_integral"]
 
 
 def _kernel_scale(diagonal: np.ndarray, kernel: np.ndarray) -> float:
@@ -116,3 +121,43 @@ def discretize_expm(model: ContinuousLqModel) -> DiscreteLqModel:
         for _ in range(halvings):
             maps = compose(maps, maps)
     return to_discrete(model, maps, "closed form")
+
+
+def noise_trace_integral(model: ContinuousLqModel) -> float:
+    """The within-interval noise cost ``J = int_0^t_s tr(W Sigma(t)) dt``,
+    exactly, with ``W = c_c' q_c c_c`` and ``Sigma(t)`` the covariance
+    that the noise builds up from a zero start.
+
+    ``J = tr(g_c g_c' K)`` with ``K = int_0^t_s Q(t) dt`` and ``Q(t) =
+    int_0^t exp(a_c' s) W exp(a_c s) ds``.  At ``tau = t_s / 2**s`` the
+    exponential ``E`` of ``[[-a_c', I, 0], [0, -a_c', W], [0, 0, a_c]]``
+    gives ``Q = E_33' E_23`` and ``K = E_33' E_13`` (Van Loan 1978,
+    Theorem 1); ``s`` exact doublings then reach ``t_s``:
+
+        K(2 tau) = K + tau Q + A' K A,   Q(2 tau) = Q + A' Q A,
+
+    with ``A = exp(a_c tau)``.  ``s`` and the kernel scale are those of
+    :func:`discretize_expm`, for the same reasons.
+    """
+    n_x = model.n_x
+    halvings = pade_squarings(norm1(model.a_c) * model.t_s, "a_c * t_s")
+    tau = model.t_s / 2.0 ** halvings
+    noise_w = model.c_c.T @ model.q_c @ model.c_c
+
+    block = np.zeros((3 * n_x, 3 * n_x))
+    block[:n_x, :n_x] = block[n_x:2 * n_x, n_x:2 * n_x] = -model.a_c.T
+    block[:n_x, n_x:2 * n_x] = np.eye(n_x)
+    block[2 * n_x:, 2 * n_x:] = model.a_c
+    scale = _kernel_scale(block, noise_w)
+    block[n_x:2 * n_x, 2 * n_x:] = noise_w / scale
+    phi = expm(block * tau)
+
+    trans = phi[2 * n_x:, 2 * n_x:]
+    quad = scale * (trans.T @ phi[n_x:2 * n_x, 2 * n_x:])
+    integral = scale * (trans.T @ phi[:n_x, 2 * n_x:])
+    for _ in range(halvings):
+        integral = integral + tau * quad + trans.T @ integral @ trans
+        quad = quad + trans.T @ quad @ trans
+        trans = trans @ trans
+        tau *= 2.0
+    return float(np.einsum("ij,ji->", model.g_c @ model.g_c.T, integral))

@@ -406,7 +406,7 @@ def continuous_model_from_dict(payload: dict) -> ContinuousLqModel:
         )
 
     n = payload["N"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValidationError(f"N must be a positive integer, got {n!r}")
     a_c = _array(payload["A_c"], "A_c", 2)
     b_c = _array(payload["B_c"], "B_c", 2)

@@ -11,12 +11,11 @@ without ever holding the big matrix; Monte Carlo evaluates three
 independent regroupings of the same sampled cost and cross-checks them.
 
 The horizon walks (the state mean and covariance of the streaming moments
-and the expected cost, the ODE noise quadrature) are linear recursions
-with a constant transition.  They run in blocks of at most ``_WALK_BLOCK`` steps:
-the powers of the transition and their Gramian partial sums are stacked
-once, and each block is a fixed number of batched numpy products, so no
-step costs a Python iteration and the working memory does not grow with
-the horizon.
+and the expected cost) are linear recursions with a constant transition.
+They run in blocks of at most ``_WALK_BLOCK`` steps: the powers of the
+transition and their Gramian partial sums are stacked once, and each block
+is a fixed number of batched numpy products, so no step costs a Python
+iteration and the working memory does not grow with the horizon.
 """
 
 from __future__ import annotations
@@ -28,11 +27,9 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ResourceLimitError, ValidationError
-from .expm_method import discretize_expm
+from .expm_method import discretize_expm, noise_trace_integral
 from .linalg import symmetrize
 from .model import ContinuousLqModel, DiscreteLqModel
-from .butcher import precompute
-from .ode_method import weighted_conjugation
 from .sampling import normal_block
 
 __all__ = [
@@ -606,66 +603,21 @@ def cost_moments_streaming(model: ContinuousLqModel, n_sub: int) -> tuple[float,
 # expected cost
 # ---------------------------------------------------------------------------
 
-def noise_rate_integral_ode(
-    model: ContinuousLqModel, scheme: str = "classic_rk4", n_steps: int = 256
-) -> float:
-    """Integral of tr(noise_weight * noise covariance) over one interval.
-
-    Quadrature rides the same per-step coefficients as the fixed-step
-    discretizer: the scalar accumulator uses the scheme's own stage
-    weights against the running covariance accumulator.  Step ``i`` sees
-    the transition ``lam^i``; the steps run in blocks of at most
-    ``_WALK_BLOCK`` with ``lam^0 .. lam^B`` stacked once, so the memory
-    does not grow with ``n_steps``.
-    """
-    coeffs = precompute(model, scheme, n_steps)
-    tab = coeffs.scheme
-    noise_w = model.c_c.T @ model.q_c @ model.c_c
-    # per-stage trace kernels: sum_j (sum_i b_i a_ij) lam_j' W lam_j
-    beta = tab.b @ tab.a
-    stage_kernel = sum(
-        beta[j] * (coeffs.lam_stages[j].T @ noise_w @ coeffs.lam_stages[j])
-        for j in range(tab.stages)
-    )
-    h = coeffs.h
-    # the stage maps commute with the transition, so step i's covariance
-    # increment is lam^i r_tilde lam^i' and its stage increment
-    # lam^i r_bar lam^i'
-    r_tilde = weighted_conjugation(coeffs, coeffs.r_bar)
-    powers = _powers(coeffs.lam, min(n_steps, _WALK_BLOCK))
-    trans = np.eye(model.n_x)                    # lam^start
-    cov = np.zeros((model.n_x, model.n_x))       # covariance at step start
-    total = 0.0
-    for start in range(0, n_steps, _WALK_BLOCK):
-        n = min(_WALK_BLOCK, n_steps - start)
-        steps = powers[:n + 1] @ trans
-        covs = cov + _gramians(steps, r_tilde)
-        inc = steps[:n] @ coeffs.r_bar @ steps[:n].transpose(0, 2, 1)
-        total += h * (
-            float(np.einsum("ij,kji->", noise_w, covs[:n]))
-            + float(np.einsum("ij,kji->", stage_kernel, inc))
-        )
-        trans, cov = steps[n], covs[n]
-    return total
-
-
-def expected_costs(
-    model: ContinuousLqModel, quad_steps: int = 256, n_sub: int = 256
-) -> dict:
+def expected_costs(model: ContinuousLqModel, n_sub: int = 256) -> dict:
     """Expected total cost by noise-trace route: ``{"ode": ..., "em": ...}``.
 
     Each stage contributes its cost at the mean trajectory, a trace
     correction for the state covariance, and the within-interval noise
-    trace integral (route ``"ode"``: scheme-weight quadrature of
-    :func:`noise_rate_integral_ode` at ``quad_steps``; route ``"em"``: the
-    Euler-Maruyama refinement sum at ``n_sub``).  Only that integral
-    depends on the route, so the horizon is walked once for both, from
+    trace integral (route ``"ode"``: the covariance-integral ODE solved
+    exactly by :func:`~lqdisc.expm_method.noise_trace_integral`; route
+    ``"em"``: the Euler-Maruyama refinement sum at ``n_sub``).  Only that
+    integral depends on the route, so the horizon is walked once for both, from
     ``model.x0_mean`` and ``model.x0_cov`` in the blocks of
     :func:`_state_blocks`, and the stage costs are batched products.
     """
     disc = discretize_expm(model)
     noise_traces = {
-        "ode": noise_rate_integral_ode(model, n_steps=quad_steps),
+        "ode": noise_trace_integral(model),
         "em": _trace_integral(model, *_euler_powers(model, n_sub)[:2]),
     }
     n_x = model.n_x

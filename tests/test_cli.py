@@ -114,7 +114,9 @@ def test_invalid_model_data_is_a_model_error(tmp_path, capsys):
     ("B_c", [[{}, 0.5], [1.0, 3.0]]),
     ("T_s", None),
     ("T_s", [1.0]),
-], ids=["ragged-A_c", "ragged-u", "string", "object", "T_s-null", "T_s-list"])
+    ("N", True),                                    # bool is an int subclass
+], ids=["ragged-A_c", "ragged-u", "string", "object", "T_s-null", "T_s-list",
+        "N-true"])
 def test_malformed_numbers_are_one_model_error_line(tmp_path, capsys, key, value):
     payload = benchmark_payload(horizon=2) | {"zbar": [3.0, 0.0, 0.0], key: value}
     assert main(["discretize", write_model(tmp_path, payload)]) == 3
@@ -126,7 +128,7 @@ def test_malformed_numbers_are_one_model_error_line(tmp_path, capsys, key, value
 @pytest.mark.parametrize("args", [
     ["discretize"],
     ["solve"],
-    ["expected-cost", "--quad-steps", "4", "--subdiv", "4"],
+    ["expected-cost", "--subdiv", "4"],
     ["montecarlo", "--sims", "8", "--subdiv", "4"],
     ["benchmark", "--schemes", "classic_rk4", "--max-exp", "0", "--reps", "1"],
 ], ids=lambda args: args[0])
@@ -299,7 +301,7 @@ def _writer_payloads():
             discretize_ode(model, "esdirk34", 16)
         ),
         "expected-cost": {
-            "expected_cost": expected_costs(model, quad_steps=16, n_sub=8)
+            "expected_cost": expected_costs(model, n_sub=8)
         },
         "montecarlo": summary.to_dict(),
         "special": {
@@ -344,12 +346,29 @@ def test_discretize_file_round_trips_bitwise(tmp_path, capsys):
     out_path = tmp_path / "disc.json"
     assert main(["discretize", model_path, "-o", str(out_path)]) == 0
     status = capsys.readouterr().out
-    assert str(out_path) in status and "N=" in status
+    assert str(out_path) in status and "method=expm" in status
 
     text = out_path.read_text()
     payload = json.loads(text)
     rebuilt = discrete_model_to_dict(discrete_model_from_dict(payload))
     assert json.dumps(rebuilt, indent=2, sort_keys=True) == text.rstrip("\n")
+
+
+@pytest.mark.parametrize("method, steps_note", [
+    ("expm", None), ("ode:classic_rk4", "N=8"), ("sqr:classic_rk4", "N=8"),
+])
+def test_discretize_status_line_names_a_step_count_only_for_step_methods(
+        tmp_path, capsys, method, steps_note):
+    model_path = write_model(tmp_path, scalar_payload())
+    out_path = tmp_path / "disc.json"
+    assert main(["discretize", model_path, "--method", method, "--steps", "8",
+                 "-o", str(out_path)]) == 0
+    status = capsys.readouterr().out
+    assert f"method={method} " in status
+    if steps_note is None:
+        assert "N=" not in status       # the closed form takes no step count
+    else:
+        assert f" {steps_note} " in status
 
 
 def test_discretize_doubling_flag_matches_power_of_two_steps(tmp_path, capsys):
@@ -514,6 +533,12 @@ def test_expected_cost_prints_both_routes(tmp_path, capsys):
     # no noise: both routes are the deterministic ramp cost 1/6
     assert routes["ode"] == pytest.approx(1.0 / 6.0, abs=1e-12)
     assert routes["em"] == pytest.approx(1.0 / 6.0, abs=1e-12)
+
+
+def test_expected_cost_has_no_quadrature_step_option(tmp_path, capsys):
+    path = write_model(tmp_path, scalar_payload())
+    assert main(["expected-cost", path, "--quad-steps", "4"]) == 2
+    assert "--quad-steps" in capsys.readouterr().err
 
 
 def test_solve_status_line_prints_a_plain_number(tmp_path, capsys):

@@ -11,9 +11,9 @@ from lqdisc import (
     discretize_expm,
     discretize_ode,
 )
-from lqdisc.expm_method import expm_seed
+from lqdisc.expm_method import expm_seed, noise_trace_integral
 from lqdisc.linalg import expm, is_psd, norm1, pade_squarings
-from tests.conftest import random_stable_model
+from tests.conftest import make_benchmark_model, random_stable_model
 
 BENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
@@ -65,6 +65,12 @@ BENCHMARK_EXACT = {
         [4.3175531958496525252e-2, 8.9520998464443833274e-2],
     ],
 }
+
+
+# The benchmark model's within-interval noise cost int_0^1 tr(W Sigma(t)) dt,
+# from the drift's eigendecomposition at 50 mpmath digits (an mpmath
+# quadrature at 40 digits agrees to 30).
+BENCHMARK_NOISE_TRACE = 0.11653953389070025316067
 
 
 def test_benchmark_against_high_precision_reference(benchmark_model):
@@ -172,3 +178,26 @@ def test_pure_noise_scalar():
     )
     disc = discretize_expm(model)
     assert abs(disc.r_ww[0, 0] - 1.0) < 1e-14
+
+
+def test_noise_trace_integral_against_high_precision_reference(benchmark_model):
+    got = noise_trace_integral(benchmark_model)
+    assert abs(got - BENCHMARK_NOISE_TRACE) <= 1e-14 * BENCHMARK_NOISE_TRACE
+
+
+def test_noise_trace_integral_closed_forms(scalar_integrator):
+    # Brownian motion with cost x^2: E x(t)^2 = t, so J = int_0^1 t dt
+    brownian = dataclasses.replace(scalar_integrator, g_c=np.array([[1.0]]))
+    assert noise_trace_integral(brownian) == 0.5
+    # no noise input at all (n_w = 0)
+    quiet = dataclasses.replace(make_benchmark_model(), g_c=np.zeros((2, 0)))
+    assert noise_trace_integral(quiet) == 0.0
+
+
+@pytest.mark.parametrize("system", ["stiff", "wide10", "wide40"])
+def test_noise_trace_integral_does_not_depend_on_the_units_of_q_c(system):
+    with open(BENCH_DATA / f"{system}.json", encoding="utf-8") as fh:
+        model = continuous_model_from_dict(json.load(fh))
+    base = noise_trace_integral(model)
+    scaled = noise_trace_integral(dataclasses.replace(model, q_c=1e8 * model.q_c))
+    assert abs(scaled / 1e8 - base) <= 1e-13 * abs(base)

@@ -79,7 +79,7 @@ def test_no_public_stochastic_function_takes_a_discretization():
 
 def test_expected_costs_takes_no_route_option():
     params = list(inspect.signature(stochastic.expected_costs).parameters)
-    assert params == ["model", "quad_steps", "n_sub"]
+    assert params == ["model", "n_sub"]
 
 
 def test_monte_carlo_reads_its_model_from_the_reformulation():

@@ -12,7 +12,7 @@ import pytest
 from lqdisc import stochastic
 from lqdisc.butcher import precompute
 from lqdisc.errors import ResourceLimitError, ValidationError
-from lqdisc.expm_method import discretize_expm
+from lqdisc.expm_method import discretize_expm, noise_trace_integral
 from lqdisc.linalg import symmetrize
 from lqdisc.model import ContinuousLqModel, DiscreteLqModel, continuous_model_from_dict
 from lqdisc.ode_method import weighted_conjugation
@@ -30,7 +30,6 @@ from lqdisc.stochastic import (
     em_reformulate,
     expected_costs,
     monte_carlo,
-    noise_rate_integral_ode,
 )
 
 from conftest import make_benchmark_model, random_stable_model
@@ -355,7 +354,7 @@ def test_expected_cost_zero_noise_reduces_to_deterministic():
 
 def test_expected_cost_pure_noise_quarter():
     model = pure_noise_model()
-    assert expected_costs(model)["ode"] == pytest.approx(0.25, abs=1e-9)
+    assert expected_costs(model)["ode"] == 0.25     # the noise integral is exact
     assert expected_costs(model, n_sub=64)["em"] == (
         pytest.approx(0.25 * (1.0 + 1.0 / 64.0), abs=1e-12)
     )
@@ -387,13 +386,13 @@ def test_expected_cost_em_route_approaches_reformulation_mean():
 
 def test_expected_costs_walk_the_horizon_once_for_both_routes(monkeypatch):
     model = make_benchmark_model(horizon=6)
-    want = expected_costs(model, quad_steps=32, n_sub=17)
+    want = expected_costs(model, n_sub=17)
     walks = []
     walk = stochastic._state_blocks
     monkeypatch.setattr(
         stochastic, "_state_blocks", lambda *args: walks.append(1) or walk(*args)
     )
-    assert expected_costs(model, quad_steps=32, n_sub=17) == want
+    assert expected_costs(model, n_sub=17) == want
     assert len(walks) == 1
 
 
@@ -727,7 +726,8 @@ def _loop_propagate_covariance(disc, p0, n_steps):
 
 
 def _loop_noise_rate_integral(model, scheme="classic_rk4", n_steps=256):
-    """Reference for the scheme-weight noise quadrature, one step at a time."""
+    """The scheme-weight noise quadrature, one step at a time: the fixed-step
+    solution of the covariance-integral ODE that the exact integral replaced."""
     coeffs = precompute(model, scheme, n_steps)
     tab = coeffs.scheme
     noise_w = model.c_c.T @ model.q_c @ model.c_c
@@ -818,9 +818,9 @@ def test_streaming_moments_match_the_step_loop(name):
 def test_expected_cost_matches_the_step_loop(name):
     model = _WALK_MODELS[name]()
     disc = discretize_expm(model)
-    got = expected_costs(model, quad_steps=64, n_sub=16)
+    got = expected_costs(model, n_sub=16)
     noise_traces = {
-        "ode": noise_rate_integral_ode(model, n_steps=64),
+        "ode": noise_trace_integral(model),
         "em": _loop_interval_ops(model, 16)["trace_integral"],
     }
     assert set(got) == set(noise_traces)
@@ -843,13 +843,19 @@ def test_propagate_covariance_matches_the_step_loop(name, n_steps):
     _assert_close(covs, _loop_propagate_covariance(disc, model.x0_cov, model.horizon))
 
 
-@pytest.mark.parametrize("n_steps", _WALK_HORIZONS)
-@pytest.mark.parametrize("scheme", ["classic_rk4", "esdirk34"])
-@pytest.mark.parametrize("name", ["benchmark-H1", "random-H3-nx3-nw1"])
-def test_noise_rate_integral_matches_the_step_loop(name, scheme, n_steps):
-    model = _WALK_MODELS[name]()
-    got = noise_rate_integral_ode(model, scheme, n_steps)
-    _assert_close(got, _loop_noise_rate_integral(model, scheme, n_steps))
+@pytest.mark.parametrize("scheme, steps, ratios", [
+    ("classic_rk4", (128, 256, 512), (14.0, 18.0)),             # order 4
+    ("implicit_trapezoidal", (32, 64, 128), (3.8, 4.2)),        # order 2
+])
+def test_step_loop_noise_quadrature_converges_to_the_exact_integral(scheme, steps, ratios):
+    # the fixed-step quadrature's gap to the exact value falls at the
+    # scheme's order per step doubling, so the exact value is its limit
+    model = make_benchmark_model()
+    exact = noise_trace_integral(model)
+    gaps = [abs(_loop_noise_rate_integral(model, scheme, n) - exact) for n in steps]
+    low, high = ratios
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert low <= coarse / fine <= high, gaps
 
 
 def _traced_peak(call) -> int:
@@ -866,15 +872,6 @@ def test_streaming_memory_does_not_grow_with_the_horizon():
     for horizon in (_WALK_BLOCK, 8 * _WALK_BLOCK):
         model = make_benchmark_model(horizon=horizon)
         peaks.append(_traced_peak(lambda: cost_moments_streaming(model, 8)))
-    assert peaks[1] < 2 * peaks[0], peaks
-
-
-def test_noise_rate_integral_memory_does_not_grow_with_n_steps():
-    model = make_benchmark_model()
-    peaks = [
-        _traced_peak(lambda n=n: noise_rate_integral_ode(model, n_steps=n))
-        for n in (_WALK_BLOCK, 8 * _WALK_BLOCK)
-    ]
     assert peaks[1] < 2 * peaks[0], peaks
 
 
