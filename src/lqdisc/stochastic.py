@@ -46,6 +46,8 @@ __all__ = [
 DEFAULT_DIM_CAP = 4096
 _BLOCK = 2048          # Monte Carlo replicates per work unit (fixed)
 _CHUNK = 8             # Euler sub-steps per product in the pathwise stream
+_ROWS = 512            # replicates per row chunk of the em_form stream
+_TILE = 128            # tile edge of the in-place q_big symmetrization
 _WALK_BLOCK = 256      # steps per block of a horizon walk (bounds its memory)
 STREAMS = ("continuous", "discrete", "em_form")
 _PAIRS = (("continuous", "discrete"), ("continuous", "em_form"),
@@ -363,8 +365,31 @@ def em_reformulate(
         shift[:n_x] = disc.a @ shift[:n_x] + disc.b @ model.inputs[k]
 
     return EmReformulation(
-        model=model, disc=disc, ops=ops, q_big=symmetrize(q_big), q_vec=q_vec, rho=rho
+        model=model, disc=disc, ops=ops, q_big=_symmetrize_in_place(q_big),
+        q_vec=q_vec, rho=rho,
     )
+
+
+def _symmetrize_in_place(a: np.ndarray) -> np.ndarray:
+    """Replace the square ``a`` by ``0.5 (a + a')`` in place and return it.
+
+    Works one ``_TILE``-square tile and its mirror at a time, so no
+    temporary is larger than a tile; each entry is ``0.5 (a_ij + a_ji)``,
+    bit for bit what :func:`~lqdisc.linalg.symmetrize` returns.
+    """
+    n = a.shape[0]
+    for i in range(0, n, _TILE):
+        rows = slice(i, i + _TILE)
+        diag = a[rows, rows]
+        diag += diag.T
+        diag *= 0.5
+        for j in range(i + _TILE, n, _TILE):
+            cols = slice(j, j + _TILE)
+            upper, lower = a[rows, cols], a[cols, rows]
+            upper += lower.T
+            upper *= 0.5
+            lower[...] = upper.T
+    return a
 
 
 def cost_moments(ref: EmReformulation) -> tuple[float, float]:
@@ -667,20 +692,26 @@ def _symmetric_sqrt(m: np.ndarray) -> np.ndarray:
 def _em_form(ref: EmReformulation, chi: np.ndarray) -> np.ndarray:
     """``0.5 chi' q_big chi + q_vec' chi + rho`` per row of ``chi``, from the
     lower block triangle of ``q_big`` (one block per interval, the first
-    with the ``x0`` columns): block column ``b``, read from its diagonal
-    block down, adds ``chi_b . (0.5 chi_b Q_bb + chi_after Q_after,b)``,
-    ``(H + 1) / 2H`` of the dense product's flops.  A noise-free model
-    (``n_w = 0``) has the ``x0`` block only.
+    with the ``x0`` columns): block column ``b`` adds ``chi_b . (0.5 chi_b
+    Q_bb + chi_after Q_after,b)``, ``(H + 1) / 2H`` of the dense product's
+    flops.  A noise-free model (``n_w = 0``) has the ``x0`` block only.
+
+    The replicates go in chunks of ``_ROWS`` rows and ``q_big`` is read
+    through views, not copied, so every temporary is a row chunk's product
+    with one block column, at most ``_ROWS x (n_x + m_blk)``.
     """
-    m_blk = ref.ops.block_dim
+    q_big, m_blk = ref.q_big, ref.ops.block_dim
     out = chi @ ref.q_vec + ref.rho
-    start = 0
-    for stop in range(ref.n_x + m_blk, ref.dim + 1, m_blk or 1):
-        # the column block from the diagonal down, its diagonal block halved
-        col = ref.q_big[start:, start:stop].copy()
-        col[:stop - start] *= 0.5
-        out += np.einsum("ri,ri->r", chi[:, start:stop], chi[:, start:] @ col)
-        start = stop
+    for r in range(0, len(chi), _ROWS):
+        rows, acc = chi[r:r + _ROWS], out[r:r + _ROWS]
+        start = 0
+        for stop in range(ref.n_x + m_blk, ref.dim + 1, m_blk or 1):
+            rows_b = rows[:, start:stop]
+            part = rows_b @ q_big[start:stop, start:stop]
+            part *= 0.5
+            part += rows[:, stop:] @ q_big[stop:, start:stop]
+            acc += np.einsum("ri,ri->r", rows_b, part)
+            start = stop
     return out
 
 
@@ -700,11 +731,13 @@ def _pathwise_cost(
       ``continuous`` and the ``discrete`` stream take it from here;
     * ``lin = dt sum_i dev_i' (K drift_i + c_c' q_c (d_c u_k - zbar_k))``.
 
-    ``dev`` is flat, ``(replicates, n_sub * n_x)``, and advances
-    ``_CHUNK`` sub-steps per product, ``dev_s P + w_{s+1..s+c} T`` (``P``
-    stacks ``(E^t)'``, ``T`` is block upper triangular with blocks
-    ``(E^{t-l} g_c)'``); each contraction with it is one matrix product,
-    plus a row dot where the result is a quadratic.
+    The deviation advances ``_CHUNK`` sub-steps per product, ``dev_s P +
+    w_{s+1..s+c} T`` (``P`` stacks ``(E^t)'``, ``T`` is block upper
+    triangular with blocks ``(E^{t-l} g_c)'``), into one ``(replicates,
+    c * n_x)`` buffer.  Each chunk is folded into both sums as soon as it
+    is made: ``quad`` through ``kron(I_c, K)`` and a row dot, ``lin``
+    through the chunk's rows of ``drift_map`` and ``offset``.  So no
+    array spans all ``n_sub`` sub-steps.
     """
     n_x, n_w = model.n_x, model.n_w
     n_sub, dt, powers, held = ops.n_sub, ops.dt, ops.powers, ops.held
@@ -717,30 +750,30 @@ def _pathwise_cost(
     )
     qc = model.q_c @ model.c_c
     kernel = model.c_c.T @ qc
+    kernel_blk = np.kron(np.eye(chunk), kernel)         # kron(I_c, K)
     drift_map = np.vstack(kernel.T @ powers[1:])       # block i: K' E^i
     m_blk = ops.block_dim
     reps = noise.shape[0]
     quad = np.zeros(reps)
     lin = np.zeros(reps)
-    dev = np.empty((reps, n_sub * n_x))
-    k_dev = np.empty_like(dev)                          # dev_i' K, flat
-    # a product into a contiguous buffer plus one copy beats writing into
-    # the strided columns of ``dev`` (~5 vs ~7 ms per interval at R = 2048)
     step = np.empty((reps, chunk * n_x))
     for k, x in enumerate(starts):
         u, w = model.inputs[k], noise[:, k * m_blk:(k + 1) * m_blk]
+        offset = (held[1:] @ u) @ kernel + (model.d_c @ u - model.targets[k]) @ qc
+        lin_map = np.hstack([drift_map, offset.reshape(-1, 1)])
+        along = np.zeros((reps, n_x + 1))              # dev @ lin_map, all chunks
         last = np.zeros((reps, n_x))
         for s in range(0, n_sub, chunk):
             c = min(chunk, n_sub - s)
-            out = step[:, :c * n_x]
-            np.matmul(w[:, s * n_w:(s + c) * n_w], inject[:c * n_w, :c * n_x], out=out)
-            out += last @ advance[:, :c * n_x]
-            dev[:, s * n_x:(s + c) * n_x] = out
-            last = dev[:, (s + c - 1) * n_x:(s + c) * n_x]
-        np.matmul(dev.reshape(-1, n_x), kernel, out=k_dev.reshape(-1, n_x))
-        quad += 0.5 * dt * np.einsum("ri,ri->r", dev, k_dev)
-        offset = (held[1:] @ u) @ kernel + (model.d_c @ u - model.targets[k]) @ qc
-        lin += dt * (np.einsum("ri,ri->r", dev @ drift_map, x) + dev @ offset.ravel())
+            dev = step[:, :c * n_x]                     # sub-steps s+1 .. s+c
+            np.matmul(w[:, s * n_w:(s + c) * n_w], inject[:c * n_w, :c * n_x], out=dev)
+            dev += last @ advance[:, :c * n_x]
+            quad += np.einsum("ri,ri->r", dev, dev @ kernel_blk[:c * n_x, :c * n_x])
+            along += dev @ lin_map[s * n_x:(s + c) * n_x]
+            last = dev[:, -n_x:].copy()
+        lin += np.einsum("ri,ri->r", along[:, :n_x], x) + along[:, n_x]
+    quad *= 0.5 * dt
+    lin *= dt
     return quad, lin
 
 

@@ -17,12 +17,15 @@ from lqdisc.linalg import symmetrize
 from lqdisc.model import ContinuousLqModel, DiscreteLqModel, continuous_model_from_dict
 from lqdisc.ode_method import weighted_conjugation
 from lqdisc.stochastic import (
+    _ROWS,
+    _TILE,
     _WALK_BLOCK,
     _em_form,
     _noise_quad,
     _pathwise_cost,
     _powers,
     _state_blocks,
+    _symmetrize_in_place,
     _trace_integral,
     cost_moments,
     cost_moments_streaming,
@@ -561,6 +564,30 @@ def test_em_form_matches_the_dense_quadratic_form(horizon, n_sub):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("reps", [_ROWS - 1, _ROWS + 1, 2 * _ROWS + 7])
+@pytest.mark.parametrize("n_w", [2, 0])
+def test_em_form_matches_the_dense_quadratic_form_across_row_chunks(reps, n_w):
+    rng = np.random.default_rng(reps)
+    model = make_benchmark_model(horizon=3)
+    model = dataclasses.replace(model, g_c=model.g_c[:, :n_w])
+    ref = em_reformulate(model, 4)
+    chi = rng.normal(size=(reps, ref.dim))
+    chi[:, model.n_x:] *= np.sqrt(ref.dt)
+    want = 0.5 * np.einsum("ri,ri->r", chi @ ref.q_big, chi) + chi @ ref.q_vec + ref.rho
+    got = _em_form(ref, chi)
+    assert got.shape == (reps,)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [1, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3])
+def test_in_place_symmetrize_is_bit_identical_to_symmetrize(n):
+    a = np.random.default_rng(n).normal(size=(n, n))
+    want = symmetrize(a)
+    got = _symmetrize_in_place(a)
+    assert got is a
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("n_sub", [1, 7, 17, 256])
 @pytest.mark.parametrize("name", ["benchmark", "one_noise_column", "n_w_above_n_x"])
 def test_pathwise_quadratic_is_the_noise_quad_form(name, n_sub):
@@ -865,6 +892,15 @@ def _traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_monte_carlo_block_holds_little_beyond_its_draws():
+    # one 2048-replicate block: its draws chi plus cache-sized pieces, no
+    # second full-width array in em_form or in the Euler deviation pass
+    ref = em_reformulate(make_benchmark_model(horizon=2), 256)
+    chi_bytes = 2048 * ref.dim * np.dtype(float).itemsize
+    peak = _traced_peak(lambda: monte_carlo(ref, 2048, seed=1, workers=1))
+    assert peak <= 1.5 * chi_bytes, peak / chi_bytes
 
 
 def test_streaming_memory_does_not_grow_with_the_horizon():
