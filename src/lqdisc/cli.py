@@ -306,7 +306,6 @@ def _cmd_solve(args) -> int:
     sol = solve_finite_horizon(disc, model.x0_mean)
     n_x = sol.states.shape[1]
     n_u = sol.inputs.shape[1]
-    horizon = sol.inputs.shape[0]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -314,13 +313,10 @@ def _cmd_solve(args) -> int:
         + [f"x{i}" for i in range(n_x)]
         + [f"u{i}" for i in range(n_u)]
     )
-    for k in range(horizon + 1):
-        row = [k] + [repr(float(v)) for v in sol.states[k]]
-        if k < horizon:
-            row += [repr(float(v)) for v in sol.inputs[k]]
-        else:
-            row += [""] * n_u
-        writer.writerow(row)
+    inputs = sol.inputs.tolist()
+    for k, x in enumerate(sol.states.tolist()):
+        u = map(float.__repr__, inputs[k]) if k < len(inputs) else [""] * n_u
+        writer.writerow([k, *map(float.__repr__, x), *u])
     _emit(buf.getvalue(), args.output)
     if args.output is not None:
         print(f"wrote {args.output}: value={float(sol.value)!r}")

@@ -52,46 +52,41 @@ def solve_finite_horizon(disc: DiscreteLqModel, x0) -> LqSolution:
     if x0.shape != (n_x,):
         raise ValidationError(f"x0 must have shape ({n_x},), got {x0.shape}")
 
-    q_xx = disc.q[:n_x, :n_x]
-    q_xu = disc.q[:n_x, n_x:]
-    q_uu = disc.q[n_x:, n_x:]
-
-    # backward pass: value 0.5 x' vmat x + vvec' x + vconst, terminal value zero
+    # backward pass: value 0.5 x' vmat x + vvec' x + vconst, terminal value zero;
+    # the stage Hessian over [x; u] is q + ext' vmat ext with ext = [a b]
+    ext = np.hstack([disc.a, disc.b])
     vmat = np.zeros((n_x, n_x))
     vvec = np.zeros(n_x)
     vconst = 0.0
     gain = np.empty((horizon, n_u, n_x))
     offset = np.empty((horizon, n_u))
     for k in range(horizon - 1, -1, -1):
-        f_xx = q_xx + disc.a.T @ vmat @ disc.a
-        f_xu = q_xu + disc.a.T @ vmat @ disc.b
-        f_uu = symmetrize(q_uu + disc.b.T @ vmat @ disc.b)
-        g_x = disc.q_k[k, :n_x] + disc.a.T @ vvec
-        g_u = disc.q_k[k, n_x:] + disc.b.T @ vvec
+        hess = disc.q + ext.T @ vmat @ ext
+        grad = disc.q_k[k] + ext.T @ vvec
+        f_xu, g_u = hess[:n_x, n_x:], grad[n_x:]
+        f_uu = symmetrize(hess[n_x:, n_x:])
         try:
-            chol = np.linalg.cholesky(f_uu)
+            np.linalg.cholesky(f_uu)
         except np.linalg.LinAlgError:
             raise ConvexityError(
                 f"stage {k}: input block of the stage Hessian is not "
                 "positive definite"
             ) from None
-        solve = lambda rhs: np.linalg.solve(
-            chol.T, np.linalg.solve(chol, rhs)
-        )
-        gain[k] = solve(f_xu.T)
-        offset[k] = solve(g_u)
-        vmat = symmetrize(f_xx - f_xu @ gain[k])
-        vvec = g_x - f_xu @ offset[k]
+        policy = np.linalg.solve(f_uu, np.column_stack([f_xu.T, g_u]))
+        gain[k], offset[k] = policy[:, :n_x], policy[:, n_x]
+        vmat = symmetrize(hess[:n_x, :n_x] - f_xu @ gain[k])
+        vvec = grad[:n_x] - f_xu @ offset[k]
         vconst = vconst + disc.rho_k[k] - 0.5 * float(g_u @ offset[k])
 
     value = 0.5 * float(x0 @ vmat @ x0) + float(vvec @ x0) + vconst
 
+    # forward rollout on the closed loop x_{k+1} = (a - b gain_k) x_k - b offset_k
+    closed = disc.a - disc.b @ gain
     states = np.empty((horizon + 1, n_x))
-    inputs = np.empty((horizon, n_u))
     states[0] = x0
     for k in range(horizon):
-        inputs[k] = -gain[k] @ states[k] - offset[k]
-        states[k + 1] = disc.a @ states[k] + disc.b @ inputs[k]
+        states[k + 1] = closed[k] @ states[k] - disc.b @ offset[k]
+    inputs = -np.einsum("kux,kx->ku", gain, states[:-1]) - offset
 
     return LqSolution(
         inputs=inputs, states=states, value=value, gain=gain, offset=offset

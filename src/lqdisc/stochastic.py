@@ -689,29 +689,66 @@ def _symmetric_sqrt(m: np.ndarray) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
-def _em_form(ref: EmReformulation, chi: np.ndarray) -> np.ndarray:
+def _em_panels(ref: EmReformulation) -> tuple[np.ndarray, list]:
+    """``U`` and the factors ``K_b = q_big[below b, b] U`` of the noise
+    block columns of ``q_big`` below their diagonal blocks.
+
+    Interval ``b``'s noise reaches later stages only through the state, by
+    ``noise_map w_b``, so ``q_big[below b, b] = K_b U'`` with ``U`` an
+    orthonormal basis of the row space of ``noise_map`` (at most ``n_x``
+    columns).  Each column is checked in ``_ROWS``-row pieces; one that
+    differs from ``K_b U'`` by more than ``1e-12 max|q_big|`` (a ``q_big``
+    that is not the materialized form) raises
+    :class:`~lqdisc.errors.ValidationError` naming it.
+    """
+    q_big, n_x, m_blk = ref.q_big, ref.n_x, ref.ops.block_dim
+    basis = np.linalg.qr(ref.ops.noise_map.T)[0]
+    tol = 1e-12 * max(q_big.max(), -q_big.min())
+    factors = []
+    for b, start in enumerate(range(n_x, ref.dim, m_blk or 1)):
+        below = q_big[start + m_blk:, start:start + m_blk]
+        k_b = below @ basis
+        factors.append(k_b)
+        for r in range(0, len(below), _ROWS):
+            piece = below[r:r + _ROWS] - k_b[r:r + _ROWS] @ basis.T
+            if np.abs(piece).max() > tol:
+                raise ValidationError(
+                    f"q_big noise block column {b} (columns {start}:{start + m_blk}) "
+                    "is not the materialized form: it does not factor through "
+                    "the noise map below its diagonal block"
+                )
+    return basis, factors
+
+
+def _em_form(ref: EmReformulation, chi: np.ndarray, panels) -> np.ndarray:
     """``0.5 chi' q_big chi + q_vec' chi + rho`` per row of ``chi``, from the
-    lower block triangle of ``q_big`` (one block per interval, the first
-    with the ``x0`` columns): block column ``b`` adds ``chi_b . (0.5 chi_b
-    Q_bb + chi_after Q_after,b)``, ``(H + 1) / 2H`` of the dense product's
-    flops.  A noise-free model (``n_w = 0``) has the ``x0`` block only.
+    lower block triangle of ``q_big``: the ``x0`` block column densely, and
+    noise block column ``b`` as ``chi_b . (0.5 chi_b Q_bb + (chi_after K_b)
+    U')`` with ``panels = (U, [K_b])`` from :func:`_em_panels`.  Every
+    diagonal block is read densely, so this stays an independent check of
+    ``0.5 w' noise_quad w``.  A noise-free model (``n_w = 0``) has the
+    ``x0`` column only.
 
     The replicates go in chunks of ``_ROWS`` rows and ``q_big`` is read
     through views, not copied, so every temporary is a row chunk's product
-    with one block column, at most ``_ROWS x (n_x + m_blk)``.
+    with one block column, at most ``_ROWS x max(n_x, m_blk)``.
     """
-    q_big, m_blk = ref.q_big, ref.ops.block_dim
+    q_big, n_x, m_blk = ref.q_big, ref.n_x, ref.ops.block_dim
+    basis, factors = panels
     out = chi @ ref.q_vec + ref.rho
     for r in range(0, len(chi), _ROWS):
         rows, acc = chi[r:r + _ROWS], out[r:r + _ROWS]
-        start = 0
-        for stop in range(ref.n_x + m_blk, ref.dim + 1, m_blk or 1):
-            rows_b = rows[:, start:stop]
-            part = rows_b @ q_big[start:stop, start:stop]
+        part = rows[:, :n_x] @ q_big[:n_x, :n_x]
+        part *= 0.5
+        part += rows[:, n_x:] @ q_big[n_x:, :n_x]
+        acc += np.einsum("ri,ri->r", rows[:, :n_x], part)
+        for b, k_b in enumerate(factors):
+            start, stop = n_x + b * m_blk, n_x + (b + 1) * m_blk
+            w_b = rows[:, start:stop]
+            part = w_b @ q_big[start:stop, start:stop]
             part *= 0.5
-            part += rows[:, stop:] @ q_big[stop:, start:stop]
-            acc += np.einsum("ri,ri->r", rows_b, part)
-            start = stop
+            part += (rows[:, stop:] @ k_b) @ basis.T
+            acc += np.einsum("ri,ri->r", w_b, part)
     return out
 
 
@@ -778,7 +815,7 @@ def _pathwise_cost(
 
 
 def _simulate_block(args) -> dict:
-    (ref, seed, start, stop, edges) = args
+    (ref, panels, seed, start, stop, edges) = args
     model, disc, ops = ref.model, ref.disc, ref.ops
     n_x = model.n_x
     m_blk = ops.block_dim
@@ -814,7 +851,7 @@ def _simulate_block(args) -> dict:
     values = {
         "continuous": det_vals + lin + quad,
         "discrete": det_vals + noise_vals + quad,
-        "em_form": _em_form(ref, chi),
+        "em_form": _em_form(ref, chi, panels),
     }
     partial = {"count": np.array(float(len(reps)))}
     for name, vals in values.items():
@@ -852,7 +889,10 @@ def monte_carlo(
     Both ``continuous`` and ``discrete`` take the pure-noise quadratic
     ``0.5 w_k' noise_quad w_k`` from the one Euler deviation pass of
     :func:`_pathwise_cost`, so neither reads ``noise_quad``; ``em_form``,
-    through ``q_big``, is the independent check.  All three evaluate
+    which reads each diagonal block of ``q_big`` densely, is the independent
+    check.  The columns below those blocks are factored and checked once per
+    call (:func:`_em_panels`), so a ``q_big`` that is not the materialized
+    form raises :class:`~lqdisc.errors.ValidationError`.  All three evaluate
     the same random variable, so they agree up to rounding and collapse
     to the deterministic cost when the model is noise free.  Replicate
     ``r`` depends only on ``(seed, r)``; partial results are combined
@@ -867,13 +907,14 @@ def monte_carlo(
         raise ValidationError(f"n_bins must be >= 1, got {n_bins}")
 
     analytic_mean, analytic_var = cost_moments(ref)
+    panels = _em_panels(ref)
     spread = np.sqrt(max(analytic_var, 1e-12))
     edges = np.linspace(
         analytic_mean - 6.0 * spread, analytic_mean + 6.0 * spread, n_bins + 1
     )
 
     starts = list(range(0, n_sims, _BLOCK))
-    jobs = [(ref, seed, s, min(s + _BLOCK, n_sims), edges) for s in starts]
+    jobs = [(ref, panels, seed, s, min(s + _BLOCK, n_sims), edges) for s in starts]
     if workers == 1:
         parts = [_simulate_block(j) for j in jobs]
     else:

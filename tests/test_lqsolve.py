@@ -58,12 +58,17 @@ def test_scalar_two_step_hand_solution():
     assert sol.value == pytest.approx(0.75 * x0 ** 2, abs=1e-12)
 
 
-@pytest.mark.parametrize("horizon", [1, 2, 3, 4])
-def test_matches_dense_qp_solution(horizon):
+@pytest.mark.parametrize(
+    "horizon, n_x, n_u",
+    [pytest.param(h, None, None, id=str(h)) for h in (1, 2, 3, 4)]
+    + [pytest.param(50, n_x, 3, id=f"wide{n_x}") for n_x in (10, 40)],
+)
+def test_matches_dense_qp_solution(horizon, n_x, n_u):
+    # random small sizes, five models each, and the wide-state benchmark sizes
     rng = np.random.default_rng(500 + horizon)
-    for _ in range(5):
+    for _ in range(5 if n_x is None else 1):
         model = random_stable_model(
-            rng, n_x=int(rng.integers(1, 5)), n_u=int(rng.integers(1, 3)),
+            rng, n_x=n_x or int(rng.integers(1, 5)), n_u=n_u or int(rng.integers(1, 3)),
             n_z=3, horizon=horizon,
         )
         disc = discretize_expm(model)

@@ -21,6 +21,7 @@ from lqdisc.stochastic import (
     _TILE,
     _WALK_BLOCK,
     _em_form,
+    _em_panels,
     _noise_quad,
     _pathwise_cost,
     _powers,
@@ -552,16 +553,68 @@ def test_pathwise_stream_matches_the_sub_step_loop(name, n_sub):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("horizon, n_sub", [(1, 8), (3, 16), (4, 5)])
-def test_em_form_matches_the_dense_quadratic_form(horizon, n_sub):
-    rng = np.random.default_rng(horizon)
-    model = make_benchmark_model(horizon=horizon)
-    ref = em_reformulate(model, n_sub)
+def _em_panel_refs():
+    """Materialized forms whose noise block columns ``_em_panels`` factors:
+    the benchmark model, one noise column, ``n_sub = 1`` (``m_blk <= n_x``,
+    so the basis is square), a wider random model, one interval (no column
+    below a diagonal block) and no noise at all."""
+    rng = np.random.default_rng(17)
+    model = make_benchmark_model(horizon=4)
+    wide = _with_noise_input(rng, random_stable_model(rng, n_x=5, horizon=3), n_w=2)
+    return {
+        "benchmark": em_reformulate(model, 16),
+        "n_w_1": em_reformulate(dataclasses.replace(model, g_c=model.g_c[:, :1]), 16),
+        "n_sub_1": em_reformulate(model, 1),
+        "n_x_5_n_w_2": em_reformulate(wide, 8),
+        "one_interval": em_reformulate(make_benchmark_model(horizon=1), 16),
+        "noise_free": em_reformulate(dataclasses.replace(model, g_c=model.g_c[:, :0]), 16),
+    }
+
+
+@pytest.mark.parametrize("case", ["1-8", "3-16", "4-5", *_em_panel_refs()])
+def test_em_form_matches_the_dense_quadratic_form(case):
+    refs = _em_panel_refs()
+    if case not in refs:
+        horizon, n_sub = map(int, case.split("-"))
+        refs[case] = em_reformulate(make_benchmark_model(horizon=horizon), n_sub)
+    ref = refs[case]
+    rng = np.random.default_rng(ref.model.horizon)
     chi = rng.normal(size=(40, ref.dim))
-    chi[:, model.n_x:] *= np.sqrt(ref.dt)
+    chi[:, ref.n_x:] *= np.sqrt(ref.dt)
     want = 0.5 * np.einsum("ri,ri->r", chi @ ref.q_big, chi) + chi @ ref.q_vec + ref.rho
-    got = _em_form(ref, chi)
+    got = _em_form(ref, chi, _em_panels(ref))
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("case", list(_em_panel_refs()))
+def test_em_panels_rebuild_the_columns_below_the_diagonal_blocks(case):
+    ref = _em_panel_refs()[case]
+    n_x, m_blk, q_big = ref.n_x, ref.ops.block_dim, ref.q_big
+    basis, factors = _em_panels(ref)
+    assert len(factors) == (ref.model.horizon if m_blk else 0)
+    assert basis.shape[1] <= n_x
+    if case == "n_sub_1":
+        assert basis.shape == (m_blk, m_blk)
+    for b, k_b in enumerate(factors):
+        start, stop = n_x + b * m_blk, n_x + (b + 1) * m_blk
+        rebuilt = k_b @ basis.T
+        assert np.abs(q_big[stop:, start:stop] - rebuilt).max(initial=0.0) <= (
+            1e-13 * np.abs(q_big).max()
+        ), b
+
+
+def test_monte_carlo_rejects_a_q_big_that_is_not_the_materialized_form():
+    ref = em_reformulate(make_benchmark_model(horizon=3), 16)
+    n_x, m_blk = ref.n_x, ref.ops.block_dim
+    q_big = ref.q_big.copy()
+    bump = 1e-6 * np.abs(q_big).max()
+    # the block of interval 2's noise against interval 1's: column 1
+    rows, cols = slice(n_x + 2 * m_blk, n_x + 3 * m_blk), slice(n_x + m_blk, n_x + 2 * m_blk)
+    q_big[rows, cols] += bump
+    q_big[cols, rows] += bump
+    bad = dataclasses.replace(ref, q_big=q_big)
+    with pytest.raises(ValidationError, match=r"noise block column 1 \(columns 34:66\)"):
+        monte_carlo(bad, 16, seed=0)
 
 
 @pytest.mark.parametrize("reps", [_ROWS - 1, _ROWS + 1, 2 * _ROWS + 7])
@@ -574,7 +627,7 @@ def test_em_form_matches_the_dense_quadratic_form_across_row_chunks(reps, n_w):
     chi = rng.normal(size=(reps, ref.dim))
     chi[:, model.n_x:] *= np.sqrt(ref.dt)
     want = 0.5 * np.einsum("ri,ri->r", chi @ ref.q_big, chi) + chi @ ref.q_vec + ref.rho
-    got = _em_form(ref, chi)
+    got = _em_form(ref, chi, _em_panels(ref))
     assert got.shape == (reps,)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
