@@ -143,14 +143,19 @@ def precompute(
     Its 1-norm condition number is estimated once per distinct diagonal
     entry; at ``1e14`` or above (exactly singular included) it raises
     :class:`~lqdisc.errors.SingularMatrixError` naming the scheme, the
-    stage and the step size.  Each stage is one LAPACK solve.
+    stage and the step size.  Each stage is one LAPACK solve.  An
+    ``n_steps`` below 1 or too large for a float (about ``2**1024``) raises
+    :class:`~lqdisc.errors.ValidationError`.
     """
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
     tab = tableau(scheme)
     a_c = model.a_c
     n_x, n_u = model.n_x, model.n_u
-    h = model.t_s / float(n_steps)
+    try:
+        h = model.t_s / float(n_steps)
+    except OverflowError:
+        raise ValidationError("n_steps is too large for a float step size") from None
     ident = np.eye(n_x)
 
     stage_matrices: dict[float, np.ndarray] = {}

@@ -47,7 +47,6 @@ DEFAULT_DIM_CAP = 4096
 _BLOCK = 2048          # Monte Carlo replicates per work unit (fixed)
 _CHUNK = 8             # Euler sub-steps per product in the pathwise stream
 _ROWS = 512            # replicates per row chunk of the em_form stream
-_TILE = 128            # tile edge of the in-place q_big symmetrization
 _WALK_BLOCK = 256      # steps per block of a horizon walk (bounds its memory)
 STREAMS = ("continuous", "discrete", "em_form")
 _PAIRS = (("continuous", "discrete"), ("continuous", "em_form"),
@@ -256,7 +255,7 @@ class EmReformulation:
     """Total cost as a quadratic form in the Gaussian vector [x0; W].
 
     ``0.5 chi' q_big chi + q_vec' chi + rho`` with ``chi ~ N(m_bar,
-    p_bar)`` and ``p_bar = blockdiag(x0_cov, dt * I)``.  It keeps the
+    blockdiag(x0_cov, dt * I))``.  It keeps the
     ``model`` it was built from, that model's exact discretization
     ``disc`` and the noise refinement ``ops``, so everything else is read
     from them.
@@ -292,16 +291,6 @@ class EmReformulation:
         out[:self.n_x] = self.model.x0_mean
         return out
 
-    @property
-    def p_bar(self) -> np.ndarray:
-        """Materialized covariance of [x0; W] (block diagonal)."""
-        n_x = self.n_x
-        out = np.zeros((self.dim, self.dim))
-        out[:n_x, :n_x] = self.model.x0_cov
-        idx = np.arange(n_x, self.dim)
-        out[idx, idx] = self.dt
-        return out
-
 
 def em_reformulate(
     model: ContinuousLqModel,
@@ -316,9 +305,20 @@ def em_reformulate(
     ``n_x + horizon * n_sub * n_w`` exceeds ``dim_cap`` raise
     :class:`~lqdisc.errors.ResourceLimitError` — use
     :func:`cost_moments_streaming` for those.
+
+    Built in one backward sweep, the cost-to-go recursion of
+    :func:`~lqdisc.lqsolve.solve_finite_horizon`: interval ``b``'s noise
+    reaches later stages only through ``noise_map w_b`` in ``x_{b+1}``, so
+    the sweep carries the weight ``gram`` and the gradient ``lam`` (at the
+    chi-free state means) that later stages put on ``x_{b+1}``, and the
+    rows ``adj`` of the later noise blocks against it.  Block column ``b``
+    is ``noise_quad + noise_map' gram noise_map`` on the diagonal and
+    ``adj noise_map`` below it, written once with its mirror, so ``q_big``
+    is exactly symmetric.  Work is ``O(dim^2 n_x + horizon dim n_x^2)``;
+    memory beyond ``q_big`` is one block plus ``O(dim n_x)``.
     """
     horizon = model.horizon
-    n_x, n_u = model.n_x, model.n_u
+    n_x = model.n_x
     dim = n_x + horizon * n_sub * model.n_w
     if dim > dim_cap:
         raise ResourceLimitError(
@@ -328,68 +328,52 @@ def em_reformulate(
     disc = discretize_expm(model)
     ops = em_interval_ops(model, n_sub)
     noise_quad = _noise_quad(model, ops)
-    m_blk = ops.block_dim
+    a, quad, m_blk = disc.a, disc.q, ops.block_dim
+    noise_map, cross = ops.noise_map, ops.cross
 
-    q_big = np.zeros((dim, dim))
-    q_vec = np.zeros(dim)
-    rho = 0.0
+    # [s_k; u_k]: the chi-free state means next to the inputs
+    xu = np.zeros((horizon, n_x + model.n_u))
+    xu[:, n_x:] = model.inputs
+    drive = model.inputs @ disc.b.T
+    for k in range(1, horizon):
+        xu[k, :n_x] = a @ xu[k - 1, :n_x] + drive[k - 1]
+    grad = (xu @ quad.T + disc.q_k)[:, :n_x]
 
-    # chi-dependence of [x_k; u_k]: x columns + one noise block per past interval
-    carrier = np.zeros((n_x + n_u, dim))
-    carrier[:n_x, :n_x] = np.eye(n_x)
-    shift = np.zeros(n_x + n_u)
-
-    for k in range(horizon):
-        blk = slice(n_x + k * m_blk, n_x + (k + 1) * m_blk)
-        active = slice(0, n_x + k * m_blk)
-        shift[n_x:] = model.inputs[k]
-        l_act = carrier[:, active]
-
-        q_big[active, active.start:active.stop] += l_act.T @ (disc.q @ l_act)
-        q_big[active, blk] += l_act.T @ ops.cross
-        q_big[blk, active] += ops.cross.T @ l_act
-        q_big[blk, blk] += noise_quad
-
-        stage_lin = disc.q @ shift + disc.q_k[k]
-        q_vec[active] += l_act.T @ stage_lin
-        q_vec[blk] += ops.cross.T @ shift + ops.noise_lin @ model.targets[k]
-        rho += (
-            0.5 * float(shift @ disc.q @ shift)
-            + float(disc.q_k[k] @ shift)
-            + float(disc.rho_k[k])
-        )
-
-        # advance the dependence to step k+1
-        carrier[:n_x] = disc.a @ carrier[:n_x]
-        carrier[:n_x, blk] = ops.noise_map
-        shift[:n_x] = disc.a @ shift[:n_x] + disc.b @ model.inputs[k]
-
-    return EmReformulation(
-        model=model, disc=disc, ops=ops, q_big=_symmetrize_in_place(q_big),
-        q_vec=q_vec, rho=rho,
-    )
-
-
-def _symmetrize_in_place(a: np.ndarray) -> np.ndarray:
-    """Replace the square ``a`` by ``0.5 (a + a')`` in place and return it.
-
-    Works one ``_TILE``-square tile and its mirror at a time, so no
-    temporary is larger than a tile; each entry is ``0.5 (a_ij + a_ji)``,
-    bit for bit what :func:`~lqdisc.linalg.symmetrize` returns.
-    """
-    n = a.shape[0]
-    for i in range(0, n, _TILE):
-        rows = slice(i, i + _TILE)
-        diag = a[rows, rows]
+    q_big = np.empty((dim, dim))
+    q_vec = np.empty(dim)
+    gram = np.zeros((n_x, n_x))
+    lam = np.zeros(n_x)
+    for b in range(horizon - 1, -1, -1):
+        start, stop = n_x + b * m_blk, n_x + (b + 1) * m_blk
+        adj = q_big[stop:, :n_x]
+        below = q_big[stop:, start:stop]
+        np.matmul(adj, noise_map, out=below)
+        q_big[start:stop, stop:] = below.T
+        head = noise_map.T @ gram
+        diag = q_big[start:stop, start:stop]
+        np.matmul(head, noise_map, out=diag)
+        diag += noise_quad
         diag += diag.T
         diag *= 0.5
-        for j in range(i + _TILE, n, _TILE):
-            cols = slice(j, j + _TILE)
-            upper, lower = a[rows, cols], a[cols, rows]
-            upper += lower.T
-            upper *= 0.5
-            lower[...] = upper.T
-    return a
+        q_vec[start:stop] = (
+            noise_map.T @ lam + cross.T @ xu[b] + ops.noise_lin @ model.targets[b]
+        )
+        adj[...] = adj @ a
+        q_big[start:stop, :n_x] = head @ a + cross[:n_x].T
+        gram = quad[:n_x, :n_x] + a.T @ gram @ a
+        lam = grad[b] + a.T @ lam
+
+    q_big[:n_x, :n_x] = symmetrize(gram)
+    q_big[:n_x, n_x:] = q_big[n_x:, :n_x].T
+    q_vec[:n_x] = lam
+    rho = (
+        0.5 * float(np.einsum("ki,ij,kj->", xu, quad, xu))
+        + float(np.einsum("ki,ki->", disc.q_k, xu))
+        + float(disc.rho_k.sum())
+    )
+    return EmReformulation(
+        model=model, disc=disc, ops=ops, q_big=q_big, q_vec=q_vec, rho=rho,
+    )
 
 
 def cost_moments(ref: EmReformulation) -> tuple[float, float]:

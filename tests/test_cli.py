@@ -371,6 +371,19 @@ def test_discretize_status_line_names_a_step_count_only_for_step_methods(
         assert f" {steps_note} " in status
 
 
+@pytest.mark.parametrize("args", [
+    ["discretize", "--method", "sqr:classic_rk4", "--doubling", "1100"],
+    ["discretize", "--method", "ode:classic_rk4", "--steps", str(2 ** 1024)],
+    ["solve", "--method", "ode:classic_rk4", "--steps", str(2 ** 1024)],
+], ids=["discretize-sqr", "discretize-ode", "solve-ode"])
+def test_step_count_too_large_for_a_float_is_a_validation_error(tmp_path, capsys, args):
+    path = write_model(tmp_path, scalar_payload())
+    assert main([args[0], path, *args[1:]]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lqdisc:"), lines
+    assert "n_steps" in lines[0]
+
+
 def test_discretize_doubling_flag_matches_power_of_two_steps(tmp_path, capsys):
     model_path = write_model(tmp_path, scalar_payload())
     a, b = tmp_path / "a.json", tmp_path / "b.json"

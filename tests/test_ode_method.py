@@ -208,3 +208,9 @@ def test_repeat_rejects_fewer_than_one_copy(benchmark_model):
 def test_bad_step_count_rejected(benchmark_model):
     with pytest.raises(ValidationError):
         discretize_ode(benchmark_model, scheme="classic_rk4", n_steps=0)
+
+
+def test_step_count_too_large_for_a_float_rejected(benchmark_model):
+    # t_s / n_steps needs n_steps as a float; 2**1024 has none
+    with pytest.raises(ValidationError, match="n_steps"):
+        discretize_ode(benchmark_model, scheme="classic_rk4", n_steps=2 ** 1024)

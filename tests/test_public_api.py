@@ -86,3 +86,20 @@ def test_monte_carlo_reads_its_model_from_the_reformulation():
     params = list(inspect.signature(stochastic.monte_carlo).parameters)
     assert params == ["ref", "n_sims", "seed", "workers", "n_bins"]
     assert inspect.signature(stochastic.monte_carlo).parameters["workers"].default == 1
+
+
+def test_traced_functions_keep_the_argument_names_the_benchmark_reads():
+    # perfbench/spans.py binds every traced call's arguments by name to
+    # count its work; renaming one of these makes each traced request of
+    # that function fail, while untraced runs still pass
+    read_by_name = {
+        lqdisc.discretize_step_doubling: "doublings",
+        lqdisc.discretize_ode: "n_steps",
+        lqdisc.solve_finite_horizon: "disc",
+        stochastic.em_interval_ops: "n_sub",
+        stochastic.cost_moments_streaming: "model",
+    }
+    for fn, name in read_by_name.items():
+        assert name in inspect.signature(fn).parameters, (fn.__name__, name)
+    # it also reads em_reformulate's result.dim
+    assert isinstance(stochastic.EmReformulation.dim, property)

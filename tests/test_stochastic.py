@@ -18,7 +18,6 @@ from lqdisc.model import ContinuousLqModel, DiscreteLqModel, continuous_model_fr
 from lqdisc.ode_method import weighted_conjugation
 from lqdisc.stochastic import (
     _ROWS,
-    _TILE,
     _WALK_BLOCK,
     _em_form,
     _em_panels,
@@ -26,7 +25,6 @@ from lqdisc.stochastic import (
     _pathwise_cost,
     _powers,
     _state_blocks,
-    _symmetrize_in_place,
     _trace_integral,
     cost_moments,
     cost_moments_streaming,
@@ -221,6 +219,16 @@ def test_zero_noise_moments_collapse_to_deterministic():
     assert abs(var) <= 1e-12 * max(1.0, det ** 2)
 
 
+def _p_bar(ref):
+    """Materialized covariance of [x0; W]: ``blockdiag(x0_cov, dt I)``."""
+    n_x = ref.n_x
+    out = np.zeros((ref.dim, ref.dim))
+    out[:n_x, :n_x] = ref.model.x0_cov
+    idx = np.arange(n_x, ref.dim)
+    out[idx, idx] = ref.dt
+    return out
+
+
 def test_reformulation_spine_is_the_exact_discretization():
     model = make_benchmark_model(horizon=2)
     ref = em_reformulate(model, 8)
@@ -230,7 +238,7 @@ def test_reformulation_spine_is_the_exact_discretization():
     n_x = model.n_x
     assert np.array_equal(ref.m_bar[:n_x], np.asarray(model.x0_mean))
     assert np.max(np.abs(ref.m_bar[n_x:])) == 0.0
-    pbar = ref.p_bar
+    pbar = _p_bar(ref)
     assert np.array_equal(pbar[:n_x, :n_x], np.asarray(model.x0_cov))
     tail = np.diag(pbar)[n_x:]
     assert np.all(tail == ref.dt)
@@ -571,19 +579,78 @@ def _em_panel_refs():
     }
 
 
-@pytest.mark.parametrize("case", ["1-8", "3-16", "4-5", *_em_panel_refs()])
-def test_em_form_matches_the_dense_quadratic_form(case):
+_EM_FORM_CASES = ["1-8", "3-16", "4-5", "10-8", *_em_panel_refs()]
+
+
+def _em_form_ref(case):
+    """The reformulation named by ``case``: ``"horizon-n_sub"`` of the
+    benchmark model, or a key of :func:`_em_panel_refs`."""
     refs = _em_panel_refs()
     if case not in refs:
         horizon, n_sub = map(int, case.split("-"))
         refs[case] = em_reformulate(make_benchmark_model(horizon=horizon), n_sub)
-    ref = refs[case]
+    return refs[case]
+
+
+@pytest.mark.parametrize("case", _EM_FORM_CASES)
+def test_em_form_matches_the_dense_quadratic_form(case):
+    ref = _em_form_ref(case)
     rng = np.random.default_rng(ref.model.horizon)
     chi = rng.normal(size=(40, ref.dim))
     chi[:, ref.n_x:] *= np.sqrt(ref.dt)
     want = 0.5 * np.einsum("ri,ri->r", chi @ ref.q_big, chi) + chi @ ref.q_vec + ref.rho
     got = _em_form(ref, chi, _em_panels(ref))
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _loop_reformulation(model, n_sub):
+    """Reference ``(q_big, q_vec, rho)``: a forward walk over the stages.
+
+    Carries the chi-dependence of ``[x_k; u_k]`` (the ``x0`` columns and
+    one noise block per past interval) and adds each stage's cost into
+    the whole active square of ``q_big``, then symmetrizes.
+    """
+    disc = discretize_expm(model)
+    ops = em_interval_ops(model, n_sub)
+    noise_quad = _noise_quad(model, ops)
+    n_x, n_u, m_blk = model.n_x, model.n_u, ops.block_dim
+    dim = n_x + model.horizon * m_blk
+    q_big = np.zeros((dim, dim))
+    q_vec = np.zeros(dim)
+    rho = 0.0
+    carrier = np.zeros((n_x + n_u, dim))
+    carrier[:n_x, :n_x] = np.eye(n_x)
+    shift = np.zeros(n_x + n_u)
+    for k in range(model.horizon):
+        blk = slice(n_x + k * m_blk, n_x + (k + 1) * m_blk)
+        active = slice(0, n_x + k * m_blk)
+        shift[n_x:] = model.inputs[k]
+        l_act = carrier[:, active]
+        q_big[active, active] += l_act.T @ (disc.q @ l_act)
+        q_big[active, blk] += l_act.T @ ops.cross
+        q_big[blk, active] += ops.cross.T @ l_act
+        q_big[blk, blk] += noise_quad
+        q_vec[active] += l_act.T @ (disc.q @ shift + disc.q_k[k])
+        q_vec[blk] += ops.cross.T @ shift + ops.noise_lin @ model.targets[k]
+        rho += (
+            0.5 * float(shift @ disc.q @ shift)
+            + float(disc.q_k[k] @ shift)
+            + float(disc.rho_k[k])
+        )
+        carrier[:n_x] = disc.a @ carrier[:n_x]
+        carrier[:n_x, blk] = ops.noise_map
+        shift[:n_x] = disc.a @ shift[:n_x] + disc.b @ model.inputs[k]
+    return symmetrize(q_big), q_vec, rho
+
+
+@pytest.mark.parametrize("case", _EM_FORM_CASES)
+def test_em_reformulate_matches_the_carrier_loop(case):
+    ref = _em_form_ref(case)
+    q_big, q_vec, rho = _loop_reformulation(ref.model, ref.n_sub)
+    assert np.array_equal(ref.q_big, ref.q_big.T)
+    assert np.abs(ref.q_big - q_big).max() <= 1e-13 * np.abs(q_big).max()
+    assert np.abs(ref.q_vec - q_vec).max() <= 1e-13 * np.abs(q_vec).max()
+    assert abs(ref.rho - rho) <= 1e-13 * abs(rho)
 
 
 @pytest.mark.parametrize("case", list(_em_panel_refs()))
@@ -630,15 +697,6 @@ def test_em_form_matches_the_dense_quadratic_form_across_row_chunks(reps, n_w):
     got = _em_form(ref, chi, _em_panels(ref))
     assert got.shape == (reps,)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-
-@pytest.mark.parametrize("n", [1, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3])
-def test_in_place_symmetrize_is_bit_identical_to_symmetrize(n):
-    a = np.random.default_rng(n).normal(size=(n, n))
-    want = symmetrize(a)
-    got = _symmetrize_in_place(a)
-    assert got is a
-    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n_sub", [1, 7, 17, 256])
@@ -954,6 +1012,16 @@ def test_monte_carlo_block_holds_little_beyond_its_draws():
     chi_bytes = 2048 * ref.dim * np.dtype(float).itemsize
     peak = _traced_peak(lambda: monte_carlo(ref, 2048, seed=1, workers=1))
     assert peak <= 1.5 * chi_bytes, peak / chi_bytes
+
+
+def test_em_reformulate_holds_little_beyond_q_big():
+    # the backward sweep writes every block of q_big once, through views:
+    # beyond q_big it holds one block and O(dim n_x), no dim x dim temporary
+    built = []
+    peak = _traced_peak(lambda: built.append(
+        em_reformulate(make_benchmark_model(horizon=4), 256)))
+    q_bytes = built[0].q_big.nbytes
+    assert peak <= 1.25 * q_bytes, peak / q_bytes
 
 
 def test_streaming_memory_does_not_grow_with_the_horizon():
