@@ -166,21 +166,27 @@ def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
     return EmIntervalOps(dt, powers, held, f, noise_map, cross, noise_lin)
 
 
-def _noise_quad(model: ContinuousLqModel, ops: EmIntervalOps) -> np.ndarray:
-    """The dense ``m_blk x m_blk`` noise block of the refined stage cost,
-    ``noise_quad[p, q] = dt sum_{t >= max(p, q)} f[t-p]' W f[t-q]``.
+def _noise_quad(model: ContinuousLqModel, ops: EmIntervalOps, blocks: list) -> None:
+    """Write the dense ``m_blk x m_blk`` noise block of the refined stage
+    cost, ``noise_quad[p, q] = dt sum_{t >= max(p, q)} f[t-p]' W f[t-q]``,
+    into every array of ``blocks`` (views such as the diagonal blocks of
+    ``q_big`` will do).
 
     With the discrete Gramians ``G_r`` of :func:`_noise_gramians`, block
     ``(p >= q)`` is ``dt G_{n_sub-1-p}' f[p-q]``: one product of the
     stacked ``G_r`` with ``noise_map`` gives every such pair, a skewed view
     of it lays them out as the lower block triangle, and the upper one is
-    its transpose.  Only the materialized form (:func:`em_reformulate`, and
-    so Monte Carlo's ``em_form`` stream) needs it:
-    :func:`cost_moments_streaming` takes its summaries from
+    its transpose.  Both are copied into the first block and the other
+    blocks copy the first, so the only temporary is that ``m_blk x m_blk``
+    product.  Only the materialized form
+    (:func:`em_reformulate`, and so Monte Carlo's ``em_form`` stream) needs
+    it: :func:`cost_moments_streaming` takes its summaries from
     :func:`_noise_quad_summaries`, and the other Monte Carlo streams take
     ``0.5 w' noise_quad w`` from the Euler deviation of
     :func:`_pathwise_cost`.
     """
+    if not blocks:
+        return
     n_sub, n_x, n_w = ops.n_sub, model.n_x, model.n_w
     m_blk = ops.block_dim
     gram_g = _noise_gramians(model, ops)
@@ -193,8 +199,8 @@ def _noise_quad(model: ContinuousLqModel, ops: EmIntervalOps) -> np.ndarray:
     # block (p, q <= p) of noise_quad is pairs block (p, n_sub-1-p+q), so
     # the view below steps one block down and one block left per p.  Its
     # largest address (p = q = n_sub-1) is the last entry of ``pairs``;
-    # for q > p it reads entries of other blocks, which ``np.where``
-    # replaces by the transposed lower blocks
+    # for q > p it reads entries of other blocks, which the transposed
+    # lower blocks then overwrite, one block row at a time
     item = pairs.itemsize
     lower = as_strided(
         pairs[:, (n_sub - 1) * n_w:],
@@ -202,9 +208,12 @@ def _noise_quad(model: ContinuousLqModel, ops: EmIntervalOps) -> np.ndarray:
         strides=((m_blk - 1) * n_w * item, m_blk * item, n_w * item, item),
         writeable=False,
     )
-    block = np.arange(n_sub)
-    below = (block[:, None] >= block)[:, None, :, None]
-    return np.where(below, lower, lower.transpose(2, 3, 0, 1)).reshape(m_blk, m_blk)
+    quad = blocks[0].reshape(n_sub, n_w, n_sub, n_w)     # splits axes: a view
+    quad[...] = lower
+    for p in range(n_sub - 1):
+        quad[p, :, p + 1:] = lower[p + 1:, :, p].transpose(2, 0, 1)
+    for out in blocks[1:]:                               # plain copies of the first
+        out[...] = blocks[0]
 
 
 def _noise_gramians(model: ContinuousLqModel, ops: EmIntervalOps) -> np.ndarray:
@@ -315,7 +324,9 @@ def em_reformulate(
     is ``noise_quad + noise_map' gram noise_map`` on the diagonal and
     ``adj noise_map`` below it, written once with its mirror, so ``q_big``
     is exactly symmetric.  Work is ``O(dim^2 n_x + horizon dim n_x^2)``;
-    memory beyond ``q_big`` is one block plus ``O(dim n_x)``.
+    memory beyond ``q_big`` is one ``m_blk x m_blk`` block at a time (the
+    product that lays out ``noise_quad``, then the sweep's buffer) plus
+    ``O(dim n_x)``.
     """
     horizon = model.horizon
     n_x = model.n_x
@@ -327,7 +338,6 @@ def em_reformulate(
         )
     disc = discretize_expm(model)
     ops = em_interval_ops(model, n_sub)
-    noise_quad = _noise_quad(model, ops)
     a, quad, m_blk = disc.a, disc.q, ops.block_dim
     noise_map, cross = ops.noise_map, ops.cross
 
@@ -340,6 +350,13 @@ def em_reformulate(
     grad = (xu @ quad.T + disc.q_k)[:, :n_x]
 
     q_big = np.empty((dim, dim))
+    # noise_quad goes straight into the diagonal blocks; the sweep adds the
+    # state part through one reused m_blk x m_blk buffer
+    _noise_quad(model, ops, [
+        q_big[start:start + m_blk, start:start + m_blk]
+        for start in range(n_x, dim, m_blk or 1)
+    ])
+    buf = np.empty((m_blk, m_blk))
     q_vec = np.empty(dim)
     gram = np.zeros((n_x, n_x))
     lam = np.zeros(n_x)
@@ -351,10 +368,10 @@ def em_reformulate(
         q_big[start:stop, stop:] = below.T
         head = noise_map.T @ gram
         diag = q_big[start:stop, start:stop]
-        np.matmul(head, noise_map, out=diag)
-        diag += noise_quad
-        diag += diag.T
-        diag *= 0.5
+        np.matmul(head, noise_map, out=buf)
+        diag += buf
+        np.add(diag, diag.T, out=buf)
+        np.multiply(buf, 0.5, out=diag)
         q_vec[start:stop] = (
             noise_map.T @ lam + cross.T @ xu[b] + ops.noise_lin @ model.targets[b]
         )
@@ -680,22 +697,26 @@ def _em_panels(ref: EmReformulation) -> tuple[np.ndarray, list]:
     Interval ``b``'s noise reaches later stages only through the state, by
     ``noise_map w_b``, so ``q_big[below b, b] = K_b U'`` with ``U`` an
     orthonormal basis of the row space of ``noise_map`` (at most ``n_x``
-    columns).  Each column is checked in ``_ROWS``-row pieces; one that
-    differs from ``K_b U'`` by more than ``1e-12 max|q_big|`` (a ``q_big``
-    that is not the materialized form) raises
-    :class:`~lqdisc.errors.ValidationError` naming it.
+    columns).  Each column is checked in ``_ROWS``-row pieces, each piece's
+    ``K_b U'`` minus the column taken in one reused buffer; one that
+    differs by more than ``1e-12 max|q_big|`` (a ``q_big`` that is not the
+    materialized form) raises :class:`~lqdisc.errors.ValidationError`
+    naming it.
     """
     q_big, n_x, m_blk = ref.q_big, ref.n_x, ref.ops.block_dim
     basis = np.linalg.qr(ref.ops.noise_map.T)[0]
     tol = 1e-12 * max(q_big.max(), -q_big.min())
+    buf = np.empty((_ROWS, m_blk))
     factors = []
     for b, start in enumerate(range(n_x, ref.dim, m_blk or 1)):
         below = q_big[start + m_blk:, start:start + m_blk]
         k_b = below @ basis
         factors.append(k_b)
         for r in range(0, len(below), _ROWS):
-            piece = below[r:r + _ROWS] - k_b[r:r + _ROWS] @ basis.T
-            if np.abs(piece).max() > tol:
+            piece = buf[:len(below) - r]
+            np.matmul(k_b[r:r + _ROWS], basis.T, out=piece)
+            piece -= below[r:r + _ROWS]
+            if piece.max() > tol or piece.min() < -tol:
                 raise ValidationError(
                     f"q_big noise block column {b} (columns {start}:{start + m_blk}) "
                     "is not the materialized form: it does not factor through "
@@ -704,139 +725,239 @@ def _em_panels(ref: EmReformulation) -> tuple[np.ndarray, list]:
     return basis, factors
 
 
-def _em_form(ref: EmReformulation, chi: np.ndarray, panels) -> np.ndarray:
-    """``0.5 chi' q_big chi + q_vec' chi + rho`` per row of ``chi``, from the
-    lower block triangle of ``q_big``: the ``x0`` block column densely, and
-    noise block column ``b`` as ``chi_b . (0.5 chi_b Q_bb + (chi_after K_b)
-    U')`` with ``panels = (U, [K_b])`` from :func:`_em_panels`.  Every
-    diagonal block is read densely, so this stays an independent check of
-    ``0.5 w' noise_quad w``.  A noise-free model (``n_w = 0``) has the
-    ``x0`` column only.
+@dataclass(frozen=True)
+class _EulerDeviation:
+    """Per-request maps of the Euler deviation pass (:func:`_pathwise_cost`)
+    over ``chunk`` sub-steps at a time."""
 
-    The replicates go in chunks of ``_ROWS`` rows and ``q_big`` is read
-    through views, not copied, so every temporary is a row chunk's product
-    with one block column, at most ``_ROWS x max(n_x, m_blk)``.
-    """
-    q_big, n_x, m_blk = ref.q_big, ref.n_x, ref.ops.block_dim
-    basis, factors = panels
-    out = chi @ ref.q_vec + ref.rho
-    for r in range(0, len(chi), _ROWS):
-        rows, acc = chi[r:r + _ROWS], out[r:r + _ROWS]
-        part = rows[:, :n_x] @ q_big[:n_x, :n_x]
-        part *= 0.5
-        part += rows[:, n_x:] @ q_big[n_x:, :n_x]
-        acc += np.einsum("ri,ri->r", rows[:, :n_x], part)
-        for b, k_b in enumerate(factors):
-            start, stop = n_x + b * m_blk, n_x + (b + 1) * m_blk
-            w_b = rows[:, start:stop]
-            part = w_b @ q_big[start:stop, start:stop]
-            part *= 0.5
-            part += (rows[:, stop:] @ k_b) @ basis.T
-            acc += np.einsum("ri,ri->r", w_b, part)
-    return out
+    model: ContinuousLqModel
+    ops: EmIntervalOps
+    chunk: int                  # sub-steps per product, min(_CHUNK, n_sub)
+    qc: np.ndarray              # q_c c_c
+    kernel: np.ndarray          # K = c_c' q_c c_c
+    advance: np.ndarray         # [E' (E^2)' .. (E^chunk)']
+    inject: np.ndarray          # block upper triangular, blocks sqrt(dt) (E^{t-l} g_c)'
+    kernel_blk: np.ndarray      # kron(I_chunk, K)
+    drift_map: np.ndarray       # block i: K' E^i, i = 1 .. n_sub
+
+
+def _euler_deviation(model: ContinuousLqModel, ops: EmIntervalOps) -> _EulerDeviation:
+    n_x, n_w = model.n_x, model.n_w
+    chunk = min(_CHUNK, ops.n_sub)
+    f_t = np.sqrt(ops.dt) * ops.f[:chunk].transpose(0, 2, 1)
+    zero = np.zeros((n_w, n_x))
+    qc = model.q_c @ model.c_c
+    kernel = model.c_c.T @ qc
+    return _EulerDeviation(
+        model=model,
+        ops=ops,
+        chunk=chunk,
+        qc=qc,
+        kernel=kernel,
+        advance=np.hstack(ops.powers[1:chunk + 1].transpose(0, 2, 1)),
+        inject=np.block(
+            [[f_t[t - l] if t >= l else zero for t in range(chunk)]
+             for l in range(chunk)]
+        ),
+        kernel_blk=np.kron(np.eye(chunk), kernel),
+        drift_map=np.vstack(kernel.T @ ops.powers[1:]),
+    )
 
 
 def _pathwise_cost(
-    model: ContinuousLqModel, ops: EmIntervalOps, starts, noise
+    dev: _EulerDeviation, k: int, x: np.ndarray, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Euler deviation pass of every interval: the noise-driven cost as
-    ``(quad, lin)``, each summed over intervals (rows are replicates).
+    """Euler deviation pass of interval ``k``: its noise-driven cost as
+    ``(quad, lin)`` per replicate (rows of ``x`` and ``z``).
 
-    From ``x_k = starts[k]`` the sub-steps split the state into the drift
-    ``E^i x_k + held_i u_k`` and the deviation ``dev_i = E dev_{i-1} + g_c
-    w_i`` (``w`` from ``noise``, ``n_sub * n_w`` columns per interval).
-    With ``K = c_c' q_c c_c``:
+    ``z`` holds the interval's ``n_sub * n_w`` standard normals; the
+    increments are ``w = sqrt(dt) z``, with ``sqrt(dt)`` folded into
+    ``dev.inject``.  From ``x_k = x`` the sub-steps split the state into
+    the drift ``E^i x_k + held_i u_k`` and the deviation ``dev_i = E
+    dev_{i-1} + g_c w_i``.  With ``K = c_c' q_c c_c``:
 
     * ``quad = 0.5 dt sum_i dev_i' K dev_i``, which is ``0.5 w_k'
       noise_quad w_k`` by the definition of ``noise_quad``, so both the
       ``continuous`` and the ``discrete`` stream take it from here;
     * ``lin = dt sum_i dev_i' (K drift_i + c_c' q_c (d_c u_k - zbar_k))``.
 
-    The deviation advances ``_CHUNK`` sub-steps per product, ``dev_s P +
-    w_{s+1..s+c} T`` (``P`` stacks ``(E^t)'``, ``T`` is block upper
-    triangular with blocks ``(E^{t-l} g_c)'``), into one ``(replicates,
-    c * n_x)`` buffer.  Each chunk is folded into both sums as soon as it
-    is made: ``quad`` through ``kron(I_c, K)`` and a row dot, ``lin``
-    through the chunk's rows of ``drift_map`` and ``offset``.  So no
-    array spans all ``n_sub`` sub-steps.
+    The deviation advances ``dev.chunk`` sub-steps per product, ``dev_s P
+    + z_{s+1..s+c} T`` (``P`` stacks ``(E^t)'``, ``T`` is block upper
+    triangular with blocks ``sqrt(dt) (E^{t-l} g_c)'``), into one
+    ``(replicates, c * n_x)`` buffer.  Each chunk is folded into both sums
+    as soon as it is made: ``quad`` through ``kron(I_c, K)`` and a row
+    dot, ``lin`` through the chunk's rows of ``drift_map`` and ``offset``.
+    So no array spans all ``n_sub`` sub-steps, and the Monte Carlo block
+    runs this inside its forward walk, from each ``x_k`` as it is made.
     """
+    model, ops = dev.model, dev.ops
     n_x, n_w = model.n_x, model.n_w
-    n_sub, dt, powers, held = ops.n_sub, ops.dt, ops.powers, ops.held
-    chunk = min(_CHUNK, n_sub)
-    advance = np.hstack(powers[1:chunk + 1].transpose(0, 2, 1))
-    f_t = ops.f[:chunk].transpose(0, 2, 1)              # (E^j g_c)'
-    zero = np.zeros((n_w, n_x))
-    inject = np.block(
-        [[f_t[t - l] if t >= l else zero for t in range(chunk)] for l in range(chunk)]
-    )
-    qc = model.q_c @ model.c_c
-    kernel = model.c_c.T @ qc
-    kernel_blk = np.kron(np.eye(chunk), kernel)         # kron(I_c, K)
-    drift_map = np.vstack(kernel.T @ powers[1:])       # block i: K' E^i
-    m_blk = ops.block_dim
-    reps = noise.shape[0]
+    n_sub, dt, held = ops.n_sub, ops.dt, ops.held
+    chunk, advance, inject, kernel_blk = dev.chunk, dev.advance, dev.inject, dev.kernel_blk
+    u = model.inputs[k]
+    offset = (held[1:] @ u) @ dev.kernel + (model.d_c @ u - model.targets[k]) @ dev.qc
+    lin_map = np.hstack([dev.drift_map, offset.reshape(-1, 1)])
+    reps = len(x)
     quad = np.zeros(reps)
-    lin = np.zeros(reps)
+    along = np.zeros((reps, n_x + 1))                  # dev @ lin_map, all chunks
     step = np.empty((reps, chunk * n_x))
-    for k, x in enumerate(starts):
-        u, w = model.inputs[k], noise[:, k * m_blk:(k + 1) * m_blk]
-        offset = (held[1:] @ u) @ kernel + (model.d_c @ u - model.targets[k]) @ qc
-        lin_map = np.hstack([drift_map, offset.reshape(-1, 1)])
-        along = np.zeros((reps, n_x + 1))              # dev @ lin_map, all chunks
-        last = np.zeros((reps, n_x))
-        for s in range(0, n_sub, chunk):
-            c = min(chunk, n_sub - s)
-            dev = step[:, :c * n_x]                     # sub-steps s+1 .. s+c
-            np.matmul(w[:, s * n_w:(s + c) * n_w], inject[:c * n_w, :c * n_x], out=dev)
-            dev += last @ advance[:, :c * n_x]
-            quad += np.einsum("ri,ri->r", dev, dev @ kernel_blk[:c * n_x, :c * n_x])
-            along += dev @ lin_map[s * n_x:(s + c) * n_x]
-            last = dev[:, -n_x:].copy()
-        lin += np.einsum("ri,ri->r", along[:, :n_x], x) + along[:, n_x]
+    for s in range(0, n_sub, chunk):
+        c = min(chunk, n_sub - s)
+        cur = step[:, :c * n_x]                         # sub-steps s+1 .. s+c
+        np.matmul(z[:, s * n_w:(s + c) * n_w], inject[:c * n_w, :c * n_x], out=cur)
+        if s:                                           # the deviation starts at 0
+            cur += last @ advance[:, :c * n_x]
+        quad += np.einsum("ri,ri->r", cur, cur @ kernel_blk[:c * n_x, :c * n_x])
+        along += cur @ lin_map[s * n_x:(s + c) * n_x]
+        last = cur[:, -n_x:].copy()
+    lin = np.einsum("ri,ri->r", along[:, :n_x], x) + along[:, n_x]
     quad *= 0.5 * dt
     lin *= dt
     return quad, lin
 
 
-def _simulate_block(args) -> dict:
-    (ref, panels, seed, start, stop, edges) = args
-    model, disc, ops = ref.model, ref.disc, ref.ops
-    n_x = model.n_x
-    m_blk = ops.block_dim
-    reps = np.arange(start, stop)
-    # chi = [x0; W] is built in place in the draws
-    chi = normal_block(seed, reps, n_x + model.horizon * m_blk)
-    x = chi[:, :n_x]
-    x[...] = model.x0_mean + x @ _symmetric_sqrt(model.x0_cov).T
-    noise = chi[:, n_x:]
-    noise *= np.sqrt(ops.dt)
+@dataclass(frozen=True)
+class _McPlan:
+    """Per-request constants of the Monte Carlo blocks, built once by
+    :func:`_mc_plan` and shared by every block and worker.  The draws
+    enter as standard normals ``z`` (increments ``w = sqrt(dt) z``), so
+    the ``sqrt(dt)`` and ``dt`` factors live here, not in a pass over the
+    draws."""
 
-    det_vals = np.zeros(len(reps))
-    noise_vals = np.zeros(len(reps))
-    starts = []
+    ref: EmReformulation
+    x0_root: np.ndarray         # symmetric square root of x0_cov (transposed)
+    shared: np.ndarray          # sqrt(dt) [cross' | noise_map' | noise_lin]
+    em_cols: np.ndarray         # interval k: [dt U | sqrt(dt) [q_vec | x0 column] rows of k]
+    factors: list               # K_k of _em_panels, one per interval
+    deviation: _EulerDeviation
+
+
+def _mc_plan(ref: EmReformulation) -> _McPlan:
+    """Check ``q_big``'s off-diagonal noise columns (:func:`_em_panels`) and
+    stack the matrices every block multiplies by."""
+    ops, n_x, m_blk = ref.ops, ref.n_x, ref.ops.block_dim
+    root_dt = np.sqrt(ops.dt)
+    basis, factors = _em_panels(ref)
+    # q_vec and the x0 block column on the noise rows, one block per interval
+    lin = np.column_stack([ref.q_vec[n_x:], ref.q_big[n_x:, :n_x]])
+    em_cols = np.concatenate([
+        np.broadcast_to(ops.dt * basis, (ref.model.horizon,) + basis.shape),
+        root_dt * lin.reshape(ref.model.horizon, m_blk, 1 + n_x),
+    ], axis=2)
+    return _McPlan(
+        ref=ref,
+        x0_root=_symmetric_sqrt(ref.model.x0_cov).T,
+        shared=root_dt * np.hstack([ops.cross.T, ops.noise_map.T, ops.noise_lin]),
+        em_cols=em_cols,
+        factors=factors,
+        deviation=_euler_deviation(ref.model, ops),
+    )
+
+
+def _em_form(plan: _McPlan, chi: np.ndarray) -> np.ndarray:
+    """``0.5 c' q_big c + q_vec' c + rho`` per row ``chi = [x0; z]``, with
+    ``c = [x0; sqrt(dt) z]``, from the lower block triangle of ``q_big``.
+
+    The ``x0`` diagonal block gives ``0.5 x0' Q_xx x0 + q_vec_x' x0``.
+    Noise block column ``k`` adds ``0.5 dt z_k' Q_kk z_k + sqrt(dt) z_k .
+    (q_vec_k + Q_kx x0) + dt (z_k U) . (z_after K_k)``, with ``U`` and
+    ``K_k`` from :func:`_em_panels`: the diagonal block ``Q_kk`` is read
+    densely, so this stays an independent check of ``0.5 w' noise_quad
+    w``, and the other terms come from one skinny product of ``z_k`` with
+    the interval's ``em_cols`` and the row dot of two skinny products, so
+    no ``m_blk``-wide array is formed for them.  A noise-free model
+    (``n_w = 0``) has the ``x0`` block only.
+
+    The replicates go in pieces of ``_ROWS`` rows, each piece through
+    every block column before the next: the piece's ``z_k`` is still in
+    cache from the dense product when the skinny one reads it, and so are
+    the later draws that ``z_after K_k`` reads.  ``q_big`` is read through
+    views; the largest temporary is a piece's ``_ROWS x m_blk`` product
+    with one diagonal block.
+    """
+    ref = plan.ref
+    q_big, n_x, m_blk = ref.q_big, ref.n_x, ref.ops.block_dim
+    half_dt = 0.5 * ref.ops.dt
+    x = chi[:, :n_x]
+    out = x @ ref.q_vec[:n_x] + ref.rho
+    out += 0.5 * np.einsum("ri,ri->r", x, x @ q_big[:n_x, :n_x])
+    for r in range(0, len(chi), _ROWS):
+        rows, acc = chi[r:r + _ROWS], out[r:r + _ROWS]
+        lin = np.zeros((len(rows), 1 + n_x))         # w' [q_vec | x0 column]
+        for k, k_b in enumerate(plan.factors):
+            start, stop = n_x + k * m_blk, n_x + (k + 1) * m_blk
+            z_k = rows[:, start:stop]
+            acc += half_dt * np.einsum("ri,ri->r", z_k, z_k @ q_big[start:stop, start:stop])
+            cols = z_k @ plan.em_cols[k]
+            acc += np.einsum("ri,ri->r", cols[:, :-1 - n_x], rows[:, stop:] @ k_b)
+            lin += cols[:, -1 - n_x:]
+        acc += lin[:, 0] + np.einsum("ri,ri->r", rows[:, :n_x], lin[:, 1:])
+    return out
+
+
+def _block_streams(plan: _McPlan, chi: np.ndarray) -> dict:
+    """The three cost streams per row of ``chi = [x0; z]``, where ``z`` are
+    the standard normals behind the increments ``w = sqrt(dt) z``.
+
+    One forward walk over the intervals.  In it, interval ``k``'s normals
+    ``z_k`` go through one product with ``sqrt(dt) [cross' | noise_map' |
+    noise_lin]``, which gives the ``discrete`` stream's ``cross`` and
+    ``noise_lin`` terms and the state step's ``noise_map`` term, and
+    through the Euler deviation of :func:`_pathwise_cost` from ``x_k``,
+    which gives the ``continuous`` stream's noise terms and the
+    ``0.5 w_k' noise_quad w_k`` that both share.  Each column of the
+    shared product depends only on its own column of the matrix, so
+    sharing it couples no two streams.  ``em_form`` reads the same draws
+    through ``q_big`` alone (:func:`_em_form`).  Only ``x_k`` and
+    per-interval pieces are held, so memory beyond ``chi`` does not grow
+    with the horizon.
+    """
+    ref = plan.ref
+    model, disc, ops = ref.model, ref.disc, ref.ops
+    n_x, m_blk = model.n_x, ops.block_dim
+    reps = len(chi)
+    n_xu = n_x + model.n_u
+    x = chi[:, :n_x]
+    det_vals = np.zeros(reps)
+    noise_vals = np.zeros(reps)
+    quad = np.zeros(reps)
+    lin = np.zeros(reps)
+    xu = np.empty((reps, n_xu))
     for k in range(model.horizon):
-        starts.append(x)
-        w_k = noise[:, k * m_blk:(k + 1) * m_blk]
-        xu = np.concatenate(
-            [x, np.broadcast_to(model.inputs[k], (len(reps), model.n_u))], axis=1
-        )
+        z_k = chi[:, n_x + k * m_blk:n_x + (k + 1) * m_blk]
+        shared = z_k @ plan.shared
+        xu[:, :n_x] = x
+        xu[:, n_x:] = model.inputs[k]
         det_vals += (
             0.5 * np.einsum("ri,ri->r", xu @ disc.q, xu)
             + xu @ disc.q_k[k]
             + disc.rho_k[k]
         )
         noise_vals += (
-            np.einsum("ri,ri->r", w_k @ ops.cross.T, xu)
-            + w_k @ (ops.noise_lin @ model.targets[k])
+            np.einsum("ri,ri->r", shared[:, :n_xu], xu)
+            + shared[:, n_xu + n_x:] @ model.targets[k]
         )
-        x = x @ disc.a.T + model.inputs[k] @ disc.b.T + w_k @ ops.noise_map.T
-
-    quad, lin = _pathwise_cost(model, ops, starts, noise)
-    values = {
+        quad_k, lin_k = _pathwise_cost(plan.deviation, k, x, z_k)
+        quad += quad_k
+        lin += lin_k
+        x = x @ disc.a.T + model.inputs[k] @ disc.b.T + shared[:, n_xu:n_xu + n_x]
+    return {
         "continuous": det_vals + lin + quad,
         "discrete": det_vals + noise_vals + quad,
-        "em_form": _em_form(ref, chi, panels),
+        "em_form": _em_form(plan, chi),
     }
+
+
+def _simulate_block(args) -> dict:
+    (plan, seed, start, stop, edges) = args
+    model, n_x = plan.ref.model, plan.ref.n_x
+    reps = np.arange(start, stop)
+    # chi = [x0; z]: x0 is built in place in the draws, z stays standard
+    chi = normal_block(seed, reps, plan.ref.dim)
+    x = chi[:, :n_x]
+    x[...] = model.x0_mean + x @ plan.x0_root
+
+    values = _block_streams(plan, chi)
     partial = {"count": np.array(float(len(reps)))}
     for name, vals in values.items():
         clipped = np.clip(vals, edges[0], edges[-1])
@@ -878,10 +999,15 @@ def monte_carlo(
     call (:func:`_em_panels`), so a ``q_big`` that is not the materialized
     form raises :class:`~lqdisc.errors.ValidationError`.  All three evaluate
     the same random variable, so they agree up to rounding and collapse
-    to the deterministic cost when the model is noise free.  Replicate
-    ``r`` depends only on ``(seed, r)``; partial results are combined
-    over fixed-size blocks by a fixed pairwise tree, so the summary is
-    identical for any worker count.
+    to the deterministic cost when the model is noise free.
+
+    Each block of ``_BLOCK`` replicates draws its standard normals once and
+    reads them in one forward walk over the intervals (``continuous`` and
+    ``discrete``, :func:`_block_streams`) and one pass in row pieces
+    (``em_form``, :func:`_em_form`); it holds its draws plus pieces that do
+    not grow with the horizon.  Replicate ``r`` depends only on ``(seed,
+    r)``; partial results are combined over fixed-size blocks by a fixed
+    pairwise tree, so the summary is identical for any worker count.
     """
     if n_sims < 1:
         raise ValidationError(f"n_sims must be >= 1, got {n_sims}")
@@ -891,14 +1017,14 @@ def monte_carlo(
         raise ValidationError(f"n_bins must be >= 1, got {n_bins}")
 
     analytic_mean, analytic_var = cost_moments(ref)
-    panels = _em_panels(ref)
+    plan = _mc_plan(ref)
     spread = np.sqrt(max(analytic_var, 1e-12))
     edges = np.linspace(
         analytic_mean - 6.0 * spread, analytic_mean + 6.0 * spread, n_bins + 1
     )
 
     starts = list(range(0, n_sims, _BLOCK))
-    jobs = [(ref, panels, seed, s, min(s + _BLOCK, n_sims), edges) for s in starts]
+    jobs = [(plan, seed, s, min(s + _BLOCK, n_sims), edges) for s in starts]
     if workers == 1:
         parts = [_simulate_block(j) for j in jobs]
     else:

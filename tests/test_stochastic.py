@@ -16,11 +16,15 @@ from lqdisc.expm_method import discretize_expm, noise_trace_integral
 from lqdisc.linalg import symmetrize
 from lqdisc.model import ContinuousLqModel, DiscreteLqModel, continuous_model_from_dict
 from lqdisc.ode_method import weighted_conjugation
+from lqdisc.sampling import normal_block
 from lqdisc.stochastic import (
     _ROWS,
     _WALK_BLOCK,
+    _block_streams,
     _em_form,
     _em_panels,
+    _euler_deviation,
+    _mc_plan,
     _noise_quad,
     _pathwise_cost,
     _powers,
@@ -135,6 +139,13 @@ def _loop_interval_ops(model, n_sub):
     }
 
 
+def _dense_noise_quad(model, ops):
+    """``noise_quad`` as a new ``m_blk x m_blk`` array."""
+    out = np.empty((ops.block_dim, ops.block_dim))
+    _noise_quad(model, ops, [out])
+    return out
+
+
 def _interval_test_models():
     rng = np.random.default_rng(2024)
     one_column = _with_noise_input(
@@ -166,7 +177,7 @@ def test_interval_ops_match_the_loop_definition(name, n_sub):
     got = {f.name: getattr(ops, f.name) for f in dataclasses.fields(ops)} | {
         "coarse_a": ops.powers[n_sub],
         "coarse_b": ops.held[n_sub],
-        "noise_quad": _noise_quad(model, ops),
+        "noise_quad": _dense_noise_quad(model, ops),
         "trace_integral": _trace_integral(model, ops.dt, ops.powers),
     }
     assert set(got) == set(want)
@@ -495,27 +506,27 @@ def _loop_pathwise_cost(model, n_sub, starts, noise):
     """Reference for the pathwise stream: one Euler sub-step per iteration.
 
     Advances the drift and the noise deviation side by side and sums the
-    deviation-dependent cost at every right-end node.
+    deviation-dependent cost at every right-end node, as ``(quad, lin)``:
+    the part quadratic in the deviation and the part linear in it.
     """
     dt = model.t_s / n_sub
     m_blk = n_sub * model.n_w
     euler_t = (np.eye(model.n_x) + dt * model.a_c).T
-    total = np.zeros(noise.shape[0])
+    quad = np.zeros(noise.shape[0])
+    lin = np.zeros(noise.shape[0])
     for k, x in enumerate(starts):
         u, target = model.inputs[k], model.targets[k]
-        increments = noise[:, k * m_blk:(k + 1) * m_blk].reshape(len(x), n_sub, -1)
+        increments = noise[:, k * m_blk:(k + 1) * m_blk].reshape(len(x), n_sub, model.n_w)
         drift = x.copy()
         dev = np.zeros_like(x)
-        acc = np.zeros(len(x))
         for i in range(n_sub):
             drift = drift @ euler_t + dt * (u @ model.b_c.T)
             dev = dev @ euler_t + increments[:, i, :] @ model.g_c.T
             z_det = drift @ model.c_c.T + (model.d_c @ u - target)
             dz = dev @ model.c_c.T
-            acc += 0.5 * np.einsum("ri,ri->r", dz @ model.q_c, dz)
-            acc += np.einsum("ri,ri->r", z_det @ model.q_c, dz)
-        total += dt * acc
-    return total
+            quad += 0.5 * dt * np.einsum("ri,ri->r", dz @ model.q_c, dz)
+            lin += dt * np.einsum("ri,ri->r", z_det @ model.q_c, dz)
+    return quad, lin
 
 
 def _hstack_cost_moments(ref):
@@ -556,8 +567,14 @@ def test_pathwise_stream_matches_the_sub_step_loop(name, n_sub):
         targets=rng.normal(size=(3, model.n_z)),
     )
     starts, noise = _starts_and_noise(rng, model, n_sub)
-    got = sum(_pathwise_cost(model, em_interval_ops(model, n_sub), starts, noise))
-    want = _loop_pathwise_cost(model, n_sub, starts, noise)
+    ops = em_interval_ops(model, n_sub)
+    dev, m_blk = _euler_deviation(model, ops), ops.block_dim
+    normals = noise / np.sqrt(ops.dt)
+    got = sum(
+        sum(_pathwise_cost(dev, k, x, normals[:, k * m_blk:(k + 1) * m_blk]))
+        for k, x in enumerate(starts)
+    )
+    want = sum(_loop_pathwise_cost(model, n_sub, starts, noise))
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -592,14 +609,21 @@ def _em_form_ref(case):
     return refs[case]
 
 
+def _dense_em_form(ref, normals):
+    """The quadratic form at ``chi = [x0; sqrt(dt) z]`` for rows ``[x0; z]``
+    of ``normals``, through the dense ``q_big``."""
+    chi = normals.copy()
+    chi[:, ref.n_x:] *= np.sqrt(ref.dt)
+    return 0.5 * np.einsum("ri,ri->r", chi @ ref.q_big, chi) + chi @ ref.q_vec + ref.rho
+
+
 @pytest.mark.parametrize("case", _EM_FORM_CASES)
 def test_em_form_matches_the_dense_quadratic_form(case):
     ref = _em_form_ref(case)
     rng = np.random.default_rng(ref.model.horizon)
-    chi = rng.normal(size=(40, ref.dim))
-    chi[:, ref.n_x:] *= np.sqrt(ref.dt)
-    want = 0.5 * np.einsum("ri,ri->r", chi @ ref.q_big, chi) + chi @ ref.q_vec + ref.rho
-    got = _em_form(ref, chi, _em_panels(ref))
+    normals = rng.normal(size=(40, ref.dim))
+    want = _dense_em_form(ref, normals)
+    got = _em_form(_mc_plan(ref), normals)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -612,7 +636,7 @@ def _loop_reformulation(model, n_sub):
     """
     disc = discretize_expm(model)
     ops = em_interval_ops(model, n_sub)
-    noise_quad = _noise_quad(model, ops)
+    noise_quad = _dense_noise_quad(model, ops)
     n_x, n_u, m_blk = model.n_x, model.n_u, ops.block_dim
     dim = n_x + model.horizon * m_blk
     q_big = np.zeros((dim, dim))
@@ -691,10 +715,9 @@ def test_em_form_matches_the_dense_quadratic_form_across_row_chunks(reps, n_w):
     model = make_benchmark_model(horizon=3)
     model = dataclasses.replace(model, g_c=model.g_c[:, :n_w])
     ref = em_reformulate(model, 4)
-    chi = rng.normal(size=(reps, ref.dim))
-    chi[:, model.n_x:] *= np.sqrt(ref.dt)
-    want = 0.5 * np.einsum("ri,ri->r", chi @ ref.q_big, chi) + chi @ ref.q_vec + ref.rho
-    got = _em_form(ref, chi, _em_panels(ref))
+    normals = rng.normal(size=(reps, ref.dim))
+    want = _dense_em_form(ref, normals)
+    got = _em_form(_mc_plan(ref), normals)
     assert got.shape == (reps,)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -711,12 +734,13 @@ def test_pathwise_quadratic_is_the_noise_quad_form(name, n_sub):
         targets=rng.normal(size=(3, model.n_z)),
     )
     ops = em_interval_ops(model, n_sub)
-    noise_quad = _noise_quad(model, ops)
+    noise_quad = _dense_noise_quad(model, ops)
+    dev = _euler_deviation(model, ops)
     starts, noise = _starts_and_noise(rng, model, n_sub)
     m_blk = n_sub * model.n_w
     for k, x in enumerate(starts):
         w = noise[:, k * m_blk:(k + 1) * m_blk]
-        quad, _ = _pathwise_cost(model, ops, [x], w)
+        quad, _ = _pathwise_cost(dev, k, x, w / np.sqrt(ops.dt))
         want = 0.5 * np.einsum("ri,ri->r", w @ noise_quad, w)
         assert np.abs(quad - want).max() <= 1e-12 * np.abs(want).max(), k
 
@@ -740,6 +764,70 @@ def test_monte_carlo_stream_means_agree_at_benchmark_size():
     means = summary.sample_mean
     spread = max(means.values()) - min(means.values())
     assert spread <= 1e-9 * abs(summary.analytic_mean)
+
+
+def _loop_streams(ref, normals):
+    """Reference for the three streams per row ``[x0; z]`` of ``normals``
+    (increments ``w = sqrt(dt) z``): a forward walk with one product per
+    term (``w_k cross'``, ``w_k noise_lin zbar_k``, ``w_k noise_map'``) and
+    a list of the interval start states, the sub-step loop of the pathwise
+    terms over those states, and the dense quadratic form."""
+    model, disc, ops = ref.model, ref.disc, ref.ops
+    n_x, m_blk = ref.n_x, ops.block_dim
+    noise = normals[:, n_x:] * np.sqrt(ref.dt)
+    x = normals[:, :n_x]
+    det_vals = noise_vals = 0.0
+    starts = []
+    for k in range(model.horizon):
+        starts.append(x)
+        w_k = noise[:, k * m_blk:(k + 1) * m_blk]
+        xu = np.hstack([x, np.broadcast_to(model.inputs[k], (len(x), model.n_u))])
+        det_vals = det_vals + (
+            0.5 * np.einsum("ri,ri->r", xu @ disc.q, xu) + xu @ disc.q_k[k] + disc.rho_k[k]
+        )
+        noise_vals = noise_vals + (
+            np.einsum("ri,ri->r", w_k @ ops.cross.T, xu)
+            + w_k @ ops.noise_lin @ model.targets[k]
+        )
+        x = x @ disc.a.T + model.inputs[k] @ disc.b.T + w_k @ ops.noise_map.T
+    quad, lin = _loop_pathwise_cost(model, ref.n_sub, starts, noise)
+    return {
+        "continuous": det_vals + lin + quad,
+        "discrete": det_vals + noise_vals + quad,
+        "em_form": _dense_em_form(ref, normals),
+    }
+
+
+def _assert_streams_close(got, want):
+    assert set(got) == set(want)
+    for name, vals in want.items():
+        assert np.abs(got[name] - vals).max() <= 1e-13 * np.abs(vals).max(), name
+
+
+@pytest.mark.parametrize("case", _EM_FORM_CASES)
+def test_block_streams_match_the_reference_walk_per_replicate(case):
+    ref = _em_form_ref(case)
+    normals = np.random.default_rng(ref.dim).normal(size=(37, ref.dim))
+    _assert_streams_close(_block_streams(_mc_plan(ref), normals), _loop_streams(ref, normals))
+
+
+@pytest.mark.parametrize("case", ["3-16", "noise_free", "n_sub_1", "one_interval"])
+def test_simulate_block_sums_the_reference_streams(case):
+    # the block's partial sums are those of the reference streams at its
+    # own draws: x0 from the Philox normals, the increments sqrt(dt) z
+    ref = _em_form_ref(case)
+    plan = _mc_plan(ref)
+    reps = np.arange(5, 5 + 300)
+    normals = normal_block(9, reps, ref.dim)
+    normals[:, :ref.n_x] = ref.model.x0_mean + normals[:, :ref.n_x] @ plan.x0_root
+    want = _loop_streams(ref, normals)
+    edges = np.linspace(-1e3, 1e3, 5)
+    partial = stochastic._simulate_block((plan, 9, reps[0], reps[-1] + 1, edges))
+    got = {name: (partial[f"sum_{name}"], partial[f"sumsq_{name}"]) for name in want}
+    _assert_streams_close(
+        {name: np.array(pair) for name, pair in got.items()},
+        {name: np.array([vals.sum(), (vals * vals).sum()]) for name, vals in want.items()},
+    )
 
 
 def _moment_test_models():
@@ -778,7 +866,7 @@ def _loop_streaming_moments(model, n_sub, disc):
     n_x = model.n_x
     dt = ops.dt
     a, b = disc.a, disc.b
-    quad, cross, noise_quad = disc.q, ops.cross, _noise_quad(model, ops)
+    quad, cross, noise_quad = disc.q, ops.cross, _dense_noise_quad(model, ops)
     noise_map, noise_lin = ops.noise_map, ops.noise_lin
     q_xx = quad[:n_x, :n_x]
 
@@ -1014,6 +1102,25 @@ def test_monte_carlo_block_holds_little_beyond_its_draws():
     assert peak <= 1.5 * chi_bytes, peak / chi_bytes
 
 
+def test_monte_carlo_block_memory_does_not_grow_with_the_horizon():
+    # at a long, thin horizon the per-interval state would be as large as
+    # the draws; the forward walk keeps only the current state
+    ref = em_reformulate(make_benchmark_model(horizon=100), 1)
+    chi_bytes = 2048 * ref.dim * np.dtype(float).itemsize
+    peak = _traced_peak(lambda: monte_carlo(ref, 2048, seed=1))
+    assert peak <= 1.5 * chi_bytes, peak / chi_bytes
+
+
+def test_em_reformulate_holds_little_beyond_q_big_at_few_intervals():
+    # two intervals: one m_blk x m_blk block is a quarter of q_big, so a
+    # second dense block (noise_quad next to the sweep's buffer) shows
+    built = []
+    peak = _traced_peak(lambda: built.append(
+        em_reformulate(make_benchmark_model(horizon=2), 255)))
+    q_bytes = built[0].q_big.nbytes
+    assert peak <= 1.30 * q_bytes, peak / q_bytes
+
+
 def test_em_reformulate_holds_little_beyond_q_big():
     # the backward sweep writes every block of q_big once, through views:
     # beyond q_big it holds one block and O(dim n_x), no dim x dim temporary
@@ -1080,7 +1187,7 @@ def test_euler_powers_match_the_step_recursion(name, n_sub):
 def test_noise_quad_summaries_match_the_dense_matrix(name, n_sub):
     model = _interval_test_models()[name]
     ops = em_interval_ops(model, n_sub)
-    noise_quad, noise_map = _noise_quad(model, ops), ops.noise_map
+    noise_quad, noise_map = _dense_noise_quad(model, ops), ops.noise_map
     frob_sq, map_quad = stochastic._noise_quad_summaries(model, ops)
     trace = _trace_integral(model, ops.dt, ops.powers)
     _assert_close(trace, ops.dt * np.trace(noise_quad))
@@ -1108,7 +1215,7 @@ def _gram_noise_quad(model, n_sub):
 def test_noise_quad_matches_the_gram_construction(system, n_sub):
     with open(BENCH_DATA / f"{system}.json", encoding="utf-8") as fh:
         model = continuous_model_from_dict(json.load(fh))
-    got = _noise_quad(model, em_interval_ops(model, n_sub))
+    got = _dense_noise_quad(model, em_interval_ops(model, n_sub))
     want = _gram_noise_quad(model, n_sub)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
