@@ -18,11 +18,14 @@ from __future__ import annotations
 import numpy as np
 
 from .butcher import PrecomputedCoefficients, precompute
-from .errors import DivergenceError
+from .errors import DivergenceError, ValidationError
 from .intervals import IntervalMaps, compose, diverged, repeat, to_discrete
 from .model import ContinuousLqModel, DiscreteLqModel
 
 __all__ = ["discretize_ode"]
+
+# one composition per step: 2**20 steps take seconds, 2**40 would take months
+MAX_STEPS = 2 ** 20
 
 
 def weighted_conjugation(coeffs: PrecomputedCoefficients, m: np.ndarray) -> np.ndarray:
@@ -61,13 +64,22 @@ def discretize_ode(
     scheme : str
         One of the names in :data:`lqdisc.butcher.SCHEMES`.
     n_steps : int
-        Number of equal sub-steps across the sampling interval.
+        Number of equal sub-steps across the sampling interval, at most
+        :data:`MAX_STEPS`.
 
     Raises
     ------
+    ValidationError
+        If ``n_steps`` exceeds :data:`MAX_STEPS` (or is below 1).
     DivergenceError
         If a map stops being finite; the message names the step.
     """
+    if n_steps > MAX_STEPS:
+        raise ValidationError(
+            f"n_steps must be <= {MAX_STEPS} (2**20) on the fixed-step route; "
+            "the block exponential (discretize_expm, --method expm) is exact "
+            "and takes no step count"
+        )
     # overflow to inf is the divergence signal checked below, not an error
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = precompute(model, scheme, n_steps)

@@ -49,8 +49,7 @@ _CHUNK = 8             # Euler sub-steps per product in the pathwise stream
 _ROWS = 512            # replicates per row chunk of the em_form stream
 _WALK_BLOCK = 256      # steps per block of a horizon walk (bounds its memory)
 STREAMS = ("continuous", "discrete", "em_form")
-_PAIRS = (("continuous", "discrete"), ("continuous", "em_form"),
-          ("discrete", "em_form"))
+_PAIRS = ((0, 1), (0, 2), (1, 2))   # stream index pairs for the correlations
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +310,17 @@ def em_reformulate(
     The deterministic spine (transition, input map, cost weights) is the
     exact discretization; only the within-interval noise terms use the
     Euler-Maruyama refinement.  Requests whose total dimension
-    ``n_x + horizon * n_sub * n_w`` exceeds ``dim_cap`` raise
-    :class:`~lqdisc.errors.ResourceLimitError` — use
+    ``n_x + horizon * n_sub * n_w`` exceeds ``dim_cap``, or whose
+    ``q_big`` the system refuses to allocate (tried before any other
+    work), raise :class:`~lqdisc.errors.ResourceLimitError` — use
     :func:`cost_moments_streaming` for those.
 
     Built in one backward sweep, the cost-to-go recursion of
     :func:`~lqdisc.lqsolve.solve_finite_horizon`: interval ``b``'s noise
     reaches later stages only through ``noise_map w_b`` in ``x_{b+1}``, so
     the sweep carries the weight ``gram`` and the gradient ``lam`` (at the
-    chi-free state means) that later stages put on ``x_{b+1}``, and the
+    chi-free state means, one doubling scan :func:`_affine_scan` of the
+    inputs) that later stages put on ``x_{b+1}``, and the
     rows ``adj`` of the later noise blocks against it.  Block column ``b``
     is ``noise_quad + noise_map' gram noise_map`` on the diagonal and
     ``adj noise_map`` below it, written once with its mirror, so ``q_big``
@@ -336,20 +337,23 @@ def em_reformulate(
             f"quadratic form dimension {dim} exceeds the cap {dim_cap}; "
             "lower the noise refinement (--subdiv) or raise the cap (--dim-cap)"
         )
+    try:        # before any other work: the system may refuse what the cap allows
+        q_big = np.empty((dim, dim))
+    except MemoryError:
+        raise ResourceLimitError(
+            f"quadratic form dimension {dim} needs {dim * dim * 8 / 2**30:.1f} GiB "
+            "that could not be allocated; lower the noise refinement (--subdiv)"
+        ) from None
     disc = discretize_expm(model)
     ops = em_interval_ops(model, n_sub)
     a, quad, m_blk = disc.a, disc.q, ops.block_dim
     noise_map, cross = ops.noise_map, ops.cross
 
     # [s_k; u_k]: the chi-free state means next to the inputs
-    xu = np.zeros((horizon, n_x + model.n_u))
-    xu[:, n_x:] = model.inputs
-    drive = model.inputs @ disc.b.T
-    for k in range(1, horizon):
-        xu[k, :n_x] = a @ xu[k - 1, :n_x] + drive[k - 1]
+    drive = np.vstack([np.zeros(n_x), model.inputs[:-1] @ disc.b.T])
+    xu = np.hstack([_affine_scan(_powers(a, horizon - 1), drive), model.inputs])
     grad = (xu @ quad.T + disc.q_k)[:, :n_x]
 
-    q_big = np.empty((dim, dim))
     # noise_quad goes straight into the diagonal blocks; the sweep adds the
     # state part through one reused m_blk x m_blk buffer
     _noise_quad(model, ops, [
@@ -383,11 +387,7 @@ def em_reformulate(
     q_big[:n_x, :n_x] = symmetrize(gram)
     q_big[:n_x, n_x:] = q_big[n_x:, :n_x].T
     q_vec[:n_x] = lam
-    rho = (
-        0.5 * float(np.einsum("ki,ij,kj->", xu, quad, xu))
-        + float(np.einsum("ki,ki->", disc.q_k, xu))
-        + float(disc.rho_k.sum())
-    )
+    rho = float(_stage_costs(disc, xu, slice(None)).sum())
     return EmReformulation(
         model=model, disc=disc, ops=ops, q_big=q_big, q_vec=q_vec, rho=rho,
     )
@@ -428,6 +428,17 @@ def cost_moments(ref: EmReformulation) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # blocked horizon walks
 # ---------------------------------------------------------------------------
+
+def _stage_costs(disc: DiscreteLqModel, xu: np.ndarray, k) -> np.ndarray:
+    """The discrete stage cost ``0.5 xu' q xu + q_k' xu + rho_k`` of each
+    row of ``xu = [x; u]``: every row at stage ``k`` for an integer ``k``,
+    row ``i`` at the ``i``-th stage of ``k`` for a slice."""
+    return (
+        0.5 * np.einsum("ri,ri->r", xu @ disc.q, xu)
+        + np.einsum("...i,...i->...", xu, disc.q_k[k])
+        + disc.rho_k[k]
+    )
+
 
 def _powers(a: np.ndarray, n: int) -> np.ndarray:
     """``a^0 .. a^n`` stacked, by doubling: each batched product
@@ -565,18 +576,14 @@ def cost_moments_streaming(model: ContinuousLqModel, n_sub: int) -> tuple[float,
         pw, pw_t = powers[:n + 1], powers_t[:n + 1]
         inputs = model.inputs[start:stop]
         target = model.targets[start:stop]
-        b_xi = disc.q_k[start:stop]
         mu = np.hstack([means[:n], inputs])
         cov = covs[:n]
 
-        mean += (
-            0.5 * float(np.einsum("ki,ij,kj->", mu, quad, mu))
-            + float(np.einsum("ki,ki->", b_xi, mu))
-            + float(disc.rho_k[start:stop].sum())
-            + 0.5 * (float(np.einsum("ij,kji->", q_xx, cov)) + n * trace_noise)
+        mean += float(_stage_costs(disc, mu, slice(start, stop)).sum()) + 0.5 * (
+            float(np.einsum("ij,kji->", q_xx, cov)) + n * trace_noise
         )
 
-        g_x = (mu @ quad.T + b_xi)[:, :n_x]
+        g_x = (mu @ quad.T + disc.q_k[start:stop])[:, :n_x]
         g_w_sq = float(
             np.einsum("ki,ij,kj->", mu, cross_gram, mu)
             + 2.0 * np.einsum("ki,ij,kj->", mu, cross_lin, target)
@@ -651,11 +658,7 @@ def expected_costs(model: ContinuousLqModel, n_sub: int = 256) -> dict:
     stage_cost = cov_trace = 0.0
     for start, stop, means, covs in _state_blocks(powers, model, disc, disc.r_ww):
         xu = np.hstack([means[:-1], model.inputs[start:stop]])
-        stage_cost += (
-            0.5 * float(np.einsum("ki,ij,kj->", xu, disc.q, xu))
-            + float(np.einsum("ki,ki->", disc.q_k[start:stop], xu))
-            + float(disc.rho_k[start:stop].sum())
-        )
+        stage_cost += float(_stage_costs(disc, xu, slice(start, stop)).sum())
         cov_trace += float(np.einsum("ij,kji->", disc.q[:n_x, :n_x], covs[:-1]))
     return {
         route: stage_cost + 0.5 * (cov_trace + model.horizon * noise_trace)
@@ -697,19 +700,24 @@ def _em_panels(ref: EmReformulation) -> tuple[np.ndarray, list]:
     Interval ``b``'s noise reaches later stages only through the state, by
     ``noise_map w_b``, so ``q_big[below b, b] = K_b U'`` with ``U`` an
     orthonormal basis of the row space of ``noise_map`` (at most ``n_x``
-    columns).  Each column is checked in ``_ROWS``-row pieces, each piece's
-    ``K_b U'`` minus the column taken in one reused buffer; one that
-    differs by more than ``1e-12 max|q_big|`` (a ``q_big`` that is not the
-    materialized form) raises :class:`~lqdisc.errors.ValidationError`
-    naming it.
+    columns).  When ``m_blk <= n_x`` that basis may be square: ``U = I``
+    and each ``K_b`` is the column itself, a view of ``q_big``, and the
+    factoring holds trivially.  Otherwise each column is checked in
+    ``_ROWS``-row pieces, each piece's ``K_b U'`` minus the column taken in
+    one reused buffer; one that differs by more than ``1e-12 max|q_big|``
+    (a ``q_big`` that is not the materialized form) raises
+    :class:`~lqdisc.errors.ValidationError` naming it.
     """
     q_big, n_x, m_blk = ref.q_big, ref.n_x, ref.ops.block_dim
+    starts = range(n_x, ref.dim, m_blk or 1)
+    columns = [q_big[start + m_blk:, start:start + m_blk] for start in starts]
+    if m_blk <= n_x:
+        return np.eye(m_blk), columns
     basis = np.linalg.qr(ref.ops.noise_map.T)[0]
     tol = 1e-12 * max(q_big.max(), -q_big.min())
     buf = np.empty((_ROWS, m_blk))
     factors = []
-    for b, start in enumerate(range(n_x, ref.dim, m_blk or 1)):
-        below = q_big[start + m_blk:, start:start + m_blk]
+    for b, (start, below) in enumerate(zip(starts, columns)):
         k_b = below @ basis
         factors.append(k_b)
         for r in range(0, len(below), _ROWS):
@@ -928,11 +936,7 @@ def _block_streams(plan: _McPlan, chi: np.ndarray) -> dict:
         shared = z_k @ plan.shared
         xu[:, :n_x] = x
         xu[:, n_x:] = model.inputs[k]
-        det_vals += (
-            0.5 * np.einsum("ri,ri->r", xu @ disc.q, xu)
-            + xu @ disc.q_k[k]
-            + disc.rho_k[k]
-        )
+        det_vals += _stage_costs(disc, xu, k)
         noise_vals += (
             np.einsum("ri,ri->r", shared[:, :n_xu], xu)
             + shared[:, n_xu + n_x:] @ model.targets[k]
@@ -949,32 +953,24 @@ def _block_streams(plan: _McPlan, chi: np.ndarray) -> dict:
 
 
 def _simulate_block(args) -> dict:
+    """One block's record: with its three streams the rows of ``V`` (in
+    ``STREAMS`` order), ``sum = V 1``, ``gram = V V'`` and ``hist``, their
+    bin counts (values beyond ``edges`` count in the end bins)."""
     (plan, seed, start, stop, edges) = args
     model, n_x = plan.ref.model, plan.ref.n_x
-    reps = np.arange(start, stop)
     # chi = [x0; z]: x0 is built in place in the draws, z stays standard
-    chi = normal_block(seed, reps, plan.ref.dim)
+    chi = normal_block(seed, np.arange(start, stop), plan.ref.dim)
     x = chi[:, :n_x]
     x[...] = model.x0_mean + x @ plan.x0_root
 
     values = _block_streams(plan, chi)
-    partial = {"count": np.array(float(len(reps)))}
-    for name, vals in values.items():
-        clipped = np.clip(vals, edges[0], edges[-1])
-        partial[f"sum_{name}"] = vals.sum()
-        partial[f"sumsq_{name}"] = (vals * vals).sum()
-        partial[f"hist_{name}"] = np.histogram(clipped, bins=edges)[0].astype(float)
-    for a, bn in _PAIRS:
-        partial[f"cross_{a}_{bn}"] = (values[a] * values[bn]).sum()
-    return partial
-
-
-def _tree_reduce(parts: list) -> dict:
-    """Pairwise reduction with a topology fixed by the block count."""
-    while len(parts) > 1:
-        merged = [{k: a[k] + b[k] for k in a} for a, b in zip(parts[::2], parts[1::2])]
-        parts = merged + parts[2 * len(merged):]     # an odd last part waits a round
-    return parts[0]
+    v = np.stack([values[s] for s in STREAMS])
+    clipped = np.clip(v, edges[0], edges[-1])
+    return {
+        "sum": v.sum(axis=1),
+        "gram": v @ v.T,
+        "hist": np.stack([np.histogram(row, bins=edges)[0] for row in clipped]),
+    }
 
 
 def monte_carlo(
@@ -1005,9 +1001,12 @@ def monte_carlo(
     reads them in one forward walk over the intervals (``continuous`` and
     ``discrete``, :func:`_block_streams`) and one pass in row pieces
     (``em_form``, :func:`_em_form`); it holds its draws plus pieces that do
-    not grow with the horizon.  Replicate ``r`` depends only on ``(seed,
-    r)``; partial results are combined over fixed-size blocks by a fixed
-    pairwise tree, so the summary is identical for any worker count.
+    not grow with the horizon, and returns its record of
+    :func:`_simulate_block`.  The records are added in block order and the
+    means, variances and correlations are read off ``cov = (gram - n m m')
+    / max(n - 1, 1)``.  Replicate ``r`` depends only on ``(seed, r)`` and
+    the blocks have fixed boundaries, so the summary is identical for any
+    worker count.
     """
     if n_sims < 1:
         raise ValidationError(f"n_sims must be >= 1, got {n_sims}")
@@ -1030,36 +1029,31 @@ def monte_carlo(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_simulate_block, jobs))
-    total = _tree_reduce(parts)
+    total = {key: sum(part[key] for part in parts) for key in parts[0]}
 
-    n = float(n_sims)
-    dof = max(n - 1.0, 1.0)     # one sample: variances 0, correlations 0
-    sample_mean = {s: float(total[f"sum_{s}"] / n) for s in STREAMS}
-    sample_var = {
-        s: float((total[f"sumsq_{s}"] - n * sample_mean[s] ** 2) / dof)
-        if n_sims > 1 else 0.0
-        for s in STREAMS
-    }
+    mean = total["sum"] / n_sims
+    # one sample: gram is exactly n m m', so variances and correlations are 0
+    cov = (total["gram"] - n_sims * np.outer(mean, mean)) / max(n_sims - 1, 1)
+    var = np.diag(cov)
     correlations = {}
-    for a, bn in _PAIRS:
-        cov = (total[f"cross_{a}_{bn}"] - n * sample_mean[a] * sample_mean[bn]) / dof
-        denom = np.sqrt(sample_var[a] * sample_var[bn])
-        corr = float(cov / denom) if denom > 0 else 0.0
-        correlations[f"{a}|{bn}"] = min(1.0, max(-1.0, corr))
+    for i, j in _PAIRS:
+        denom = np.sqrt(var[i] * var[j])
+        corr = float(cov[i, j] / denom) if denom > 0 else 0.0
+        correlations[f"{STREAMS[i]}|{STREAMS[j]}"] = min(1.0, max(-1.0, corr))
 
     return McSummary(
         n_sims=n_sims,
         seed=seed,
         n_sub=ref.n_sub,
-        sample_mean=sample_mean,
-        sample_var=sample_var,
+        sample_mean={s: float(m) for s, m in zip(STREAMS, mean)},
+        sample_var={s: float(v) for s, v in zip(STREAMS, var)},
         analytic_mean=analytic_mean,
         analytic_var=analytic_var,
         correlations=correlations,
         histogram={
             "edges": [float(e) for e in edges],
             "counts": {
-                s: [int(c) for c in total[f"hist_{s}"]] for s in STREAMS
+                s: [int(c) for c in counts] for s, counts in zip(STREAMS, total["hist"])
             },
         },
     )

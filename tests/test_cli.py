@@ -177,6 +177,18 @@ def test_dimension_cap_is_a_resource_error(bench_file, capsys):
     assert "--subdiv" in err and "--dim-cap" in err
 
 
+def test_a_q_big_the_system_refuses_is_a_resource_error(bench_file, capsys):
+    # under the cap, but q_big would need about 512 TiB: more than a 47-bit
+    # address space, so the allocation fails whatever the overcommit policy
+    code = main(["montecarlo", bench_file, "--subdiv", str(2 ** 22),
+                 "--dim-cap", str(2 ** 24)])
+    assert code == 5
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lqdisc:"), lines
+    assert "dimension 8388610" in lines[0] and "GiB" in lines[0]
+    assert "--subdiv" in lines[0]
+
+
 @pytest.mark.parametrize("cap", ["0", "-1"])
 def test_dimension_cap_below_one_is_an_argument_error(bench_file, capsys, cap):
     assert main(["montecarlo", bench_file, "--sims", "1", "--dim-cap", cap]) == 2

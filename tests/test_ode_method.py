@@ -210,6 +210,13 @@ def test_bad_step_count_rejected(benchmark_model):
         discretize_ode(benchmark_model, scheme="classic_rk4", n_steps=0)
 
 
+def test_step_count_above_the_bound_rejected_before_any_work(benchmark_model):
+    # 2**21 steps would run for seconds; the bound refuses them at once
+    with pytest.raises(ValidationError, match=r"n_steps must be <= 1048576") as info:
+        discretize_ode(benchmark_model, scheme="classic_rk4", n_steps=2 ** 21)
+    assert "--method expm" in str(info.value)
+
+
 def test_step_count_too_large_for_a_float_rejected(benchmark_model):
     # t_s / n_steps needs n_steps as a float; 2**1024 has none
     with pytest.raises(ValidationError, match="n_steps"):

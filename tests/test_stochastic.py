@@ -18,6 +18,7 @@ from lqdisc.model import ContinuousLqModel, DiscreteLqModel, continuous_model_fr
 from lqdisc.ode_method import weighted_conjugation
 from lqdisc.sampling import normal_block
 from lqdisc.stochastic import (
+    STREAMS,
     _ROWS,
     _WALK_BLOCK,
     _block_streams,
@@ -677,6 +678,26 @@ def test_em_reformulate_matches_the_carrier_loop(case):
     assert abs(ref.rho - rho) <= 1e-13 * abs(rho)
 
 
+def test_em_reformulate_long_horizon_matches_the_carrier_loop():
+    # the chi-free state means come from a doubling scan over 500 steps
+    ref = em_reformulate(make_benchmark_model(horizon=500), 1)
+    _, q_vec, rho = _loop_reformulation(ref.model, 1)
+    assert np.abs(ref.q_vec - q_vec).max() <= 1e-12 * np.abs(q_vec).max()
+    assert abs(ref.rho - rho) <= 1e-12 * abs(rho)
+
+
+def test_em_reformulate_refuses_an_unallocatable_q_big_before_other_work(monkeypatch):
+    # q_big at dimension 2 + 2**23 is about 512 TiB, more than a 47-bit
+    # address space: refused under any overcommit policy, before the
+    # interval ops at n_sub 2**22 are built
+    def refuse(*args, **kwargs):
+        raise AssertionError("interval ops built before q_big was reserved")
+
+    monkeypatch.setattr(stochastic, "em_interval_ops", refuse)
+    with pytest.raises(ResourceLimitError, match=r"dimension 8388610 needs [0-9.]+ GiB"):
+        em_reformulate(make_benchmark_model(horizon=1), 2 ** 22, dim_cap=2 ** 24)
+
+
 @pytest.mark.parametrize("case", list(_em_panel_refs()))
 def test_em_panels_rebuild_the_columns_below_the_diagonal_blocks(case):
     ref = _em_panel_refs()[case]
@@ -822,11 +843,52 @@ def test_simulate_block_sums_the_reference_streams(case):
     normals[:, :ref.n_x] = ref.model.x0_mean + normals[:, :ref.n_x] @ plan.x0_root
     want = _loop_streams(ref, normals)
     edges = np.linspace(-1e3, 1e3, 5)
-    partial = stochastic._simulate_block((plan, 9, reps[0], reps[-1] + 1, edges))
-    got = {name: (partial[f"sum_{name}"], partial[f"sumsq_{name}"]) for name in want}
+    record = stochastic._simulate_block((plan, 9, reps[0], reps[-1] + 1, edges))
+    # stream i's sum, then row i of the gram: its sums against every stream
     _assert_streams_close(
-        {name: np.array(pair) for name, pair in got.items()},
-        {name: np.array([vals.sum(), (vals * vals).sum()]) for name, vals in want.items()},
+        {name: np.append(record["sum"][i], record["gram"][i])
+         for i, name in enumerate(STREAMS)},
+        {name: np.array([vals.sum(), *((vals * want[other]).sum() for other in STREAMS)])
+         for name, vals in want.items()},
+    )
+
+
+@pytest.mark.parametrize("n_sims", [5000, 1])
+def test_monte_carlo_summary_is_numpy_on_the_replicate_streams(n_sims):
+    # 5000 replicates span three blocks; one replicate has no spread, and
+    # the summary reports variances and correlations of 0 for it
+    ref = _em_form_ref("3-16")
+    plan = _mc_plan(ref)
+    normals = normal_block(4, np.arange(n_sims), ref.dim)
+    normals[:, :ref.n_x] = ref.model.x0_mean + normals[:, :ref.n_x] @ plan.x0_root
+    streams = _block_streams(plan, normals)
+    values = np.stack([streams[name] for name in STREAMS])
+    if n_sims > 1:
+        var, corr = values.var(axis=1, ddof=1), np.corrcoef(values)
+    else:
+        var, corr = np.zeros(3), np.zeros((3, 3))
+    summary = monte_carlo(ref, n_sims, seed=4, workers=2)
+    for i, name in enumerate(STREAMS):
+        assert summary.sample_mean[name] == pytest.approx(values[i].mean(), rel=1e-12)
+        assert summary.sample_var[name] == pytest.approx(var[i], rel=1e-12, abs=0.0)
+        for j in range(i + 1, 3):
+            got = summary.correlations[f"{name}|{STREAMS[j]}"]
+            assert got == pytest.approx(corr[i, j], rel=1e-12, abs=0.0)
+
+
+def test_stage_costs_match_the_model_stage_cost_row_by_row():
+    rng = np.random.default_rng(23)
+    model = random_stable_model(rng, n_x=3, n_u=2, n_z=2, horizon=6)
+    disc = discretize_expm(model)
+    xu = rng.normal(size=(6, 5))
+    want = np.array([
+        [disc.stage_cost(row[:3], row[3:], k) for row in xu] for k in range(6)
+    ])
+    # one stage for every row, then row k at stage k
+    got = np.array([stochastic._stage_costs(disc, xu, k) for k in range(6)])
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(
+        stochastic._stage_costs(disc, xu, slice(0, 6)), np.diag(want), rtol=1e-14, atol=0.0
     )
 
 
@@ -1129,6 +1191,20 @@ def test_em_reformulate_holds_little_beyond_q_big():
         em_reformulate(make_benchmark_model(horizon=4), 256)))
     q_bytes = built[0].q_big.nbytes
     assert peak <= 1.25 * q_bytes, peak / q_bytes
+
+
+def test_mc_plan_keeps_no_copy_of_q_big_columns_when_the_basis_is_square():
+    # n_sub 1, n_w 2: m_blk = n_x, so U = I and the factors below the
+    # diagonal blocks are views of q_big, not products with U
+    ref = em_reformulate(make_benchmark_model(horizon=1000), 1)
+    tracemalloc.start()
+    try:
+        plan = _mc_plan(ref)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(plan.factors) == 1000
+    assert held <= 0.1 * ref.q_big.nbytes, held / ref.q_big.nbytes
 
 
 def test_streaming_memory_does_not_grow_with_the_horizon():
