@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .expm_method import discretize_expm
-from .linalg import expm, is_psd, symmetrize
+from .linalg import expm, symmetrize
 from .lqsolve import LqSolution, solve_finite_horizon
 from .model import (
     ContinuousLqModel,
@@ -34,7 +34,6 @@ from .model import (
     discrete_model_to_dict,
 )
 from .ode_method import discretize_ode
-from .oracle import OracleConfig, oracle_cost, oracle_discretize
 from .stochastic import (
     EmReformulation,
     McSummary,
@@ -61,7 +60,6 @@ __all__ = [
     "LqdiscError",
     "McSummary",
     "NormOverflowError",
-    "OracleConfig",
     "ResourceLimitError",
     "SingularMatrixError",
     "TrackingSpec",
@@ -80,10 +78,7 @@ __all__ = [
     "em_reformulate",
     "expected_costs",
     "expm",
-    "is_psd",
     "monte_carlo",
-    "oracle_cost",
-    "oracle_discretize",
     "solve_finite_horizon",
     "symmetrize",
     "tableau",

@@ -43,7 +43,7 @@ from .model import (
     discrete_model_to_dict,
 )
 from .ode_method import discretize_ode
-from .stochastic import em_reformulate, expected_costs, monte_carlo
+from .stochastic import DEFAULT_DIM_CAP, em_reformulate, expected_costs, monte_carlo
 
 _PROG = "lqdisc"
 
@@ -67,19 +67,21 @@ def _load_model(path: str):
     return continuous_model_from_dict(data)
 
 
+def _check_scheme(scheme: str) -> str:
+    if scheme not in SCHEMES:
+        raise _UsageError(
+            f"unknown scheme {scheme!r}; choose from " + ", ".join(sorted(SCHEMES))
+        )
+    return scheme
+
+
 def _parse_method(method: str):
     """Split a method string into (kind, scheme)."""
     if method == "expm":
         return "expm", None
     for prefix, kind in (("ode:", "ode"), ("sqr:", "sqr")):
         if method.startswith(prefix):
-            scheme = method[len(prefix):]
-            if scheme not in SCHEMES:
-                raise _UsageError(
-                    f"unknown scheme {scheme!r}; choose from "
-                    + ", ".join(sorted(SCHEMES))
-                )
-            return kind, scheme
+            return kind, _check_scheme(method[len(prefix):])
     raise _UsageError(
         f"unknown method {method!r}; expected 'expm', 'ode:<scheme>' or 'sqr:<scheme>'"
     )
@@ -196,12 +198,7 @@ def _median_seconds(fn, reps: int, warmups: int = 2) -> float:
 
 def _cmd_benchmark(args) -> int:
     model = _load_model(args.model)
-    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    for s in schemes:
-        if s not in SCHEMES:
-            raise _UsageError(
-                f"unknown scheme {s!r}; choose from " + ", ".join(sorted(SCHEMES))
-            )
+    schemes = [_check_scheme(s.strip()) for s in args.schemes.split(",") if s.strip()]
     _require_at_least(args.max_exp, 0, "--max-exp")
     reps = args.reps
     _require_at_least(reps, 1, "--reps")
@@ -374,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="noise refinement sub-steps per interval")
     p.add_argument("--workers", type=int, default=1, help="thread count")
     p.add_argument("--bins", type=int, default=60)
-    p.add_argument("--dim-cap", type=int, default=4096, dest="dim_cap")
+    p.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP, dest="dim_cap")
     p.add_argument("-o", "--output", default="mc",
                    help="output prefix; writes <prefix>.json and <prefix>.csv")
     p.set_defaults(func=_cmd_montecarlo)

@@ -16,7 +16,7 @@ from .butcher import precompute
 from .errors import DivergenceError, ValidationError
 from .intervals import compose, diverged, to_discrete
 from .model import ContinuousLqModel, DiscreteLqModel
-from .ode_method import rk_seed
+from .ode_method import MAX_STEPS, rk_seed
 
 __all__ = ["discretize_step_doubling"]
 
@@ -24,9 +24,26 @@ __all__ = ["discretize_step_doubling"]
 def discretize_step_doubling(
     model: ContinuousLqModel, scheme: str = "classic_rk4", doublings: int = 8
 ) -> DiscreteLqModel:
-    """Discretize with ``2**doublings`` sub-steps in ``doublings`` iterations."""
+    """Discretize with ``2**doublings`` sub-steps in ``doublings`` iterations.
+
+    Raises
+    ------
+    ValidationError
+        If ``doublings`` is negative, or if its ``2**doublings`` sub-steps
+        exceed the fixed-step route's :data:`lqdisc.ode_method.MAX_STEPS`
+        (``doublings > 20``).
+    DivergenceError
+        If a map stops being finite; the message names the iteration.
+    """
     if doublings < 0:
         raise ValidationError(f"doublings must be >= 0, got {doublings}")
+    max_doublings = MAX_STEPS.bit_length() - 1
+    if doublings > max_doublings:
+        raise ValidationError(
+            f"n_steps must be <= {MAX_STEPS} (2**{max_doublings}) on the squaring "
+            f"route, got 2**{doublings}; the block exponential (discretize_expm, "
+            "--method expm) is exact and takes no step count"
+        )
     # overflow to inf is the divergence signal checked below
     with np.errstate(over="ignore", invalid="ignore"):
         seed = rk_seed(precompute(model, scheme, 2 ** doublings))

@@ -20,7 +20,6 @@ __all__ = [
     "norm1",
     "pade_squarings",
     "symmetrize",
-    "is_psd",
     "psd_shortfall",
 ]
 
@@ -151,12 +150,3 @@ def psd_shortfall(m, tol: float = 1e-10) -> float | None:
     scale = max(1.0, float(np.abs(eigs).max()))
     low = float(eigs.min())
     return low if low < -tol * scale else None
-
-
-def is_psd(m, tol: float = 1e-10) -> bool:
-    """Check positive semidefiniteness of a (nearly) symmetric matrix.
-
-    True iff the minimum eigenvalue of the symmetrized input is at least
-    ``-tol * scale`` where ``scale = max(1, largest |eigenvalue|)``.
-    """
-    return psd_shortfall(_as_matrix(m, "is_psd argument"), tol) is None

@@ -364,13 +364,6 @@ class DiscreteLqModel:
     def horizon(self) -> int:
         return self.q_k.shape[0]
 
-    def stage_cost(self, x, u, k: int) -> float:
-        """Stage cost at step k for state x and input u."""
-        xu = np.concatenate([np.asarray(x, float), np.asarray(u, float)])
-        return float(
-            0.5 * xu @ self.q @ xu + self.q_k[k] @ xu + self.rho_k[k]
-        )
-
 
 def _matrix_list(a):
     return np.asarray(a, dtype=float).tolist()

@@ -63,7 +63,8 @@ class EmIntervalOps:
     With ``E = I + dt a_c`` the Euler sub-step, ``powers[i] = E^i`` and
     ``held[i] = sum_{l<i} E^l dt b_c`` for ``i <= n_sub`` (so ``x_next =
     powers[n_sub] x + held[n_sub] u + noise_map w``, with ``w`` the stacked
-    sub-step increments of covariance ``dt I``) and ``f[i] = E^i g_c`` for
+    sub-step increments of covariance ``dt I``), ``f[i] = E^i g_c`` and
+    ``gram_g[i] = sum_{s <= i} (E^s)' W f[s]`` (``W = c_c' q_c c_c``) for
     ``i < n_sub``.  ``cross`` and ``noise_lin`` are the noise blocks of the
     refined stage cost; its dense ``m_blk x m_blk`` noise block comes from
     :func:`_noise_quad`, which only :func:`em_reformulate` calls.
@@ -73,6 +74,7 @@ class EmIntervalOps:
     powers: np.ndarray           # E^0 .. E^n_sub
     held: np.ndarray             # sum_{l<i} E^l dt b_c, i = 0 .. n_sub
     f: np.ndarray                # f[i] = E^i g_c, i < n_sub
+    gram_g: np.ndarray           # sum_{s<=i} (E^s)' W f[s], i < n_sub
     noise_map: np.ndarray        # (n_x, n_sub * n_w)
     cross: np.ndarray            # (n_xu, n_sub * n_w)
     noise_lin: np.ndarray        # (n_sub * n_w, n_z)
@@ -121,11 +123,11 @@ def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
     With ``W = c_c' q_c c_c`` and ``E``, ``f``, ``held`` as in
     :class:`EmIntervalOps`, the noise blocks are sums over pairs of
     sub-steps; each reduces to prefix sums over powers of ``E`` (discrete
-    analogues of Van Loan's Gramian integrals).  With ``S_r = sum_{m <= r}
-    (E^m)' W f[m]`` and ``P_r = sum_{m <= r} (c_c held[m] + d_c)' q_c c_c
-    f[m]``, the x-rows of ``cross[:, q]`` are ``dt (E^{q+1})'
-    S_{n_sub-1-q}`` and its u-rows ``dt (held[q+1]' S_{n_sub-1-q} +
-    P_{n_sub-1-q})``, by ``held[a+b] = E^a held[b] + held[a]``;
+    analogues of Van Loan's Gramian integrals).  With ``G_r = gram_g[r]``
+    and ``P_r = sum_{m <= r} (c_c held[m] + d_c)' q_c c_c f[m]``, the
+    x-rows of ``cross[:, q]`` are ``dt (E^{q+1})' G_{n_sub-1-q}`` and its
+    u-rows ``dt (held[q+1]' G_{n_sub-1-q} + P_{n_sub-1-q})``, by
+    ``held[a+b] = E^a held[b] + held[a]``;
     ``noise_lin[q] = -dt (sum_{m <= n_sub-1-q} f[m])' c_c' q_c``.  Every
     piece is a batched product or cumulative sum, linear in ``m_blk =
     n_sub * n_w``.  An ``n_sub`` below 1 raises
@@ -141,16 +143,16 @@ def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
     m_blk = n_sub * n_w
     noise_map = f[::-1].transpose(1, 0, 2).reshape(n_x, m_blk)
 
-    # cross: x-rows dt (E^{q+1})' S_r, u-rows dt (held[q+1]' S_r + P_r),
+    # cross: x-rows dt (E^{q+1})' G_r, u-rows dt (held[q+1]' G_r + P_r),
     # with r = n_sub-1-q
-    s_rev = np.cumsum(np.einsum("mxy,mxw->myw", powers[:n_sub], wf), axis=0)[::-1]
+    gram_g = np.cumsum(np.einsum("mxy,mxw->myw", powers[:n_sub], wf), axis=0)
     out_f = (model.q_c @ model.c_c) @ f
     out_held = model.c_c @ held[:n_sub] + model.d_c
     p_rev = np.cumsum(np.einsum("mzu,mzw->muw", out_held, out_f), axis=0)[::-1]
     cross_blocks = np.concatenate(
         [
-            np.einsum("qxy,qxw->qyw", powers[1:], s_rev),
-            np.einsum("qxu,qxw->quw", held[1:], s_rev) + p_rev,
+            np.einsum("qxy,qxw->qyw", powers[1:], gram_g[::-1]),
+            np.einsum("qxu,qxw->quw", held[1:], gram_g[::-1]) + p_rev,
         ],
         axis=1,
     )
@@ -162,16 +164,16 @@ def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
     noise_lin = -dt * np.einsum("qxw,xz->qwz", f_cum_rev, back_weight).reshape(
         m_blk, n_z
     )
-    return EmIntervalOps(dt, powers, held, f, noise_map, cross, noise_lin)
+    return EmIntervalOps(dt, powers, held, f, gram_g, noise_map, cross, noise_lin)
 
 
-def _noise_quad(model: ContinuousLqModel, ops: EmIntervalOps, blocks: list) -> None:
+def _noise_quad(ops: EmIntervalOps, blocks: list) -> None:
     """Write the dense ``m_blk x m_blk`` noise block of the refined stage
     cost, ``noise_quad[p, q] = dt sum_{t >= max(p, q)} f[t-p]' W f[t-q]``,
     into every array of ``blocks`` (views such as the diagonal blocks of
     ``q_big`` will do).
 
-    With the discrete Gramians ``G_r`` of :func:`_noise_gramians`, block
+    With the discrete Gramians ``G_r = ops.gram_g[r]``, block
     ``(p >= q)`` is ``dt G_{n_sub-1-p}' f[p-q]``: one product of the
     stacked ``G_r`` with ``noise_map`` gives every such pair, a skewed view
     of it lays them out as the lower block triangle, and the upper one is
@@ -186,12 +188,11 @@ def _noise_quad(model: ContinuousLqModel, ops: EmIntervalOps, blocks: list) -> N
     """
     if not blocks:
         return
-    n_sub, n_x, n_w = ops.n_sub, model.n_x, model.n_w
+    n_sub, n_x, n_w = ops.f.shape
     m_blk = ops.block_dim
-    gram_g = _noise_gramians(model, ops)
     # pairs[(s, a), (c, b)] = dt (G_{n_sub-1-s}' f[n_sub-1-c])[a, b]: the
     # blocks of noise_map run backwards
-    pairs = gram_g[::-1].transpose(0, 2, 1).reshape(m_blk, n_x) @ ops.noise_map
+    pairs = ops.gram_g[::-1].transpose(0, 2, 1).reshape(m_blk, n_x) @ ops.noise_map
     pairs *= ops.dt
     diag = pairs[:, m_blk - n_w:].reshape(n_sub, n_w, n_w)     # f[0] blocks
     diag[:] = 0.5 * (diag + diag.transpose(0, 2, 1))
@@ -215,19 +216,12 @@ def _noise_quad(model: ContinuousLqModel, ops: EmIntervalOps, blocks: list) -> N
         out[...] = blocks[0]
 
 
-def _noise_gramians(model: ContinuousLqModel, ops: EmIntervalOps) -> np.ndarray:
-    """``G_r = O_r g_c`` for ``r < n_sub``, with the discrete Gramians
-    ``O_r = sum_{s <= r} (E^s)' W E^s`` and ``W = c_c' q_c c_c``."""
-    noise_w = model.c_c.T @ model.q_c @ model.c_c
-    return _gramians(ops.powers.transpose(0, 2, 1), noise_w)[1:] @ model.g_c
-
-
-def _noise_quad_summaries(model: ContinuousLqModel, ops: EmIntervalOps):
+def _noise_quad_summaries(ops: EmIntervalOps):
     """``|noise_quad|_F^2`` and ``noise_map noise_quad noise_map'`` without
     forming the ``m_blk x m_blk`` matrix (its trace is
     :func:`_trace_integral` over ``dt``).
 
-    With ``F_d = f[d]`` and ``G_r`` from :func:`_noise_gramians`, block
+    With ``F_d = f[d]`` and ``G_r = ops.gram_g[r]``, block
     ``(p <= q)`` of ``noise_quad`` is ``dt F_d' G_r`` with ``d = q - p``
     and ``r = n_sub - 1 - q``.  Summing over the blocks, with ``P_k =
     sum_{d <= k} c_d F_d F_d'`` (``c_0 = 1``, ``c_d = 2`` above) and
@@ -241,8 +235,7 @@ def _noise_quad_summaries(model: ContinuousLqModel, ops: EmIntervalOps):
     Each sum is a batched product or cumulative sum: ``O(n_sub n_x^3)``
     work and ``O(n_sub n_x^2)`` memory.
     """
-    dt, powers, f = ops.dt, ops.powers[:-1], ops.f
-    gram_g = _noise_gramians(model, ops)
+    dt, powers, f, gram_g = ops.dt, ops.powers[:-1], ops.f, ops.gram_g
     outer = f @ f.transpose(0, 2, 1)                    # F_d F_d'
     outer_sum = np.cumsum(outer, axis=0)                # Pg_k
     weighted_sum = 2.0 * outer_sum - outer[0]           # P_k
@@ -250,7 +243,7 @@ def _noise_quad_summaries(model: ContinuousLqModel, ops: EmIntervalOps):
         np.einsum("rxw,rxy,ryw->", gram_g, weighted_sum[::-1], gram_g)
     )
     x = dt * np.einsum("bxw,bzw->xz", powers @ outer_sum[::-1] @ gram_g, f)
-    diag = dt * np.einsum("bxv,bvw,bzw->xz", f, model.g_c.T @ gram_g, f)
+    diag = dt * np.einsum("bxv,bvw,bzw->xz", f, f[0].T @ gram_g, f)
     return frob_sq, x + x.T - diag
 
 
@@ -356,7 +349,7 @@ def em_reformulate(
 
     # noise_quad goes straight into the diagonal blocks; the sweep adds the
     # state part through one reused m_blk x m_blk buffer
-    _noise_quad(model, ops, [
+    _noise_quad(ops, [
         q_big[start:start + m_blk, start:start + m_blk]
         for start in range(n_x, dim, m_blk or 1)
     ])
@@ -552,7 +545,7 @@ def cost_moments_streaming(model: ContinuousLqModel, n_sub: int) -> tuple[float,
     q_xx = quad[:n_x, :n_x]
 
     trace_noise = _trace_integral(model, dt, ops.powers)
-    quad_frob_sq, map_quad = _noise_quad_summaries(model, ops)
+    quad_frob_sq, map_quad = _noise_quad_summaries(ops)
     trace_noise_sq = dt * dt * quad_frob_sq
     cross_gram = cross @ cross.T                     # (n_xu, n_xu)
     cross_lin = cross @ noise_lin                    # (n_xu, n_z)

@@ -1,9 +1,11 @@
-"""Shared fixtures: the benchmark two-state model and random stable systems."""
+"""Shared fixtures and references: the benchmark two-state model, random
+stable systems, and plain one-formula checks the library is tested against."""
 
 import numpy as np
 import pytest
 
 from lqdisc import ContinuousLqModel
+from lqdisc.linalg import psd_shortfall
 
 
 def make_benchmark_model(horizon=1, x0_cov_scale=0.1):
@@ -51,6 +53,19 @@ def random_stable_model(rng, n_x=3, n_u=2, n_z=None, horizon=1,
         x0_mean=rng.normal(size=n_x),
         x0_cov=cov_half @ cov_half.T,
     )
+
+
+def is_psd(m, tol=1e-10):
+    """True iff the symmetrized ``m`` has no eigenvalue below ``-tol * scale``
+    (:func:`lqdisc.linalg.psd_shortfall`)."""
+    return psd_shortfall(m, tol) is None
+
+
+def stage_cost(disc, x, u, k):
+    """Stage cost ``0.5 xu' q xu + q_k' xu + rho_k`` of ``disc`` at step ``k``
+    for one state ``x`` and input ``u``, with ``xu = [x; u]``."""
+    xu = np.concatenate([np.asarray(x, float), np.asarray(u, float)])
+    return float(0.5 * xu @ disc.q @ xu + disc.q_k[k] @ xu + disc.rho_k[k])
 
 
 def dense_qp_solution(disc, x0):

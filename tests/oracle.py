@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import expm, symmetrize
-from .model import ContinuousLqModel, DiscreteLqModel
+from lqdisc.linalg import expm, symmetrize
+from lqdisc.model import ContinuousLqModel, DiscreteLqModel
 
 __all__ = ["OracleConfig", "oracle_cost", "oracle_discretize"]
 

@@ -20,7 +20,6 @@ from lqdisc.doubling import discretize_step_doubling
 from lqdisc.expm_method import discretize_expm
 from lqdisc.lqsolve import solve_finite_horizon
 from lqdisc.ode_method import discretize_ode
-from lqdisc.oracle import oracle_cost
 from lqdisc.stochastic import (
     cost_moments,
     em_reformulate,
@@ -29,6 +28,7 @@ from lqdisc.stochastic import (
 )
 
 from conftest import dense_qp_solution, make_benchmark_model, random_stable_model
+from oracle import oracle_cost
 
 FIELDS = ("a", "b", "q", "m", "r_ww", "q_k", "rho_k")
 

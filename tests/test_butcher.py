@@ -3,8 +3,9 @@ import pytest
 
 from lqdisc import SCHEMES, SingularMatrixError, ValidationError, tableau
 from lqdisc.butcher import precompute
-from lqdisc.linalg import expm, is_psd
-from tests.conftest import make_benchmark_model, random_stable_model
+from lqdisc.linalg import expm
+
+from conftest import is_psd, make_benchmark_model, random_stable_model
 
 
 def test_canonical_tableaus():

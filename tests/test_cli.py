@@ -396,6 +396,18 @@ def test_step_count_too_large_for_a_float_is_a_validation_error(tmp_path, capsys
     assert "n_steps" in lines[0]
 
 
+@pytest.mark.parametrize("args", [
+    ["--doubling", "21"],
+    ["--steps", str(2 ** 21)],
+], ids=["doubling", "steps"])
+def test_squaring_route_refuses_more_than_2_pow_20_steps(tmp_path, capsys, args):
+    path = write_model(tmp_path, scalar_payload())
+    assert main(["discretize", path, "--method", "sqr:classic_rk4", *args]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lqdisc:"), lines
+    assert "n_steps" in lines[0] and "--method expm" in lines[0]
+
+
 def test_discretize_doubling_flag_matches_power_of_two_steps(tmp_path, capsys):
     model_path = write_model(tmp_path, scalar_payload())
     a, b = tmp_path / "a.json", tmp_path / "b.json"

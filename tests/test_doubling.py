@@ -6,14 +6,14 @@ from lqdisc import (
     DivergenceError,
     SCHEMES,
     ValidationError,
+    discretize_expm,
     discretize_ode,
     discretize_step_doubling,
 )
 from lqdisc.butcher import precompute
 from lqdisc.intervals import compose
-from lqdisc.linalg import is_psd
 from lqdisc.ode_method import rk_seed
-from tests.conftest import make_benchmark_model, random_stable_model
+from conftest import is_psd, make_benchmark_model, random_stable_model
 
 FIELDS = ("a", "b", "q", "m", "r_ww")
 
@@ -140,3 +140,25 @@ def test_divergence_names_the_first_diverged_iteration():
 def test_negative_doublings_rejected(benchmark_model):
     with pytest.raises(ValidationError):
         discretize_step_doubling(benchmark_model, doublings=-1)
+
+
+def test_doublings_above_the_step_bound_are_refused_before_any_work(
+    benchmark_model, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("precompute ran for a refused doubling count")
+
+    monkeypatch.setattr("lqdisc.doubling.precompute", refuse)
+    with pytest.raises(ValidationError, match="n_steps") as info:
+        discretize_step_doubling(benchmark_model, doublings=21)
+    assert "2**20" in str(info.value) and "--method expm" in str(info.value)
+
+
+def test_doublings_at_the_step_bound_match_the_closed_form(benchmark_model):
+    # 2**20 sub-steps is the most the squaring route takes (ode_method.MAX_STEPS)
+    got = discretize_step_doubling(benchmark_model, doublings=20)
+    want = discretize_expm(benchmark_model)
+    for name in FIELDS:
+        ref = getattr(want, name)
+        err = np.abs(getattr(got, name) - ref).max() / np.abs(ref).max()
+        assert err <= 1e-9, (name, err)

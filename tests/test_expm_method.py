@@ -12,8 +12,8 @@ from lqdisc import (
     discretize_ode,
 )
 from lqdisc.expm_method import expm_seed, noise_trace_integral
-from lqdisc.linalg import expm, is_psd, norm1, pade_squarings
-from tests.conftest import make_benchmark_model, random_stable_model
+from lqdisc.linalg import expm, norm1, pade_squarings
+from conftest import is_psd, make_benchmark_model, random_stable_model
 
 BENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 

@@ -3,7 +3,7 @@ import pytest
 
 from lqdisc import ContinuousLqModel, NormOverflowError, SingularMatrixError, ValidationError
 from lqdisc.butcher import precompute
-from lqdisc.linalg import expm, is_psd, pade_squarings, symmetrize
+from lqdisc.linalg import expm, pade_squarings, psd_shortfall, symmetrize
 
 
 def test_expm_zero_is_identity():
@@ -153,6 +153,6 @@ def test_symmetrize():
     assert np.array_equal(out, [[1.0, 1.0], [1.0, 1.0]])
 
 
-def test_is_psd():
-    assert is_psd(np.eye(3))
-    assert not is_psd([[0.0, 0.0], [0.0, -1e-3]], tol=1e-10)
+def test_psd_shortfall():
+    assert psd_shortfall(np.eye(3)) is None
+    assert psd_shortfall([[0.0, 0.0], [0.0, -1e-3]], tol=1e-10) == pytest.approx(-1e-3)

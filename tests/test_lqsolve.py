@@ -9,7 +9,7 @@ from lqdisc.expm_method import discretize_expm
 from lqdisc.lqsolve import solve_finite_horizon
 from lqdisc.model import DiscreteLqModel
 
-from conftest import dense_qp_solution, make_benchmark_model, random_stable_model
+from conftest import dense_qp_solution, make_benchmark_model, random_stable_model, stage_cost
 
 
 def _plain_model(a, b, q, horizon, q_k=None, rho_k=None):
@@ -34,7 +34,7 @@ def _total_cost(disc, x0, inputs):
     x = np.asarray(x0, dtype=float)
     total = 0.0
     for k in range(disc.horizon):
-        total += disc.stage_cost(x, inputs[k], k)
+        total += stage_cost(disc, x, inputs[k], k)
         x = disc.a @ x + disc.b @ inputs[k]
     return total
 

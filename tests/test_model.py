@@ -16,7 +16,7 @@ from lqdisc import (
     discrete_model_to_dict,
     discretize_expm,
 )
-from tests.conftest import make_benchmark_model
+from conftest import make_benchmark_model
 
 
 def _raises_exactly(message):

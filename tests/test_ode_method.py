@@ -8,13 +8,13 @@ from lqdisc import (
     ValidationError,
     discretize_expm,
     discretize_ode,
-    oracle_cost,
 )
 from lqdisc.butcher import precompute
-from lqdisc.linalg import expm, is_psd, symmetrize
+from lqdisc.linalg import expm, symmetrize
 from lqdisc.intervals import IntervalMaps, compose, repeat, to_discrete
 from lqdisc.ode_method import rk_seed, weighted_conjugation
-from tests.conftest import make_benchmark_model, random_stable_model
+from conftest import is_psd, make_benchmark_model, random_stable_model
+from oracle import oracle_cost
 
 
 def _per_step_recursion(model, scheme, n_steps):

@@ -9,9 +9,8 @@ import pytest
 
 from lqdisc.expm_method import discretize_expm
 from lqdisc.model import ContinuousLqModel
-from lqdisc.oracle import OracleConfig, oracle_cost, oracle_discretize
-
 from conftest import make_benchmark_model, random_stable_model
+from oracle import OracleConfig, oracle_cost, oracle_discretize
 
 
 def _feedthrough_only_model():

@@ -18,7 +18,6 @@ PUBLIC = [
     "LqdiscError",
     "McSummary",
     "NormOverflowError",
-    "OracleConfig",
     "ResourceLimitError",
     "SingularMatrixError",
     "TrackingSpec",
@@ -37,10 +36,7 @@ PUBLIC = [
     "em_reformulate",
     "expected_costs",
     "expm",
-    "is_psd",
     "monte_carlo",
-    "oracle_cost",
-    "oracle_discretize",
     "solve_finite_horizon",
     "symmetrize",
     "tableau",

@@ -39,7 +39,7 @@ from lqdisc.stochastic import (
     monte_carlo,
 )
 
-from conftest import make_benchmark_model, random_stable_model
+from conftest import make_benchmark_model, random_stable_model, stage_cost
 
 BENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
@@ -61,7 +61,7 @@ def _deterministic_total(disc, x0, inputs):
     x = np.asarray(x0, dtype=float)
     total = 0.0
     for k in range(disc.horizon):
-        total += disc.stage_cost(x, inputs[k], k)
+        total += stage_cost(disc, x, inputs[k], k)
         x = disc.a @ x + disc.b @ inputs[k]
     return total
 
@@ -125,6 +125,12 @@ def _loop_interval_ops(model, n_sub):
             -dt * f_cum[n_sub - 1 - q].T @ model.c_c.T @ model.q_c
         )
 
+    gram_g = np.empty((n_sub, n_x, n_w))
+    acc = np.zeros((n_x, n_w))
+    for r in range(n_sub):
+        acc = acc + powers[r].T @ noise_w @ f[r]
+        gram_g[r] = acc
+
     per_node = np.einsum("kxw,xy,kyw->k", f, noise_w, f)
     trace_integral = dt * dt * float(((n_sub - np.arange(n_sub)) * per_node).sum())
     return {
@@ -132,6 +138,7 @@ def _loop_interval_ops(model, n_sub):
         "powers": powers,
         "held": held,
         "f": f,
+        "gram_g": gram_g,
         "noise_map": f[::-1].transpose(1, 0, 2).reshape(n_x, m_blk),
         "cross": cross,
         "noise_quad": noise_quad,
@@ -140,10 +147,10 @@ def _loop_interval_ops(model, n_sub):
     }
 
 
-def _dense_noise_quad(model, ops):
+def _dense_noise_quad(ops):
     """``noise_quad`` as a new ``m_blk x m_blk`` array."""
     out = np.empty((ops.block_dim, ops.block_dim))
-    _noise_quad(model, ops, [out])
+    _noise_quad(ops, [out])
     return out
 
 
@@ -178,7 +185,7 @@ def test_interval_ops_match_the_loop_definition(name, n_sub):
     got = {f.name: getattr(ops, f.name) for f in dataclasses.fields(ops)} | {
         "coarse_a": ops.powers[n_sub],
         "coarse_b": ops.held[n_sub],
-        "noise_quad": _dense_noise_quad(model, ops),
+        "noise_quad": _dense_noise_quad(ops),
         "trace_integral": _trace_integral(model, ops.dt, ops.powers),
     }
     assert set(got) == set(want)
@@ -637,7 +644,7 @@ def _loop_reformulation(model, n_sub):
     """
     disc = discretize_expm(model)
     ops = em_interval_ops(model, n_sub)
-    noise_quad = _dense_noise_quad(model, ops)
+    noise_quad = _dense_noise_quad(ops)
     n_x, n_u, m_blk = model.n_x, model.n_u, ops.block_dim
     dim = n_x + model.horizon * m_blk
     q_big = np.zeros((dim, dim))
@@ -755,7 +762,7 @@ def test_pathwise_quadratic_is_the_noise_quad_form(name, n_sub):
         targets=rng.normal(size=(3, model.n_z)),
     )
     ops = em_interval_ops(model, n_sub)
-    noise_quad = _dense_noise_quad(model, ops)
+    noise_quad = _dense_noise_quad(ops)
     dev = _euler_deviation(model, ops)
     starts, noise = _starts_and_noise(rng, model, n_sub)
     m_blk = n_sub * model.n_w
@@ -882,7 +889,7 @@ def test_stage_costs_match_the_model_stage_cost_row_by_row():
     disc = discretize_expm(model)
     xu = rng.normal(size=(6, 5))
     want = np.array([
-        [disc.stage_cost(row[:3], row[3:], k) for row in xu] for k in range(6)
+        [stage_cost(disc, row[:3], row[3:], k) for row in xu] for k in range(6)
     ])
     # one stage for every row, then row k at stage k
     got = np.array([stochastic._stage_costs(disc, xu, k) for k in range(6)])
@@ -928,7 +935,7 @@ def _loop_streaming_moments(model, n_sub, disc):
     n_x = model.n_x
     dt = ops.dt
     a, b = disc.a, disc.b
-    quad, cross, noise_quad = disc.q, ops.cross, _dense_noise_quad(model, ops)
+    quad, cross, noise_quad = disc.q, ops.cross, _dense_noise_quad(ops)
     noise_map, noise_lin = ops.noise_map, ops.noise_lin
     q_xx = quad[:n_x, :n_x]
 
@@ -1045,7 +1052,7 @@ def _loop_expected_cost(model, disc, noise_trace):
     total = 0.0
     x = np.asarray(model.x0_mean, dtype=float)
     for k in range(model.horizon):
-        total += disc.stage_cost(x, model.inputs[k], k)
+        total += stage_cost(disc, x, model.inputs[k], k)
         total += 0.5 * (
             float(np.einsum("ij,ji->", disc.q[:n_x, :n_x], covs[k])) + noise_trace
         )
@@ -1263,8 +1270,8 @@ def test_euler_powers_match_the_step_recursion(name, n_sub):
 def test_noise_quad_summaries_match_the_dense_matrix(name, n_sub):
     model = _interval_test_models()[name]
     ops = em_interval_ops(model, n_sub)
-    noise_quad, noise_map = _dense_noise_quad(model, ops), ops.noise_map
-    frob_sq, map_quad = stochastic._noise_quad_summaries(model, ops)
+    noise_quad, noise_map = _dense_noise_quad(ops), ops.noise_map
+    frob_sq, map_quad = stochastic._noise_quad_summaries(ops)
     trace = _trace_integral(model, ops.dt, ops.powers)
     _assert_close(trace, ops.dt * np.trace(noise_quad))
     _assert_close(frob_sq, np.einsum("ij,ij->", noise_quad, noise_quad))
@@ -1291,7 +1298,7 @@ def _gram_noise_quad(model, n_sub):
 def test_noise_quad_matches_the_gram_construction(system, n_sub):
     with open(BENCH_DATA / f"{system}.json", encoding="utf-8") as fh:
         model = continuous_model_from_dict(json.load(fh))
-    got = _dense_noise_quad(model, em_interval_ops(model, n_sub))
+    got = _dense_noise_quad(em_interval_ops(model, n_sub))
     want = _gram_noise_quad(model, n_sub)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
