@@ -42,7 +42,7 @@ from .model import (
     continuous_model_from_dict,
     discrete_model_to_dict,
 )
-from .ode_method import discretize_ode
+from .ode_method import MAX_STEPS, discretize_ode
 from .stochastic import DEFAULT_DIM_CAP, em_reformulate, expected_costs, monte_carlo
 
 _PROG = "lqdisc"
@@ -202,6 +202,14 @@ def _cmd_benchmark(args) -> int:
     _require_at_least(args.max_exp, 0, "--max-exp")
     reps = args.reps
     _require_at_least(reps, 1, "--reps")
+    # refused before any row is timed (compared as exponents: 2**max_exp
+    # of a huge --max-exp would be a huge integer)
+    max_exp = MAX_STEPS.bit_length() - 1
+    if args.max_exp > max_exp:
+        raise ValidationError(
+            f"--max-exp must be <= {max_exp}: the fixed-step route takes at most "
+            f"{MAX_STEPS} (2**{max_exp}) steps, got --max-exp {args.max_exp}"
+        )
 
     truth = discretize_expm(model)
     buf = io.StringIO()

@@ -24,7 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ResourceLimitError, ValidationError
 from .expm_method import discretize_expm, noise_trace_integral
@@ -66,8 +65,9 @@ class EmIntervalOps:
     sub-step increments of covariance ``dt I``), ``f[i] = E^i g_c`` and
     ``gram_g[i] = sum_{s <= i} (E^s)' W f[s]`` (``W = c_c' q_c c_c``) for
     ``i < n_sub``.  ``cross`` and ``noise_lin`` are the noise blocks of the
-    refined stage cost; its dense ``m_blk x m_blk`` noise block comes from
-    :func:`_noise_quad`, which only :func:`em_reformulate` calls.
+    refined stage cost; its dense ``m_blk x m_blk`` noise block is written
+    straight into ``q_big`` by :func:`_noise_block`, which only
+    :func:`em_reformulate` calls.
     """
 
     dt: float
@@ -167,53 +167,42 @@ def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
     return EmIntervalOps(dt, powers, held, f, gram_g, noise_map, cross, noise_lin)
 
 
-def _noise_quad(ops: EmIntervalOps, blocks: list) -> None:
-    """Write the dense ``m_blk x m_blk`` noise block of the refined stage
-    cost, ``noise_quad[p, q] = dt sum_{t >= max(p, q)} f[t-p]' W f[t-q]``,
-    into every array of ``blocks`` (views such as the diagonal blocks of
-    ``q_big`` will do).
+def _noise_block(ops: EmIntervalOps, gram: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``noise_quad + noise_map' gram noise_map`` into the ``m_blk x
+    m_blk`` array ``out`` (a diagonal block of ``q_big``) and return
+    ``noise_map' gram``.
 
-    With the discrete Gramians ``G_r = ops.gram_g[r]``, block
-    ``(p >= q)`` is ``dt G_{n_sub-1-p}' f[p-q]``: one product of the
-    stacked ``G_r`` with ``noise_map`` gives every such pair, a skewed view
-    of it lays them out as the lower block triangle, and the upper one is
-    its transpose.  Both are copied into the first block and the other
-    blocks copy the first, so the only temporary is that ``m_blk x m_blk``
-    product.  Only the materialized form
-    (:func:`em_reformulate`, and so Monte Carlo's ``em_form`` stream) needs
-    it: :func:`cost_moments_streaming` takes its summaries from
-    :func:`_noise_quad_summaries`, and the other Monte Carlo streams take
-    ``0.5 w' noise_quad w`` from the Euler deviation of
+    ``noise_quad[p, q] = dt sum_{t >= max(p, q)} f[t-p]' W f[t-q]`` is the
+    dense noise block of the refined stage cost.  With the discrete
+    Gramians ``G_r = ops.gram_g[r]``, its block ``(p >= q)`` is ``dt
+    G_{n_sub-1-p}' f[p-q]``, and the blocks of ``noise_map`` run backwards,
+    so block row ``p`` left of the diagonal is ``dt G_{n_sub-1-p}'`` times
+    the tail of ``noise_map`` from block ``n_sub-1-p`` on.  The rank-``n_x``
+    ``gram`` part goes into ``out`` as one product; each block row then
+    adds its ``noise_quad`` part and is copied to its mirror, and the
+    diagonal sub-blocks are averaged with their transposes, so ``out`` is
+    exactly symmetric and every temporary is ``O(m_blk n_x)``.  Only the
+    materialized form (:func:`em_reformulate`, and so Monte Carlo's
+    ``em_form`` stream) needs it: :func:`cost_moments_streaming` takes its
+    summaries from :func:`_noise_quad_summaries`, and the other Monte
+    Carlo streams take ``0.5 w' noise_quad w`` from the Euler deviation of
     :func:`_pathwise_cost`.
     """
-    if not blocks:
-        return
-    n_sub, n_x, n_w = ops.f.shape
-    m_blk = ops.block_dim
-    # pairs[(s, a), (c, b)] = dt (G_{n_sub-1-s}' f[n_sub-1-c])[a, b]: the
-    # blocks of noise_map run backwards
-    pairs = ops.gram_g[::-1].transpose(0, 2, 1).reshape(m_blk, n_x) @ ops.noise_map
-    pairs *= ops.dt
-    diag = pairs[:, m_blk - n_w:].reshape(n_sub, n_w, n_w)     # f[0] blocks
-    diag[:] = 0.5 * (diag + diag.transpose(0, 2, 1))
-    # block (p, q <= p) of noise_quad is pairs block (p, n_sub-1-p+q), so
-    # the view below steps one block down and one block left per p.  Its
-    # largest address (p = q = n_sub-1) is the last entry of ``pairs``;
-    # for q > p it reads entries of other blocks, which the transposed
-    # lower blocks then overwrite, one block row at a time
-    item = pairs.itemsize
-    lower = as_strided(
-        pairs[:, (n_sub - 1) * n_w:],
-        shape=(n_sub, n_w, n_sub, n_w),
-        strides=((m_blk - 1) * n_w * item, m_blk * item, n_w * item, item),
-        writeable=False,
-    )
-    quad = blocks[0].reshape(n_sub, n_w, n_sub, n_w)     # splits axes: a view
-    quad[...] = lower
-    for p in range(n_sub - 1):
-        quad[p, :, p + 1:] = lower[p + 1:, :, p].transpose(2, 0, 1)
-    for out in blocks[1:]:                               # plain copies of the first
-        out[...] = blocks[0]
+    n_sub, _, n_w = ops.f.shape
+    noise_map, m_blk = ops.noise_map, ops.block_dim
+    head = noise_map.T @ gram
+    np.matmul(head, noise_map, out=out)
+    # block row p: dt G_{n_sub-1-p}' times the last p+1 blocks of noise_map
+    for p, g_t in enumerate(ops.dt * ops.gram_g[::-1].transpose(0, 2, 1)):
+        lo, hi = p * n_w, (p + 1) * n_w
+        row = out[lo:hi, :hi]
+        row += g_t @ noise_map[:, m_blk - hi:]
+        out[:lo, lo:hi] = row[:, :lo].T
+    blocks = out.reshape(n_sub, n_w, n_sub, n_w)           # splits axes: a view
+    idx = np.arange(n_sub)
+    diag = blocks[idx, :, idx]                             # a copy, (n_sub, n_w, n_w)
+    blocks[idx, :, idx] = 0.5 * (diag + diag.transpose(0, 2, 1))
+    return head
 
 
 def _noise_quad_summaries(ops: EmIntervalOps):
@@ -317,10 +306,10 @@ def em_reformulate(
     rows ``adj`` of the later noise blocks against it.  Block column ``b``
     is ``noise_quad + noise_map' gram noise_map`` on the diagonal and
     ``adj noise_map`` below it, written once with its mirror, so ``q_big``
-    is exactly symmetric.  Work is ``O(dim^2 n_x + horizon dim n_x^2)``;
-    memory beyond ``q_big`` is one ``m_blk x m_blk`` block at a time (the
-    product that lays out ``noise_quad``, then the sweep's buffer) plus
-    ``O(dim n_x)``.
+    is exactly symmetric.  The diagonal block is built in place
+    (:func:`_noise_block`), and its ``noise_map' gram`` also gives the
+    ``x0`` column.  Work is ``O(dim^2 n_x + horizon dim n_x^2)``; memory
+    beyond ``q_big`` is ``O(dim n_x)``.
     """
     horizon = model.horizon
     n_x = model.n_x
@@ -347,13 +336,6 @@ def em_reformulate(
     xu = np.hstack([_affine_scan(_powers(a, horizon - 1), drive), model.inputs])
     grad = (xu @ quad.T + disc.q_k)[:, :n_x]
 
-    # noise_quad goes straight into the diagonal blocks; the sweep adds the
-    # state part through one reused m_blk x m_blk buffer
-    _noise_quad(ops, [
-        q_big[start:start + m_blk, start:start + m_blk]
-        for start in range(n_x, dim, m_blk or 1)
-    ])
-    buf = np.empty((m_blk, m_blk))
     q_vec = np.empty(dim)
     gram = np.zeros((n_x, n_x))
     lam = np.zeros(n_x)
@@ -363,12 +345,7 @@ def em_reformulate(
         below = q_big[stop:, start:stop]
         np.matmul(adj, noise_map, out=below)
         q_big[start:stop, stop:] = below.T
-        head = noise_map.T @ gram
-        diag = q_big[start:stop, start:stop]
-        np.matmul(head, noise_map, out=buf)
-        diag += buf
-        np.add(diag, diag.T, out=buf)
-        np.multiply(buf, 0.5, out=diag)
+        head = _noise_block(ops, gram, q_big[start:stop, start:stop])
         q_vec[start:stop] = (
             noise_map.T @ lam + cross.T @ xu[b] + ops.noise_lin @ model.targets[b]
         )

@@ -514,6 +514,24 @@ def test_benchmark_unknown_scheme_is_an_argument_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_benchmark_refuses_max_exp_above_the_step_bound_before_timing(
+    tmp_path, capsys, monkeypatch
+):
+    # 2**21 steps is above the fixed-step route's bound; the refusal comes
+    # before any row is timed, not from the first call that reaches it
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row was timed before --max-exp was checked")
+
+    monkeypatch.setattr("lqdisc.cli.discretize_ode", refuse)
+    model_path = write_model(tmp_path, scalar_payload())
+    out = tmp_path / "bench.csv"
+    assert main(["benchmark", model_path, "--schemes", "classic_rk4",
+                 "--max-exp", "21", "--reps", "1", "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "--max-exp must be <= 20" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # montecarlo
 # ---------------------------------------------------------------------------

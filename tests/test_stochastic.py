@@ -26,7 +26,7 @@ from lqdisc.stochastic import (
     _em_panels,
     _euler_deviation,
     _mc_plan,
-    _noise_quad,
+    _noise_block,
     _pathwise_cost,
     _powers,
     _state_blocks,
@@ -77,7 +77,7 @@ def _loop_interval_ops(model, n_sub):
 
     A direct transcription of the sums over pairs of sub-steps (double
     loop over block lags and columns), kept as the definition that the
-    prefix-sum constructions of :func:`em_interval_ops`, ``_noise_quad``
+    prefix-sum constructions of :func:`em_interval_ops`, ``_noise_block``
     and ``_trace_integral`` must reproduce.
     """
     n_x, n_u, n_z, n_w = model.n_x, model.n_u, model.n_z, model.n_w
@@ -148,9 +148,11 @@ def _loop_interval_ops(model, n_sub):
 
 
 def _dense_noise_quad(ops):
-    """``noise_quad`` as a new ``m_blk x m_blk`` array."""
+    """``noise_quad`` as a new ``m_blk x m_blk`` array: the diagonal block
+    of :func:`_noise_block` with no later stage weight."""
     out = np.empty((ops.block_dim, ops.block_dim))
-    _noise_quad(ops, [out])
+    n_x = ops.noise_map.shape[0]
+    _noise_block(ops, np.zeros((n_x, n_x)), out)
     return out
 
 
@@ -782,7 +784,7 @@ def test_monte_carlo_streams_read_no_noise_quad(monkeypatch):
     model = make_benchmark_model(horizon=3)
     ref = em_reformulate(model, 16)
     want = monte_carlo(ref, 3000, seed=13).to_dict()
-    monkeypatch.setattr(stochastic, "_noise_quad", _refuse_noise_quad)
+    monkeypatch.setattr(stochastic, "_noise_block", _refuse_noise_quad)
     assert monte_carlo(ref, 3000, seed=13).to_dict() == want
 
 
@@ -1180,9 +1182,19 @@ def test_monte_carlo_block_memory_does_not_grow_with_the_horizon():
     assert peak <= 1.5 * chi_bytes, peak / chi_bytes
 
 
+def test_em_reformulate_holds_little_beyond_q_big_at_one_interval():
+    # one interval: the diagonal block is all of q_big but two rows, so an
+    # m_blk x m_blk temporary next to it would double the peak
+    built = []
+    peak = _traced_peak(lambda: built.append(
+        em_reformulate(make_benchmark_model(horizon=1), 511)))
+    q_bytes = built[0].q_big.nbytes
+    assert peak <= 1.10 * q_bytes, peak / q_bytes
+
+
 def test_em_reformulate_holds_little_beyond_q_big_at_few_intervals():
     # two intervals: one m_blk x m_blk block is a quarter of q_big, so a
-    # second dense block (noise_quad next to the sweep's buffer) shows
+    # dense temporary of one block shows
     built = []
     peak = _traced_peak(lambda: built.append(
         em_reformulate(make_benchmark_model(horizon=2), 255)))
@@ -1192,7 +1204,7 @@ def test_em_reformulate_holds_little_beyond_q_big_at_few_intervals():
 
 def test_em_reformulate_holds_little_beyond_q_big():
     # the backward sweep writes every block of q_big once, through views:
-    # beyond q_big it holds one block and O(dim n_x), no dim x dim temporary
+    # beyond q_big it holds O(dim n_x), no block-sized or dim x dim temporary
     built = []
     peak = _traced_peak(lambda: built.append(
         em_reformulate(make_benchmark_model(horizon=4), 256)))
@@ -1296,19 +1308,25 @@ def _gram_noise_quad(model, n_sub):
 @pytest.mark.parametrize("n_sub", [1, 17, 256])
 @pytest.mark.parametrize("system", ["stiff", "wide10"])
 def test_noise_quad_matches_the_gram_construction(system, n_sub):
+    # with no later stage weight on the next state, then a random PSD one
     with open(BENCH_DATA / f"{system}.json", encoding="utf-8") as fh:
         model = continuous_model_from_dict(json.load(fh))
-    got = _dense_noise_quad(em_interval_ops(model, n_sub))
-    want = _gram_noise_quad(model, n_sub)
-    assert got.shape == want.shape
-    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-    assert np.array_equal(got, got.T)
+    ops = em_interval_ops(model, n_sub)
+    root = np.random.default_rng(n_sub).normal(size=(model.n_x, model.n_x))
+    for gram in (np.zeros((model.n_x, model.n_x)), root @ root.T):
+        got = np.empty((ops.block_dim, ops.block_dim))
+        head = _noise_block(ops, gram, got)
+        assert np.array_equal(head, ops.noise_map.T @ gram)
+        want = _gram_noise_quad(model, n_sub) + ops.noise_map.T @ gram @ ops.noise_map
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.array_equal(got, got.T)
 
 
 def test_streaming_moments_form_no_noise_quad(monkeypatch):
     model = make_benchmark_model(horizon=4)
     want = cost_moments_streaming(model, 64)
-    monkeypatch.setattr(stochastic, "_noise_quad", _refuse_noise_quad)
+    monkeypatch.setattr(stochastic, "_noise_block", _refuse_noise_quad)
     assert cost_moments_streaming(model, 64) == want
 
 
