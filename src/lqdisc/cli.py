@@ -43,7 +43,7 @@ from .model import (
     discrete_model_to_dict,
 )
 from .ode_method import MAX_STEPS, discretize_ode
-from .stochastic import DEFAULT_DIM_CAP, em_reformulate, expected_costs, monte_carlo
+from .stochastic import DEFAULT_DIM_CAP, expected_costs, monte_carlo
 
 _PROG = "lqdisc"
 
@@ -130,7 +130,8 @@ def _json_text(payload) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte.
 
     With ``indent`` set, ``json`` runs its pure-Python encoder, one call
-    per number; here a list of finite floats is written in one pass.
+    per number; here a list of finite floats, or of ints, is written in
+    one pass.
     """
     return _json_value(payload, "")
 
@@ -147,10 +148,12 @@ def _json_value(value, pad: str) -> str:
     if type(value) in (list, tuple) and value:
         try:
             text = (",\n" + inner).join(map(float.__repr__, value))
-            finite = "n" not in text    # "nan"/"inf": json writes NaN/Infinity
+            done = "n" not in text      # "nan"/"inf": json writes NaN/Infinity
         except TypeError:               # an item that is not a float
-            finite = False
-        if not finite:
+            done = all(type(v) is int for v in value)     # bools are not
+            if done:
+                text = (",\n" + inner).join(map(int.__repr__, value))
+        if not done:
             text = (",\n" + inner).join(_json_value(v, inner) for v in value)
         return "[\n" + inner + text + "\n" + pad + "]"
     # leaves, empty containers and anything unusual: json's own output,
@@ -281,9 +284,9 @@ def _cmd_montecarlo(args) -> int:
     _require_at_least(args.workers, 1, "--workers")
     _require_at_least(args.dim_cap, 1, "--dim-cap")
     model = _load_model(args.model)
-    ref = em_reformulate(model, args.subdiv, dim_cap=args.dim_cap)
     summary = monte_carlo(
-        ref, n_sims=args.sims, seed=args.seed, workers=args.workers, n_bins=args.bins
+        model, args.subdiv, n_sims=args.sims, seed=args.seed, workers=args.workers,
+        n_bins=args.bins, dim_cap=args.dim_cap,
     )
     json_path = f"{args.output}.json"
     csv_path = f"{args.output}.csv"
@@ -379,7 +382,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="noise refinement sub-steps per interval")
     p.add_argument("--workers", type=int, default=1, help="thread count")
     p.add_argument("--bins", type=int, default=60)
-    p.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP, dest="dim_cap")
+    p.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP, dest="dim_cap",
+                   help="largest n_x + N*subdiv*n_w (draws per replicate) a run "
+                   "samples; each worker holds 2048 x that many draws (64 MiB "
+                   "at the default 4096)")
     p.add_argument("-o", "--output", default="mc",
                    help="output prefix; writes <prefix>.json and <prefix>.csv")
     p.set_defaults(func=_cmd_montecarlo)

@@ -29,7 +29,7 @@ from .errors import ResourceLimitError, ValidationError
 from .expm_method import discretize_expm, noise_trace_integral
 from .linalg import symmetrize
 from .model import ContinuousLqModel, DiscreteLqModel
-from .sampling import normal_block
+from .sampling import DRAWS_PER_REPLICATE, normal_block
 
 __all__ = [
     "EmIntervalOps",
@@ -65,9 +65,9 @@ class EmIntervalOps:
     sub-step increments of covariance ``dt I``), ``f[i] = E^i g_c`` and
     ``gram_g[i] = sum_{s <= i} (E^s)' W f[s]`` (``W = c_c' q_c c_c``) for
     ``i < n_sub``.  ``cross`` and ``noise_lin`` are the noise blocks of the
-    refined stage cost; its dense ``m_blk x m_blk`` noise block is written
-    straight into ``q_big`` by :func:`_noise_block`, which only
-    :func:`em_reformulate` calls.
+    refined stage cost; its dense ``m_blk x m_blk`` noise block is built
+    by :func:`_noise_block`, straight into ``q_big`` by
+    :func:`em_reformulate` and once per request by Monte Carlo's plan.
     """
 
     dt: float
@@ -182,8 +182,10 @@ def _noise_block(ops: EmIntervalOps, gram: np.ndarray, out: np.ndarray) -> np.nd
     adds its ``noise_quad`` part and is copied to its mirror, and the
     diagonal sub-blocks are averaged with their transposes, so ``out`` is
     exactly symmetric and every temporary is ``O(m_blk n_x)``.  Only the
-    materialized form (:func:`em_reformulate`, and so Monte Carlo's
-    ``em_form`` stream) needs it: :func:`cost_moments_streaming` takes its
+    quadratic form needs it: :func:`em_reformulate` builds every diagonal
+    block of ``q_big`` here, and Monte Carlo's ``em_form`` stream reads
+    ``noise_quad`` itself, built here once per request with a zero
+    ``gram`` (:func:`_mc_plan`).  :func:`cost_moments_streaming` takes its
     summaries from :func:`_noise_quad_summaries`, and the other Monte
     Carlo streams take ``0.5 w' noise_quad w`` from the Euler deviation of
     :func:`_pathwise_cost`.
@@ -282,6 +284,57 @@ class EmReformulation:
         return out
 
 
+@dataclass(frozen=True)
+class _CostToGo:
+    """The quadratic form but its noise blocks on and below the diagonal."""
+
+    grams: np.ndarray           # (horizon, n_x, n_x): G_k, weight on x_{k+1}
+    factors: np.ndarray         # (horizon, m_blk, n_x): R_k, block k's rows against x_k
+    q_vec: np.ndarray           # (dim,)
+    q_xx: np.ndarray            # (n_x, n_x): the x0 diagonal block
+    rho: float
+
+
+def _cost_to_go(model: ContinuousLqModel, disc: DiscreteLqModel,
+                ops: EmIntervalOps) -> _CostToGo:
+    """The backward sweep over the stages behind the quadratic form, the
+    cost-to-go recursion of :func:`~lqdisc.lqsolve.solve_finite_horizon`.
+
+    Interval ``k``'s noise reaches later stages only through ``noise_map
+    w_k`` in ``x_{k+1}``, so the sweep carries the weight ``G_k`` and the
+    gradient ``lam`` (at the chi-free state means, one doubling scan
+    :func:`_affine_scan` of the inputs) that later stages put on
+    ``x_{k+1}``.  In ``q_big``, block ``(k, k)`` is ``noise_quad +
+    noise_map' G_k noise_map``, block ``(j, k)`` below it is ``R_j
+    a^(j-k-1) noise_map`` and the ``x0`` column of block ``j`` is ``R_j
+    a^j``, with the ``n_x``-wide ``R_j = noise_map' G_j a + cross_x'``.
+    Only ``G`` and ``lam`` take a step per stage; ``R`` and ``q_vec`` are
+    batched products.  Work and memory are ``O(dim n_x + horizon n_x^2)``.
+    """
+    horizon, n_x = model.horizon, model.n_x
+    a, quad = disc.a, disc.q
+    noise_map, cross = ops.noise_map, ops.cross
+
+    # [s_k; u_k]: the chi-free state means next to the inputs
+    drive = np.vstack([np.zeros(n_x), model.inputs[:-1] @ disc.b.T])
+    xu = np.hstack([_affine_scan(_powers(a, horizon - 1), drive), model.inputs])
+    grad = (xu @ quad.T + disc.q_k)[:, :n_x]
+
+    grams = np.empty((horizon, n_x, n_x))
+    lams = np.empty((horizon, n_x))
+    gram = np.zeros((n_x, n_x))
+    lam = np.zeros(n_x)
+    for k in range(horizon - 1, -1, -1):
+        grams[k], lams[k] = gram, lam
+        gram = quad[:n_x, :n_x] + a.T @ gram @ a
+        lam = grad[k] + a.T @ lam
+    factors = noise_map.T @ grams @ a + cross[:n_x].T
+    noise_vec = lams @ noise_map + xu @ cross + model.targets @ ops.noise_lin.T
+    q_vec = np.concatenate([lam, noise_vec.ravel()])
+    rho = float(_stage_costs(disc, xu, slice(None)).sum())
+    return _CostToGo(grams, factors, q_vec, symmetrize(gram), rho)
+
+
 def em_reformulate(
     model: ContinuousLqModel,
     n_sub: int,
@@ -297,19 +350,13 @@ def em_reformulate(
     work), raise :class:`~lqdisc.errors.ResourceLimitError` — use
     :func:`cost_moments_streaming` for those.
 
-    Built in one backward sweep, the cost-to-go recursion of
-    :func:`~lqdisc.lqsolve.solve_finite_horizon`: interval ``b``'s noise
-    reaches later stages only through ``noise_map w_b`` in ``x_{b+1}``, so
-    the sweep carries the weight ``gram`` and the gradient ``lam`` (at the
-    chi-free state means, one doubling scan :func:`_affine_scan` of the
-    inputs) that later stages put on ``x_{b+1}``, and the
-    rows ``adj`` of the later noise blocks against it.  Block column ``b``
-    is ``noise_quad + noise_map' gram noise_map`` on the diagonal and
-    ``adj noise_map`` below it, written once with its mirror, so ``q_big``
-    is exactly symmetric.  The diagonal block is built in place
-    (:func:`_noise_block`), and its ``noise_map' gram`` also gives the
-    ``x0`` column.  Work is ``O(dim^2 n_x + horizon dim n_x^2)``; memory
-    beyond ``q_big`` is ``O(dim n_x)``.
+    ``q_big`` is written from the backward sweep of :func:`_cost_to_go`,
+    block column by block column from the last interval: the diagonal
+    block is built in place (:func:`_noise_block`), the blocks below it
+    are ``adj noise_map`` with ``adj`` the rows ``R_j a^(j-k-1)`` that the
+    ``x0`` column holds so far, each written once with its mirror, so
+    ``q_big`` is exactly symmetric.  Work is ``O(dim^2 n_x + horizon dim
+    n_x^2)``; memory beyond ``q_big`` is ``O(dim n_x)``.
     """
     horizon = model.horizon
     n_x = model.n_x
@@ -328,38 +375,22 @@ def em_reformulate(
         ) from None
     disc = discretize_expm(model)
     ops = em_interval_ops(model, n_sub)
-    a, quad, m_blk = disc.a, disc.q, ops.block_dim
-    noise_map, cross = ops.noise_map, ops.cross
-
-    # [s_k; u_k]: the chi-free state means next to the inputs
-    drive = np.vstack([np.zeros(n_x), model.inputs[:-1] @ disc.b.T])
-    xu = np.hstack([_affine_scan(_powers(a, horizon - 1), drive), model.inputs])
-    grad = (xu @ quad.T + disc.q_k)[:, :n_x]
-
-    q_vec = np.empty(dim)
-    gram = np.zeros((n_x, n_x))
-    lam = np.zeros(n_x)
-    for b in range(horizon - 1, -1, -1):
-        start, stop = n_x + b * m_blk, n_x + (b + 1) * m_blk
+    stages = _cost_to_go(model, disc, ops)
+    a, m_blk, noise_map = disc.a, ops.block_dim, ops.noise_map
+    for k in range(horizon - 1, -1, -1):
+        start, stop = n_x + k * m_blk, n_x + (k + 1) * m_blk
         adj = q_big[stop:, :n_x]
         below = q_big[stop:, start:stop]
         np.matmul(adj, noise_map, out=below)
         q_big[start:stop, stop:] = below.T
-        head = _noise_block(ops, gram, q_big[start:stop, start:stop])
-        q_vec[start:stop] = (
-            noise_map.T @ lam + cross.T @ xu[b] + ops.noise_lin @ model.targets[b]
-        )
+        _noise_block(ops, stages.grams[k], q_big[start:stop, start:stop])
         adj[...] = adj @ a
-        q_big[start:stop, :n_x] = head @ a + cross[:n_x].T
-        gram = quad[:n_x, :n_x] + a.T @ gram @ a
-        lam = grad[b] + a.T @ lam
-
-    q_big[:n_x, :n_x] = symmetrize(gram)
+        q_big[start:stop, :n_x] = stages.factors[k]
+    q_big[:n_x, :n_x] = stages.q_xx
     q_big[:n_x, n_x:] = q_big[n_x:, :n_x].T
-    q_vec[:n_x] = lam
-    rho = float(_stage_costs(disc, xu, slice(None)).sum())
     return EmReformulation(
-        model=model, disc=disc, ops=ops, q_big=q_big, q_vec=q_vec, rho=rho,
+        model=model, disc=disc, ops=ops, q_big=q_big, q_vec=stages.q_vec,
+        rho=stages.rho,
     )
 
 
@@ -663,46 +694,6 @@ def _symmetric_sqrt(m: np.ndarray) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
-def _em_panels(ref: EmReformulation) -> tuple[np.ndarray, list]:
-    """``U`` and the factors ``K_b = q_big[below b, b] U`` of the noise
-    block columns of ``q_big`` below their diagonal blocks.
-
-    Interval ``b``'s noise reaches later stages only through the state, by
-    ``noise_map w_b``, so ``q_big[below b, b] = K_b U'`` with ``U`` an
-    orthonormal basis of the row space of ``noise_map`` (at most ``n_x``
-    columns).  When ``m_blk <= n_x`` that basis may be square: ``U = I``
-    and each ``K_b`` is the column itself, a view of ``q_big``, and the
-    factoring holds trivially.  Otherwise each column is checked in
-    ``_ROWS``-row pieces, each piece's ``K_b U'`` minus the column taken in
-    one reused buffer; one that differs by more than ``1e-12 max|q_big|``
-    (a ``q_big`` that is not the materialized form) raises
-    :class:`~lqdisc.errors.ValidationError` naming it.
-    """
-    q_big, n_x, m_blk = ref.q_big, ref.n_x, ref.ops.block_dim
-    starts = range(n_x, ref.dim, m_blk or 1)
-    columns = [q_big[start + m_blk:, start:start + m_blk] for start in starts]
-    if m_blk <= n_x:
-        return np.eye(m_blk), columns
-    basis = np.linalg.qr(ref.ops.noise_map.T)[0]
-    tol = 1e-12 * max(q_big.max(), -q_big.min())
-    buf = np.empty((_ROWS, m_blk))
-    factors = []
-    for b, (start, below) in enumerate(zip(starts, columns)):
-        k_b = below @ basis
-        factors.append(k_b)
-        for r in range(0, len(below), _ROWS):
-            piece = buf[:len(below) - r]
-            np.matmul(k_b[r:r + _ROWS], basis.T, out=piece)
-            piece -= below[r:r + _ROWS]
-            if piece.max() > tol or piece.min() < -tol:
-                raise ValidationError(
-                    f"q_big noise block column {b} (columns {start}:{start + m_blk}) "
-                    "is not the materialized form: it does not factor through "
-                    "the noise map below its diagonal block"
-                )
-    return basis, factors
-
-
 @dataclass(frozen=True)
 class _EulerDeviation:
     """Per-request maps of the Euler deviation pass (:func:`_pathwise_cost`)
@@ -802,74 +793,107 @@ class _McPlan:
     the ``sqrt(dt)`` and ``dt`` factors live here, not in a pass over the
     draws."""
 
-    ref: EmReformulation
+    model: ContinuousLqModel
+    disc: DiscreteLqModel
+    ops: EmIntervalOps
+    dim: int                    # draws per replicate, n_x + horizon * m_blk
     x0_root: np.ndarray         # symmetric square root of x0_cov (transposed)
     shared: np.ndarray          # sqrt(dt) [cross' | noise_map' | noise_lin]
-    em_cols: np.ndarray         # interval k: [dt U | sqrt(dt) [q_vec | x0 column] rows of k]
-    factors: list               # K_k of _em_panels, one per interval
     deviation: _EulerDeviation
+    noise_quad: np.ndarray      # m_blk x m_blk, the same for every interval
+    stages: _CostToGo
+    em_cols: np.ndarray         # interval k: sqrt(dt) [noise_map' | q_vec_k | R_k]
 
 
-def _mc_plan(ref: EmReformulation) -> _McPlan:
-    """Check ``q_big``'s off-diagonal noise columns (:func:`_em_panels`) and
-    stack the matrices every block multiplies by."""
-    ops, n_x, m_blk = ref.ops, ref.n_x, ref.ops.block_dim
+def _mc_plan(model: ContinuousLqModel, n_sub: int,
+             dim_cap: int = DEFAULT_DIM_CAP) -> _McPlan:
+    """Check the request's size, then build the matrices every block
+    multiplies by.  A block holds ``_BLOCK`` replicates of ``dim`` draws,
+    so ``dim`` above ``dim_cap`` or the sampler's budget, or a
+    ``noise_quad`` the system refuses (reserved before any other work),
+    raises :class:`~lqdisc.errors.ResourceLimitError`."""
+    n_x, horizon = model.n_x, model.horizon
+    m_blk = n_sub * model.n_w
+    dim = n_x + horizon * m_blk
+    cap = min(dim_cap, DRAWS_PER_REPLICATE)
+    if dim > cap:
+        raise ResourceLimitError(
+            f"Monte Carlo dimension {dim} ({_BLOCK * dim * 8 / 2**30:.1f} GiB of draws "
+            f"per {_BLOCK}-replicate block) exceeds the cap {cap}"
+            + ("; lower the noise refinement (--subdiv) or raise the cap (--dim-cap)"
+               if dim <= DRAWS_PER_REPLICATE else
+               ", the sampler's budget per replicate; lower the noise refinement (--subdiv)")
+        )
+    try:
+        noise_quad = np.empty((m_blk, m_blk))
+    except MemoryError:
+        raise ResourceLimitError(
+            f"noise block of dimension {m_blk} needs {m_blk * m_blk * 8 / 2**30:.1f} "
+            "GiB that could not be allocated; lower the noise refinement (--subdiv)"
+        ) from None
+    disc = discretize_expm(model)
+    ops = em_interval_ops(model, n_sub)
+    _noise_block(ops, np.zeros((n_x, n_x)), noise_quad)
+    stages = _cost_to_go(model, disc, ops)
     root_dt = np.sqrt(ops.dt)
-    basis, factors = _em_panels(ref)
-    # q_vec and the x0 block column on the noise rows, one block per interval
-    lin = np.column_stack([ref.q_vec[n_x:], ref.q_big[n_x:, :n_x]])
-    em_cols = np.concatenate([
-        np.broadcast_to(ops.dt * basis, (ref.model.horizon,) + basis.shape),
-        root_dt * lin.reshape(ref.model.horizon, m_blk, 1 + n_x),
+    em_cols = root_dt * np.concatenate([
+        np.broadcast_to(ops.noise_map.T, (horizon, m_blk, n_x)),
+        stages.q_vec[n_x:].reshape(horizon, m_blk, 1),
+        stages.factors,
     ], axis=2)
     return _McPlan(
-        ref=ref,
-        x0_root=_symmetric_sqrt(ref.model.x0_cov).T,
+        model=model,
+        disc=disc,
+        ops=ops,
+        dim=dim,
+        x0_root=_symmetric_sqrt(model.x0_cov).T,
         shared=root_dt * np.hstack([ops.cross.T, ops.noise_map.T, ops.noise_lin]),
+        deviation=_euler_deviation(model, ops),
+        noise_quad=noise_quad,
+        stages=stages,
         em_cols=em_cols,
-        factors=factors,
-        deviation=_euler_deviation(ref.model, ops),
     )
 
 
 def _em_form(plan: _McPlan, chi: np.ndarray) -> np.ndarray:
     """``0.5 c' q_big c + q_vec' c + rho`` per row ``chi = [x0; z]``, with
-    ``c = [x0; sqrt(dt) z]``, from the lower block triangle of ``q_big``.
+    ``c = [x0; sqrt(dt) z]``, from the pieces of :func:`_cost_to_go`.
 
     The ``x0`` diagonal block gives ``0.5 x0' Q_xx x0 + q_vec_x' x0``.
-    Noise block column ``k`` adds ``0.5 dt z_k' Q_kk z_k + sqrt(dt) z_k .
-    (q_vec_k + Q_kx x0) + dt (z_k U) . (z_after K_k)``, with ``U`` and
-    ``K_k`` from :func:`_em_panels`: the diagonal block ``Q_kk`` is read
-    densely, so this stays an independent check of ``0.5 w' noise_quad
-    w``, and the other terms come from one skinny product of ``z_k`` with
-    the interval's ``em_cols`` and the row dot of two skinny products, so
-    no ``m_blk``-wide array is formed for them.  A noise-free model
-    (``n_w = 0``) has the ``x0`` block only.
+    With ``v_k = sqrt(dt) noise_map z_k``, interval ``k`` adds its
+    diagonal block, ``0.5 dt z_k' noise_quad z_k + 0.5 v_k' G_k v_k``
+    (``noise_quad`` read densely, so this stays an independent check of
+    ``0.5 w' noise_quad w``), ``sqrt(dt) z_k . q_vec_k`` and ``v_k .
+    y_k``, the blocks below the diagonal, with ``y_k = sqrt(dt)
+    sum_{j>k} z_j R_j a^(j-k-1)``.  The intervals are walked backwards, so
+    ``y`` is a cost-to-go accumulator, ``y_{k-1} = y_k a + sqrt(dt) z_k
+    R_k``, and ``y_{-1}`` is ``sqrt(dt) z`` against the ``x0`` column.
+    One product of ``z_k`` with its ``em_cols`` gives every ``n_x``-wide
+    term.  A noise-free model (``n_w = 0``) has the ``x0`` block only.
 
     The replicates go in pieces of ``_ROWS`` rows, each piece through
-    every block column before the next: the piece's ``z_k`` is still in
-    cache from the dense product when the skinny one reads it, and so are
-    the later draws that ``z_after K_k`` reads.  ``q_big`` is read through
-    views; the largest temporary is a piece's ``_ROWS x m_blk`` product
-    with one diagonal block.
+    every interval before the next, so the piece's ``z_k`` is still in
+    cache from the dense product when the skinny one reads it; the largest
+    temporary is a piece's ``_ROWS x m_blk`` product with ``noise_quad``.
     """
-    ref = plan.ref
-    q_big, n_x, m_blk = ref.q_big, ref.n_x, ref.ops.block_dim
-    half_dt = 0.5 * ref.ops.dt
+    stages, a = plan.stages, plan.disc.a
+    n_x, m_blk = plan.model.n_x, plan.ops.block_dim
+    half_dt = 0.5 * plan.ops.dt
+    half_grams = 0.5 * stages.grams
     x = chi[:, :n_x]
-    out = x @ ref.q_vec[:n_x] + ref.rho
-    out += 0.5 * np.einsum("ri,ri->r", x, x @ q_big[:n_x, :n_x])
+    out = x @ stages.q_vec[:n_x] + stages.rho
+    out += 0.5 * np.einsum("ri,ri->r", x, x @ stages.q_xx)
     for r in range(0, len(chi), _ROWS):
         rows, acc = chi[r:r + _ROWS], out[r:r + _ROWS]
-        lin = np.zeros((len(rows), 1 + n_x))         # w' [q_vec | x0 column]
-        for k, k_b in enumerate(plan.factors):
-            start, stop = n_x + k * m_blk, n_x + (k + 1) * m_blk
-            z_k = rows[:, start:stop]
-            acc += half_dt * np.einsum("ri,ri->r", z_k, z_k @ q_big[start:stop, start:stop])
+        later = np.zeros((len(rows), n_x))          # y_k
+        for k in range(plan.model.horizon - 1, -1, -1):
+            z_k = rows[:, n_x + k * m_blk:n_x + (k + 1) * m_blk]
+            acc += half_dt * np.einsum("ri,ri->r", z_k, z_k @ plan.noise_quad)
             cols = z_k @ plan.em_cols[k]
-            acc += np.einsum("ri,ri->r", cols[:, :-1 - n_x], rows[:, stop:] @ k_b)
-            lin += cols[:, -1 - n_x:]
-        acc += lin[:, 0] + np.einsum("ri,ri->r", rows[:, :n_x], lin[:, 1:])
+            v = cols[:, :n_x]
+            acc += np.einsum("ri,ri->r", v, v @ half_grams[k] + later) + cols[:, n_x]
+            later = later @ a + cols[:, n_x + 1:]
+        acc += np.einsum("ri,ri->r", rows[:, :n_x], later)
     return out
 
 
@@ -886,12 +910,11 @@ def _block_streams(plan: _McPlan, chi: np.ndarray) -> dict:
     ``0.5 w_k' noise_quad w_k`` that both share.  Each column of the
     shared product depends only on its own column of the matrix, so
     sharing it couples no two streams.  ``em_form`` reads the same draws
-    through ``q_big`` alone (:func:`_em_form`).  Only ``x_k`` and
-    per-interval pieces are held, so memory beyond ``chi`` does not grow
-    with the horizon.
+    through the pieces of the quadratic form alone (:func:`_em_form`).
+    Only ``x_k`` and per-interval pieces are held, so memory beyond
+    ``chi`` does not grow with the horizon.
     """
-    ref = plan.ref
-    model, disc, ops = ref.model, ref.disc, ref.ops
+    model, disc, ops = plan.model, plan.disc, plan.ops
     n_x, m_blk = model.n_x, ops.block_dim
     reps = len(chi)
     n_xu = n_x + model.n_u
@@ -927,9 +950,9 @@ def _simulate_block(args) -> dict:
     ``STREAMS`` order), ``sum = V 1``, ``gram = V V'`` and ``hist``, their
     bin counts (values beyond ``edges`` count in the end bins)."""
     (plan, seed, start, stop, edges) = args
-    model, n_x = plan.ref.model, plan.ref.n_x
+    model, n_x = plan.model, plan.model.n_x
     # chi = [x0; z]: x0 is built in place in the draws, z stays standard
-    chi = normal_block(seed, np.arange(start, stop), plan.ref.dim)
+    chi = normal_block(seed, np.arange(start, stop), plan.dim)
     x = chi[:, :n_x]
     x[...] = model.x0_mean + x @ plan.x0_root
 
@@ -944,39 +967,41 @@ def _simulate_block(args) -> dict:
 
 
 def monte_carlo(
-    ref: EmReformulation,
+    model: ContinuousLqModel,
+    n_sub: int,
     n_sims: int,
     seed: int,
     workers: int = 1,
     n_bins: int = 60,
+    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> McSummary:
-    """Simulate the three cost streams of ``ref.model`` and summarize them.
+    """Simulate the three cost streams of ``model`` at refinement ``n_sub``
+    and summarize them against :func:`cost_moments_streaming`.
 
     Streams: ``continuous`` (pathwise fine-grid quadrature along the
     sampled trajectory, with the drift-only part of each stage taken
     from the exact discrete stage cost), ``discrete`` (discrete stage
     costs plus the per-stage ``cross`` and ``noise_lin`` terms),
-    ``em_form`` (the materialized quadratic form at the same sample).
-    Both ``continuous`` and ``discrete`` take the pure-noise quadratic
-    ``0.5 w_k' noise_quad w_k`` from the one Euler deviation pass of
-    :func:`_pathwise_cost`, so neither reads ``noise_quad``; ``em_form``,
-    which reads each diagonal block of ``q_big`` densely, is the independent
-    check.  The columns below those blocks are factored and checked once per
-    call (:func:`_em_panels`), so a ``q_big`` that is not the materialized
-    form raises :class:`~lqdisc.errors.ValidationError`.  All three evaluate
-    the same random variable, so they agree up to rounding and collapse
-    to the deterministic cost when the model is noise free.
+    ``em_form`` (the quadratic form of :func:`em_reformulate`, read from
+    its pieces by :func:`_em_form`; ``q_big`` is never formed).  Both
+    ``continuous`` and ``discrete`` take ``0.5 w_k' noise_quad w_k`` from
+    the Euler deviation pass of :func:`_pathwise_cost`; ``em_form``, which
+    reads ``noise_quad`` densely, is the independent check.  All three
+    evaluate the same random variable, so they agree up to rounding and
+    collapse to the deterministic cost when the model is noise free.  A
+    replicate's ``dim = n_x + horizon * n_sub * n_w`` draws above
+    ``dim_cap`` raise :class:`~lqdisc.errors.ResourceLimitError` before
+    any other work (:func:`_mc_plan`).
 
-    Each block of ``_BLOCK`` replicates draws its standard normals once and
-    reads them in one forward walk over the intervals (``continuous`` and
-    ``discrete``, :func:`_block_streams`) and one pass in row pieces
-    (``em_form``, :func:`_em_form`); it holds its draws plus pieces that do
-    not grow with the horizon, and returns its record of
-    :func:`_simulate_block`.  The records are added in block order and the
-    means, variances and correlations are read off ``cov = (gram - n m m')
-    / max(n - 1, 1)``.  Replicate ``r`` depends only on ``(seed, r)`` and
-    the blocks have fixed boundaries, so the summary is identical for any
-    worker count.
+    Each block of ``_BLOCK`` replicates draws its standard normals once
+    and reads them in one forward walk over the intervals (``continuous``
+    and ``discrete``, :func:`_block_streams`) and one backward pass in row
+    pieces (``em_form``); it holds its draws plus pieces that do not grow
+    with the horizon, and returns its record of :func:`_simulate_block`.
+    The records are added in block order and the means, variances and
+    correlations are read off ``cov = (gram - n m m') / max(n - 1, 1)``.
+    Replicate ``r`` depends only on ``(seed, r)`` and the blocks have
+    fixed boundaries, so the summary is identical for any worker count.
     """
     if n_sims < 1:
         raise ValidationError(f"n_sims must be >= 1, got {n_sims}")
@@ -984,9 +1009,11 @@ def monte_carlo(
         raise ValidationError(f"workers must be >= 1, got {workers}")
     if n_bins < 1:
         raise ValidationError(f"n_bins must be >= 1, got {n_bins}")
+    if n_sub < 1:
+        raise ValidationError(f"n_sub must be >= 1, got {n_sub}")
 
-    analytic_mean, analytic_var = cost_moments(ref)
-    plan = _mc_plan(ref)
+    plan = _mc_plan(model, n_sub, dim_cap)
+    analytic_mean, analytic_var = cost_moments_streaming(model, n_sub)
     spread = np.sqrt(max(analytic_var, 1e-12))
     edges = np.linspace(
         analytic_mean - 6.0 * spread, analytic_mean + 6.0 * spread, n_bins + 1
@@ -1014,7 +1041,7 @@ def monte_carlo(
     return McSummary(
         n_sims=n_sims,
         seed=seed,
-        n_sub=ref.n_sub,
+        n_sub=n_sub,
         sample_mean={s: float(m) for s, m in zip(STREAMS, mean)},
         sample_var={s: float(v) for s, v in zip(STREAMS, var)},
         analytic_mean=analytic_mean,

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,9 @@ from lqdisc.model import (
     discrete_model_to_dict,
 )
 from lqdisc.ode_method import discretize_ode
-from lqdisc.stochastic import em_reformulate, expected_costs, monte_carlo
+from lqdisc.stochastic import expected_costs, monte_carlo
+
+BENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
 
 def benchmark_payload(horizon=1):
@@ -178,8 +181,8 @@ def test_dimension_cap_is_a_resource_error(bench_file, capsys):
 
 
 def test_a_q_big_the_system_refuses_is_a_resource_error(bench_file, capsys):
-    # under the cap, but q_big would need about 512 TiB: more than a 47-bit
-    # address space, so the allocation fails whatever the overcommit policy
+    # under the cap, but 8388610 draws per replicate are above the
+    # sampler's budget: refused before any other work
     code = main(["montecarlo", bench_file, "--subdiv", str(2 ** 22),
                  "--dim-cap", str(2 ** 24)])
     assert code == 5
@@ -187,6 +190,24 @@ def test_a_q_big_the_system_refuses_is_a_resource_error(bench_file, capsys):
     assert len(lines) == 1 and lines[0].startswith("lqdisc:"), lines
     assert "dimension 8388610" in lines[0] and "GiB" in lines[0]
     assert "--subdiv" in lines[0]
+
+
+def test_montecarlo_forms_no_dim_by_dim_array(tmp_path, capsys):
+    # stiff at H = 7, --subdiv 256: dim 3586, where a dim x dim q_big
+    # would take 103 MB; one replicate needs noise_quad (2 MB) and
+    # n_x-wide pieces
+    payload = json.loads((BENCH_DATA / "stiff.json").read_text()) | {"N": 7}
+    path = write_model(tmp_path, payload)
+    dim = 2 + 7 * 256 * 2
+    tracemalloc.start()
+    try:
+        code = main(["montecarlo", path, "--sims", "1", "--subdiv", "256",
+                     "-o", str(tmp_path / "mc")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().err
+    assert peak < 0.1 * dim * dim * 8, peak / (dim * dim * 8)
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])
@@ -305,8 +326,7 @@ def _writer_payloads():
         benchmark_payload(horizon=3) | {"zbar": [[3.0, 0.0, 0.0]]}
     )
     disc = discretize_expm(model)
-    ref = em_reformulate(model, 4)
-    summary = monte_carlo(ref, 64, seed=2, n_bins=7)
+    summary = monte_carlo(model, 4, 64, seed=2, n_bins=7)
     return {
         "discretize": discrete_model_to_dict(disc),
         "discretize_ode": discrete_model_to_dict(
@@ -324,6 +344,7 @@ def _writer_payloads():
             "ints": {3: [1.0], 1: {"q": [2.0]}},
             "floats": np.linspace(0.0, 1.0, 5).tolist(),
             "numpy_floats": list(np.linspace(0.0, 1.0, 3)),
+            "int_lists": [[-3, 0, 7], [2 ** 64 + 1, -(2 ** 70)], [1, True, 0]],
             "scalar": -0.0,
         },
     }

@@ -78,9 +78,9 @@ def test_expected_costs_takes_no_route_option():
     assert params == ["model", "n_sub"]
 
 
-def test_monte_carlo_reads_its_model_from_the_reformulation():
+def test_monte_carlo_takes_the_model_and_its_refinement():
     params = list(inspect.signature(stochastic.monte_carlo).parameters)
-    assert params == ["ref", "n_sims", "seed", "workers", "n_bins"]
+    assert params == ["model", "n_sub", "n_sims", "seed", "workers", "n_bins", "dim_cap"]
     assert inspect.signature(stochastic.monte_carlo).parameters["workers"].default == 1
 
 

@@ -83,6 +83,7 @@ def test_no_correlation_between_consecutive_draws():
 def test_values_are_finite_and_continuous_looking():
     draws = normal_block(5, np.arange(16), 1024).ravel()
     assert np.all(np.isfinite(draws))
-    # Box-Muller on (0,1) uniforms cannot produce exact zeros
+    # the ziggurat scales a 52-bit random integer: an exact zero has
+    # probability about 2**-52 per draw
     assert np.count_nonzero(draws == 0.0) == 0
     assert np.unique(draws).size == draws.size

@@ -23,7 +23,6 @@ from lqdisc.stochastic import (
     _WALK_BLOCK,
     _block_streams,
     _em_form,
-    _em_panels,
     _euler_deviation,
     _mc_plan,
     _noise_block,
@@ -442,7 +441,7 @@ def test_monte_carlo_zero_noise_single_sim_hits_deterministic():
         x0_mean=model.x0_mean, x0_cov=np.zeros((2, 2)),
     )
     disc = discretize_expm(quiet)
-    summary = monte_carlo(em_reformulate(quiet, 16), 1, seed=0)
+    summary = monte_carlo(quiet, 16, 1, seed=0)
     det = _deterministic_total(disc, quiet.x0_mean, quiet.inputs)
     for stream, val in summary.sample_mean.items():
         assert abs(val - det) <= 1e-8 * max(1.0, abs(det)), stream
@@ -451,7 +450,7 @@ def test_monte_carlo_zero_noise_single_sim_hits_deterministic():
 
 def test_monte_carlo_streams_are_the_same_random_variable():
     model = make_benchmark_model(horizon=2)
-    summary = monte_carlo(em_reformulate(model, 32), 4096, seed=3)
+    summary = monte_carlo(model, 32, 4096, seed=3)
     means = summary.sample_mean
     scale = abs(means["em_form"])
     assert abs(means["discrete"] - means["em_form"]) <= 1e-10 * scale
@@ -462,10 +461,9 @@ def test_monte_carlo_streams_are_the_same_random_variable():
 
 def test_monte_carlo_pure_noise_recovers_analytic_moments():
     model = pure_noise_model()
-    ref = em_reformulate(model, 64)
-    analytic_mean, analytic_var = cost_moments(ref)
+    analytic_mean, analytic_var = cost_moments_streaming(model, 64)
     n_sims = 8192
-    summary = monte_carlo(ref, n_sims, seed=7)
+    summary = monte_carlo(model, 64, n_sims, seed=7)
     se_mean = np.sqrt(analytic_var / n_sims)
     # chi-squared-type cost: spread of the sample variance needs kurtosis;
     # 5 relative standard errors with the Gaussian-quadratic excess ~ sqrt(2)
@@ -476,19 +474,21 @@ def test_monte_carlo_pure_noise_recovers_analytic_moments():
         )
     assert summary.analytic_mean == analytic_mean
     assert summary.analytic_var == analytic_var
+    exact = cost_moments(em_reformulate(model, 64))
+    assert abs(analytic_mean - exact[0]) <= 1e-12 * abs(exact[0])
+    assert abs(analytic_var - exact[1]) <= 1e-12 * abs(exact[1])
 
 
 def test_monte_carlo_identical_across_worker_counts():
     model = make_benchmark_model(horizon=1)
-    ref = em_reformulate(model, 16)
-    one = monte_carlo(ref, 5000, seed=11, workers=1)
-    three = monte_carlo(ref, 5000, seed=11, workers=3)
+    one = monte_carlo(model, 16, 5000, seed=11, workers=1)
+    three = monte_carlo(model, 16, 5000, seed=11, workers=3)
     assert one.to_dict() == three.to_dict()
 
 
 def test_monte_carlo_histogram_counts_every_sample():
     model = make_benchmark_model(horizon=1)
-    summary = monte_carlo(em_reformulate(model, 16), 3000, seed=5)
+    summary = monte_carlo(model, 16, 3000, seed=5)
     edges = summary.histogram["edges"]
     assert len(edges) == 61
     for stream, counts in summary.histogram["counts"].items():
@@ -499,13 +499,12 @@ def test_monte_carlo_histogram_counts_every_sample():
 
 def test_monte_carlo_rejects_bad_arguments():
     model = make_benchmark_model(horizon=1)
-    ref = em_reformulate(model, 8)
     with pytest.raises(ValidationError, match="n_sims"):
-        monte_carlo(ref, 0, seed=0)
+        monte_carlo(model, 8, 0, seed=0)
     with pytest.raises(ValidationError, match="workers"):
-        monte_carlo(ref, 10, seed=0, workers=0)
+        monte_carlo(model, 8, 10, seed=0, workers=0)
     with pytest.raises(ValidationError, match="n_bins must be >= 1, got 0"):
-        monte_carlo(ref, 10, seed=0, n_bins=0)
+        monte_carlo(model, 8, 10, seed=0, n_bins=0)
 
 
 # ---------------------------------------------------------------------------
@@ -589,10 +588,10 @@ def test_pathwise_stream_matches_the_sub_step_loop(name, n_sub):
 
 
 def _em_panel_refs():
-    """Materialized forms whose noise block columns ``_em_panels`` factors:
-    the benchmark model, one noise column, ``n_sub = 1`` (``m_blk <= n_x``,
-    so the basis is square), a wider random model, one interval (no column
-    below a diagonal block) and no noise at all."""
+    """Materialized forms for the Monte Carlo pieces: the benchmark model,
+    one noise column, ``n_sub = 1`` (``m_blk <= n_x``), a wider random
+    model, one interval (no block below the diagonal) and no noise at
+    all."""
     rng = np.random.default_rng(17)
     model = make_benchmark_model(horizon=4)
     wide = _with_noise_input(rng, random_stable_model(rng, n_x=5, horizon=3), n_w=2)
@@ -633,7 +632,7 @@ def test_em_form_matches_the_dense_quadratic_form(case):
     rng = np.random.default_rng(ref.model.horizon)
     normals = rng.normal(size=(40, ref.dim))
     want = _dense_em_form(ref, normals)
-    got = _em_form(_mc_plan(ref), normals)
+    got = _em_form(_mc_plan(ref.model, ref.n_sub), normals)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -708,34 +707,40 @@ def test_em_reformulate_refuses_an_unallocatable_q_big_before_other_work(monkeyp
 
 
 @pytest.mark.parametrize("case", list(_em_panel_refs()))
-def test_em_panels_rebuild_the_columns_below_the_diagonal_blocks(case):
+def test_mc_plan_factors_rebuild_the_blocks_below_the_diagonal(case):
+    # block (j, k) below the diagonal is R_j a^(j-k-1) noise_map, and the
+    # x0 column of block row j is R_j a^j
     ref = _em_panel_refs()[case]
     n_x, m_blk, q_big = ref.n_x, ref.ops.block_dim, ref.q_big
-    basis, factors = _em_panels(ref)
-    assert len(factors) == (ref.model.horizon if m_blk else 0)
-    assert basis.shape[1] <= n_x
-    if case == "n_sub_1":
-        assert basis.shape == (m_blk, m_blk)
-    for b, k_b in enumerate(factors):
-        start, stop = n_x + b * m_blk, n_x + (b + 1) * m_blk
-        rebuilt = k_b @ basis.T
-        assert np.abs(q_big[stop:, start:stop] - rebuilt).max(initial=0.0) <= (
-            1e-13 * np.abs(q_big).max()
-        ), b
+    plan = _mc_plan(ref.model, ref.n_sub)
+    factors, a = plan.stages.factors, plan.disc.a
+    assert factors.shape == (ref.model.horizon, m_blk, n_x)
+    tol = 1e-13 * np.abs(q_big).max()
+    for j, r_j in enumerate(factors):
+        rows = slice(n_x + j * m_blk, n_x + (j + 1) * m_blk)
+        x0_col = r_j @ np.linalg.matrix_power(a, j)
+        assert np.abs(q_big[rows, :n_x] - x0_col).max(initial=0.0) <= tol, j
+        for k in range(j):
+            cols = slice(n_x + k * m_blk, n_x + (k + 1) * m_blk)
+            rebuilt = r_j @ np.linalg.matrix_power(a, j - k - 1) @ ref.ops.noise_map
+            assert np.abs(q_big[rows, cols] - rebuilt).max(initial=0.0) <= tol, (j, k)
 
 
-def test_monte_carlo_rejects_a_q_big_that_is_not_the_materialized_form():
-    ref = em_reformulate(make_benchmark_model(horizon=3), 16)
-    n_x, m_blk = ref.n_x, ref.ops.block_dim
-    q_big = ref.q_big.copy()
-    bump = 1e-6 * np.abs(q_big).max()
-    # the block of interval 2's noise against interval 1's: column 1
-    rows, cols = slice(n_x + 2 * m_blk, n_x + 3 * m_blk), slice(n_x + m_blk, n_x + 2 * m_blk)
-    q_big[rows, cols] += bump
-    q_big[cols, rows] += bump
-    bad = dataclasses.replace(ref, q_big=q_big)
-    with pytest.raises(ValidationError, match=r"noise block column 1 \(columns 34:66\)"):
-        monte_carlo(bad, 16, seed=0)
+@pytest.mark.parametrize("n_sub, dim_cap, match", [
+    (4096, stochastic.DEFAULT_DIM_CAP, r"dimension 8194 .*exceeds the cap 4096"),
+    (2 ** 22, 2 ** 24, r"dimension 8388610 .*exceeds the cap 2097152"),
+], ids=["dim_cap", "draw_budget"])
+def test_monte_carlo_refuses_a_dim_above_its_caps_before_other_work(
+    monkeypatch, n_sub, dim_cap, match
+):
+    # 2048 x dim draws per block: refused before the interval ops at
+    # n_sub 2**22 are built
+    def refuse(*args, **kwargs):
+        raise AssertionError("interval ops built before the size was checked")
+
+    monkeypatch.setattr(stochastic, "em_interval_ops", refuse)
+    with pytest.raises(ResourceLimitError, match=match):
+        monte_carlo(make_benchmark_model(horizon=1), n_sub, 1, seed=0, dim_cap=dim_cap)
 
 
 @pytest.mark.parametrize("reps", [_ROWS - 1, _ROWS + 1, 2 * _ROWS + 7])
@@ -747,7 +752,7 @@ def test_em_form_matches_the_dense_quadratic_form_across_row_chunks(reps, n_w):
     ref = em_reformulate(model, 4)
     normals = rng.normal(size=(reps, ref.dim))
     want = _dense_em_form(ref, normals)
-    got = _em_form(_mc_plan(ref), normals)
+    got = _em_form(_mc_plan(ref.model, ref.n_sub), normals)
     assert got.shape == (reps,)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -780,17 +785,32 @@ def _refuse_noise_quad(*args, **kwargs):
 
 
 def test_monte_carlo_streams_read_no_noise_quad(monkeypatch):
-    # only em_reformulate forms the block; the streams read it through q_big
+    # the plan forms noise_quad once per request; no block of the two
+    # blocks of 3000 replicates forms it again
     model = make_benchmark_model(horizon=3)
-    ref = em_reformulate(model, 16)
-    want = monte_carlo(ref, 3000, seed=13).to_dict()
-    monkeypatch.setattr(stochastic, "_noise_block", _refuse_noise_quad)
-    assert monte_carlo(ref, 3000, seed=13).to_dict() == want
+    build, simulate = stochastic._noise_block, stochastic._simulate_block
+    in_block, calls = [], []
+
+    def counted(*args):
+        calls.append(bool(in_block))
+        return build(*args)
+
+    def block(args):
+        in_block.append(True)
+        try:
+            return simulate(args)
+        finally:
+            in_block.pop()
+
+    monkeypatch.setattr(stochastic, "_noise_block", counted)
+    monkeypatch.setattr(stochastic, "_simulate_block", block)
+    monte_carlo(model, 16, 3000, seed=13)
+    assert calls == [False]
 
 
 def test_monte_carlo_stream_means_agree_at_benchmark_size():
     model = make_benchmark_model(horizon=4)
-    summary = monte_carlo(em_reformulate(model, 256), 2048, seed=31)
+    summary = monte_carlo(model, 256, 2048, seed=31)
     means = summary.sample_mean
     spread = max(means.values()) - min(means.values())
     assert spread <= 1e-9 * abs(summary.analytic_mean)
@@ -838,7 +858,7 @@ def _assert_streams_close(got, want):
 def test_block_streams_match_the_reference_walk_per_replicate(case):
     ref = _em_form_ref(case)
     normals = np.random.default_rng(ref.dim).normal(size=(37, ref.dim))
-    _assert_streams_close(_block_streams(_mc_plan(ref), normals), _loop_streams(ref, normals))
+    _assert_streams_close(_block_streams(_mc_plan(ref.model, ref.n_sub), normals), _loop_streams(ref, normals))
 
 
 @pytest.mark.parametrize("case", ["3-16", "noise_free", "n_sub_1", "one_interval"])
@@ -846,7 +866,7 @@ def test_simulate_block_sums_the_reference_streams(case):
     # the block's partial sums are those of the reference streams at its
     # own draws: x0 from the Philox normals, the increments sqrt(dt) z
     ref = _em_form_ref(case)
-    plan = _mc_plan(ref)
+    plan = _mc_plan(ref.model, ref.n_sub)
     reps = np.arange(5, 5 + 300)
     normals = normal_block(9, reps, ref.dim)
     normals[:, :ref.n_x] = ref.model.x0_mean + normals[:, :ref.n_x] @ plan.x0_root
@@ -867,7 +887,7 @@ def test_monte_carlo_summary_is_numpy_on_the_replicate_streams(n_sims):
     # 5000 replicates span three blocks; one replicate has no spread, and
     # the summary reports variances and correlations of 0 for it
     ref = _em_form_ref("3-16")
-    plan = _mc_plan(ref)
+    plan = _mc_plan(ref.model, ref.n_sub)
     normals = normal_block(4, np.arange(n_sims), ref.dim)
     normals[:, :ref.n_x] = ref.model.x0_mean + normals[:, :ref.n_x] @ plan.x0_root
     streams = _block_streams(plan, normals)
@@ -876,7 +896,7 @@ def test_monte_carlo_summary_is_numpy_on_the_replicate_streams(n_sims):
         var, corr = values.var(axis=1, ddof=1), np.corrcoef(values)
     else:
         var, corr = np.zeros(3), np.zeros((3, 3))
-    summary = monte_carlo(ref, n_sims, seed=4, workers=2)
+    summary = monte_carlo(ref.model, ref.n_sub, n_sims, seed=4, workers=2)
     for i, name in enumerate(STREAMS):
         assert summary.sample_mean[name] == pytest.approx(values[i].mean(), rel=1e-12)
         assert summary.sample_var[name] == pytest.approx(var[i], rel=1e-12, abs=0.0)
@@ -1169,7 +1189,7 @@ def test_monte_carlo_block_holds_little_beyond_its_draws():
     # second full-width array in em_form or in the Euler deviation pass
     ref = em_reformulate(make_benchmark_model(horizon=2), 256)
     chi_bytes = 2048 * ref.dim * np.dtype(float).itemsize
-    peak = _traced_peak(lambda: monte_carlo(ref, 2048, seed=1, workers=1))
+    peak = _traced_peak(lambda: monte_carlo(ref.model, ref.n_sub, 2048, seed=1, workers=1))
     assert peak <= 1.5 * chi_bytes, peak / chi_bytes
 
 
@@ -1178,7 +1198,7 @@ def test_monte_carlo_block_memory_does_not_grow_with_the_horizon():
     # the draws; the forward walk keeps only the current state
     ref = em_reformulate(make_benchmark_model(horizon=100), 1)
     chi_bytes = 2048 * ref.dim * np.dtype(float).itemsize
-    peak = _traced_peak(lambda: monte_carlo(ref, 2048, seed=1))
+    peak = _traced_peak(lambda: monte_carlo(ref.model, ref.n_sub, 2048, seed=1))
     assert peak <= 1.5 * chi_bytes, peak / chi_bytes
 
 
@@ -1213,16 +1233,16 @@ def test_em_reformulate_holds_little_beyond_q_big():
 
 
 def test_mc_plan_keeps_no_copy_of_q_big_columns_when_the_basis_is_square():
-    # n_sub 1, n_w 2: m_blk = n_x, so U = I and the factors below the
-    # diagonal blocks are views of q_big, not products with U
+    # n_sub 1, n_w 2: m_blk = n_x; the plan holds O(dim n_x) factors and
+    # no piece of q_big
     ref = em_reformulate(make_benchmark_model(horizon=1000), 1)
     tracemalloc.start()
     try:
-        plan = _mc_plan(ref)
+        plan = _mc_plan(ref.model, ref.n_sub)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(plan.factors) == 1000
+    assert len(plan.stages.factors) == 1000
     assert held <= 0.1 * ref.q_big.nbytes, held / ref.q_big.nbytes
 
 
