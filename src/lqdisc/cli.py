@@ -4,10 +4,12 @@ Subcommands: ``discretize``, ``benchmark``, ``montecarlo``,
 ``expected-cost``, ``solve``.  Models are JSON files; results go to
 stdout or ``-o``.  ``expected-cost`` prints both noise-integral routes:
 ``ode``, exact, and ``em``, the Euler-Maruyama sum at ``--subdiv``
-sub-steps.  Exit codes: 0 success, 2 bad usage/arguments
-(including an unreadable model file or an unwritable output path),
-3 invalid model data, 4 numerical failure (divergence, singular stage,
-non-convex stage, overflowing norm), 5 resource cap exceeded.
+sub-steps.  Both walk the exact interval covariance, so ``em`` equals the
+``analytic_mean`` of ``montecarlo`` at ``N = 1`` only.  Exit codes: 0
+success, 2 bad usage/arguments (including an unreadable model file or an
+unwritable output path), 3 invalid model data, 4 numerical failure
+(divergence, singular stage, non-convex stage, overflowing norm), 5
+resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -392,7 +394,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expected-cost",
                        help="closed-form expected total cost (both noise-"
-                       "integral routes)")
+                       "integral routes; em equals montecarlo's analytic_mean "
+                       "at N = 1 only)")
     p.add_argument("model")
     p.add_argument("--subdiv", type=int, default=256)
     p.add_argument("-o", "--output", default=None)

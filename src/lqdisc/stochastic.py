@@ -167,33 +167,29 @@ def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
     return EmIntervalOps(dt, powers, held, f, gram_g, noise_map, cross, noise_lin)
 
 
-def _noise_block(ops: EmIntervalOps, gram: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``noise_quad + noise_map' gram noise_map`` into the ``m_blk x
-    m_blk`` array ``out`` (a diagonal block of ``q_big``) and return
-    ``noise_map' gram``.
+def _noise_block(ops: EmIntervalOps, out: np.ndarray) -> None:
+    """Add ``noise_quad`` into ``out``, a symmetric ``m_blk x m_blk`` array:
+    zeros, or a diagonal block of ``q_big`` holding ``noise_map' G_k noise_map``.
 
     ``noise_quad[p, q] = dt sum_{t >= max(p, q)} f[t-p]' W f[t-q]`` is the
     dense noise block of the refined stage cost.  With the discrete
     Gramians ``G_r = ops.gram_g[r]``, its block ``(p >= q)`` is ``dt
     G_{n_sub-1-p}' f[p-q]``, and the blocks of ``noise_map`` run backwards,
     so block row ``p`` left of the diagonal is ``dt G_{n_sub-1-p}'`` times
-    the tail of ``noise_map`` from block ``n_sub-1-p`` on.  The rank-``n_x``
-    ``gram`` part goes into ``out`` as one product; each block row then
-    adds its ``noise_quad`` part and is copied to its mirror, and the
-    diagonal sub-blocks are averaged with their transposes, so ``out`` is
-    exactly symmetric and every temporary is ``O(m_blk n_x)``.  Only the
-    quadratic form needs it: :func:`em_reformulate` builds every diagonal
-    block of ``q_big`` here, and Monte Carlo's ``em_form`` stream reads
-    ``noise_quad`` itself, built here once per request with a zero
-    ``gram`` (:func:`_mc_plan`).  :func:`cost_moments_streaming` takes its
-    summaries from :func:`_noise_quad_summaries`, and the other Monte
-    Carlo streams take ``0.5 w' noise_quad w`` from the Euler deviation of
+    the tail of ``noise_map`` from block ``n_sub-1-p`` on.  Each block row
+    of ``out`` adds its part and is copied to its mirror, and the diagonal
+    sub-blocks are averaged with their transposes, so ``out`` is exactly
+    symmetric and every temporary is ``O(m_blk n_x)``.  Only the quadratic
+    form needs it: :func:`em_reformulate` builds every diagonal block of
+    ``q_big`` here, and Monte Carlo's ``em_form`` stream reads
+    ``noise_quad`` itself, built here once per request (:func:`_mc_plan`).
+    :func:`cost_moments_streaming` takes its summaries from
+    :func:`_noise_quad_summaries`, and the other Monte Carlo streams take
+    ``0.5 w' noise_quad w`` from the Euler deviation of
     :func:`_pathwise_cost`.
     """
     n_sub, _, n_w = ops.f.shape
     noise_map, m_blk = ops.noise_map, ops.block_dim
-    head = noise_map.T @ gram
-    np.matmul(head, noise_map, out=out)
     # block row p: dt G_{n_sub-1-p}' times the last p+1 blocks of noise_map
     for p, g_t in enumerate(ops.dt * ops.gram_g[::-1].transpose(0, 2, 1)):
         lo, hi = p * n_w, (p + 1) * n_w
@@ -204,7 +200,6 @@ def _noise_block(ops: EmIntervalOps, gram: np.ndarray, out: np.ndarray) -> np.nd
     idx = np.arange(n_sub)
     diag = blocks[idx, :, idx]                             # a copy, (n_sub, n_w, n_w)
     blocks[idx, :, idx] = 0.5 * (diag + diag.transpose(0, 2, 1))
-    return head
 
 
 def _noise_quad_summaries(ops: EmIntervalOps):
@@ -352,26 +347,29 @@ def em_reformulate(
 
     ``q_big`` is written from the backward sweep of :func:`_cost_to_go`,
     block column by block column from the last interval: the diagonal
-    block is built in place (:func:`_noise_block`), the blocks below it
-    are ``adj noise_map`` with ``adj`` the rows ``R_j a^(j-k-1)`` that the
-    ``x0`` column holds so far, each written once with its mirror, so
-    ``q_big`` is exactly symmetric.  Work is ``O(dim^2 n_x + horizon dim
-    n_x^2)``; memory beyond ``q_big`` is ``O(dim n_x)``.
+    block is built in place (``noise_map' G_k noise_map`` as one product,
+    then :func:`_noise_block`), the blocks below it are ``adj noise_map``
+    with ``adj`` the rows ``R_j a^(j-k-1)`` that the ``x0`` column holds so
+    far, each written once with its mirror, so ``q_big`` is exactly
+    symmetric.  Work is ``O(dim^2 n_x + horizon dim n_x^2)``; memory beyond
+    ``q_big`` is ``O(dim n_x)``.
     """
     horizon = model.horizon
     n_x = model.n_x
     dim = n_x + horizon * n_sub * model.n_w
+    streamed = ("cost_moments_streaming(model, n_sub), which gives the same "
+                "moments without the matrix")
     if dim > dim_cap:
         raise ResourceLimitError(
             f"quadratic form dimension {dim} exceeds the cap {dim_cap}; "
-            "lower the noise refinement (--subdiv) or raise the cap (--dim-cap)"
+            f"lower n_sub or raise dim_cap, or use {streamed}"
         )
     try:        # before any other work: the system may refuse what the cap allows
         q_big = np.empty((dim, dim))
     except MemoryError:
         raise ResourceLimitError(
             f"quadratic form dimension {dim} needs {dim * dim * 8 / 2**30:.1f} GiB "
-            "that could not be allocated; lower the noise refinement (--subdiv)"
+            f"that could not be allocated; lower n_sub, or use {streamed}"
         ) from None
     disc = discretize_expm(model)
     ops = em_interval_ops(model, n_sub)
@@ -383,7 +381,9 @@ def em_reformulate(
         below = q_big[stop:, start:stop]
         np.matmul(adj, noise_map, out=below)
         q_big[start:stop, stop:] = below.T
-        _noise_block(ops, stages.grams[k], q_big[start:stop, start:stop])
+        block = q_big[start:stop, start:stop]
+        np.matmul(noise_map.T @ stages.grams[k], noise_map, out=block)
+        _noise_block(ops, block)
         adj[...] = adj @ a
         q_big[start:stop, :n_x] = stages.factors[k]
     q_big[:n_x, :n_x] = stages.q_xx
@@ -544,8 +544,13 @@ def cost_moments_streaming(model: ContinuousLqModel, n_sub: int) -> tuple[float,
     n_z + n_w``: it does not grow with the horizon and grows linearly with
     ``n_sub``.
     """
-    disc = discretize_expm(model)
-    ops = em_interval_ops(model, n_sub)
+    return _streaming_walk(model, discretize_expm(model), em_interval_ops(model, n_sub))
+
+
+def _streaming_walk(model: ContinuousLqModel, disc: DiscreteLqModel,
+                    ops: EmIntervalOps) -> tuple[float, float]:
+    """:func:`cost_moments_streaming` from the caller's exact discretization
+    ``disc`` and noise refinement ``ops`` of ``model``."""
     n_x = model.n_x
     dt = ops.dt
     a, quad, cross = disc.a, disc.q, ops.cross
@@ -648,6 +653,13 @@ def expected_costs(model: ContinuousLqModel, n_sub: int = 256) -> dict:
     integral depends on the route, so the horizon is walked once for both, from
     ``model.x0_mean`` and ``model.x0_cov`` in the blocks of
     :func:`_state_blocks`, and the stage costs are batched products.
+
+    Both routes walk the covariance with the exact ``disc.r_ww``, so
+    ``"em"`` equals the mean of :func:`cost_moments_streaming` (Monte
+    Carlo's ``analytic_mean``), whose walk uses the refined ``dt noise_map
+    noise_map'``, at ``horizon = 1`` only: on the stiff benchmark model at
+    ``n_sub = 256`` it is ``-7.1e-5`` of ``"ode"`` below it at ``horizon =
+    4`` and ``-1.2e-4`` at ``horizon = 20``.
     """
     disc = discretize_expm(model)
     noise_traces = {
@@ -825,7 +837,7 @@ def _mc_plan(model: ContinuousLqModel, n_sub: int,
                ", the sampler's budget per replicate; lower the noise refinement (--subdiv)")
         )
     try:
-        noise_quad = np.empty((m_blk, m_blk))
+        noise_quad = np.zeros((m_blk, m_blk))
     except MemoryError:
         raise ResourceLimitError(
             f"noise block of dimension {m_blk} needs {m_blk * m_blk * 8 / 2**30:.1f} "
@@ -833,7 +845,7 @@ def _mc_plan(model: ContinuousLqModel, n_sub: int,
         ) from None
     disc = discretize_expm(model)
     ops = em_interval_ops(model, n_sub)
-    _noise_block(ops, np.zeros((n_x, n_x)), noise_quad)
+    _noise_block(ops, noise_quad)
     stages = _cost_to_go(model, disc, ops)
     root_dt = np.sqrt(ops.dt)
     em_cols = root_dt * np.concatenate([
@@ -1013,7 +1025,7 @@ def monte_carlo(
         raise ValidationError(f"n_sub must be >= 1, got {n_sub}")
 
     plan = _mc_plan(model, n_sub, dim_cap)
-    analytic_mean, analytic_var = cost_moments_streaming(model, n_sub)
+    analytic_mean, analytic_var = _streaming_walk(model, plan.disc, plan.ops)
     spread = np.sqrt(max(analytic_var, 1e-12))
     edges = np.linspace(
         analytic_mean - 6.0 * spread, analytic_mean + 6.0 * spread, n_bins + 1

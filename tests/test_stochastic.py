@@ -147,11 +147,10 @@ def _loop_interval_ops(model, n_sub):
 
 
 def _dense_noise_quad(ops):
-    """``noise_quad`` as a new ``m_blk x m_blk`` array: the diagonal block
-    of :func:`_noise_block` with no later stage weight."""
-    out = np.empty((ops.block_dim, ops.block_dim))
-    n_x = ops.noise_map.shape[0]
-    _noise_block(ops, np.zeros((n_x, n_x)), out)
+    """``noise_quad`` as a new ``m_blk x m_blk`` array: :func:`_noise_block`
+    added into zeros."""
+    out = np.zeros((ops.block_dim, ops.block_dim))
+    _noise_block(ops, out)
     return out
 
 
@@ -414,6 +413,16 @@ def test_expected_cost_em_route_approaches_reformulation_mean():
         gaps.append(abs(via_trace - via_form))
     for coarse, fine in zip(gaps, gaps[1:]):
         assert 1.7 <= coarse / fine <= 2.4
+
+
+@pytest.mark.parametrize("n_sub", [16, 64, 256])
+def test_expected_cost_em_route_is_the_streaming_mean_at_one_interval(n_sub):
+    # at H = 1 the covariance walk reads x0_cov only, so the exact and the
+    # refined interval covariances give the same mean
+    model = make_benchmark_model(horizon=1)
+    via_trace = expected_costs(model, n_sub=n_sub)["em"]
+    via_stream, _ = cost_moments_streaming(model, n_sub)
+    assert abs(via_trace - via_stream) <= 1e-14 * abs(via_stream)
 
 
 def test_expected_costs_walk_the_horizon_once_for_both_routes(monkeypatch):
@@ -694,6 +703,10 @@ def test_em_reformulate_long_horizon_matches_the_carrier_loop():
     assert abs(ref.rho - rho) <= 1e-12 * abs(rho)
 
 
+def _refuse_build(*args, **kwargs):
+    raise AssertionError("built before the request's size was checked")
+
+
 def test_em_reformulate_refuses_an_unallocatable_q_big_before_other_work(monkeypatch):
     # q_big at dimension 2 + 2**23 is about 512 TiB, more than a 47-bit
     # address space: refused under any overcommit policy, before the
@@ -704,6 +717,33 @@ def test_em_reformulate_refuses_an_unallocatable_q_big_before_other_work(monkeyp
     monkeypatch.setattr(stochastic, "em_interval_ops", refuse)
     with pytest.raises(ResourceLimitError, match=r"dimension 8388610 needs [0-9.]+ GiB"):
         em_reformulate(make_benchmark_model(horizon=1), 2 ** 22, dim_cap=2 ** 24)
+
+
+def test_em_reformulate_refusals_point_to_the_library_not_the_cli(monkeypatch):
+    # no command calls em_reformulate, so neither refusal names a flag
+    monkeypatch.setattr(stochastic, "em_interval_ops", _refuse_build)
+    messages = []
+    for n_sub, dim_cap in ((4096, stochastic.DEFAULT_DIM_CAP), (2 ** 22, 2 ** 24)):
+        with pytest.raises(ResourceLimitError) as info:
+            em_reformulate(make_benchmark_model(horizon=1), n_sub, dim_cap=dim_cap)
+        messages.append(str(info.value))
+    assert "exceeds the cap" in messages[0] and "could not be allocated" in messages[1]
+    for message in messages:
+        assert "--" not in message, message
+        assert "cost_moments_streaming(model, n_sub)" in message, message
+
+
+def test_monte_carlo_refuses_an_unallocatable_noise_quad_before_other_work(monkeypatch):
+    # dim 2 + (2**20 - 1) * 2 = 2**21 sits at both caps, but the
+    # m_blk = 2097150 noise block needs 32 TiB, which the default
+    # (heuristic) overcommit policy refuses; the refusal comes before the
+    # exact discretization or the interval ops are built
+    monkeypatch.setattr(stochastic, "em_interval_ops", _refuse_build)
+    monkeypatch.setattr(stochastic, "discretize_expm", _refuse_build)
+    with pytest.raises(ResourceLimitError,
+                       match=r"noise block of dimension 2097150 needs [0-9.]+ GiB"):
+        monte_carlo(make_benchmark_model(horizon=1), 2 ** 20 - 1, 1, seed=0,
+                    dim_cap=2 ** 21)
 
 
 @pytest.mark.parametrize("case", list(_em_panel_refs()))
@@ -806,6 +846,22 @@ def test_monte_carlo_streams_read_no_noise_quad(monkeypatch):
     monkeypatch.setattr(stochastic, "_simulate_block", block)
     monte_carlo(model, 16, 3000, seed=13)
     assert calls == [False]
+
+
+def test_monte_carlo_builds_the_exact_spine_and_interval_ops_once(monkeypatch):
+    # the plan's disc and ops feed both the blocks and the analytic moments
+    calls = []
+    for name in ("discretize_expm", "em_interval_ops"):
+        build = getattr(stochastic, name)
+        monkeypatch.setattr(
+            stochastic, name,
+            lambda *args, name=name, build=build: calls.append(name) or build(*args),
+        )
+    model = make_benchmark_model(horizon=3)
+    summary = monte_carlo(model, 16, 64, seed=5)
+    assert sorted(calls) == ["discretize_expm", "em_interval_ops"]
+    analytic = (summary.analytic_mean, summary.analytic_var)
+    assert analytic == cost_moments_streaming(model, 16)
 
 
 def test_monte_carlo_stream_means_agree_at_benchmark_size():
@@ -1334,9 +1390,8 @@ def test_noise_quad_matches_the_gram_construction(system, n_sub):
     ops = em_interval_ops(model, n_sub)
     root = np.random.default_rng(n_sub).normal(size=(model.n_x, model.n_x))
     for gram in (np.zeros((model.n_x, model.n_x)), root @ root.T):
-        got = np.empty((ops.block_dim, ops.block_dim))
-        head = _noise_block(ops, gram, got)
-        assert np.array_equal(head, ops.noise_map.T @ gram)
+        got = ops.noise_map.T @ gram @ ops.noise_map
+        assert _noise_block(ops, got) is None
         want = _gram_noise_quad(model, n_sub) + ops.noise_map.T @ gram @ ops.noise_map
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
