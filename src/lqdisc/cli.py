@@ -9,7 +9,7 @@ sub-steps.  Both walk the exact interval covariance, so ``em`` equals the
 success, 2 bad usage/arguments (including an unreadable model file or an
 unwritable output path), 3 invalid model data, 4 numerical failure
 (divergence, singular stage, non-convex stage, overflowing norm), 5
-resource cap exceeded.
+resource cap exceeded or an allocation the system refused.
 """
 
 from __future__ import annotations
@@ -97,15 +97,21 @@ def _doublings_for(n_steps: int) -> int:
     return n_steps.bit_length() - 1
 
 
-def _run_method(model, method: str, n_steps: int):
+def _run_method(model, method: str, n_steps: int, doublings: int | None = None):
+    """The discretization by ``method`` at ``n_steps`` sub-steps, or at
+    ``2**doublings`` when ``doublings`` is given.  An exponent past the
+    step bound reaches each route's own check without its power of two
+    being built, which for a huge exponent would be a huge integer."""
     kind, scheme = _parse_method(method)
     if kind == "expm":
         return discretize_expm(model)
     if kind == "ode":
+        if doublings is not None:       # any count past the bound is refused alike
+            n_steps = 2 ** min(doublings, MAX_STEPS.bit_length())
         return discretize_ode(model, scheme=scheme, n_steps=n_steps)
-    return discretize_step_doubling(
-        model, scheme=scheme, doublings=_doublings_for(n_steps)
-    )
+    if doublings is None:
+        doublings = _doublings_for(n_steps)
+    return discretize_step_doubling(model, scheme=scheme, doublings=doublings)
 
 
 def _require_at_least(value: int, minimum: int, name: str) -> None:
@@ -169,16 +175,20 @@ def _json_value(value, pad: str) -> str:
 
 def _cmd_discretize(args) -> int:
     model = _load_model(args.model)
-    if args.doubling is not None:
+    if args.doubling is None:
+        _require_at_least(args.steps, 1, "--steps")
+    else:
         _require_at_least(args.doubling, 0, "--doubling")
-    steps = args.steps if args.doubling is None else 2 ** args.doubling
-    _require_at_least(steps, 1, "--steps")
-    disc = _run_method(model, args.method, steps)
+    disc = _run_method(model, args.method, args.steps, args.doubling)
     _emit(_json_text(discrete_model_to_dict(disc)), args.output)
     if args.output is not None:
         n_x, n_u = disc.b.shape
-        # the closed form takes no step count
-        steps_note = "" if args.method == "expm" else f" N={steps}"
+        # the closed form takes no step count (and ignores --doubling); a
+        # step route that got here took at most 2**20 steps
+        steps_note = ""
+        if args.method != "expm":
+            steps = args.steps if args.doubling is None else 2 ** args.doubling
+            steps_note = f" N={steps}"
         print(
             f"wrote {args.output}: method={args.method}{steps_note} "
             f"n_x={n_x} n_u={n_u} T_s={disc.t_s}"
@@ -433,6 +443,11 @@ def main(argv=None) -> int:
         return 4
     except ResourceLimitError as exc:
         _fail(str(exc))
+        return 5
+    except MemoryError as exc:      # an allocation no cap foresaw
+        detail = f" ({exc})" if str(exc) else ""
+        _fail(f"the system refused to allocate the memory this request needs{detail}; "
+              "make the request smaller")
         return 5
     except LqdiscError as exc:      # any other library failure
         _fail(str(exc))

@@ -8,7 +8,8 @@ come from an Euler-Maruyama refinement of each interval with step
 ``dt = t_s / n_sub``.  Materializing the form gives exact mean/variance
 (a generalized chi-square); a streaming variant produces the same moments
 without ever holding the big matrix; Monte Carlo evaluates three
-independent regroupings of the same sampled cost and cross-checks them.
+independent regroupings of the same sampled cost and cross-checks them,
+all three in one forward walk over each block's draws.
 
 The horizon walks (the state mean and covariance of the streaming moments
 and the expected cost) are linear recursions with a constant transition.
@@ -45,7 +46,7 @@ __all__ = [
 DEFAULT_DIM_CAP = 4096
 _BLOCK = 2048          # Monte Carlo replicates per work unit (fixed)
 _CHUNK = 8             # Euler sub-steps per product in the pathwise stream
-_ROWS = 512            # replicates per row chunk of the em_form stream
+_ROWS = 512            # replicates per piece of em_form's noise_quad product
 _WALK_BLOCK = 256      # steps per block of a horizon walk (bounds its memory)
 STREAMS = ("continuous", "discrete", "em_form")
 _PAIRS = ((0, 1), (0, 2), (1, 2))   # stream index pairs for the correlations
@@ -803,7 +804,8 @@ class _McPlan:
     :func:`_mc_plan` and shared by every block and worker.  The draws
     enter as standard normals ``z`` (increments ``w = sqrt(dt) z``), so
     the ``sqrt(dt)`` and ``dt`` factors live here, not in a pass over the
-    draws."""
+    draws; ``em_form`` reads ``noise_quad``, ``stages`` and ``em_cols``
+    only."""
 
     model: ContinuousLqModel
     disc: DiscreteLqModel
@@ -867,70 +869,39 @@ def _mc_plan(model: ContinuousLqModel, n_sub: int,
     )
 
 
-def _em_form(plan: _McPlan, chi: np.ndarray) -> np.ndarray:
-    """``0.5 c' q_big c + q_vec' c + rho`` per row ``chi = [x0; z]``, with
-    ``c = [x0; sqrt(dt) z]``, from the pieces of :func:`_cost_to_go`.
-
-    The ``x0`` diagonal block gives ``0.5 x0' Q_xx x0 + q_vec_x' x0``.
-    With ``v_k = sqrt(dt) noise_map z_k``, interval ``k`` adds its
-    diagonal block, ``0.5 dt z_k' noise_quad z_k + 0.5 v_k' G_k v_k``
-    (``noise_quad`` read densely, so this stays an independent check of
-    ``0.5 w' noise_quad w``), ``sqrt(dt) z_k . q_vec_k`` and ``v_k .
-    y_k``, the blocks below the diagonal, with ``y_k = sqrt(dt)
-    sum_{j>k} z_j R_j a^(j-k-1)``.  The intervals are walked backwards, so
-    ``y`` is a cost-to-go accumulator, ``y_{k-1} = y_k a + sqrt(dt) z_k
-    R_k``, and ``y_{-1}`` is ``sqrt(dt) z`` against the ``x0`` column.
-    One product of ``z_k`` with its ``em_cols`` gives every ``n_x``-wide
-    term.  A noise-free model (``n_w = 0``) has the ``x0`` block only.
-
-    The replicates go in pieces of ``_ROWS`` rows, each piece through
-    every interval before the next, so the piece's ``z_k`` is still in
-    cache from the dense product when the skinny one reads it; the largest
-    temporary is a piece's ``_ROWS x m_blk`` product with ``noise_quad``.
-    """
-    stages, a = plan.stages, plan.disc.a
-    n_x, m_blk = plan.model.n_x, plan.ops.block_dim
-    half_dt = 0.5 * plan.ops.dt
-    half_grams = 0.5 * stages.grams
-    x = chi[:, :n_x]
-    out = x @ stages.q_vec[:n_x] + stages.rho
-    out += 0.5 * np.einsum("ri,ri->r", x, x @ stages.q_xx)
-    for r in range(0, len(chi), _ROWS):
-        rows, acc = chi[r:r + _ROWS], out[r:r + _ROWS]
-        later = np.zeros((len(rows), n_x))          # y_k
-        for k in range(plan.model.horizon - 1, -1, -1):
-            z_k = rows[:, n_x + k * m_blk:n_x + (k + 1) * m_blk]
-            acc += half_dt * np.einsum("ri,ri->r", z_k, z_k @ plan.noise_quad)
-            cols = z_k @ plan.em_cols[k]
-            v = cols[:, :n_x]
-            acc += np.einsum("ri,ri->r", v, v @ half_grams[k] + later) + cols[:, n_x]
-            later = later @ a + cols[:, n_x + 1:]
-        acc += np.einsum("ri,ri->r", rows[:, :n_x], later)
-    return out
-
-
 def _block_streams(plan: _McPlan, chi: np.ndarray) -> dict:
     """The three cost streams per row of ``chi = [x0; z]``, where ``z`` are
     the standard normals behind the increments ``w = sqrt(dt) z``.
 
-    One forward walk over the intervals.  In it, interval ``k``'s normals
-    ``z_k`` go through one product with ``sqrt(dt) [cross' | noise_map' |
-    noise_lin]``, which gives the ``discrete`` stream's ``cross`` and
-    ``noise_lin`` terms and the state step's ``noise_map`` term, and
-    through the Euler deviation of :func:`_pathwise_cost` from ``x_k``,
-    which gives the ``continuous`` stream's noise terms and the
-    ``0.5 w_k' noise_quad w_k`` that both share.  Each column of the
-    shared product depends only on its own column of the matrix, so
-    sharing it couples no two streams.  ``em_form`` reads the same draws
-    through the pieces of the quadratic form alone (:func:`_em_form`).
-    Only ``x_k`` and per-interval pieces are held, so memory beyond
-    ``chi`` does not grow with the horizon.
+    One forward walk, ``k = 0 .. horizon - 1``, reads interval ``k``'s
+    columns ``z_k`` for all three streams.  One product with ``sqrt(dt)
+    [cross' | noise_map' | noise_lin]`` gives the ``discrete`` stream's
+    ``cross`` and ``noise_lin`` terms and the state step's ``noise_map``
+    term (each column depends only on its own column of the matrix, so
+    sharing it couples no two streams); the Euler deviation of
+    :func:`_pathwise_cost` from ``x_k`` gives the ``continuous`` stream's
+    noise terms and the ``0.5 w_k' noise_quad w_k`` that both share.
+
+    ``em_form``, ``0.5 c' q_big c + q_vec' c + rho`` at ``c = [x0; sqrt(dt)
+    z]``, reads only the pieces of :func:`_cost_to_go` and keeps its own
+    state, so it stays an independent check.  With ``v_k = sqrt(dt)
+    noise_map z_k``, ``s_0 = x0`` and ``s_{k+1} = a s_k + v_k``, the blocks
+    below the diagonal and the ``x0`` column are ``sum_k (sqrt(dt) z_k
+    R_k) . s_k``; interval ``k`` adds that, its diagonal block ``0.5 dt
+    z_k' noise_quad z_k + 0.5 v_k' G_k v_k`` (``noise_quad`` read densely,
+    ``_ROWS`` rows at a time) and ``sqrt(dt) z_k . q_vec_k``.  One product
+    with ``em_cols[k]`` gives every ``n_x``-wide term.  Only ``x_k``,
+    ``s_k`` and per-interval pieces are held, so memory beyond ``chi``
+    does not grow with the horizon.
     """
-    model, disc, ops = plan.model, plan.disc, plan.ops
+    model, disc, ops, stages = plan.model, plan.disc, plan.ops, plan.stages
     n_x, m_blk = model.n_x, ops.block_dim
     reps = len(chi)
     n_xu = n_x + model.n_u
-    x = chi[:, :n_x]
+    half_dt = 0.5 * ops.dt
+    x = s = chi[:, :n_x]                    # x_k of the walk, s_k of em_form
+    em = x @ stages.q_vec[:n_x] + stages.rho
+    em += 0.5 * np.einsum("ri,ri->r", x, x @ stages.q_xx)
     det_vals = np.zeros(reps)
     noise_vals = np.zeros(reps)
     quad = np.zeros(reps)
@@ -950,10 +921,19 @@ def _block_streams(plan: _McPlan, chi: np.ndarray) -> dict:
         quad += quad_k
         lin += lin_k
         x = x @ disc.a.T + model.inputs[k] @ disc.b.T + shared[:, n_xu:n_xu + n_x]
+
+        for r in range(0, reps, _ROWS):
+            rows = z_k[r:r + _ROWS]
+            em[r:r + _ROWS] += half_dt * np.einsum("ri,ri->r", rows, rows @ plan.noise_quad)
+        cols = z_k @ plan.em_cols[k]
+        v = cols[:, :n_x]
+        em += 0.5 * np.einsum("ri,ri->r", v, v @ stages.grams[k]) + cols[:, n_x]
+        em += np.einsum("ri,ri->r", cols[:, n_x + 1:], s)
+        s = s @ disc.a.T + v
     return {
         "continuous": det_vals + lin + quad,
         "discrete": det_vals + noise_vals + quad,
-        "em_form": _em_form(plan, chi),
+        "em_form": em,
     }
 
 
@@ -995,7 +975,7 @@ def monte_carlo(
     from the exact discrete stage cost), ``discrete`` (discrete stage
     costs plus the per-stage ``cross`` and ``noise_lin`` terms),
     ``em_form`` (the quadratic form of :func:`em_reformulate`, read from
-    its pieces by :func:`_em_form`; ``q_big`` is never formed).  Both
+    its pieces; ``q_big`` is never formed).  Both
     ``continuous`` and ``discrete`` take ``0.5 w_k' noise_quad w_k`` from
     the Euler deviation pass of :func:`_pathwise_cost`; ``em_form``, which
     reads ``noise_quad`` densely, is the independent check.  All three
@@ -1006,10 +986,10 @@ def monte_carlo(
     any other work (:func:`_mc_plan`).
 
     Each block of ``_BLOCK`` replicates draws its standard normals once
-    and reads them in one forward walk over the intervals (``continuous``
-    and ``discrete``, :func:`_block_streams`) and one backward pass in row
-    pieces (``em_form``); it holds its draws plus pieces that do not grow
-    with the horizon, and returns its record of :func:`_simulate_block`.
+    and reads them in one forward walk over the intervals, in stream
+    order, for all three streams (:func:`_block_streams`); it holds its
+    draws plus pieces that do not grow with the horizon, and returns its
+    record of :func:`_simulate_block`.
     The records are added in block order and the means, variances and
     correlations are read off ``cov = (gram - n m m') / max(n - 1, 1)``.
     Replicate ``r`` depends only on ``(seed, r)`` and the blocks have

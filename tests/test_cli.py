@@ -192,6 +192,24 @@ def test_a_q_big_the_system_refuses_is_a_resource_error(bench_file, capsys):
     assert "--subdiv" in lines[0]
 
 
+@pytest.mark.parametrize("args", [
+    ["montecarlo", "--subdiv", "16", "--sims", "64", "--bins", str(10 ** 14)],
+    ["montecarlo", "--subdiv", "16", "--sims", str(10 ** 17)],
+    ["expected-cost", "--subdiv", str(10 ** 13)],
+], ids=["montecarlo-bins", "montecarlo-sims", "expected-cost-subdiv"])
+def test_an_allocation_the_system_refuses_is_a_resource_error(tmp_path, capsys, args):
+    # each request needs an array or list of more than 128 TiB, beyond a
+    # 47-bit address space, so the system refuses it under any overcommit
+    # policy; no cap of the library foresees these sizes
+    model = write_model(tmp_path, json.loads((BENCH_DATA / "stiff.json").read_text()))
+    assert main([args[0], model, *args[1:], "-o", str(tmp_path / "out")]) == 5
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lqdisc:"), lines
+    assert "allocate" in lines[0]
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_montecarlo_forms_no_dim_by_dim_array(tmp_path, capsys):
     # stiff at H = 7, --subdiv 256: dim 3586, where a dim x dim q_big
     # would take 103 MB; one replicate needs noise_quad (2 MB) and
@@ -427,6 +445,27 @@ def test_squaring_route_refuses_more_than_2_pow_20_steps(tmp_path, capsys, args)
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("lqdisc:"), lines
     assert "n_steps" in lines[0] and "--method expm" in lines[0]
+
+
+@pytest.mark.parametrize("method, code", [
+    ("ode:classic_rk4", 3), ("sqr:classic_rk4", 3), ("expm", 0),
+])
+def test_doubling_is_checked_as_an_exponent(tmp_path, capsys, method, code):
+    # 2**J at this J would be a 12.5 GB integer: the step routes refuse J
+    # above 20 with their own bound, and the closed form ignores it
+    path = write_model(tmp_path, scalar_payload())
+    out = tmp_path / "disc.json"
+    assert main(["discretize", path, "--method", method,
+                 "--doubling", "100000000000", "-o", str(out)]) == code
+    captured = capsys.readouterr()
+    if code:
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("lqdisc:"), lines
+        assert "n_steps must be <= 1048576 (2**20)" in lines[0]
+        assert not out.exists()
+    else:
+        assert captured.err == "" and "N=" not in captured.out
+        assert out.exists()
 
 
 def test_discretize_doubling_flag_matches_power_of_two_steps(tmp_path, capsys):

@@ -22,7 +22,6 @@ from lqdisc.stochastic import (
     _ROWS,
     _WALK_BLOCK,
     _block_streams,
-    _em_form,
     _euler_deviation,
     _mc_plan,
     _noise_block,
@@ -641,7 +640,7 @@ def test_em_form_matches_the_dense_quadratic_form(case):
     rng = np.random.default_rng(ref.model.horizon)
     normals = rng.normal(size=(40, ref.dim))
     want = _dense_em_form(ref, normals)
-    got = _em_form(_mc_plan(ref.model, ref.n_sub), normals)
+    got = _block_streams(_mc_plan(ref.model, ref.n_sub), normals)["em_form"]
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -792,9 +791,40 @@ def test_em_form_matches_the_dense_quadratic_form_across_row_chunks(reps, n_w):
     ref = em_reformulate(model, 4)
     normals = rng.normal(size=(reps, ref.dim))
     want = _dense_em_form(ref, normals)
-    got = _em_form(_mc_plan(ref.model, ref.n_sub), normals)
+    got = _block_streams(_mc_plan(ref.model, ref.n_sub), normals)["em_form"]
     assert got.shape == (reps,)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class _ColumnLog(np.ndarray):
+    """Draws that log the column range of every slice taken of them; the
+    views those slices return log nothing."""
+
+    def __getitem__(self, key):
+        if "log" in self.__dict__:
+            cols = key[1] if isinstance(key, tuple) and len(key) > 1 else slice(None)
+            self.log.append(range(self.shape[1])[cols])
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("case", ["3-16", "10-8", "n_sub_1", "n_x_5_n_w_2"])
+def test_block_streams_read_the_draws_in_stream_order(case):
+    # a block walks its intervals once, k = 0 .. H-1: every slice of the
+    # draws lies in the x0 columns (-1) or in one interval's columns, and
+    # the intervals never go back
+    ref = _em_form_ref(case)
+    n_x, m_blk = ref.n_x, ref.ops.block_dim
+    chi = np.random.default_rng(3).normal(size=(2 * _ROWS + 7, ref.dim)).view(_ColumnLog)
+    chi.log = []
+    _block_streams(_mc_plan(ref.model, ref.n_sub), chi)
+
+    def interval(col):
+        return -1 if col < n_x else (col - n_x) // m_blk
+
+    starts = [interval(cols.start) for cols in chi.log]
+    assert all(interval(cols[-1]) == k for cols, k in zip(chi.log, starts)), chi.log
+    assert starts == sorted(starts), starts
+    assert set(starts) == set(range(-1, ref.model.horizon)), starts
 
 
 @pytest.mark.parametrize("n_sub", [1, 7, 17, 256])
