@@ -392,7 +392,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--subdiv", type=int, default=256,
                    help="noise refinement sub-steps per interval")
-    p.add_argument("--workers", type=int, default=1, help="thread count")
+    p.add_argument("--workers", type=int, default=1,
+                   help="most threads to run: at most one per 2048-sim block and "
+                   "per usable CPU; the output does not depend on it")
     p.add_argument("--bins", type=int, default=60)
     p.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP, dest="dim_cap",
                    help="largest n_x + N*subdiv*n_w (draws per replicate) a run "

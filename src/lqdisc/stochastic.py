@@ -21,6 +21,7 @@ iteration and the working memory does not grow with the horizon.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -47,6 +48,7 @@ DEFAULT_DIM_CAP = 4096
 _BLOCK = 2048          # Monte Carlo replicates per work unit (fixed)
 _CHUNK = 8             # Euler sub-steps per product in the pathwise stream
 _ROWS = 512            # replicates per piece of em_form's noise_quad product
+_PANEL = 128           # columns per panel of em_form's noise_quad product
 _WALK_BLOCK = 256      # steps per block of a horizon walk (bounds its memory)
 STREAMS = ("continuous", "discrete", "em_form")
 _PAIRS = ((0, 1), (0, 2), (1, 2))   # stream index pairs for the correlations
@@ -182,8 +184,9 @@ def _noise_block(ops: EmIntervalOps, out: np.ndarray) -> None:
     sub-blocks are averaged with their transposes, so ``out`` is exactly
     symmetric and every temporary is ``O(m_blk n_x)``.  Only the quadratic
     form needs it: :func:`em_reformulate` builds every diagonal block of
-    ``q_big`` here, and Monte Carlo's ``em_form`` stream reads
-    ``noise_quad`` itself, built here once per request (:func:`_mc_plan`).
+    ``q_big`` here, and Monte Carlo's ``em_form`` stream reads the part of
+    ``noise_quad`` on and above its diagonal panels, built here once per
+    request (:func:`_mc_plan`).
     :func:`cost_moments_streaming` takes its summaries from
     :func:`_noise_quad_summaries`, and the other Monte Carlo streams take
     ``0.5 w' noise_quad w`` from the Euler deviation of
@@ -804,8 +807,13 @@ class _McPlan:
     :func:`_mc_plan` and shared by every block and worker.  The draws
     enter as standard normals ``z`` (increments ``w = sqrt(dt) z``), so
     the ``sqrt(dt)`` and ``dt`` factors live here, not in a pass over the
-    draws; ``em_form`` reads ``noise_quad``, ``stages`` and ``em_cols``
-    only."""
+    draws; ``em_form`` reads ``quad_panels``, ``stages`` and ``em_cols``
+    only.  ``quad_panels`` splits the columns of ``noise_quad`` (the same
+    for every interval) into panels ``[lo, hi)`` of ``_PANEL`` columns, the
+    last one taking the remainder, and keeps the part of each on and above
+    the diagonal: ``noise_quad[:hi, lo:hi]`` with its diagonal block
+    ``[lo:hi, lo:hi]`` halved.  The panels are views into one ``m_blk x
+    m_blk`` array, whose entries below them are never read."""
 
     model: ContinuousLqModel
     disc: DiscreteLqModel
@@ -814,7 +822,7 @@ class _McPlan:
     x0_root: np.ndarray         # symmetric square root of x0_cov (transposed)
     shared: np.ndarray          # sqrt(dt) [cross' | noise_map' | noise_lin]
     deviation: _EulerDeviation
-    noise_quad: np.ndarray      # m_blk x m_blk, the same for every interval
+    quad_panels: tuple[np.ndarray, ...]   # noise_quad[:hi, lo:hi], diagonal halved
     stages: _CostToGo
     em_cols: np.ndarray         # interval k: sqrt(dt) [noise_map' | q_vec_k | R_k]
 
@@ -825,7 +833,9 @@ def _mc_plan(model: ContinuousLqModel, n_sub: int,
     multiplies by.  A block holds ``_BLOCK`` replicates of ``dim`` draws,
     so ``dim`` above ``dim_cap`` or the sampler's budget, or a
     ``noise_quad`` the system refuses (reserved before any other work),
-    raises :class:`~lqdisc.errors.ResourceLimitError`."""
+    raises :class:`~lqdisc.errors.ResourceLimitError`.  ``noise_quad`` is
+    built once by :func:`_noise_block`; its diagonal panel blocks are then
+    halved in place, and ``quad_panels`` holds views into it."""
     n_x, horizon = model.n_x, model.horizon
     m_blk = n_sub * model.n_w
     dim = n_x + horizon * m_blk
@@ -848,6 +858,11 @@ def _mc_plan(model: ContinuousLqModel, n_sub: int,
     disc = discretize_expm(model)
     ops = em_interval_ops(model, n_sub)
     _noise_block(ops, noise_quad)
+    quad_panels = []
+    for lo in range(0, m_blk, _PANEL):
+        hi = min(lo + _PANEL, m_blk)
+        noise_quad[lo:hi, lo:hi] *= 0.5
+        quad_panels.append(noise_quad[:hi, lo:hi])
     stages = _cost_to_go(model, disc, ops)
     root_dt = np.sqrt(ops.dt)
     em_cols = root_dt * np.concatenate([
@@ -863,7 +878,7 @@ def _mc_plan(model: ContinuousLqModel, n_sub: int,
         x0_root=_symmetric_sqrt(model.x0_cov).T,
         shared=root_dt * np.hstack([ops.cross.T, ops.noise_map.T, ops.noise_lin]),
         deviation=_euler_deviation(model, ops),
-        noise_quad=noise_quad,
+        quad_panels=tuple(quad_panels),
         stages=stages,
         em_cols=em_cols,
     )
@@ -888,17 +903,21 @@ def _block_streams(plan: _McPlan, chi: np.ndarray) -> dict:
     noise_map z_k``, ``s_0 = x0`` and ``s_{k+1} = a s_k + v_k``, the blocks
     below the diagonal and the ``x0`` column are ``sum_k (sqrt(dt) z_k
     R_k) . s_k``; interval ``k`` adds that, its diagonal block ``0.5 dt
-    z_k' noise_quad z_k + 0.5 v_k' G_k v_k`` (``noise_quad`` read densely,
-    ``_ROWS`` rows at a time) and ``sqrt(dt) z_k . q_vec_k``.  One product
-    with ``em_cols[k]`` gives every ``n_x``-wide term.  Only ``x_k``,
-    ``s_k`` and per-interval pieces are held, so memory beyond ``chi``
-    does not grow with the horizon.
+    z_k' noise_quad z_k + 0.5 v_k' G_k v_k`` and ``sqrt(dt) z_k .
+    q_vec_k``.  ``noise_quad`` is symmetric, so its term is ``dt sum_p
+    z_k[lo:hi] . (z_k[:hi] panel_p)`` over the plan's ``quad_panels``
+    (``noise_quad[:hi, lo:hi]``, diagonal block halved): the part on and
+    above the diagonal, ``_ROWS`` rows at a time, about ``0.5 + _PANEL /
+    (2 m_blk)`` of the dense multiply-adds with a ``_ROWS x _PANEL``
+    temporary.  One product with ``em_cols[k]`` gives every ``n_x``-wide
+    term.  Only ``x_k``, ``s_k`` and per-interval pieces are held, so
+    memory beyond ``chi`` does not grow with the horizon.
     """
     model, disc, ops, stages = plan.model, plan.disc, plan.ops, plan.stages
     n_x, m_blk = model.n_x, ops.block_dim
     reps = len(chi)
     n_xu = n_x + model.n_u
-    half_dt = 0.5 * ops.dt
+    dt = ops.dt
     x = s = chi[:, :n_x]                    # x_k of the walk, s_k of em_form
     em = x @ stages.q_vec[:n_x] + stages.rho
     em += 0.5 * np.einsum("ri,ri->r", x, x @ stages.q_xx)
@@ -924,7 +943,11 @@ def _block_streams(plan: _McPlan, chi: np.ndarray) -> dict:
 
         for r in range(0, reps, _ROWS):
             rows = z_k[r:r + _ROWS]
-            em[r:r + _ROWS] += half_dt * np.einsum("ri,ri->r", rows, rows @ plan.noise_quad)
+            for panel in plan.quad_panels:
+                hi, width = panel.shape
+                em[r:r + _ROWS] += dt * np.einsum(
+                    "ri,ri->r", rows[:, hi - width:hi], rows[:, :hi] @ panel
+                )
         cols = z_k @ plan.em_cols[k]
         v = cols[:, :n_x]
         em += 0.5 * np.einsum("ri,ri->r", v, v @ stages.grams[k]) + cols[:, n_x]
@@ -958,6 +981,14 @@ def _simulate_block(args) -> dict:
     }
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where the
+    platform has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def monte_carlo(
     model: ContinuousLqModel,
     n_sub: int,
@@ -975,10 +1006,10 @@ def monte_carlo(
     from the exact discrete stage cost), ``discrete`` (discrete stage
     costs plus the per-stage ``cross`` and ``noise_lin`` terms),
     ``em_form`` (the quadratic form of :func:`em_reformulate`, read from
-    its pieces; ``q_big`` is never formed).  Both
-    ``continuous`` and ``discrete`` take ``0.5 w_k' noise_quad w_k`` from
-    the Euler deviation pass of :func:`_pathwise_cost`; ``em_form``, which
-    reads ``noise_quad`` densely, is the independent check.  All three
+    its pieces; ``q_big`` is never formed).  Both ``continuous`` and
+    ``discrete`` take ``0.5 w_k' noise_quad w_k`` from the Euler deviation
+    pass of :func:`_pathwise_cost`; ``em_form``, which reads ``noise_quad``
+    itself (its upper panels), is the independent check.  All three
     evaluate the same random variable, so they agree up to rounding and
     collapse to the deterministic cost when the model is noise free.  A
     replicate's ``dim = n_x + horizon * n_sub * n_w`` draws above
@@ -994,6 +1025,9 @@ def monte_carlo(
     correlations are read off ``cov = (gram - n m m') / max(n - 1, 1)``.
     Replicate ``r`` depends only on ``(seed, r)`` and the blocks have
     fixed boundaries, so the summary is identical for any worker count.
+    ``workers`` bounds the threads: a request runs at most ``min(workers,
+    blocks, usable CPUs)`` of them, each holding one block's draws, and
+    runs in the calling thread when that is 1.
     """
     if n_sims < 1:
         raise ValidationError(f"n_sims must be >= 1, got {n_sims}")
@@ -1013,10 +1047,11 @@ def monte_carlo(
 
     starts = list(range(0, n_sims, _BLOCK))
     jobs = [(plan, seed, s, min(s + _BLOCK, n_sims), edges) for s in starts]
-    if workers == 1:
+    threads = min(workers, len(jobs), _usable_cpus())
+    if threads == 1:
         parts = [_simulate_block(j) for j in jobs]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_simulate_block, jobs))
     total = {key: sum(part[key] for part in parts) for key in parts[0]}
 

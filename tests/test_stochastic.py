@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -19,6 +20,8 @@ from lqdisc.ode_method import weighted_conjugation
 from lqdisc.sampling import normal_block
 from lqdisc.stochastic import (
     STREAMS,
+    _BLOCK,
+    _PANEL,
     _ROWS,
     _WALK_BLOCK,
     _block_streams,
@@ -494,6 +497,35 @@ def test_monte_carlo_identical_across_worker_counts():
     assert one.to_dict() == three.to_dict()
 
 
+def test_monte_carlo_starts_at_most_one_thread_per_block_and_cpu(monkeypatch):
+    # three blocks and a huge workers value: the pool is bounded by the
+    # blocks and the usable CPUs, and the recording pool runs the blocks
+    # in this thread, so the test itself starts no thread
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(stochastic, "ThreadPoolExecutor", RecordingPool)
+    model = make_benchmark_model(horizon=1)
+    many = monte_carlo(model, 4, 3 * _BLOCK, seed=2, workers=10 ** 6)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    bound = min(3, cpus)
+    assert pools == ([bound] if bound > 1 else [])
+    assert many.to_dict() == monte_carlo(model, 4, 3 * _BLOCK, seed=2).to_dict()
+
+
 def test_monte_carlo_histogram_counts_every_sample():
     model = make_benchmark_model(horizon=1)
     summary = monte_carlo(model, 16, 3000, seed=5)
@@ -794,6 +826,57 @@ def test_em_form_matches_the_dense_quadratic_form_across_row_chunks(reps, n_w):
     got = _block_streams(_mc_plan(ref.model, ref.n_sub), normals)["em_form"]
     assert got.shape == (reps,)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n_sub, n_w, shapes", [
+    (_PANEL // 2, 2, [(_PANEL, _PANEL)]),
+    (_PANEL + 3, 2, [(_PANEL, _PANEL), (2 * _PANEL, _PANEL), (2 * _PANEL + 6, 6)]),
+    (_PANEL + 3, 0, []),
+], ids=["one_panel", "remainder_panel", "no_noise"])
+def test_em_form_matches_the_dense_quadratic_form_across_panels(n_sub, n_w, shapes):
+    # panel [lo, hi) is noise_quad[:hi, lo:hi]; the last one takes the
+    # remainder of m_blk = n_sub * n_w, and m_blk = 0 gives none
+    model = make_benchmark_model(horizon=2)
+    ref = em_reformulate(dataclasses.replace(model, g_c=model.g_c[:, :n_w]), n_sub)
+    plan = _mc_plan(ref.model, ref.n_sub)
+    assert [panel.shape for panel in plan.quad_panels] == shapes
+    normals = np.random.default_rng(n_sub).normal(size=(40, ref.dim))
+    want = _dense_em_form(ref, normals)
+    got = _block_streams(plan, normals)["em_form"]
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_em_form_reads_no_noise_quad_entry_below_its_diagonal_panels(monkeypatch):
+    # NaN below every diagonal panel leaves em_form bit for bit unchanged
+    model = make_benchmark_model(horizon=2)
+    n_sub = _PANEL + 3                                  # three panels
+    plan = _mc_plan(model, n_sub)
+    normals = np.random.default_rng(8).normal(size=(_ROWS + 9, plan.dim))
+    want = _block_streams(plan, normals)["em_form"]
+    build, poisoned = stochastic._noise_block, []
+
+    def poison(ops, out):
+        build(ops, out)
+        for lo in range(0, len(out), _PANEL):
+            below = out[lo + _PANEL:, lo:lo + _PANEL]
+            below[...] = np.nan
+            poisoned.append(below.size)
+
+    monkeypatch.setattr(stochastic, "_noise_block", poison)
+    got = _block_streams(_mc_plan(model, n_sub), normals)["em_form"]
+    assert sum(poisoned) > 0
+    assert np.array_equal(got, want)
+
+
+def test_em_form_panels_are_views_with_under_two_thirds_of_the_dense_work():
+    # m_blk = 512: four panels hold 0.625 of noise_quad's entries, one
+    # multiply-add each per replicate, all of them views into one array
+    plan = _mc_plan(make_benchmark_model(horizon=1), 256)
+    panels = plan.quad_panels
+    assert len(panels) == 4
+    assert sum(panel.size for panel in panels) == 0.625 * 512 ** 2
+    assert all(panel.base is panels[0].base is not None for panel in panels)
+    assert panels[0].base.shape == (512, 512)
 
 
 class _ColumnLog(np.ndarray):
