@@ -884,12 +884,13 @@ def _mc_plan(model: ContinuousLqModel, n_sub: int,
     )
 
 
-def _block_streams(plan: _McPlan, chi: np.ndarray) -> dict:
-    """The three cost streams per row of ``chi = [x0; z]``, where ``z`` are
-    the standard normals behind the increments ``w = sqrt(dt) z``.
+def _block_streams(plan: _McPlan, x0: np.ndarray, z: np.ndarray) -> dict:
+    """The three cost streams per replicate: row ``r`` of ``x0`` is its
+    initial state and row ``r`` of ``z[k]`` the standard normals behind its
+    increments ``w = sqrt(dt) z`` on interval ``k``.
 
     One forward walk, ``k = 0 .. horizon - 1``, reads interval ``k``'s
-    columns ``z_k`` for all three streams.  One product with ``sqrt(dt)
+    draws ``z_k = z[k]`` for all three streams.  One product with ``sqrt(dt)
     [cross' | noise_map' | noise_lin]`` gives the ``discrete`` stream's
     ``cross`` and ``noise_lin`` terms and the state step's ``noise_map``
     term (each column depends only on its own column of the matrix, so
@@ -911,14 +912,14 @@ def _block_streams(plan: _McPlan, chi: np.ndarray) -> dict:
     (2 m_blk)`` of the dense multiply-adds with a ``_ROWS x _PANEL``
     temporary.  One product with ``em_cols[k]`` gives every ``n_x``-wide
     term.  Only ``x_k``, ``s_k`` and per-interval pieces are held, so
-    memory beyond ``chi`` does not grow with the horizon.
+    memory beyond the draws does not grow with the horizon.
     """
     model, disc, ops, stages = plan.model, plan.disc, plan.ops, plan.stages
-    n_x, m_blk = model.n_x, ops.block_dim
-    reps = len(chi)
+    n_x = model.n_x
+    reps = len(x0)
     n_xu = n_x + model.n_u
     dt = ops.dt
-    x = s = chi[:, :n_x]                    # x_k of the walk, s_k of em_form
+    x = s = x0                              # x_k of the walk, s_k of em_form
     em = x @ stages.q_vec[:n_x] + stages.rho
     em += 0.5 * np.einsum("ri,ri->r", x, x @ stages.q_xx)
     det_vals = np.zeros(reps)
@@ -927,7 +928,7 @@ def _block_streams(plan: _McPlan, chi: np.ndarray) -> dict:
     lin = np.zeros(reps)
     xu = np.empty((reps, n_xu))
     for k in range(model.horizon):
-        z_k = chi[:, n_x + k * m_blk:n_x + (k + 1) * m_blk]
+        z_k = z[k]
         shared = z_k @ plan.shared
         xu[:, :n_x] = x
         xu[:, n_x:] = model.inputs[k]
@@ -963,15 +964,21 @@ def _block_streams(plan: _McPlan, chi: np.ndarray) -> dict:
 def _simulate_block(args) -> dict:
     """One block's record: with its three streams the rows of ``V`` (in
     ``STREAMS`` order), ``sum = V 1``, ``gram = V V'`` and ``hist``, their
-    bin counts (values beyond ``edges`` count in the end bins)."""
-    (plan, seed, start, stop, edges) = args
-    model, n_x = plan.model, plan.model.n_x
-    # chi = [x0; z]: x0 is built in place in the draws, z stays standard
-    chi = normal_block(seed, np.arange(start, stop), plan.dim)
-    x = chi[:, :n_x]
-    x[...] = model.x0_mean + x @ plan.x0_root
+    bin counts (values beyond ``edges`` count in the end bins).
 
-    values = _block_streams(plan, chi)
+    Block ``block`` of ``reps`` replicates draws its ``reps * dim`` normals
+    in one call, in stream order: the ``x0`` draws of every replicate, then
+    interval 0's ``reps x m_blk``, then interval 1's, and so on.  ``x0``
+    and ``z`` (``z[k]`` interval ``k``'s rows) are views into them."""
+    (plan, seed, block, reps, edges) = args
+    model, n_x = plan.model, plan.model.n_x
+    draws = normal_block(seed, block, reps * plan.dim)
+    x0 = draws[:reps * n_x].reshape(reps, n_x)
+    z = draws[reps * n_x:].reshape(model.horizon, reps, plan.ops.block_dim)
+    # x0 is built in place in the draws, z stays standard
+    x0[...] = model.x0_mean + x0 @ plan.x0_root
+
+    values = _block_streams(plan, x0, z)
     v = np.stack([values[s] for s in STREAMS])
     clipped = np.clip(v, edges[0], edges[-1])
     return {
@@ -979,6 +986,24 @@ def _simulate_block(args) -> dict:
         "gram": v @ v.T,
         "hist": np.stack([np.histogram(row, bins=edges)[0] for row in clipped]),
     }
+
+
+def _records_in_order(pool: ThreadPoolExecutor, jobs: list, ahead: int):
+    """The records of ``jobs`` in order, with at most ``ahead`` jobs
+    submitted beyond the one being waited for.  ``Executor.map`` submits
+    every job at once, and each future (~1.8 KB) and the record it holds
+    would stay until its turn is read."""
+    pending = []
+    try:
+        for job in jobs:
+            pending.append(pool.submit(_simulate_block, job))
+            if len(pending) > ahead:
+                yield pending.pop(0).result()
+        while pending:
+            yield pending.pop(0).result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 def _usable_cpus() -> int:
@@ -1016,15 +1041,16 @@ def monte_carlo(
     ``dim_cap`` raise :class:`~lqdisc.errors.ResourceLimitError` before
     any other work (:func:`_mc_plan`).
 
-    Each block of ``_BLOCK`` replicates draws its standard normals once
-    and reads them in one forward walk over the intervals, in stream
-    order, for all three streams (:func:`_block_streams`); it holds its
-    draws plus pieces that do not grow with the horizon, and returns its
-    record of :func:`_simulate_block`.
-    The records are added in block order and the means, variances and
-    correlations are read off ``cov = (gram - n m m') / max(n - 1, 1)``.
-    Replicate ``r`` depends only on ``(seed, r)`` and the blocks have
-    fixed boundaries, so the summary is identical for any worker count.
+    Each block of ``_BLOCK`` replicates draws its standard normals once,
+    from its own generator and in stream order (:func:`_simulate_block`),
+    and reads them in one forward walk over the intervals for all three
+    streams (:func:`_block_streams`); it holds its draws plus pieces that
+    do not grow with the horizon, and returns its record.  Each record is
+    added into running totals as it arrives, in block order, and the
+    means, variances and correlations are read off ``cov = (gram - n m
+    m') / max(n - 1, 1)``.  A replicate's draws depend only on ``(seed,
+    block, position)`` and the blocks have fixed boundaries, so the
+    summary is identical for any worker count.
     ``workers`` bounds the threads: a request runs at most ``min(workers,
     blocks, usable CPUs)`` of them, each holding one block's draws, and
     runs in the calling thread when that is 1.
@@ -1045,15 +1071,24 @@ def monte_carlo(
         analytic_mean - 6.0 * spread, analytic_mean + 6.0 * spread, n_bins + 1
     )
 
-    starts = list(range(0, n_sims, _BLOCK))
-    jobs = [(plan, seed, s, min(s + _BLOCK, n_sims), edges) for s in starts]
+    # one allocation up front, so a block count no memory holds fails here
+    blocks = list(range(-(-n_sims // _BLOCK)))
+    jobs = [(plan, seed, b, min(_BLOCK, n_sims - b * _BLOCK), edges) for b in blocks]
     threads = min(workers, len(jobs), _usable_cpus())
+
+    def add(records):
+        # in block order, each total from 0 as sum() starts
+        total = {}
+        for record in records:
+            for key, value in record.items():
+                total[key] = total.get(key, 0) + value
+        return total
+
     if threads == 1:
-        parts = [_simulate_block(j) for j in jobs]
+        total = add(map(_simulate_block, jobs))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_simulate_block, jobs))
-    total = {key: sum(part[key] for part in parts) for key in parts[0]}
+            total = add(_records_in_order(pool, jobs, 2 * threads))
 
     mean = total["sum"] / n_sims
     # one sample: gram is exactly n m m', so variances and correlations are 0

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import tracemalloc
+from concurrent.futures import Future
 from functools import partial
 from pathlib import Path
 
@@ -513,8 +514,10 @@ def test_monte_carlo_starts_at_most_one_thread_per_block_and_cpu(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def submit(self, fn, job):
+            done = Future()
+            done.set_result(fn(job))
+            return done
 
     monkeypatch.setattr(stochastic, "ThreadPoolExecutor", RecordingPool)
     model = make_benchmark_model(horizon=1)
@@ -666,13 +669,27 @@ def _dense_em_form(ref, normals):
     return 0.5 * np.einsum("ri,ri->r", chi @ ref.q_big, chi) + chi @ ref.q_vec + ref.rho
 
 
+def _stream_views(plan, normals):
+    """The ``(x0, z)`` that a Monte Carlo block of ``plan`` hands to
+    :func:`_block_streams`, for replicates given as rows ``[x0; z_0; ..;
+    z_{H-1}]`` of ``normals``: one buffer in stream order (every row's
+    ``x0``, then every row's ``z_0``, and so on), with ``x0`` its ``(reps,
+    n_x)`` view and ``z[k]`` the ``(reps, m_blk)`` view of interval ``k``."""
+    n_x, horizon, m_blk = plan.model.n_x, plan.model.horizon, plan.ops.block_dim
+    reps = len(normals)
+    noise = normals[:, n_x:].reshape(reps, horizon, m_blk).transpose(1, 0, 2)
+    draws = np.concatenate([normals[:, :n_x].ravel(), noise.ravel()])
+    return draws[:reps * n_x].reshape(reps, n_x), draws[reps * n_x:].reshape(horizon, reps, m_blk)
+
+
 @pytest.mark.parametrize("case", _EM_FORM_CASES)
 def test_em_form_matches_the_dense_quadratic_form(case):
     ref = _em_form_ref(case)
     rng = np.random.default_rng(ref.model.horizon)
     normals = rng.normal(size=(40, ref.dim))
     want = _dense_em_form(ref, normals)
-    got = _block_streams(_mc_plan(ref.model, ref.n_sub), normals)["em_form"]
+    plan = _mc_plan(ref.model, ref.n_sub)
+    got = _block_streams(plan, *_stream_views(plan, normals))["em_form"]
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -823,7 +840,8 @@ def test_em_form_matches_the_dense_quadratic_form_across_row_chunks(reps, n_w):
     ref = em_reformulate(model, 4)
     normals = rng.normal(size=(reps, ref.dim))
     want = _dense_em_form(ref, normals)
-    got = _block_streams(_mc_plan(ref.model, ref.n_sub), normals)["em_form"]
+    plan = _mc_plan(ref.model, ref.n_sub)
+    got = _block_streams(plan, *_stream_views(plan, normals))["em_form"]
     assert got.shape == (reps,)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -842,7 +860,7 @@ def test_em_form_matches_the_dense_quadratic_form_across_panels(n_sub, n_w, shap
     assert [panel.shape for panel in plan.quad_panels] == shapes
     normals = np.random.default_rng(n_sub).normal(size=(40, ref.dim))
     want = _dense_em_form(ref, normals)
-    got = _block_streams(plan, normals)["em_form"]
+    got = _block_streams(plan, *_stream_views(plan, normals))["em_form"]
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -851,8 +869,8 @@ def test_em_form_reads_no_noise_quad_entry_below_its_diagonal_panels(monkeypatch
     model = make_benchmark_model(horizon=2)
     n_sub = _PANEL + 3                                  # three panels
     plan = _mc_plan(model, n_sub)
-    normals = np.random.default_rng(8).normal(size=(_ROWS + 9, plan.dim))
-    want = _block_streams(plan, normals)["em_form"]
+    views = _stream_views(plan, np.random.default_rng(8).normal(size=(_ROWS + 9, plan.dim)))
+    want = _block_streams(plan, *views)["em_form"]
     build, poisoned = stochastic._noise_block, []
 
     def poison(ops, out):
@@ -863,7 +881,7 @@ def test_em_form_reads_no_noise_quad_entry_below_its_diagonal_panels(monkeypatch
             poisoned.append(below.size)
 
     monkeypatch.setattr(stochastic, "_noise_block", poison)
-    got = _block_streams(_mc_plan(model, n_sub), normals)["em_form"]
+    got = _block_streams(_mc_plan(model, n_sub), *views)["em_form"]
     assert sum(poisoned) > 0
     assert np.array_equal(got, want)
 
@@ -879,35 +897,29 @@ def test_em_form_panels_are_views_with_under_two_thirds_of_the_dense_work():
     assert panels[0].base.shape == (512, 512)
 
 
-class _ColumnLog(np.ndarray):
-    """Draws that log the column range of every slice taken of them; the
-    views those slices return log nothing."""
+class _IntervalLog(np.ndarray):
+    """Draws ``z`` (``z[k]`` interval ``k``'s) that log the first index of
+    every item taken of them; what an item returns is a plain array and
+    logs nothing."""
 
     def __getitem__(self, key):
-        if "log" in self.__dict__:
-            cols = key[1] if isinstance(key, tuple) and len(key) > 1 else slice(None)
-            self.log.append(range(self.shape[1])[cols])
-        return super().__getitem__(key)
+        self.log.append(key[0] if isinstance(key, tuple) else key)
+        return super().__getitem__(key).view(np.ndarray)
 
 
 @pytest.mark.parametrize("case", ["3-16", "10-8", "n_sub_1", "n_x_5_n_w_2"])
 def test_block_streams_read_the_draws_in_stream_order(case):
-    # a block walks its intervals once, k = 0 .. H-1: every slice of the
-    # draws lies in the x0 columns (-1) or in one interval's columns, and
-    # the intervals never go back
+    # a block walks its intervals once, k = 0 .. H-1: every item taken of
+    # the draws is one interval's, and the intervals never go back
     ref = _em_form_ref(case)
-    n_x, m_blk = ref.n_x, ref.ops.block_dim
-    chi = np.random.default_rng(3).normal(size=(2 * _ROWS + 7, ref.dim)).view(_ColumnLog)
-    chi.log = []
-    _block_streams(_mc_plan(ref.model, ref.n_sub), chi)
-
-    def interval(col):
-        return -1 if col < n_x else (col - n_x) // m_blk
-
-    starts = [interval(cols.start) for cols in chi.log]
-    assert all(interval(cols[-1]) == k for cols, k in zip(chi.log, starts)), chi.log
-    assert starts == sorted(starts), starts
-    assert set(starts) == set(range(-1, ref.model.horizon)), starts
+    plan = _mc_plan(ref.model, ref.n_sub)
+    x0, z = _stream_views(plan, np.random.default_rng(3).normal(size=(2 * _ROWS + 7, ref.dim)))
+    z = z.view(_IntervalLog)
+    z.log = []
+    _block_streams(plan, x0, z)
+    assert all(type(k) is int for k in z.log), z.log
+    assert z.log == sorted(z.log), z.log
+    assert set(z.log) == set(range(ref.model.horizon)), z.log
 
 
 @pytest.mark.parametrize("n_sub", [1, 7, 17, 256])
@@ -1027,21 +1039,31 @@ def _assert_streams_close(got, want):
 def test_block_streams_match_the_reference_walk_per_replicate(case):
     ref = _em_form_ref(case)
     normals = np.random.default_rng(ref.dim).normal(size=(37, ref.dim))
-    _assert_streams_close(_block_streams(_mc_plan(ref.model, ref.n_sub), normals), _loop_streams(ref, normals))
+    plan = _mc_plan(ref.model, ref.n_sub)
+    _assert_streams_close(_block_streams(plan, *_stream_views(plan, normals)), _loop_streams(ref, normals))
+
+
+def _block_rows(plan, seed, block, reps):
+    """Rows ``[x0; z_0; ..; z_{H-1}]`` of the ``reps`` replicates of Monte
+    Carlo block ``block``: its draws in stream order (every replicate's
+    ``x0``, then every replicate's ``z_0``, and so on), with ``x0`` built
+    from the initial-state law as the block builds it."""
+    n_x, horizon, m_blk = plan.model.n_x, plan.model.horizon, plan.ops.block_dim
+    draws = normal_block(seed, block, reps * plan.dim)
+    x0 = plan.model.x0_mean + draws[:reps * n_x].reshape(reps, n_x) @ plan.x0_root
+    noise = draws[reps * n_x:].reshape(horizon, reps, m_blk).transpose(1, 0, 2)
+    return np.hstack([x0, noise.reshape(reps, horizon * m_blk)])
 
 
 @pytest.mark.parametrize("case", ["3-16", "noise_free", "n_sub_1", "one_interval"])
 def test_simulate_block_sums_the_reference_streams(case):
     # the block's partial sums are those of the reference streams at its
-    # own draws: x0 from the Philox normals, the increments sqrt(dt) z
+    # own draws: x0 from the block's normals, the increments sqrt(dt) z
     ref = _em_form_ref(case)
     plan = _mc_plan(ref.model, ref.n_sub)
-    reps = np.arange(5, 5 + 300)
-    normals = normal_block(9, reps, ref.dim)
-    normals[:, :ref.n_x] = ref.model.x0_mean + normals[:, :ref.n_x] @ plan.x0_root
-    want = _loop_streams(ref, normals)
+    want = _loop_streams(ref, _block_rows(plan, 9, 5, 300))
     edges = np.linspace(-1e3, 1e3, 5)
-    record = stochastic._simulate_block((plan, 9, reps[0], reps[-1] + 1, edges))
+    record = stochastic._simulate_block((plan, 9, 5, 300, edges))
     # stream i's sum, then row i of the gram: its sums against every stream
     _assert_streams_close(
         {name: np.append(record["sum"][i], record["gram"][i])
@@ -1057,9 +1079,11 @@ def test_monte_carlo_summary_is_numpy_on_the_replicate_streams(n_sims):
     # the summary reports variances and correlations of 0 for it
     ref = _em_form_ref("3-16")
     plan = _mc_plan(ref.model, ref.n_sub)
-    normals = normal_block(4, np.arange(n_sims), ref.dim)
-    normals[:, :ref.n_x] = ref.model.x0_mean + normals[:, :ref.n_x] @ plan.x0_root
-    streams = _block_streams(plan, normals)
+    normals = np.vstack([
+        _block_rows(plan, 4, block, min(_BLOCK, n_sims - start))
+        for block, start in enumerate(range(0, n_sims, _BLOCK))
+    ])
+    streams = _block_streams(plan, *_stream_views(plan, normals))
     values = np.stack([streams[name] for name in STREAMS])
     if n_sims > 1:
         var, corr = values.var(axis=1, ddof=1), np.corrcoef(values)
@@ -1369,6 +1393,46 @@ def test_monte_carlo_block_memory_does_not_grow_with_the_horizon():
     chi_bytes = 2048 * ref.dim * np.dtype(float).itemsize
     peak = _traced_peak(lambda: monte_carlo(ref.model, ref.n_sub, 2048, seed=1))
     assert peak <= 1.5 * chi_bytes, peak / chi_bytes
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_monte_carlo_holds_no_block_records(monkeypatch, workers):
+    # a block's record (sum, gram and a 3 x 60 histogram) is ~2.1 KB and a
+    # pool's future ~1.8 KB; each record goes into running totals as it
+    # arrives and a pool runs a few blocks ahead, so 5000 blocks hold their
+    # job list and no records or futures
+    def record(job):
+        bins = len(job[4]) - 1
+        return {"sum": np.ones(3), "gram": np.ones((3, 3)),
+                "hist": np.ones((3, bins), dtype=np.int64)}
+
+    monkeypatch.setattr(stochastic, "_simulate_block", record)
+    monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 2)
+    blocks = 5000
+    summary = []
+    peak = _traced_peak(lambda: summary.append(monte_carlo(
+        make_benchmark_model(horizon=2), 4, blocks * _BLOCK, seed=0, workers=workers)))
+    assert summary[0].sample_mean["em_form"] == 1.0 / _BLOCK
+    assert peak <= 1024 * blocks, peak / blocks
+
+
+def test_monte_carlo_stops_submitting_blocks_after_one_fails(monkeypatch):
+    # block 3 of 200 runs out of memory on a pool thread: the error reaches
+    # the caller, and of the blocks after it only the 2 * 2 submitted ahead
+    # of it may have run
+    ran = []
+
+    def block(job):
+        ran.append(job[2])
+        if job[2] == 3:
+            raise MemoryError("block 3")
+        return {"sum": np.ones(3), "gram": np.ones((3, 3)), "hist": np.ones((3, 60), dtype=np.int64)}
+
+    monkeypatch.setattr(stochastic, "_simulate_block", block)
+    monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 2)
+    with pytest.raises(MemoryError, match="block 3"):
+        monte_carlo(make_benchmark_model(horizon=1), 4, 200 * _BLOCK, seed=0, workers=2)
+    assert 3 in ran and max(ran) <= 3 + 2 * 2, sorted(ran)
 
 
 def test_em_reformulate_holds_little_beyond_q_big_at_one_interval():
