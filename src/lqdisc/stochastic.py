@@ -47,8 +47,6 @@ __all__ = [
 DEFAULT_DIM_CAP = 4096
 _BLOCK = 2048          # Monte Carlo replicates per work unit (fixed)
 _CHUNK = 8             # Euler sub-steps per product in the pathwise stream
-_ROWS = 512            # replicates per piece of em_form's noise_quad product
-_PANEL = 128           # columns per panel of em_form's noise_quad product
 _WALK_BLOCK = 256      # steps per block of a horizon walk (bounds its memory)
 STREAMS = ("continuous", "discrete", "em_form")
 _PAIRS = ((0, 1), (0, 2), (1, 2))   # stream index pairs for the correlations
@@ -69,8 +67,8 @@ class EmIntervalOps:
     ``gram_g[i] = sum_{s <= i} (E^s)' W f[s]`` (``W = c_c' q_c c_c``) for
     ``i < n_sub``.  ``cross`` and ``noise_lin`` are the noise blocks of the
     refined stage cost; its dense ``m_blk x m_blk`` noise block is built
-    by :func:`_noise_block`, straight into ``q_big`` by
-    :func:`em_reformulate` and once per request by Monte Carlo's plan.
+    by :func:`_noise_block`, straight into ``q_big``, for
+    :func:`em_reformulate` only (Monte Carlo scans it, :func:`_block_streams`).
     """
 
     dt: float
@@ -182,15 +180,13 @@ def _noise_block(ops: EmIntervalOps, out: np.ndarray) -> None:
     the tail of ``noise_map`` from block ``n_sub-1-p`` on.  Each block row
     of ``out`` adds its part and is copied to its mirror, and the diagonal
     sub-blocks are averaged with their transposes, so ``out`` is exactly
-    symmetric and every temporary is ``O(m_blk n_x)``.  Only the quadratic
-    form needs it: :func:`em_reformulate` builds every diagonal block of
-    ``q_big`` here, and Monte Carlo's ``em_form`` stream reads the part of
-    ``noise_quad`` on and above its diagonal panels, built here once per
-    request (:func:`_mc_plan`).
-    :func:`cost_moments_streaming` takes its summaries from
-    :func:`_noise_quad_summaries`, and the other Monte Carlo streams take
-    ``0.5 w' noise_quad w`` from the Euler deviation of
-    :func:`_pathwise_cost`.
+    symmetric and every temporary is ``O(m_blk n_x)``.  Only the
+    materialized form needs it: :func:`em_reformulate` builds every
+    diagonal block of ``q_big`` here.  :func:`cost_moments_streaming`
+    takes its summaries from :func:`_noise_quad_summaries`; Monte Carlo's
+    ``continuous`` and ``discrete`` streams take ``0.5 w' noise_quad w``
+    from :func:`_pathwise_cost`, ``em_form`` from a forward scan over
+    ``gram_g`` (:func:`_block_streams`).
     """
     n_sub, _, n_w = ops.f.shape
     noise_map, m_blk = ops.noise_map, ops.block_dim
@@ -749,6 +745,26 @@ def _euler_deviation(model: ContinuousLqModel, ops: EmIntervalOps) -> _EulerDevi
     )
 
 
+def _deviation_chunks(dev: _EulerDeviation, z: np.ndarray):
+    """Yield ``(s, c, cur)``: ``cur`` holds the Euler deviation ``dev_i =
+    E dev_{i-1} + g_c w_i`` (``dev_{-1} = 0``, ``w = sqrt(dt) z``) of rows
+    ``z`` at sub-steps ``i = s .. s + c - 1``, one product per chunk of
+    ``dev.chunk``: ``dev_{s-1} P + z_{s..s+c-1} T`` (``P`` stacks
+    ``(E^t)'``, ``T`` is block upper triangular with blocks ``sqrt(dt)
+    (E^{t-l} g_c)'``), into a buffer the next chunk overwrites."""
+    n_x, n_w = dev.model.n_x, dev.model.n_w
+    n_sub, chunk = dev.ops.n_sub, dev.chunk
+    step = np.empty((len(z), chunk * n_x))
+    for s in range(0, n_sub, chunk):
+        c = min(chunk, n_sub - s)
+        cur = step[:, :c * n_x]
+        np.matmul(z[:, s * n_w:(s + c) * n_w], dev.inject[:c * n_w, :c * n_x], out=cur)
+        if s:                                           # the deviation starts at 0
+            cur += last @ dev.advance[:, :c * n_x]
+        yield s, c, cur
+        last = cur[:, -n_x:].copy()
+
+
 def _pathwise_cost(
     dev: _EulerDeviation, k: int, x: np.ndarray, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -766,39 +782,42 @@ def _pathwise_cost(
       ``continuous`` and the ``discrete`` stream take it from here;
     * ``lin = dt sum_i dev_i' (K drift_i + c_c' q_c (d_c u_k - zbar_k))``.
 
-    The deviation advances ``dev.chunk`` sub-steps per product, ``dev_s P
-    + z_{s+1..s+c} T`` (``P`` stacks ``(E^t)'``, ``T`` is block upper
-    triangular with blocks ``sqrt(dt) (E^{t-l} g_c)'``), into one
-    ``(replicates, c * n_x)`` buffer.  Each chunk is folded into both sums
-    as soon as it is made: ``quad`` through ``kron(I_c, K)`` and a row
-    dot, ``lin`` through the chunk's rows of ``drift_map`` and ``offset``.
-    So no array spans all ``n_sub`` sub-steps, and the Monte Carlo block
-    runs this inside its forward walk, from each ``x_k`` as it is made.
+    Each chunk of :func:`_deviation_chunks` is folded into both sums at
+    once: ``quad`` through ``kron(I_c, K)`` and a row dot, ``lin`` through
+    the chunk's rows of ``drift_map`` and ``offset``.  So the Monte Carlo
+    block runs this inside its forward walk, from each ``x_k`` as made.
     """
-    model, ops = dev.model, dev.ops
-    n_x, n_w = model.n_x, model.n_w
-    n_sub, dt, held = ops.n_sub, ops.dt, ops.held
-    chunk, advance, inject, kernel_blk = dev.chunk, dev.advance, dev.inject, dev.kernel_blk
+    model, ops, kernel_blk = dev.model, dev.ops, dev.kernel_blk
+    n_x, held = model.n_x, ops.held
     u = model.inputs[k]
     offset = (held[1:] @ u) @ dev.kernel + (model.d_c @ u - model.targets[k]) @ dev.qc
     lin_map = np.hstack([dev.drift_map, offset.reshape(-1, 1)])
     reps = len(x)
     quad = np.zeros(reps)
     along = np.zeros((reps, n_x + 1))                  # dev @ lin_map, all chunks
-    step = np.empty((reps, chunk * n_x))
-    for s in range(0, n_sub, chunk):
-        c = min(chunk, n_sub - s)
-        cur = step[:, :c * n_x]                         # sub-steps s+1 .. s+c
-        np.matmul(z[:, s * n_w:(s + c) * n_w], inject[:c * n_w, :c * n_x], out=cur)
-        if s:                                           # the deviation starts at 0
-            cur += last @ advance[:, :c * n_x]
+    for s, c, cur in _deviation_chunks(dev, z):
         quad += np.einsum("ri,ri->r", cur, cur @ kernel_blk[:c * n_x, :c * n_x])
         along += cur @ lin_map[s * n_x:(s + c) * n_x]
-        last = cur[:, -n_x:].copy()
     lin = np.einsum("ri,ri->r", along[:, :n_x], x) + along[:, n_x]
-    quad *= 0.5 * dt
-    lin *= dt
-    return quad, lin
+    return 0.5 * ops.dt * quad, ops.dt * lin
+
+
+def _quad_scan_maps(ops: EmIntervalOps, chunk: int) -> np.ndarray:
+    """``em_form``'s scan maps (:func:`_block_streams`), one per chunk:
+    block diagonal over its sub-steps ``q``, the ``dt sqrt(dt) G_q'``
+    blocks, then the ``-dt^2 / 4 (g_c' G_q + G_q' g_c)`` blocks, with
+    ``G_q = gram_g[n_sub-1-q]`` (zero past ``n_sub``)."""
+    n_sub, n_x, n_w = ops.gram_g.shape
+    blocks = -(-n_sub // chunk)
+    g_t = np.zeros((blocks * chunk, n_w, n_x))
+    g_t[:n_sub] = ops.gram_g[::-1].transpose(0, 2, 1)
+    sym = g_t @ ops.f[0]                                   # G_q' g_c
+    parts = (ops.dt ** 1.5 * g_t, -0.25 * ops.dt ** 2 * (sym + sym.transpose(0, 2, 1)))
+    return np.concatenate([
+        np.einsum("jqwm,qp->jqwpm", part.reshape(blocks, chunk, n_w, part.shape[2]),
+                  np.eye(chunk)).reshape(blocks, chunk * n_w, chunk * part.shape[2])
+        for part in parts
+    ], axis=2)
 
 
 @dataclass(frozen=True)
@@ -807,13 +826,8 @@ class _McPlan:
     :func:`_mc_plan` and shared by every block and worker.  The draws
     enter as standard normals ``z`` (increments ``w = sqrt(dt) z``), so
     the ``sqrt(dt)`` and ``dt`` factors live here, not in a pass over the
-    draws; ``em_form`` reads ``quad_panels``, ``stages`` and ``em_cols``
-    only.  ``quad_panels`` splits the columns of ``noise_quad`` (the same
-    for every interval) into panels ``[lo, hi)`` of ``_PANEL`` columns, the
-    last one taking the remainder, and keeps the part of each on and above
-    the diagonal: ``noise_quad[:hi, lo:hi]`` with its diagonal block
-    ``[lo:hi, lo:hi]`` halved.  The panels are views into one ``m_blk x
-    m_blk`` array, whose entries below them are never read."""
+    draws; ``em_form`` reads ``quad_maps``, ``stages``, ``em_cols`` and
+    the chunk walk of ``deviation``.  No piece is ``m_blk x m_blk``."""
 
     model: ContinuousLqModel
     disc: DiscreteLqModel
@@ -822,7 +836,7 @@ class _McPlan:
     x0_root: np.ndarray         # symmetric square root of x0_cov (transposed)
     shared: np.ndarray          # sqrt(dt) [cross' | noise_map' | noise_lin]
     deviation: _EulerDeviation
-    quad_panels: tuple[np.ndarray, ...]   # noise_quad[:hi, lo:hi], diagonal halved
+    quad_maps: np.ndarray       # em_form's scan maps per chunk, _quad_scan_maps
     stages: _CostToGo
     em_cols: np.ndarray         # interval k: sqrt(dt) [noise_map' | q_vec_k | R_k]
 
@@ -831,11 +845,10 @@ def _mc_plan(model: ContinuousLqModel, n_sub: int,
              dim_cap: int = DEFAULT_DIM_CAP) -> _McPlan:
     """Check the request's size, then build the matrices every block
     multiplies by.  A block holds ``_BLOCK`` replicates of ``dim`` draws,
-    so ``dim`` above ``dim_cap`` or the sampler's budget, or a
-    ``noise_quad`` the system refuses (reserved before any other work),
-    raises :class:`~lqdisc.errors.ResourceLimitError`.  ``noise_quad`` is
-    built once by :func:`_noise_block`; its diagonal panel blocks are then
-    halved in place, and ``quad_panels`` holds views into it."""
+    so ``dim`` above ``dim_cap`` or the sampler's budget raises
+    :class:`~lqdisc.errors.ResourceLimitError` before any other work.
+    ``noise_quad`` is never formed: ``em_form`` scans it through the
+    per-chunk maps of :func:`_quad_scan_maps`."""
     n_x, horizon = model.n_x, model.horizon
     m_blk = n_sub * model.n_w
     dim = n_x + horizon * m_blk
@@ -848,21 +861,9 @@ def _mc_plan(model: ContinuousLqModel, n_sub: int,
                if dim <= DRAWS_PER_REPLICATE else
                ", the sampler's budget per replicate; lower the noise refinement (--subdiv)")
         )
-    try:
-        noise_quad = np.zeros((m_blk, m_blk))
-    except MemoryError:
-        raise ResourceLimitError(
-            f"noise block of dimension {m_blk} needs {m_blk * m_blk * 8 / 2**30:.1f} "
-            "GiB that could not be allocated; lower the noise refinement (--subdiv)"
-        ) from None
     disc = discretize_expm(model)
     ops = em_interval_ops(model, n_sub)
-    _noise_block(ops, noise_quad)
-    quad_panels = []
-    for lo in range(0, m_blk, _PANEL):
-        hi = min(lo + _PANEL, m_blk)
-        noise_quad[lo:hi, lo:hi] *= 0.5
-        quad_panels.append(noise_quad[:hi, lo:hi])
+    deviation = _euler_deviation(model, ops)
     stages = _cost_to_go(model, disc, ops)
     root_dt = np.sqrt(ops.dt)
     em_cols = root_dt * np.concatenate([
@@ -877,8 +878,8 @@ def _mc_plan(model: ContinuousLqModel, n_sub: int,
         dim=dim,
         x0_root=_symmetric_sqrt(model.x0_cov).T,
         shared=root_dt * np.hstack([ops.cross.T, ops.noise_map.T, ops.noise_lin]),
-        deviation=_euler_deviation(model, ops),
-        quad_panels=tuple(quad_panels),
+        deviation=deviation,
+        quad_maps=_quad_scan_maps(ops, deviation.chunk),
         stages=stages,
         em_cols=em_cols,
     )
@@ -899,26 +900,26 @@ def _block_streams(plan: _McPlan, x0: np.ndarray, z: np.ndarray) -> dict:
     noise terms and the ``0.5 w_k' noise_quad w_k`` that both share.
 
     ``em_form``, ``0.5 c' q_big c + q_vec' c + rho`` at ``c = [x0; sqrt(dt)
-    z]``, reads only the pieces of :func:`_cost_to_go` and keeps its own
-    state, so it stays an independent check.  With ``v_k = sqrt(dt)
-    noise_map z_k``, ``s_0 = x0`` and ``s_{k+1} = a s_k + v_k``, the blocks
-    below the diagonal and the ``x0`` column are ``sum_k (sqrt(dt) z_k
-    R_k) . s_k``; interval ``k`` adds that, its diagonal block ``0.5 dt
-    z_k' noise_quad z_k + 0.5 v_k' G_k v_k`` and ``sqrt(dt) z_k .
-    q_vec_k``.  ``noise_quad`` is symmetric, so its term is ``dt sum_p
-    z_k[lo:hi] . (z_k[:hi] panel_p)`` over the plan's ``quad_panels``
-    (``noise_quad[:hi, lo:hi]``, diagonal block halved): the part on and
-    above the diagonal, ``_ROWS`` rows at a time, about ``0.5 + _PANEL /
-    (2 m_blk)`` of the dense multiply-adds with a ``_ROWS x _PANEL``
-    temporary.  One product with ``em_cols[k]`` gives every ``n_x``-wide
-    term.  Only ``x_k``, ``s_k`` and per-interval pieces are held, so
-    memory beyond the draws does not grow with the horizon.
+    z]``, reads only the pieces of :func:`_cost_to_go` and ``gram_g`` and
+    keeps its own state, so it stays an independent check.  With ``v_k =
+    sqrt(dt) noise_map z_k``, ``s_0 = x0`` and ``s_{k+1} = a s_k + v_k``,
+    the blocks below the diagonal and the ``x0`` column are ``sum_k
+    (sqrt(dt) z_k R_k) . s_k``; interval ``k`` adds that, its diagonal
+    block ``0.5 dt z_k' noise_quad z_k + 0.5 v_k' G_k v_k`` and ``sqrt(dt)
+    z_k . q_vec_k``.  Block ``(p <= q)`` of ``noise_quad`` is ``dt
+    f[q-p]' gram_g[r_q]`` (``r_q = n_sub-1-q``), so with ``h_q = E
+    h_{q-1} + g_c z_q`` (``h_{-1} = 0``, the deviation of
+    :func:`_deviation_chunks` over ``sqrt(dt)``), ``z' noise_quad z = dt
+    sum_q (2 h_q - g_c z_q)' gram_g[r_q] z_q``: per chunk, one product of
+    its ``z`` with ``quad_maps`` pairs with ``[sqrt(dt) h | z]``.  One
+    product with ``em_cols[k]`` gives every ``n_x``-wide term.  Only
+    ``x_k``, ``s_k`` and per-interval pieces are held, so memory beyond
+    the draws does not grow with the horizon.
     """
-    model, disc, ops, stages = plan.model, plan.disc, plan.ops, plan.stages
-    n_x = model.n_x
+    model, disc, stages, dev = plan.model, plan.disc, plan.stages, plan.deviation
+    n_x, n_w = model.n_x, model.n_w
     reps = len(x0)
     n_xu = n_x + model.n_u
-    dt = ops.dt
     x = s = x0                              # x_k of the walk, s_k of em_form
     em = x @ stages.q_vec[:n_x] + stages.rho
     em += 0.5 * np.einsum("ri,ri->r", x, x @ stages.q_xx)
@@ -937,18 +938,16 @@ def _block_streams(plan: _McPlan, x0: np.ndarray, z: np.ndarray) -> dict:
             np.einsum("ri,ri->r", shared[:, :n_xu], xu)
             + shared[:, n_xu + n_x:] @ model.targets[k]
         )
-        quad_k, lin_k = _pathwise_cost(plan.deviation, k, x, z_k)
+        quad_k, lin_k = _pathwise_cost(dev, k, x, z_k)
         quad += quad_k
         lin += lin_k
         x = x @ disc.a.T + model.inputs[k] @ disc.b.T + shared[:, n_xu:n_xu + n_x]
 
-        for r in range(0, reps, _ROWS):
-            rows = z_k[r:r + _ROWS]
-            for panel in plan.quad_panels:
-                hi, width = panel.shape
-                em[r:r + _ROWS] += dt * np.einsum(
-                    "ri,ri->r", rows[:, hi - width:hi], rows[:, :hi] @ panel
-                )
+        for q, c, h in _deviation_chunks(dev, z_k):
+            z_c = z_k[:, q * n_w:(q + c) * n_w]
+            paired = z_c @ plan.quad_maps[q // dev.chunk, :c * n_w]
+            em += np.einsum("ri,ri->r", h, paired[:, :c * n_x])
+            em += np.einsum("ri,ri->r", z_c, paired[:, dev.chunk * n_x:][:, :c * n_w])
         cols = z_k @ plan.em_cols[k]
         v = cols[:, :n_x]
         em += 0.5 * np.einsum("ri,ri->r", v, v @ stages.grams[k]) + cols[:, n_x]
@@ -1033,8 +1032,9 @@ def monte_carlo(
     ``em_form`` (the quadratic form of :func:`em_reformulate`, read from
     its pieces; ``q_big`` is never formed).  Both ``continuous`` and
     ``discrete`` take ``0.5 w_k' noise_quad w_k`` from the Euler deviation
-    pass of :func:`_pathwise_cost`; ``em_form``, which reads ``noise_quad``
-    itself (its upper panels), is the independent check.  All three
+    pass of :func:`_pathwise_cost`; ``em_form``, which sums ``noise_quad``
+    by its own forward scan over ``gram_g`` (no ``m_blk x m_blk`` array),
+    is the independent check.  All three
     evaluate the same random variable, so they agree up to rounding and
     collapse to the deterministic cost when the model is noise free.  A
     replicate's ``dim = n_x + horizon * n_sub * n_w`` draws above

@@ -212,8 +212,8 @@ def test_an_allocation_the_system_refuses_is_a_resource_error(tmp_path, capsys, 
 
 def test_montecarlo_forms_no_dim_by_dim_array(tmp_path, capsys):
     # stiff at H = 7, --subdiv 256: dim 3586, where a dim x dim q_big
-    # would take 103 MB; one replicate needs noise_quad (2 MB) and
-    # n_x-wide pieces
+    # would take 103 MB; one replicate needs pieces linear in m_blk = 512
+    # and no m_blk x m_blk noise_quad (2 MB)
     payload = json.loads((BENCH_DATA / "stiff.json").read_text()) | {"N": 7}
     path = write_model(tmp_path, payload)
     dim = 2 + 7 * 256 * 2

@@ -22,8 +22,7 @@ from lqdisc.sampling import normal_block
 from lqdisc.stochastic import (
     STREAMS,
     _BLOCK,
-    _PANEL,
-    _ROWS,
+    _CHUNK,
     _WALK_BLOCK,
     _block_streams,
     _euler_deviation,
@@ -781,19 +780,6 @@ def test_em_reformulate_refusals_point_to_the_library_not_the_cli(monkeypatch):
         assert "cost_moments_streaming(model, n_sub)" in message, message
 
 
-def test_monte_carlo_refuses_an_unallocatable_noise_quad_before_other_work(monkeypatch):
-    # dim 2 + (2**20 - 1) * 2 = 2**21 sits at both caps, but the
-    # m_blk = 2097150 noise block needs 32 TiB, which the default
-    # (heuristic) overcommit policy refuses; the refusal comes before the
-    # exact discretization or the interval ops are built
-    monkeypatch.setattr(stochastic, "em_interval_ops", _refuse_build)
-    monkeypatch.setattr(stochastic, "discretize_expm", _refuse_build)
-    with pytest.raises(ResourceLimitError,
-                       match=r"noise block of dimension 2097150 needs [0-9.]+ GiB"):
-        monte_carlo(make_benchmark_model(horizon=1), 2 ** 20 - 1, 1, seed=0,
-                    dim_cap=2 ** 21)
-
-
 @pytest.mark.parametrize("case", list(_em_panel_refs()))
 def test_mc_plan_factors_rebuild_the_blocks_below_the_diagonal(case):
     # block (j, k) below the diagonal is R_j a^(j-k-1) noise_map, and the
@@ -831,7 +817,7 @@ def test_monte_carlo_refuses_a_dim_above_its_caps_before_other_work(
         monte_carlo(make_benchmark_model(horizon=1), n_sub, 1, seed=0, dim_cap=dim_cap)
 
 
-@pytest.mark.parametrize("reps", [_ROWS - 1, _ROWS + 1, 2 * _ROWS + 7])
+@pytest.mark.parametrize("reps", [511, 513, 1031])
 @pytest.mark.parametrize("n_w", [2, 0])
 def test_em_form_matches_the_dense_quadratic_form_across_row_chunks(reps, n_w):
     rng = np.random.default_rng(reps)
@@ -846,55 +832,35 @@ def test_em_form_matches_the_dense_quadratic_form_across_row_chunks(reps, n_w):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("n_sub, n_w, shapes", [
-    (_PANEL // 2, 2, [(_PANEL, _PANEL)]),
-    (_PANEL + 3, 2, [(_PANEL, _PANEL), (2 * _PANEL, _PANEL), (2 * _PANEL + 6, 6)]),
-    (_PANEL + 3, 0, []),
-], ids=["one_panel", "remainder_panel", "no_noise"])
-def test_em_form_matches_the_dense_quadratic_form_across_panels(n_sub, n_w, shapes):
-    # panel [lo, hi) is noise_quad[:hi, lo:hi]; the last one takes the
-    # remainder of m_blk = n_sub * n_w, and m_blk = 0 gives none
+@pytest.mark.parametrize("n_sub, n_w", [
+    (1, 2), (_CHUNK - 1, 2), (_CHUNK, 2), (13, 2), (16 * _CHUNK + 3, 2), (13, 0),
+])
+def test_em_form_matches_the_dense_quadratic_form_across_chunks(n_sub, n_w):
+    # em_form's scan of noise_quad walks n_sub sub-steps _CHUNK at a time:
+    # one partial chunk, one full one, a partial last chunk after full
+    # ones, and no noise at all
     model = make_benchmark_model(horizon=2)
     ref = em_reformulate(dataclasses.replace(model, g_c=model.g_c[:, :n_w]), n_sub)
     plan = _mc_plan(ref.model, ref.n_sub)
-    assert [panel.shape for panel in plan.quad_panels] == shapes
     normals = np.random.default_rng(n_sub).normal(size=(40, ref.dim))
     want = _dense_em_form(ref, normals)
     got = _block_streams(plan, *_stream_views(plan, normals))["em_form"]
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_em_form_reads_no_noise_quad_entry_below_its_diagonal_panels(monkeypatch):
-    # NaN below every diagonal panel leaves em_form bit for bit unchanged
-    model = make_benchmark_model(horizon=2)
-    n_sub = _PANEL + 3                                  # three panels
-    plan = _mc_plan(model, n_sub)
-    views = _stream_views(plan, np.random.default_rng(8).normal(size=(_ROWS + 9, plan.dim)))
-    want = _block_streams(plan, *views)["em_form"]
-    build, poisoned = stochastic._noise_block, []
-
-    def poison(ops, out):
-        build(ops, out)
-        for lo in range(0, len(out), _PANEL):
-            below = out[lo + _PANEL:, lo:lo + _PANEL]
-            below[...] = np.nan
-            poisoned.append(below.size)
-
-    monkeypatch.setattr(stochastic, "_noise_block", poison)
-    got = _block_streams(_mc_plan(model, n_sub), *views)["em_form"]
-    assert sum(poisoned) > 0
-    assert np.array_equal(got, want)
-
-
-def test_em_form_panels_are_views_with_under_two_thirds_of_the_dense_work():
-    # m_blk = 512: four panels hold 0.625 of noise_quad's entries, one
-    # multiply-add each per replicate, all of them views into one array
-    plan = _mc_plan(make_benchmark_model(horizon=1), 256)
-    panels = plan.quad_panels
-    assert len(panels) == 4
-    assert sum(panel.size for panel in panels) == 0.625 * 512 ** 2
-    assert all(panel.base is panels[0].base is not None for panel in panels)
-    assert panels[0].base.shape == (512, 512)
+def test_mc_plan_holds_no_m_blk_by_m_blk_array():
+    # H = 1, n_sub 2047, n_w 2: m_blk 4094, where a dense noise_quad would
+    # take 128 MiB; the plan's peak stays under 64 m_blk n_x^2 doubles
+    model = make_benchmark_model(horizon=1)
+    m_blk = 2047 * model.n_w
+    assert model.n_w == 2
+    tracemalloc.start()
+    try:
+        _mc_plan(model, 2047)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * m_blk * model.n_x ** 2 * 8, peak / 2 ** 20
 
 
 class _IntervalLog(np.ndarray):
@@ -913,7 +879,7 @@ def test_block_streams_read_the_draws_in_stream_order(case):
     # the draws is one interval's, and the intervals never go back
     ref = _em_form_ref(case)
     plan = _mc_plan(ref.model, ref.n_sub)
-    x0, z = _stream_views(plan, np.random.default_rng(3).normal(size=(2 * _ROWS + 7, ref.dim)))
+    x0, z = _stream_views(plan, np.random.default_rng(3).normal(size=(1031, ref.dim)))
     z = z.view(_IntervalLog)
     z.log = []
     _block_streams(plan, x0, z)
@@ -950,8 +916,8 @@ def _refuse_noise_quad(*args, **kwargs):
 
 
 def test_monte_carlo_streams_read_no_noise_quad(monkeypatch):
-    # the plan forms noise_quad once per request; no block of the two
-    # blocks of 3000 replicates forms it again
+    # no Monte Carlo request forms noise_quad: not the plan, and no block
+    # of the two blocks of 3000 replicates
     model = make_benchmark_model(horizon=3)
     build, simulate = stochastic._noise_block, stochastic._simulate_block
     in_block, calls = [], []
@@ -970,7 +936,7 @@ def test_monte_carlo_streams_read_no_noise_quad(monkeypatch):
     monkeypatch.setattr(stochastic, "_noise_block", counted)
     monkeypatch.setattr(stochastic, "_simulate_block", block)
     monte_carlo(model, 16, 3000, seed=13)
-    assert calls == [False]
+    assert calls == []
 
 
 def test_monte_carlo_builds_the_exact_spine_and_interval_ops_once(monkeypatch):
