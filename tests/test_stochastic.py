@@ -852,15 +852,9 @@ def test_mc_plan_holds_no_m_blk_by_m_blk_array():
     # H = 1, n_sub 2047, n_w 2: m_blk 4094, where a dense noise_quad would
     # take 128 MiB; the plan's peak stays under 64 m_blk n_x^2 doubles
     model = make_benchmark_model(horizon=1)
-    m_blk = 2047 * model.n_w
     assert model.n_w == 2
-    tracemalloc.start()
-    try:
-        _mc_plan(model, 2047)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * m_blk * model.n_x ** 2 * 8, peak / 2 ** 20
+    peak = _traced_peak(lambda: _mc_plan(model, 2047))
+    assert peak < 64 * 2047 * model.n_w * model.n_x ** 2 * 8, peak / 2 ** 20
 
 
 class _IntervalLog(np.ndarray):
@@ -918,24 +912,9 @@ def _refuse_noise_quad(*args, **kwargs):
 def test_monte_carlo_streams_read_no_noise_quad(monkeypatch):
     # no Monte Carlo request forms noise_quad: not the plan, and no block
     # of the two blocks of 3000 replicates
-    model = make_benchmark_model(horizon=3)
-    build, simulate = stochastic._noise_block, stochastic._simulate_block
-    in_block, calls = [], []
-
-    def counted(*args):
-        calls.append(bool(in_block))
-        return build(*args)
-
-    def block(args):
-        in_block.append(True)
-        try:
-            return simulate(args)
-        finally:
-            in_block.pop()
-
-    monkeypatch.setattr(stochastic, "_noise_block", counted)
-    monkeypatch.setattr(stochastic, "_simulate_block", block)
-    monte_carlo(model, 16, 3000, seed=13)
+    calls = []
+    monkeypatch.setattr(stochastic, "_noise_block", lambda *args: calls.append(args))
+    monte_carlo(make_benchmark_model(horizon=3), 16, 3000, seed=13)
     assert calls == []
 
 
