@@ -46,7 +46,7 @@ __all__ = [
 
 DEFAULT_DIM_CAP = 4096
 _BLOCK = 2048          # Monte Carlo replicates per work unit (fixed)
-_CHUNK = 8             # Euler sub-steps per product in the pathwise stream
+_CHUNK = 8             # Euler sub-steps per product of the deviation walk
 _WALK_BLOCK = 256      # steps per block of a horizon walk (bounds its memory)
 STREAMS = ("continuous", "discrete", "em_form")
 _PAIRS = ((0, 1), (0, 2), (1, 2))   # stream index pairs for the correlations
@@ -706,104 +706,8 @@ def _symmetric_sqrt(m: np.ndarray) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
-@dataclass(frozen=True)
-class _EulerDeviation:
-    """Per-request maps of the Euler deviation pass (:func:`_pathwise_cost`)
-    over ``chunk`` sub-steps at a time."""
-
-    model: ContinuousLqModel
-    ops: EmIntervalOps
-    chunk: int                  # sub-steps per product, min(_CHUNK, n_sub)
-    qc: np.ndarray              # q_c c_c
-    kernel: np.ndarray          # K = c_c' q_c c_c
-    advance: np.ndarray         # [E' (E^2)' .. (E^chunk)']
-    inject: np.ndarray          # block upper triangular, blocks sqrt(dt) (E^{t-l} g_c)'
-    kernel_blk: np.ndarray      # kron(I_chunk, K)
-    drift_map: np.ndarray       # block i: K' E^i, i = 1 .. n_sub
-
-
-def _euler_deviation(model: ContinuousLqModel, ops: EmIntervalOps) -> _EulerDeviation:
-    n_x, n_w = model.n_x, model.n_w
-    chunk = min(_CHUNK, ops.n_sub)
-    f_t = np.sqrt(ops.dt) * ops.f[:chunk].transpose(0, 2, 1)
-    zero = np.zeros((n_w, n_x))
-    qc = model.q_c @ model.c_c
-    kernel = model.c_c.T @ qc
-    return _EulerDeviation(
-        model=model,
-        ops=ops,
-        chunk=chunk,
-        qc=qc,
-        kernel=kernel,
-        advance=np.hstack(ops.powers[1:chunk + 1].transpose(0, 2, 1)),
-        inject=np.block(
-            [[f_t[t - l] if t >= l else zero for t in range(chunk)]
-             for l in range(chunk)]
-        ),
-        kernel_blk=np.kron(np.eye(chunk), kernel),
-        drift_map=np.vstack(kernel.T @ ops.powers[1:]),
-    )
-
-
-def _deviation_chunks(dev: _EulerDeviation, z: np.ndarray):
-    """Yield ``(s, c, cur)``: ``cur`` holds the Euler deviation ``dev_i =
-    E dev_{i-1} + g_c w_i`` (``dev_{-1} = 0``, ``w = sqrt(dt) z``) of rows
-    ``z`` at sub-steps ``i = s .. s + c - 1``, one product per chunk of
-    ``dev.chunk``: ``dev_{s-1} P + z_{s..s+c-1} T`` (``P`` stacks
-    ``(E^t)'``, ``T`` is block upper triangular with blocks ``sqrt(dt)
-    (E^{t-l} g_c)'``), into a buffer the next chunk overwrites."""
-    n_x, n_w = dev.model.n_x, dev.model.n_w
-    n_sub, chunk = dev.ops.n_sub, dev.chunk
-    step = np.empty((len(z), chunk * n_x))
-    for s in range(0, n_sub, chunk):
-        c = min(chunk, n_sub - s)
-        cur = step[:, :c * n_x]
-        np.matmul(z[:, s * n_w:(s + c) * n_w], dev.inject[:c * n_w, :c * n_x], out=cur)
-        if s:                                           # the deviation starts at 0
-            cur += last @ dev.advance[:, :c * n_x]
-        yield s, c, cur
-        last = cur[:, -n_x:].copy()
-
-
-def _pathwise_cost(
-    dev: _EulerDeviation, k: int, x: np.ndarray, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Euler deviation pass of interval ``k``: its noise-driven cost as
-    ``(quad, lin)`` per replicate (rows of ``x`` and ``z``).
-
-    ``z`` holds the interval's ``n_sub * n_w`` standard normals; the
-    increments are ``w = sqrt(dt) z``, with ``sqrt(dt)`` folded into
-    ``dev.inject``.  From ``x_k = x`` the sub-steps split the state into
-    the drift ``E^i x_k + held_i u_k`` and the deviation ``dev_i = E
-    dev_{i-1} + g_c w_i``.  With ``K = c_c' q_c c_c``:
-
-    * ``quad = 0.5 dt sum_i dev_i' K dev_i``, which is ``0.5 w_k'
-      noise_quad w_k`` by the definition of ``noise_quad``, so both the
-      ``continuous`` and the ``discrete`` stream take it from here;
-    * ``lin = dt sum_i dev_i' (K drift_i + c_c' q_c (d_c u_k - zbar_k))``.
-
-    Each chunk of :func:`_deviation_chunks` is folded into both sums at
-    once: ``quad`` through ``kron(I_c, K)`` and a row dot, ``lin`` through
-    the chunk's rows of ``drift_map`` and ``offset``.  So the Monte Carlo
-    block runs this inside its forward walk, from each ``x_k`` as made.
-    """
-    model, ops, kernel_blk = dev.model, dev.ops, dev.kernel_blk
-    n_x, held = model.n_x, ops.held
-    u = model.inputs[k]
-    offset = (held[1:] @ u) @ dev.kernel + (model.d_c @ u - model.targets[k]) @ dev.qc
-    lin_map = np.hstack([dev.drift_map, offset.reshape(-1, 1)])
-    reps = len(x)
-    quad = np.zeros(reps)
-    along = np.zeros((reps, n_x + 1))                  # dev @ lin_map, all chunks
-    for s, c, cur in _deviation_chunks(dev, z):
-        quad += np.einsum("ri,ri->r", cur, cur @ kernel_blk[:c * n_x, :c * n_x])
-        along += cur @ lin_map[s * n_x:(s + c) * n_x]
-    lin = np.einsum("ri,ri->r", along[:, :n_x], x) + along[:, n_x]
-    return 0.5 * ops.dt * quad, ops.dt * lin
-
-
 def _quad_scan_maps(ops: EmIntervalOps, chunk: int) -> np.ndarray:
-    """``em_form``'s scan maps (:func:`_block_streams`), one per chunk:
+    """``em_form``'s scan maps (:func:`_pathwise_cost`), one per chunk:
     block diagonal over its sub-steps ``q``, the ``dt sqrt(dt) G_q'``
     blocks, then the ``-dt^2 / 4 (g_c' G_q + G_q' g_c)`` blocks, with
     ``G_q = gram_g[n_sub-1-q]`` (zero past ``n_sub``)."""
@@ -826,8 +730,12 @@ class _McPlan:
     :func:`_mc_plan` and shared by every block and worker.  The draws
     enter as standard normals ``z`` (increments ``w = sqrt(dt) z``), so
     the ``sqrt(dt)`` and ``dt`` factors live here, not in a pass over the
-    draws; ``em_form`` reads ``quad_maps``, ``stages``, ``em_cols`` and
-    the chunk walk of ``deviation``.  No piece is ``m_blk x m_blk``."""
+    draws.  The Euler deviation walk (:func:`_deviation_chunks`) reads
+    ``chunk``, ``advance`` and ``inject``; :func:`_pathwise_cost` pairs
+    each chunk of it with ``kernel_blk`` and ``drift_map`` for the
+    ``continuous`` and ``discrete`` streams and with ``quad_maps`` for
+    ``em_form``, which also reads ``stages`` and ``em_cols``.  No piece
+    is ``m_blk x m_blk``."""
 
     model: ContinuousLqModel
     disc: DiscreteLqModel
@@ -835,7 +743,13 @@ class _McPlan:
     dim: int                    # draws per replicate, n_x + horizon * m_blk
     x0_root: np.ndarray         # symmetric square root of x0_cov (transposed)
     shared: np.ndarray          # sqrt(dt) [cross' | noise_map' | noise_lin]
-    deviation: _EulerDeviation
+    chunk: int                  # sub-steps per product, min(_CHUNK, n_sub)
+    advance: np.ndarray         # [E' (E^2)' .. (E^chunk)']
+    inject: np.ndarray          # block upper triangular, blocks sqrt(dt) (E^{t-l} g_c)'
+    qc: np.ndarray              # q_c c_c
+    kernel: np.ndarray          # K = c_c' q_c c_c
+    kernel_blk: np.ndarray      # kron(I_chunk, K)
+    drift_map: np.ndarray       # block i: K' E^i, i = 1 .. n_sub
     quad_maps: np.ndarray       # em_form's scan maps per chunk, _quad_scan_maps
     stages: _CostToGo
     em_cols: np.ndarray         # interval k: sqrt(dt) [noise_map' | q_vec_k | R_k]
@@ -849,8 +763,8 @@ def _mc_plan(model: ContinuousLqModel, n_sub: int,
     :class:`~lqdisc.errors.ResourceLimitError` before any other work.
     ``noise_quad`` is never formed: ``em_form`` scans it through the
     per-chunk maps of :func:`_quad_scan_maps`."""
-    n_x, horizon = model.n_x, model.horizon
-    m_blk = n_sub * model.n_w
+    n_x, n_w, horizon = model.n_x, model.n_w, model.horizon
+    m_blk = n_sub * n_w
     dim = n_x + horizon * m_blk
     cap = min(dim_cap, DRAWS_PER_REPLICATE)
     if dim > cap:
@@ -863,9 +777,13 @@ def _mc_plan(model: ContinuousLqModel, n_sub: int,
         )
     disc = discretize_expm(model)
     ops = em_interval_ops(model, n_sub)
-    deviation = _euler_deviation(model, ops)
     stages = _cost_to_go(model, disc, ops)
+    chunk = min(_CHUNK, n_sub)
     root_dt = np.sqrt(ops.dt)
+    f_t = root_dt * ops.f[:chunk].transpose(0, 2, 1)
+    zero = np.zeros((n_w, n_x))
+    qc = model.q_c @ model.c_c
+    kernel = model.c_c.T @ qc
     em_cols = root_dt * np.concatenate([
         np.broadcast_to(ops.noise_map.T, (horizon, m_blk, n_x)),
         stages.q_vec[n_x:].reshape(horizon, m_blk, 1),
@@ -878,11 +796,87 @@ def _mc_plan(model: ContinuousLqModel, n_sub: int,
         dim=dim,
         x0_root=_symmetric_sqrt(model.x0_cov).T,
         shared=root_dt * np.hstack([ops.cross.T, ops.noise_map.T, ops.noise_lin]),
-        deviation=deviation,
-        quad_maps=_quad_scan_maps(ops, deviation.chunk),
+        chunk=chunk,
+        advance=np.hstack(ops.powers[1:chunk + 1].transpose(0, 2, 1)),
+        inject=np.block(
+            [[f_t[t - l] if t >= l else zero for t in range(chunk)]
+             for l in range(chunk)]
+        ),
+        qc=qc,
+        kernel=kernel,
+        kernel_blk=np.kron(np.eye(chunk), kernel),
+        drift_map=np.vstack(kernel.T @ ops.powers[1:]),
+        quad_maps=_quad_scan_maps(ops, chunk),
         stages=stages,
         em_cols=em_cols,
     )
+
+
+def _deviation_chunks(plan: _McPlan, z: np.ndarray):
+    """Yield ``(s, c, cur)``: ``cur`` holds the Euler deviation ``dev_i =
+    E dev_{i-1} + g_c w_i`` (``dev_{-1} = 0``, ``w = sqrt(dt) z``) of rows
+    ``z`` at sub-steps ``i = s .. s + c - 1``, one product per chunk of
+    ``plan.chunk``: ``dev_{s-1} P + z_{s..s+c-1} T`` (``P`` stacks
+    ``(E^t)'``, ``T`` is block upper triangular with blocks ``sqrt(dt)
+    (E^{t-l} g_c)'``), into a buffer the next chunk overwrites.  Each
+    interval of a block walks it once, in :func:`_pathwise_cost`."""
+    n_x, n_w = plan.model.n_x, plan.model.n_w
+    n_sub, chunk = plan.ops.n_sub, plan.chunk
+    step = np.empty((len(z), chunk * n_x))
+    for s in range(0, n_sub, chunk):
+        c = min(chunk, n_sub - s)
+        cur = step[:, :c * n_x]
+        np.matmul(z[:, s * n_w:(s + c) * n_w], plan.inject[:c * n_w, :c * n_x], out=cur)
+        if s:                                           # the deviation starts at 0
+            cur += last @ plan.advance[:, :c * n_x]
+        yield s, c, cur
+        last = cur[:, -n_x:].copy()
+
+
+def _pathwise_cost(
+    plan: _McPlan, k: int, x: np.ndarray, z: np.ndarray, em: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Euler deviation pass of interval ``k``: its noise-driven cost as
+    ``(quad, lin)`` per replicate (rows of ``x`` and ``z``), and
+    ``em_form``'s noise scan term added into ``em`` in place.
+
+    ``z`` holds the interval's ``n_sub * n_w`` standard normals; the
+    increments are ``w = sqrt(dt) z``, with ``sqrt(dt)`` folded into
+    ``plan.inject``.  From ``x_k = x`` the sub-steps split the state into
+    the drift ``E^i x_k + held_i u_k`` and the deviation ``dev_i = E
+    dev_{i-1} + g_c w_i``.  With ``K = c_c' q_c c_c``:
+
+    * ``quad = 0.5 dt sum_i dev_i' K dev_i``, which is ``0.5 w_k'
+      noise_quad w_k`` by the definition of ``noise_quad``, so both the
+      ``continuous`` and the ``discrete`` stream take it from here;
+    * ``lin = dt sum_i dev_i' (K drift_i + c_c' q_c (d_c u_k - zbar_k))``;
+    * ``em`` gains ``0.5 w_k' noise_quad w_k`` by ``em_form``'s scan over
+      ``gram_g`` (:func:`_block_streams`), which never meets ``K``.
+
+    One deviation walk, two pairings: each chunk of
+    :func:`_deviation_chunks` is folded into ``quad`` through ``kron(I_c,
+    K)`` and a row dot, into ``lin`` through the chunk's rows of
+    ``drift_map`` and ``offset``, and into ``em`` through one product of
+    the chunk's draws with ``plan.quad_maps``.  So the Monte Carlo block
+    runs this inside its forward walk, from each ``x_k`` as made.
+    """
+    model, ops, chunk, kernel_blk = plan.model, plan.ops, plan.chunk, plan.kernel_blk
+    n_x, n_w, held = model.n_x, model.n_w, ops.held
+    u = model.inputs[k]
+    offset = (held[1:] @ u) @ plan.kernel + (model.d_c @ u - model.targets[k]) @ plan.qc
+    lin_map = np.hstack([plan.drift_map, offset.reshape(-1, 1)])
+    reps = len(x)
+    quad = np.zeros(reps)
+    along = np.zeros((reps, n_x + 1))                  # dev @ lin_map, all chunks
+    for s, c, cur in _deviation_chunks(plan, z):
+        quad += np.einsum("ri,ri->r", cur, cur @ kernel_blk[:c * n_x, :c * n_x])
+        along += cur @ lin_map[s * n_x:(s + c) * n_x]
+        z_c = z[:, s * n_w:(s + c) * n_w]
+        paired = z_c @ plan.quad_maps[s // chunk, :c * n_w]
+        em += np.einsum("ri,ri->r", cur, paired[:, :c * n_x])
+        em += np.einsum("ri,ri->r", z_c, paired[:, chunk * n_x:][:, :c * n_w])
+    lin = np.einsum("ri,ri->r", along[:, :n_x], x) + along[:, n_x]
+    return 0.5 * ops.dt * quad, ops.dt * lin
 
 
 def _block_streams(plan: _McPlan, x0: np.ndarray, z: np.ndarray) -> dict:
@@ -900,24 +894,26 @@ def _block_streams(plan: _McPlan, x0: np.ndarray, z: np.ndarray) -> dict:
     noise terms and the ``0.5 w_k' noise_quad w_k`` that both share.
 
     ``em_form``, ``0.5 c' q_big c + q_vec' c + rho`` at ``c = [x0; sqrt(dt)
-    z]``, reads only the pieces of :func:`_cost_to_go` and ``gram_g`` and
-    keeps its own state, so it stays an independent check.  With ``v_k =
-    sqrt(dt) noise_map z_k``, ``s_0 = x0`` and ``s_{k+1} = a s_k + v_k``,
-    the blocks below the diagonal and the ``x0`` column are ``sum_k
-    (sqrt(dt) z_k R_k) . s_k``; interval ``k`` adds that, its diagonal
-    block ``0.5 dt z_k' noise_quad z_k + 0.5 v_k' G_k v_k`` and ``sqrt(dt)
-    z_k . q_vec_k``.  Block ``(p <= q)`` of ``noise_quad`` is ``dt
-    f[q-p]' gram_g[r_q]`` (``r_q = n_sub-1-q``), so with ``h_q = E
-    h_{q-1} + g_c z_q`` (``h_{-1} = 0``, the deviation of
+    z]``, reads only the pieces of :func:`_cost_to_go`, ``gram_g`` and the
+    Euler deviation, and keeps its own accumulator ``s_k``, so it stays an
+    independent check.  With ``v_k = sqrt(dt) noise_map z_k``, ``s_0 =
+    x0`` and ``s_{k+1} = a s_k + v_k``, the blocks below the diagonal and
+    the ``x0`` column are ``sum_k (sqrt(dt) z_k R_k) . s_k``; interval
+    ``k`` adds that, its diagonal block ``0.5 dt z_k' noise_quad z_k + 0.5
+    v_k' G_k v_k`` and ``sqrt(dt) z_k . q_vec_k``.  Block ``(p <= q)`` of
+    ``noise_quad`` is ``dt f[q-p]' gram_g[r_q]`` (``r_q = n_sub-1-q``), so
+    with ``h_q = E h_{q-1} + g_c z_q`` (``h_{-1} = 0``, the deviation of
     :func:`_deviation_chunks` over ``sqrt(dt)``), ``z' noise_quad z = dt
     sum_q (2 h_q - g_c z_q)' gram_g[r_q] z_q``: per chunk, one product of
-    its ``z`` with ``quad_maps`` pairs with ``[sqrt(dt) h | z]``.  One
-    product with ``em_cols[k]`` gives every ``n_x``-wide term.  Only
-    ``x_k``, ``s_k`` and per-interval pieces are held, so memory beyond
-    the draws does not grow with the horizon.
+    its ``z`` with ``quad_maps`` pairs with ``[sqrt(dt) h | z]``.  That
+    scan rides on the deviation walk of :func:`_pathwise_cost`: one
+    deviation walk, two pairings, ``K`` for ``quad`` and ``gram_g`` for
+    ``em_form``.  One product with ``em_cols[k]`` gives every
+    ``n_x``-wide term.  Only ``x_k``, ``s_k`` and per-interval pieces are
+    held, so memory beyond the draws does not grow with the horizon.
     """
-    model, disc, stages, dev = plan.model, plan.disc, plan.stages, plan.deviation
-    n_x, n_w = model.n_x, model.n_w
+    model, disc, stages = plan.model, plan.disc, plan.stages
+    n_x = model.n_x
     reps = len(x0)
     n_xu = n_x + model.n_u
     x = s = x0                              # x_k of the walk, s_k of em_form
@@ -938,16 +934,11 @@ def _block_streams(plan: _McPlan, x0: np.ndarray, z: np.ndarray) -> dict:
             np.einsum("ri,ri->r", shared[:, :n_xu], xu)
             + shared[:, n_xu + n_x:] @ model.targets[k]
         )
-        quad_k, lin_k = _pathwise_cost(dev, k, x, z_k)
+        quad_k, lin_k = _pathwise_cost(plan, k, x, z_k, em)
         quad += quad_k
         lin += lin_k
         x = x @ disc.a.T + model.inputs[k] @ disc.b.T + shared[:, n_xu:n_xu + n_x]
 
-        for q, c, h in _deviation_chunks(dev, z_k):
-            z_c = z_k[:, q * n_w:(q + c) * n_w]
-            paired = z_c @ plan.quad_maps[q // dev.chunk, :c * n_w]
-            em += np.einsum("ri,ri->r", h, paired[:, :c * n_x])
-            em += np.einsum("ri,ri->r", z_c, paired[:, dev.chunk * n_x:][:, :c * n_w])
         cols = z_k @ plan.em_cols[k]
         v = cols[:, :n_x]
         em += 0.5 * np.einsum("ri,ri->r", v, v @ stages.grams[k]) + cols[:, n_x]
@@ -1032,10 +1023,11 @@ def monte_carlo(
     ``em_form`` (the quadratic form of :func:`em_reformulate`, read from
     its pieces; ``q_big`` is never formed).  Both ``continuous`` and
     ``discrete`` take ``0.5 w_k' noise_quad w_k`` from the Euler deviation
-    pass of :func:`_pathwise_cost`; ``em_form``, which sums ``noise_quad``
-    by its own forward scan over ``gram_g`` (no ``m_blk x m_blk`` array),
-    is the independent check.  All three
-    evaluate the same random variable, so they agree up to rounding and
+    pass of :func:`_pathwise_cost`, which pairs the deviation with ``c_c'
+    q_c c_c``; ``em_form``, which sums ``noise_quad`` by a forward scan
+    that pairs the same deviation with ``gram_g`` (one deviation walk, two
+    pairings; no ``m_blk x m_blk`` array), is the independent check.  All
+    three evaluate the same random variable, so they agree up to rounding and
     collapse to the deterministic cost when the model is noise free.  A
     replicate's ``dim = n_x + horizon * n_sub * n_w`` draws above
     ``dim_cap`` raise :class:`~lqdisc.errors.ResourceLimitError` before

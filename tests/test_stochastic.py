@@ -25,7 +25,6 @@ from lqdisc.stochastic import (
     _CHUNK,
     _WALK_BLOCK,
     _block_streams,
-    _euler_deviation,
     _mc_plan,
     _noise_block,
     _pathwise_cost,
@@ -619,10 +618,10 @@ def test_pathwise_stream_matches_the_sub_step_loop(name, n_sub):
     )
     starts, noise = _starts_and_noise(rng, model, n_sub)
     ops = em_interval_ops(model, n_sub)
-    dev, m_blk = _euler_deviation(model, ops), ops.block_dim
+    plan, m_blk = _mc_plan(model, n_sub), ops.block_dim
     normals = noise / np.sqrt(ops.dt)
     got = sum(
-        sum(_pathwise_cost(dev, k, x, normals[:, k * m_blk:(k + 1) * m_blk]))
+        sum(_pathwise_cost(plan, k, x, normals[:, k * m_blk:(k + 1) * m_blk], np.zeros(len(x))))
         for k, x in enumerate(starts)
     )
     want = sum(_loop_pathwise_cost(model, n_sub, starts, noise))
@@ -885,7 +884,8 @@ def test_block_streams_read_the_draws_in_stream_order(case):
 @pytest.mark.parametrize("n_sub", [1, 7, 17, 256])
 @pytest.mark.parametrize("name", ["benchmark", "one_noise_column", "n_w_above_n_x"])
 def test_pathwise_quadratic_is_the_noise_quad_form(name, n_sub):
-    # the shared quadratic of the deviation pass, interval by interval
+    # the shared quadratic of the deviation pass, interval by interval, and
+    # em_form's scan term that the same pass adds through gram_g
     rng = np.random.default_rng(n_sub)
     model = _interval_test_models()[name]
     model = dataclasses.replace(
@@ -895,14 +895,32 @@ def test_pathwise_quadratic_is_the_noise_quad_form(name, n_sub):
     )
     ops = em_interval_ops(model, n_sub)
     noise_quad = _dense_noise_quad(ops)
-    dev = _euler_deviation(model, ops)
+    plan = _mc_plan(model, n_sub)
     starts, noise = _starts_and_noise(rng, model, n_sub)
     m_blk = n_sub * model.n_w
     for k, x in enumerate(starts):
         w = noise[:, k * m_blk:(k + 1) * m_blk]
-        quad, _ = _pathwise_cost(dev, k, x, w / np.sqrt(ops.dt))
+        em = np.zeros(len(x))
+        quad, _ = _pathwise_cost(plan, k, x, w / np.sqrt(ops.dt), em)
         want = 0.5 * np.einsum("ri,ri->r", w @ noise_quad, w)
         assert np.abs(quad - want).max() <= 1e-12 * np.abs(want).max(), k
+        assert np.abs(em - want).max() <= 1e-12 * np.abs(want).max(), k
+
+
+def test_block_streams_walk_each_interval_deviation_once(monkeypatch):
+    # one Euler deviation walk per interval feeds all three streams
+    calls = []
+    walk = stochastic._deviation_chunks
+
+    def counted(plan, z):
+        calls.append(len(z))
+        return walk(plan, z)
+
+    plan = _mc_plan(make_benchmark_model(horizon=3), 16)
+    normals = np.random.default_rng(5).normal(size=(40, plan.dim))
+    monkeypatch.setattr(stochastic, "_deviation_chunks", counted)
+    _block_streams(plan, *_stream_views(plan, normals))
+    assert calls == [40] * 3, calls
 
 
 def _refuse_noise_quad(*args, **kwargs):
