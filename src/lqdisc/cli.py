@@ -44,7 +44,7 @@ from .model import (
     continuous_model_from_dict,
     discrete_model_to_dict,
 )
-from .ode_method import MAX_STEPS, discretize_ode
+from .ode_method import MAX_DOUBLINGS, MAX_STEPS, check_step_bound, discretize_ode
 from .stochastic import DEFAULT_DIM_CAP, expected_costs, monte_carlo
 
 _PROG = "lqdisc"
@@ -52,6 +52,17 @@ _PROG = "lqdisc"
 
 class _UsageError(Exception):
     """Bad arguments, unreadable input or unwritable output file (exit code 2)."""
+
+
+# failure -> exit code, first match wins; the module docstring lists the codes
+_EXIT_CODES = (
+    (_UsageError, 2),
+    (ValidationError, 3),
+    ((DivergenceError, SingularMatrixError, ConvexityError, NormOverflowError,
+      IllConditionedError), 4),
+    (ResourceLimitError, 5),
+    (LqdiscError, 3),       # any other library failure
+)
 
 
 def _fail(message: str) -> None:
@@ -77,18 +88,6 @@ def _check_scheme(scheme: str) -> str:
     return scheme
 
 
-def _parse_method(method: str):
-    """Split a method string into (kind, scheme)."""
-    if method == "expm":
-        return "expm", None
-    for prefix, kind in (("ode:", "ode"), ("sqr:", "sqr")):
-        if method.startswith(prefix):
-            return kind, _check_scheme(method[len(prefix):])
-    raise _UsageError(
-        f"unknown method {method!r}; expected 'expm', 'ode:<scheme>' or 'sqr:<scheme>'"
-    )
-
-
 def _doublings_for(n_steps: int) -> int:
     if n_steps < 1 or n_steps & (n_steps - 1):
         raise _UsageError(
@@ -98,16 +97,24 @@ def _doublings_for(n_steps: int) -> int:
 
 
 def _run_method(model, method: str, n_steps: int, doublings: int | None = None):
-    """The discretization by ``method`` at ``n_steps`` sub-steps, or at
-    ``2**doublings`` when ``doublings`` is given.  An exponent past the
-    step bound reaches each route's own check without its power of two
-    being built, which for a huge exponent would be a huge integer."""
-    kind, scheme = _parse_method(method)
-    if kind == "expm":
+    """The discretization by ``method`` (``expm``, ``ode:<scheme>`` or
+    ``sqr:<scheme>``) at ``n_steps`` sub-steps, or at ``2**doublings`` when
+    ``doublings`` is given.  An exponent past the step bound is refused
+    without its power of two being built, which for a huge exponent would
+    be a huge integer."""
+    if method == "expm":
         return discretize_expm(model)
+    kind, colon, scheme = method.partition(":")
+    if not colon or kind not in ("ode", "sqr"):
+        raise _UsageError(
+            f"unknown method {method!r}; expected 'expm', 'ode:<scheme>' or "
+            "'sqr:<scheme>'"
+        )
+    _check_scheme(scheme)
     if kind == "ode":
-        if doublings is not None:       # any count past the bound is refused alike
-            n_steps = 2 ** min(doublings, MAX_STEPS.bit_length())
+        if doublings is not None:
+            check_step_bound("fixed-step", doublings=doublings)
+            n_steps = 2 ** doublings
         return discretize_ode(model, scheme=scheme, n_steps=n_steps)
     if doublings is None:
         doublings = _doublings_for(n_steps)
@@ -120,36 +127,31 @@ def _require_at_least(value: int, minimum: int, name: str) -> None:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    """Write ``text``, ending in one newline, to stdout or to ``out_path``."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out_path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-                if not text.endswith("\n"):
-                    fh.write("\n")
-        except OSError as exc:
-            raise _UsageError(f"cannot write output file: {exc}") from exc
+        return
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write output file: {exc}") from exc
 
 
-def _json_text(payload) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte.
+def _json_text(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, with
+    every line after the first indented by ``pad``.
 
     With ``indent`` set, ``json`` runs its pure-Python encoder, one call
     per number; here a list of finite floats, or of ints, is written in
     one pass.
     """
-    return _json_value(payload, "")
-
-
-def _json_value(value, pad: str) -> str:
-    """``value`` as ``_json_text`` writes it, nested at indentation ``pad``."""
     inner = pad + "  "
     if type(value) is dict and value and all(type(k) is str for k in value):
         items = (
-            f"{json.dumps(key)}: {_json_value(item, inner)}"
+            f"{json.dumps(key)}: {_json_text(item, inner)}"
             for key, item in sorted(value.items())
         )
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
@@ -162,7 +164,7 @@ def _json_value(value, pad: str) -> str:
             if done:
                 text = (",\n" + inner).join(map(int.__repr__, value))
         if not done:
-            text = (",\n" + inner).join(_json_value(v, inner) for v in value)
+            text = (",\n" + inner).join(_json_text(v, inner) for v in value)
         return "[\n" + inner + text + "\n" + pad + "]"
     # leaves, empty containers and anything unusual: json's own output,
     # re-indented (json escapes every newline inside a string)
@@ -219,11 +221,10 @@ def _cmd_benchmark(args) -> int:
     _require_at_least(reps, 1, "--reps")
     # refused before any row is timed (compared as exponents: 2**max_exp
     # of a huge --max-exp would be a huge integer)
-    max_exp = MAX_STEPS.bit_length() - 1
-    if args.max_exp > max_exp:
+    if args.max_exp > MAX_DOUBLINGS:
         raise ValidationError(
-            f"--max-exp must be <= {max_exp}: the fixed-step route takes at most "
-            f"{MAX_STEPS} (2**{max_exp}) steps, got --max-exp {args.max_exp}"
+            f"--max-exp must be <= {MAX_DOUBLINGS}: the fixed-step route takes at "
+            f"most {MAX_STEPS} (2**{MAX_DOUBLINGS}) steps, got --max-exp {args.max_exp}"
         )
 
     truth = discretize_expm(model)
@@ -234,40 +235,24 @@ def _cmd_benchmark(args) -> int:
          "cpu_seconds"]
     )
 
-    def error_row(disc):
-        return [
-            repr(_max_abs(disc.a, truth.a)),
-            repr(_max_abs(disc.b, truth.b)),
-            repr(_max_abs(disc.r_ww, truth.r_ww)),
-            repr(_max_abs(disc.m, truth.m)),
-            repr(_max_abs(disc.q, truth.q)),
+    def write_row(scheme, method, n, run):
+        """One row: the errors of an untimed ``run()``, then its median time."""
+        disc = run()
+        errors = [
+            repr(_max_abs(getattr(disc, name), getattr(truth, name)))
+            for name in ("a", "b", "r_ww", "m", "q")
         ]
+        writer.writerow([scheme, method, n, *errors, repr(_median_seconds(run, reps))])
 
-    expm_t = _median_seconds(lambda: discretize_expm(model), reps)
-    writer.writerow(["expm", "expm", 1] + error_row(truth) + [repr(expm_t)])
-
+    write_row("expm", "expm", 1, lambda: discretize_expm(model))
     for scheme in schemes:
         for doublings in range(args.max_exp + 1):
             n = 2 ** doublings
-            ode_disc = discretize_ode(model, scheme=scheme, n_steps=n)
-            ode_t = _median_seconds(
-                lambda: discretize_ode(model, scheme=scheme, n_steps=n), reps
-            )
-            writer.writerow(
-                [scheme, "ode", n] + error_row(ode_disc) + [repr(ode_t)]
-            )
-            sqr_disc = discretize_step_doubling(
-                model, scheme=scheme, doublings=doublings
-            )
-            sqr_t = _median_seconds(
-                lambda: discretize_step_doubling(
-                    model, scheme=scheme, doublings=doublings
-                ),
-                reps,
-            )
-            writer.writerow(
-                [scheme, "sqr", n] + error_row(sqr_disc) + [repr(sqr_t)]
-            )
+            write_row(scheme, "ode", n,
+                      lambda: discretize_ode(model, scheme=scheme, n_steps=n))
+            write_row(scheme, "sqr", n,
+                      lambda: discretize_step_doubling(model, scheme=scheme,
+                                                       doublings=doublings))
     _emit(buf.getvalue(), args.output)
     return 0
 
@@ -431,29 +416,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, LqdiscError) as exc:
         _fail(str(exc))
-        return 2
-    except ValidationError as exc:
-        _fail(str(exc))
-        return 3
-    except (
-        DivergenceError, SingularMatrixError, ConvexityError, NormOverflowError,
-        IllConditionedError,
-    ) as exc:
-        _fail(str(exc))
-        return 4
-    except ResourceLimitError as exc:
-        _fail(str(exc))
-        return 5
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
     except MemoryError as exc:      # an allocation no cap foresaw
         detail = f" ({exc})" if str(exc) else ""
         _fail(f"the system refused to allocate the memory this request needs{detail}; "
               "make the request smaller")
         return 5
-    except LqdiscError as exc:      # any other library failure
-        _fail(str(exc))
-        return 3
 
 
 if __name__ == "__main__":

@@ -14,9 +14,9 @@ import numpy as np
 
 from .butcher import precompute
 from .errors import DivergenceError, ValidationError
-from .intervals import compose, diverged, to_discrete
+from .intervals import compose, diverged, first_diverged, to_discrete
 from .model import ContinuousLqModel, DiscreteLqModel
-from .ode_method import MAX_STEPS, rk_seed
+from .ode_method import check_step_bound, rk_seed
 
 __all__ = ["discretize_step_doubling"]
 
@@ -37,13 +37,7 @@ def discretize_step_doubling(
     """
     if doublings < 0:
         raise ValidationError(f"doublings must be >= 0, got {doublings}")
-    max_doublings = MAX_STEPS.bit_length() - 1
-    if doublings > max_doublings:
-        raise ValidationError(
-            f"n_steps must be <= {MAX_STEPS} (2**{max_doublings}) on the squaring "
-            f"route, got 2**{doublings}; the block exponential (discretize_expm, "
-            "--method expm) is exact and takes no step count"
-        )
+    check_step_bound("squaring", doublings=doublings)
     # overflow to inf is the divergence signal checked below
     with np.errstate(over="ignore", invalid="ignore"):
         seed = rk_seed(precompute(model, scheme, 2 ** doublings))
@@ -52,9 +46,7 @@ def discretize_step_doubling(
             maps = compose(maps, maps)
         if doublings and diverged(maps):
             # the error path: repeat the iterations to name the first
-            maps, i = compose(seed, seed), 1
-            while i < doublings and not diverged(maps):
-                maps, i = compose(maps, maps), i + 1
+            i = first_diverged(compose(seed, seed), lambda m: compose(m, m), doublings)
             raise DivergenceError(
                 f"step doubling diverged at iteration {i} "
                 f"(covering {2 ** i} sub-steps)"

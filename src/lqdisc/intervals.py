@@ -18,7 +18,7 @@ through the later one.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -100,6 +100,22 @@ def repeat(seed: IntervalMaps, n: int) -> IntervalMaps:
 def diverged(maps: IntervalMaps) -> bool:
     """Whether the transition or the cost weight of ``maps`` is not finite."""
     return not (np.isfinite(maps.ext).all() and np.isfinite(maps.quad).all())
+
+
+def first_diverged(
+    maps: IntervalMaps, grow: Callable[[IntervalMaps], IntervalMaps], limit: int
+) -> int:
+    """The first ``k`` whose prefix diverged, counting ``maps`` as prefix 1
+    and ``grow`` of prefix ``k`` as prefix ``k + 1``; ``limit`` when no
+    shorter prefix diverged.
+
+    The error path of the Runge-Kutta routes, which check finiteness only
+    on their result.
+    """
+    k = 1
+    while k < limit and not diverged(maps):
+        maps, k = grow(maps), k + 1
+    return k
 
 
 def to_discrete(model: ContinuousLqModel, maps: IntervalMaps, route: str) -> DiscreteLqModel:

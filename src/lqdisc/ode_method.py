@@ -19,13 +19,43 @@ import numpy as np
 
 from .butcher import PrecomputedCoefficients, precompute
 from .errors import DivergenceError, ValidationError
-from .intervals import IntervalMaps, compose, diverged, repeat, to_discrete
+from .intervals import (
+    IntervalMaps, compose, diverged, first_diverged, repeat, to_discrete,
+)
 from .model import ContinuousLqModel, DiscreteLqModel
 
 __all__ = ["discretize_ode"]
 
 # one composition per step: 2**20 steps take seconds, 2**40 would take months
 MAX_STEPS = 2 ** 20
+MAX_DOUBLINGS = MAX_STEPS.bit_length() - 1
+
+
+def check_step_bound(
+    route: str, n_steps: int | None = None, doublings: int | None = None
+) -> None:
+    """Refuse more than :data:`MAX_STEPS` sub-steps on either Runge-Kutta route.
+
+    The count is ``n_steps``, or ``2**doublings`` when ``doublings`` is
+    given; that one is compared as an exponent and named as ``2**J``, so a
+    huge exponent never becomes a huge integer.  ``route`` names the route
+    in the message.
+
+    Raises
+    ------
+    ValidationError
+        If the count exceeds :data:`MAX_STEPS`; the message names the count.
+    """
+    if doublings is None:
+        over, asked = n_steps > MAX_STEPS, n_steps
+    else:
+        over, asked = doublings > MAX_DOUBLINGS, f"2**{doublings}"
+    if over:
+        raise ValidationError(
+            f"n_steps must be <= {MAX_STEPS} (2**{MAX_DOUBLINGS}) on the {route} "
+            f"route, got {asked}; the block exponential (discretize_expm, "
+            "--method expm) is exact and takes no step count"
+        )
 
 
 def weighted_conjugation(coeffs: PrecomputedCoefficients, m: np.ndarray) -> np.ndarray:
@@ -74,33 +104,16 @@ def discretize_ode(
     DivergenceError
         If a map stops being finite; the message names the step.
     """
-    if n_steps > MAX_STEPS:
-        raise ValidationError(
-            f"n_steps must be <= {MAX_STEPS} (2**20) on the fixed-step route; "
-            "the block exponential (discretize_expm, --method expm) is exact "
-            "and takes no step count"
-        )
+    check_step_bound("fixed-step", n_steps)
     # overflow to inf is the divergence signal checked below, not an error
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = precompute(model, scheme, n_steps)
         seed = rk_seed(coeffs)
         maps = repeat(seed, n_steps)
         if diverged(maps):
+            step = first_diverged(seed, lambda m: compose(m, seed), n_steps)
             raise DivergenceError(
-                f"scheme {scheme!r} diverged at step "
-                f"{_first_diverged_step(seed, n_steps)} of {n_steps} "
+                f"scheme {scheme!r} diverged at step {step} of {n_steps} "
                 f"(step size {coeffs.h:.6g})"
             )
     return to_discrete(model, maps, f"scheme {scheme!r}")
-
-
-def _first_diverged_step(seed: IntervalMaps, n_steps: int) -> int:
-    """The first ``k`` whose ``k`` chained copies of ``seed`` diverged.
-
-    The error path of :func:`discretize_ode`: ``n_steps`` when no shorter
-    chain diverged.
-    """
-    maps, k = seed, 1
-    while k < n_steps and not diverged(maps):
-        maps, k = compose(maps, seed), k + 1
-    return k

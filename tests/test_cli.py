@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lqdisc import cli, errors
 from lqdisc.cli import _json_text, main
+from lqdisc.doubling import discretize_step_doubling
 from lqdisc.expm_method import discretize_expm
 from lqdisc.model import (
     continuous_model_from_dict,
@@ -208,6 +210,44 @@ def test_an_allocation_the_system_refuses_is_a_resource_error(tmp_path, capsys, 
     assert len(lines) == 1 and lines[0].startswith("lqdisc:"), lines
     assert "allocate" in lines[0]
     assert not list(tmp_path.glob("out*"))
+
+
+# README's exit-code table, by failure class; a library error class that is
+# missing here has no documented code, and its case below fails
+DOCUMENTED_EXIT_CODES = {
+    "_UsageError": 2,
+    "LqdiscError": 3,
+    "ValidationError": 3,
+    "SingularMatrixError": 4,
+    "DivergenceError": 4,
+    "NormOverflowError": 4,
+    "IllConditionedError": 4,
+    "ConvexityError": 4,
+    "ResourceLimitError": 5,
+    "MemoryError": 5,
+}
+LIBRARY_ERRORS = [
+    value for value in vars(errors).values()
+    if isinstance(value, type) and issubclass(value, errors.LqdiscError)
+]
+
+
+@pytest.mark.parametrize("error", [cli._UsageError, *LIBRARY_ERRORS, MemoryError],
+                         ids=lambda error: error.__name__)
+def test_every_failure_exits_with_its_documented_code(
+    tmp_path, capsys, monkeypatch, error
+):
+    def fail(*args, **kwargs):
+        raise error("injected failure")
+
+    monkeypatch.setattr("lqdisc.cli.expected_costs", fail)
+    assert error.__name__ in DOCUMENTED_EXIT_CODES, "no documented exit code"
+    path = write_model(tmp_path, scalar_payload())
+    assert main(["expected-cost", path]) == DOCUMENTED_EXIT_CODES[error.__name__]
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lqdisc:"), lines
+    assert captured.out == ""
 
 
 def test_montecarlo_forms_no_dim_by_dim_array(tmp_path, capsys):
@@ -468,6 +508,22 @@ def test_doubling_is_checked_as_an_exponent(tmp_path, capsys, method, code):
         assert out.exists()
 
 
+@pytest.mark.parametrize("method, args, asked", [
+    ("ode:classic_rk4", ["--steps", str(2 ** 21)], "2097152"),
+    ("ode:classic_rk4", ["--doubling", "30"], "2**30"),
+    ("sqr:classic_rk4", ["--doubling", "30"], "2**30"),
+], ids=["ode-steps", "ode-doubling", "sqr-doubling"])
+def test_step_bound_refusal_names_the_count_asked_for(
+    tmp_path, capsys, method, args, asked
+):
+    path = write_model(tmp_path, scalar_payload())
+    assert main(["discretize", path, "--method", method, *args]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lqdisc:"), lines
+    assert "n_steps must be <= 1048576 (2**20)" in lines[0]
+    assert f" route, got {asked}; " in lines[0]
+
+
 def test_discretize_doubling_flag_matches_power_of_two_steps(tmp_path, capsys):
     model_path = write_model(tmp_path, scalar_payload())
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -565,6 +621,33 @@ def test_benchmark_csv_schema(tmp_path, capsys):
         for cell in row[3:]:
             assert np.isfinite(float(cell))
         assert float(row[8]) >= 0.0
+
+
+def test_benchmark_error_cells_are_the_routes_distances_to_the_closed_form(
+    bench_file, tmp_path, capsys
+):
+    out = tmp_path / "bench.csv"
+    assert main(["benchmark", bench_file, "--schemes", "classic_rk4",
+                 "--max-exp", "2", "--reps", "1", "-o", str(out)]) == 0
+    capsys.readouterr()
+    model = continuous_model_from_dict(json.loads(Path(bench_file).read_text()))
+    truth = discretize_expm(model)
+    routes = {
+        "ode": lambda j: discretize_ode(model, scheme="classic_rk4", n_steps=2 ** j),
+        "sqr": lambda j: discretize_step_doubling(model, scheme="classic_rk4",
+                                                  doublings=j),
+    }
+    body = list(csv.reader(out.read_text().splitlines()))[2:]
+    assert [row[1:3] for row in body] == [
+        [method, str(2 ** j)] for j in range(3) for method in ("ode", "sqr")
+    ]
+    for row in body:
+        disc = routes[row[1]](int(row[2]).bit_length() - 1)
+        want = [
+            repr(float(np.max(np.abs(getattr(disc, name) - getattr(truth, name)))))
+            for name in ("a", "b", "r_ww", "m", "q")
+        ]
+        assert row[3:8] == want, row[:3]
 
 
 def test_benchmark_unknown_scheme_is_an_argument_error(tmp_path, capsys):
