@@ -1,12 +1,11 @@
-"""Runge-Kutta tableaus and precomputed per-step propagator coefficients.
+"""Runge-Kutta tableaus and the interval maps of one Runge-Kutta step.
 
 For a linear drift the stage equations of any Runge-Kutta scheme collapse
-to constant matrices that can be formed once and reused for every step:
-per-stage propagators ``lam_stages[i]`` (state transition evaluated at the
-stage), their weighted combinations ``lam``/``theta`` (one-step state and
-input maps), the extended-state versions ``omega*``, and the constant
-per-step increments ``b_bar``/``m_bar``/``q_bar``/``r_bar`` consumed by
-the fixed-step discretizer.
+to constant matrices that can be formed once and reused for every step.
+:func:`precompute` forms them on the extended drift ``[[a_c, b_c], [0,
+0]]``, so one stage map carries both the state and the held input, and
+returns the four interval maps of one sub-step (see
+:mod:`lqdisc.intervals`): the seed that both Runge-Kutta routes compose.
 
 Schemes: ``explicit_euler``, ``implicit_euler``, ``explicit_trapezoidal``
 (Heun), ``implicit_trapezoidal``, ``esdirk34`` (L-stable, stiffly
@@ -20,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMatrixError, ValidationError
+from .intervals import IntervalMaps, extended_drift
 from .model import ContinuousLqModel
 
-__all__ = ["ButcherTableau", "PrecomputedCoefficients", "tableau", "precompute", "SCHEMES"]
+__all__ = ["ButcherTableau", "tableau", "precompute", "SCHEMES"]
 
 # L-stable diagonal of the 4-stage stiffly-accurate ESDIRK scheme: the
 # middle root of x^3 - 3x^2 + 3x/2 - 1/6.  Remaining entries follow from
@@ -109,67 +109,60 @@ def tableau(name: str) -> ButcherTableau:
         ) from None
 
 
-@dataclass(frozen=True)
-class PrecomputedCoefficients:
-    """Constant per-step matrices for a (model, scheme, step count) triple.
+def precompute(model: ContinuousLqModel, scheme: str, n_steps: int) -> IntervalMaps:
+    """The interval maps of one sub-step ``h = t_s / n_steps`` of ``scheme``.
 
-    ``lam``/``theta`` advance the state and input-integral maps one step;
-    ``omega*`` are their extended-state counterparts acting on ``[x; u]``;
-    ``b_bar``/``m_bar``/``q_bar``/``r_bar`` are the constant per-step
-    increments of the input, affine-cost, quadratic-cost, and
-    noise-covariance accumulators.
-    """
+    The stage recursion runs once, on the extended drift ``h_ext`` (see
+    :func:`lqdisc.intervals.extended_drift`), so each stage map ``O_i``
+    acts on ``[x; u]`` with the input held::
 
-    scheme: ButcherTableau
-    h: float
-    lam_stages: tuple
-    theta_stages: tuple
-    omega_stages: tuple
-    lam: np.ndarray
-    theta: np.ndarray
-    omega: np.ndarray
-    b_bar: np.ndarray
-    m_bar: np.ndarray
-    q_bar: np.ndarray
-    r_bar: np.ndarray
+        O_i  = (I - h a_ii h_ext)^-1 (I + h sum_{j<i} a_ij h_ext O_j)
+        ext  = I + h h_ext sum_i b_i O_i
+        quad = h sum_i b_i O_i' W O_i,        W = h_out' q_c h_out
+        lin  = -h sum_i b_i O_i' h_out' q_c
+        cov  = sum_i b_i T_i (h g_c g_c') T_i'
 
+    with ``T_i`` the state block of ``O_i``.  The stage maps are functions
+    of ``h a_c`` and so commute with the state transition: the scheme's
+    noise increment over a later step, ``sum_i b_i T_i (T r T') T_i'``,
+    equals ``T cov T'``, which is how :func:`lqdisc.intervals.compose`
+    pushes ``cov`` forward.
 
-def precompute(
-    model: ContinuousLqModel, scheme: str, n_steps: int
-) -> PrecomputedCoefficients:
-    """Form the constant per-step coefficient matrices for ``scheme``.
-
-    Implicit stages require ``I - h * a[i, i] * a_c`` to be nonsingular.
-    Its 1-norm condition number is estimated once per distinct diagonal
-    entry; at ``1e14`` or above (exactly singular included) it raises
-    :class:`~lqdisc.errors.SingularMatrixError` naming the scheme, the
-    stage and the step size.  Each stage is one LAPACK solve.  An
-    ``n_steps`` below 1 or too large for a float (about ``2**1024``) raises
-    :class:`~lqdisc.errors.ValidationError`.
+    Implicit stages require the state block ``I - h * a[i, i] * a_c`` to
+    be nonsingular.  Its 1-norm condition number is estimated once per
+    distinct diagonal entry; at ``1e14`` or above (exactly singular
+    included) it raises :class:`~lqdisc.errors.SingularMatrixError` naming
+    the scheme, the stage and the step size.  The input column of the
+    extended stage matrix does not enter the estimate: the solve is block
+    back-substitution through the state block, so a large ``b_c`` costs it
+    no accuracy.  Each stage is one LAPACK solve.  An
+    ``n_steps`` below 1 or too large for a float (about ``2**1024``)
+    raises :class:`~lqdisc.errors.ValidationError`.
     """
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
     tab = tableau(scheme)
-    a_c = model.a_c
-    n_x, n_u = model.n_x, model.n_u
+    n_x = model.n_x
     try:
         h = model.t_s / float(n_steps)
     except OverflowError:
         raise ValidationError("n_steps is too large for a float step size") from None
-    ident = np.eye(n_x)
+    h_ext, h_out = extended_drift(model)
+    ident = np.eye(len(h_ext))
 
     stage_matrices: dict[float, np.ndarray] = {}
-    lam_stages = []
+    stages = []
     for i in range(tab.stages):
         rhs = ident + h * sum(
-            tab.a[i, j] * (a_c @ lam_stages[j])
+            tab.a[i, j] * (h_ext @ stages[j])
             for j in range(i) if tab.a[i, j] != 0.0
         )
         diag = float(tab.a[i, i])
         if diag != 0.0:
             if diag not in stage_matrices:
-                stage = ident - h * diag * a_c
-                cond = np.linalg.cond(stage, 1)     # inf when exactly singular
+                stage = ident - h * diag * h_ext
+                # inf when exactly singular
+                cond = np.linalg.cond(stage[:n_x, :n_x], 1)
                 if not cond < _SINGULAR_COND:
                     raise SingularMatrixError(
                         f"scheme {tab.name!r}: implicit stage {i + 1} is "
@@ -177,54 +170,20 @@ def precompute(
                         f"number {cond:.3e})"
                     )
                 stage_matrices[diag] = stage
-            lam_stages.append(np.linalg.solve(stage_matrices[diag], rhs))
+            stages.append(np.linalg.solve(stage_matrices[diag], rhs))
         else:
-            lam_stages.append(rhs)
+            stages.append(rhs)
 
-    zero = np.zeros((n_x, n_x))
-    theta_stages = [
-        sum((tab.a[i, j] * lam_stages[j] for j in range(tab.stages)), zero)
-        for i in range(tab.stages)
-    ]
-    theta = sum(tab.b[i] * lam_stages[i] for i in range(tab.stages))
-    lam = ident + h * (a_c @ theta)
-
-    b_bar = h * model.b_c
-
-    def extend(state_map, input_map):
-        out = np.zeros((n_x + n_u, n_x + n_u))
-        out[:n_x, :n_x] = state_map
-        out[:n_x, n_x:] = input_map @ b_bar
-        out[n_x:, n_x:] = np.eye(n_u)
-        return out
-
-    omega_stages = [
-        extend(lam_stages[i], theta_stages[i]) for i in range(tab.stages)
-    ]
-    omega = extend(lam, theta)
-
-    h_out = np.hstack([model.c_c, model.d_c])          # z = h_out @ [x; u]
-    weighted_out = h_out.T @ model.q_c                 # maps z-weight back to [x; u]
-    m_bar = -h * sum(
-        tab.b[i] * omega_stages[i].T for i in range(tab.stages)
-    ) @ weighted_out
-    q_bar = h * sum(
-        tab.b[i] * (omega_stages[i].T @ weighted_out @ h_out @ omega_stages[i])
-        for i in range(tab.stages)
-    )
+    weighted = list(zip(tab.b, stages))
+    stage_sum = sum(b_i * o_i for b_i, o_i in weighted)
+    weight_out = h_out.T @ model.q_c                 # maps z-weight back to [x; u]
     r_bar = h * (model.g_c @ model.g_c.T)
-
-    return PrecomputedCoefficients(
-        scheme=tab,
-        h=h,
-        lam_stages=tuple(lam_stages),
-        theta_stages=tuple(theta_stages),
-        omega_stages=tuple(omega_stages),
-        lam=lam,
-        theta=theta,
-        omega=omega,
-        b_bar=b_bar,
-        m_bar=m_bar,
-        q_bar=q_bar,
-        r_bar=r_bar,
+    return IntervalMaps(
+        ext=ident + h * (h_ext @ stage_sum),
+        quad=h * sum(b_i * (o_i.T @ weight_out @ h_out @ o_i) for b_i, o_i in weighted),
+        lin=-h * stage_sum.T @ weight_out,
+        cov=sum(
+            b_i * (o_i[:n_x, :n_x] @ r_bar @ o_i[:n_x, :n_x].T)
+            for b_i, o_i in weighted
+        ),
     )

@@ -207,9 +207,9 @@ def _median_seconds(fn, reps: int, warmups: int = 2) -> float:
         fn()
     times = []
     for _ in range(reps):
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         fn()
-        times.append(time.perf_counter() - t0)
+        times.append(time.process_time() - t0)
     return statistics.median(times)
 
 

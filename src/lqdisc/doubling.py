@@ -16,7 +16,7 @@ from .butcher import precompute
 from .errors import DivergenceError, ValidationError
 from .intervals import compose, diverged, first_diverged, to_discrete
 from .model import ContinuousLqModel, DiscreteLqModel
-from .ode_method import check_step_bound, rk_seed
+from .ode_method import check_step_bound
 
 __all__ = ["discretize_step_doubling"]
 
@@ -40,7 +40,7 @@ def discretize_step_doubling(
     check_step_bound("squaring", doublings=doublings)
     # overflow to inf is the divergence signal checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        seed = rk_seed(precompute(model, scheme, 2 ** doublings))
+        seed = precompute(model, scheme, 2 ** doublings)
         maps = seed
         for _ in range(doublings):
             maps = compose(maps, maps)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .intervals import IntervalMaps, compose, to_discrete
+from .intervals import IntervalMaps, compose, extended_drift, to_discrete
 from .linalg import expm, norm1, pade_squarings
 from .model import ContinuousLqModel, DiscreteLqModel
 
@@ -65,11 +65,7 @@ def expm_seed(model: ContinuousLqModel, halvings: int) -> IntervalMaps:
     n_xu = n_x + n_u
     tau = model.t_s / 2.0 ** halvings
 
-    h_ext = np.zeros((n_xu, n_xu))
-    h_ext[:n_x, :n_x] = model.a_c
-    h_ext[:n_x, n_x:] = model.b_c
-
-    h_out = np.hstack([model.c_c, model.d_c])
+    h_ext, h_out = extended_drift(model)
     m_bar = -h_out.T @ model.q_c                 # affine-cost kernel
     q_bar = -m_bar @ h_out                       # quadratic-cost kernel
     g_bar = model.g_c @ model.g_c.T              # noise intensity

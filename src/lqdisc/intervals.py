@@ -36,6 +36,17 @@ class IntervalMaps(NamedTuple):
     cov: np.ndarray
 
 
+def extended_drift(model: ContinuousLqModel) -> tuple[np.ndarray, np.ndarray]:
+    """The extended drift ``h_ext = [[a_c, b_c], [0, 0]]``, under which
+    ``[x; u]`` evolves with the input held, and the output map ``h_out =
+    [c_c d_c]`` with ``z = h_out @ [x; u]``: what every seed starts from."""
+    n_x = model.n_x
+    h_ext = np.zeros((n_x + model.n_u,) * 2)
+    h_ext[:n_x, :n_x] = model.a_c
+    h_ext[:n_x, n_x:] = model.b_c
+    return h_ext, np.hstack([model.c_c, model.d_c])
+
+
 def compose(first: IntervalMaps, second: IntervalMaps) -> IntervalMaps:
     """The maps of ``first`` followed by ``second``.
 

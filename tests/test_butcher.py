@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from lqdisc import SCHEMES, SingularMatrixError, ValidationError, tableau
+from lqdisc import (
+    SCHEMES, ContinuousLqModel, SingularMatrixError, ValidationError, discretize_ode, tableau,
+)
 from lqdisc.butcher import precompute
 from lqdisc.linalg import expm
 
+import rk_reference
 from conftest import is_psd, make_benchmark_model, random_stable_model
 
 
@@ -47,44 +50,47 @@ def test_esdirk34_structure():
 
 
 def test_precompute_explicit_euler_maps(benchmark_model):
-    co = precompute(benchmark_model, "explicit_euler", 8)
+    ext = precompute(benchmark_model, "explicit_euler", 8).ext
     h = benchmark_model.t_s / 8
-    assert np.allclose(co.lam, np.eye(2) + h * benchmark_model.a_c, atol=1e-15)
-    assert np.array_equal(co.theta, np.eye(2))
+    assert np.allclose(ext[:2, :2], np.eye(2) + h * benchmark_model.a_c, atol=1e-15)
+    # theta = I: the input map is b_bar = h b_c
+    assert np.array_equal(ext[:2, 2:], h * benchmark_model.b_c)
 
 
 def test_precompute_implicit_euler_theta_equals_lam(benchmark_model):
-    co = precompute(benchmark_model, "implicit_euler", 16)
-    assert np.allclose(co.theta, co.lam, atol=1e-14)
+    ext = precompute(benchmark_model, "implicit_euler", 16).ext
+    b_bar = benchmark_model.t_s / 16 * benchmark_model.b_c
+    assert np.allclose(ext[:2, 2:], ext[:2, :2] @ b_bar, atol=1e-14)
 
 
 def test_precompute_explicit_trapezoidal_polynomials(benchmark_model):
-    co = precompute(benchmark_model, "explicit_trapezoidal", 4)
+    ext = precompute(benchmark_model, "explicit_trapezoidal", 4).ext
     h = benchmark_model.t_s / 4
     a = benchmark_model.a_c
-    assert np.allclose(co.lam, np.eye(2) + h * a + 0.5 * h * h * (a @ a), atol=1e-12)
-    assert np.allclose(co.theta, np.eye(2) + 0.5 * h * a, atol=1e-13)
+    b_bar = h * benchmark_model.b_c
+    assert np.allclose(ext[:2, :2], np.eye(2) + h * a + 0.5 * h * h * (a @ a), atol=1e-12)
+    assert np.allclose(ext[:2, 2:], (np.eye(2) + 0.5 * h * a) @ b_bar, atol=1e-13)
 
 
 def test_precompute_rk4_is_truncated_exponential(benchmark_model):
-    co = precompute(benchmark_model, "classic_rk4", 16)
+    ext = precompute(benchmark_model, "classic_rk4", 16).ext
     h = benchmark_model.t_s / 16
     ha = h * benchmark_model.a_c
     want = (np.eye(2) + ha + (ha @ ha) / 2.0
             + (ha @ ha @ ha) / 6.0 + (ha @ ha @ ha @ ha) / 24.0)
-    assert np.max(np.abs(co.lam - want)) < 1e-13
+    assert np.max(np.abs(ext[:2, :2] - want)) < 1e-13
 
 
 def test_precompute_implicit_trapezoidal_is_cayley(benchmark_model):
-    co = precompute(benchmark_model, "implicit_trapezoidal", 8)
+    ext = precompute(benchmark_model, "implicit_trapezoidal", 8).ext
     h = benchmark_model.t_s / 8
     a = benchmark_model.a_c
     want = np.linalg.solve(np.eye(2) - 0.5 * h * a, np.eye(2) + 0.5 * h * a)
-    assert np.max(np.abs(co.lam - want)) < 1e-12
+    assert np.max(np.abs(ext[:2, :2] - want)) < 1e-12
 
 
 def test_extended_map_block_structure(benchmark_model):
-    co = precompute(benchmark_model, "esdirk34", 8)
+    co = rk_reference.precompute(benchmark_model, "esdirk34", 8)
     n_x, n_u = 2, 2
     assert np.array_equal(co.omega[:n_x, :n_x], co.lam)
     assert np.array_equal(co.omega[:n_x, n_x:], co.theta @ co.b_bar)
@@ -98,9 +104,9 @@ def test_extended_map_block_structure(benchmark_model):
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))
 def test_quadratic_increment_is_psd(name, benchmark_model):
-    co = precompute(benchmark_model, name, 32)
-    assert np.max(np.abs(co.q_bar - co.q_bar.T)) < 1e-14
-    assert is_psd(co.q_bar)
+    quad = precompute(benchmark_model, name, 32).quad
+    assert np.max(np.abs(quad - quad.T)) < 1e-14
+    assert is_psd(quad)
 
 
 @pytest.mark.parametrize("name,order", [
@@ -117,9 +123,9 @@ def test_single_step_map_order(name, order):
     errs = []
     for mult in (1, 2, 4):
         n = base * mult
-        co = precompute(model, name, n)
+        lam = precompute(model, name, n).ext[:model.n_x, :model.n_x]
         h = model.t_s / n
-        errs.append(np.max(np.abs(co.lam - expm(h * model.a_c))))
+        errs.append(np.max(np.abs(lam - expm(h * model.a_c))))
     for e0, e1 in zip(errs, errs[1:]):
         ratio = e0 / e1
         assert 0.7 * 2 ** (order + 1) <= ratio <= 1.4 * 2 ** (order + 1), (
@@ -137,3 +143,42 @@ def test_singular_implicit_stage_is_reported():
     with pytest.raises(SingularMatrixError) as err:
         precompute(model, "implicit_euler", 1)
     assert "stage" in str(err.value)
+
+
+def _seed_test_models():
+    rng = np.random.default_rng(2024)
+    return [make_benchmark_model()] + [
+        random_stable_model(rng, n_x=n_x, n_u=n_u) for n_x, n_u in ((1, 1), (3, 2), (5, 3))
+    ]
+
+
+@pytest.mark.parametrize("n_steps", [1, 7, 64])
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_seed_matches_the_state_form_reference(name, n_steps):
+    # the extended-drift stage maps against per-stage state maps and their
+    # weighted input integrals, rebuilt into extended maps afterwards
+    for index, model in enumerate(_seed_test_models()):
+        n_x, n_u = model.n_x, model.n_u
+        seed = precompute(model, name, n_steps)
+        want = rk_reference.rk_seed(rk_reference.precompute(model, name, n_steps))
+        for field, value, ref in zip(seed._fields, seed, want):
+            assert value.shape == ref.shape, (index, field)
+            err = np.abs(value - ref).max()
+            assert err <= 1e-14 * np.abs(ref).max(), (index, field, err)
+        assert np.array_equal(seed.ext[n_x:, :n_x], np.zeros((n_u, n_x)))
+        assert np.array_equal(seed.ext[n_x:, n_x:], np.eye(n_u))
+
+
+@pytest.mark.parametrize("name", ["esdirk34", "implicit_euler"])
+def test_large_input_gain_does_not_make_a_stage_singular(name):
+    # the extended stage matrix [[1 + h a_ii, -h a_ii 1e12], [0, 1]] has a
+    # 1-norm condition number above 1e23, yet its solve is block
+    # back-substitution and loses nothing; the check reads the state block,
+    # whose condition number is 1
+    model = ContinuousLqModel(
+        a_c=[[-1.0]], b_c=[[1e12]], g_c=[[0.0]], c_c=[[1.0]], d_c=[[0.0]],
+        q_c=[[1.0]], t_s=1.0, inputs=[[0.0]], targets=[[0.0]],
+        x0_mean=[0.0], x0_cov=[[0.0]],
+    )
+    disc = discretize_ode(model, scheme=name, n_steps=1)
+    assert np.isfinite(disc.b).all() and disc.b[0, 0] > 1e11

