@@ -63,22 +63,21 @@ class EmIntervalOps:
     With ``E = I + dt a_c`` the Euler sub-step, ``powers[i] = E^i`` and
     ``held[i] = sum_{l<i} E^l dt b_c`` for ``i <= n_sub`` (so ``x_next =
     powers[n_sub] x + held[n_sub] u + noise_map w``, with ``w`` the stacked
-    sub-step increments of covariance ``dt I``), ``f[i] = E^i g_c`` and
+    sub-step increments of covariance ``dt I``), ``f[i] = E^i g_c`` (the
+    blocks of ``noise_map`` in reverse order, a read-only view of it) and
     ``gram_g[i] = sum_{s <= i} (E^s)' W f[s]`` (``W = c_c' q_c c_c``) for
-    ``i < n_sub``.  ``cross`` and ``noise_lin`` are the noise blocks of the
-    refined stage cost; its dense ``m_blk x m_blk`` noise block is built
-    by :func:`_noise_block`, straight into ``q_big``, for
+    ``i < n_sub``.  The refined stage cost is linear in ``w`` through
+    ``[x; u; target]' grad w``; its dense ``m_blk x m_blk`` noise block is
+    built by :func:`_noise_block`, straight into ``q_big``, for
     :func:`em_reformulate` only (Monte Carlo scans it, :func:`_block_streams`).
     """
 
     dt: float
     powers: np.ndarray           # E^0 .. E^n_sub
     held: np.ndarray             # sum_{l<i} E^l dt b_c, i = 0 .. n_sub
-    f: np.ndarray                # f[i] = E^i g_c, i < n_sub
     gram_g: np.ndarray           # sum_{s<=i} (E^s)' W f[s], i < n_sub
-    noise_map: np.ndarray        # (n_x, n_sub * n_w)
-    cross: np.ndarray            # (n_xu, n_sub * n_w)
-    noise_lin: np.ndarray        # (n_sub * n_w, n_z)
+    noise_map: np.ndarray        # (n_x, n_sub * n_w): f[n_sub-1] .. f[0]
+    grad: np.ndarray             # (n_xu + n_z, n_sub * n_w)
 
     @property
     def n_sub(self) -> int:
@@ -87,6 +86,14 @@ class EmIntervalOps:
     @property
     def block_dim(self) -> int:
         return self.noise_map.shape[1]
+
+    @property
+    def f(self) -> np.ndarray:
+        """``f[i] = E^i g_c`` for ``i < n_sub``: ``(n_sub, n_x, n_w)``."""
+        n_sub, n_x, n_w = self.gram_g.shape
+        view = self.noise_map.reshape(n_x, n_sub, n_w)[:, ::-1].transpose(1, 0, 2)
+        view.flags.writeable = False
+        return view
 
 
 def _euler_powers(model: ContinuousLqModel, n_sub: int):
@@ -114,7 +121,7 @@ def _trace_integral(model: ContinuousLqModel, dt: float, powers: np.ndarray) -> 
     n_sub = len(powers) - 1
     noise_w = model.c_c.T @ model.q_c @ model.c_c
     f = powers[:n_sub] @ model.g_c
-    per_node = np.einsum("kxw,xy,kyw->k", f, noise_w, f)
+    per_node = (f * (noise_w @ f)).sum(axis=(1, 2))         # tr(f_k' W f_k)
     return dt * dt * float(((n_sub - np.arange(n_sub)) * per_node).sum())
 
 
@@ -124,14 +131,13 @@ def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
     With ``W = c_c' q_c c_c`` and ``E``, ``f``, ``held`` as in
     :class:`EmIntervalOps`, the noise blocks are sums over pairs of
     sub-steps; each reduces to prefix sums over powers of ``E`` (discrete
-    analogues of Van Loan's Gramian integrals).  With ``G_r = gram_g[r]``
-    and ``P_r = sum_{m <= r} (c_c held[m] + d_c)' q_c c_c f[m]``, the
-    x-rows of ``cross[:, q]`` are ``dt (E^{q+1})' G_{n_sub-1-q}`` and its
-    u-rows ``dt (held[q+1]' G_{n_sub-1-q} + P_{n_sub-1-q})``, by
-    ``held[a+b] = E^a held[b] + held[a]``;
-    ``noise_lin[q] = -dt (sum_{m <= n_sub-1-q} f[m])' c_c' q_c``.  Every
-    piece is a batched product or cumulative sum, linear in ``m_blk =
-    n_sub * n_w``.  An ``n_sub`` below 1 raises
+    analogues of Van Loan's Gramian integrals).  With ``G_r = gram_g[r]``,
+    ``r = n_sub-1-q``, and ``P_r = sum_{m <= r} (c_c held[m] + d_c)' q_c
+    c_c f[m]``, block ``q`` of ``grad`` has the x-rows ``dt (E^{q+1})'
+    G_r``, the u-rows ``dt (held[q+1]' G_r + P_r)``, by ``held[a+b] = E^a
+    held[b] + held[a]``, and the target rows ``-dt sum_{m <= r} q_c c_c
+    f[m]``.  Every piece is a batched product or cumulative sum, linear in
+    ``m_blk = n_sub * n_w``.  An ``n_sub`` below 1 raises
     :class:`~lqdisc.errors.ValidationError`.
     """
     n_x, n_u, n_z, n_w = model.n_x, model.n_u, model.n_z, model.n_w
@@ -139,33 +145,24 @@ def em_interval_ops(model: ContinuousLqModel, n_sub: int) -> EmIntervalOps:
 
     noise_w = model.c_c.T @ model.q_c @ model.c_c      # weight on the noise state
     f = powers[:n_sub] @ model.g_c                      # f[i] = euler^i g_c
-    wf = noise_w @ f
-
     m_blk = n_sub * n_w
     noise_map = f[::-1].transpose(1, 0, 2).reshape(n_x, m_blk)
 
-    # cross: x-rows dt (E^{q+1})' G_r, u-rows dt (held[q+1]' G_r + P_r),
-    # with r = n_sub-1-q
-    gram_g = np.cumsum(np.einsum("mxy,mxw->myw", powers[:n_sub], wf), axis=0)
+    gram_g = np.cumsum(powers[:n_sub].transpose(0, 2, 1) @ (noise_w @ f), axis=0)
+    gram_rev = gram_g[::-1]                             # G_r, r = n_sub-1-q
     out_f = (model.q_c @ model.c_c) @ f
     out_held = model.c_c @ held[:n_sub] + model.d_c
-    p_rev = np.cumsum(np.einsum("mzu,mzw->muw", out_held, out_f), axis=0)[::-1]
-    cross_blocks = np.concatenate(
+    blocks = np.concatenate(
         [
-            np.einsum("qxy,qxw->qyw", powers[1:], gram_g[::-1]),
-            np.einsum("qxu,qxw->quw", held[1:], gram_g[::-1]) + p_rev,
+            powers[1:].transpose(0, 2, 1) @ gram_rev,
+            held[1:].transpose(0, 2, 1) @ gram_rev
+            + np.cumsum(out_held.transpose(0, 2, 1) @ out_f, axis=0)[::-1],
+            -np.cumsum(out_f, axis=0)[::-1],
         ],
         axis=1,
     )
-    cross = dt * cross_blocks.transpose(1, 0, 2).reshape(n_x + n_u, m_blk)
-
-    # noise_lin[q-block] = -dt * (sum_{m <= n_sub-1-q} f[m])' c_c' q_c
-    f_cum_rev = np.cumsum(f, axis=0)[::-1]
-    back_weight = model.c_c.T @ model.q_c
-    noise_lin = -dt * np.einsum("qxw,xz->qwz", f_cum_rev, back_weight).reshape(
-        m_blk, n_z
-    )
-    return EmIntervalOps(dt, powers, held, f, gram_g, noise_map, cross, noise_lin)
+    grad = dt * blocks.transpose(1, 0, 2).reshape(n_x + n_u + n_z, m_blk)
+    return EmIntervalOps(dt, powers, held, gram_g, noise_map, grad)
 
 
 def _noise_block(ops: EmIntervalOps, out: np.ndarray) -> None:
@@ -188,7 +185,7 @@ def _noise_block(ops: EmIntervalOps, out: np.ndarray) -> None:
     from :func:`_pathwise_cost`, ``em_form`` from a forward scan over
     ``gram_g`` (:func:`_block_streams`).
     """
-    n_sub, _, n_w = ops.f.shape
+    n_sub, _, n_w = ops.gram_g.shape
     noise_map, m_blk = ops.noise_map, ops.block_dim
     # block row p: dt G_{n_sub-1-p}' times the last p+1 blocks of noise_map
     for p, g_t in enumerate(ops.dt * ops.gram_g[::-1].transpose(0, 2, 1)):
@@ -203,9 +200,10 @@ def _noise_block(ops: EmIntervalOps, out: np.ndarray) -> None:
 
 
 def _noise_quad_summaries(ops: EmIntervalOps):
-    """``|noise_quad|_F^2`` and ``noise_map noise_quad noise_map'`` without
-    forming the ``m_blk x m_blk`` matrix (its trace is
-    :func:`_trace_integral` over ``dt``).
+    """``|noise_quad|_F^2``, ``noise_map noise_quad noise_map'``, ``grad
+    grad'`` and ``noise_map grad'``: every summary of the interval that
+    the streaming walk reads but the trace (:func:`_trace_integral` over
+    ``dt``), without forming the ``m_blk x m_blk`` matrix.
 
     With ``F_d = f[d]`` and ``G_r = ops.gram_g[r]``, block
     ``(p <= q)`` of ``noise_quad`` is ``dt F_d' G_r`` with ``d = q - p``
@@ -214,23 +212,24 @@ def _noise_quad_summaries(ops: EmIntervalOps):
     ``Pg_k = sum_{e <= k} F_e F_e'``:
 
     * ``|.|_F^2 = dt^2 sum_r tr(G_r' P_{n_sub-1-r} G_r)``;
-    * ``noise_map noise_quad noise_map' = X + X' - D`` with ``X = dt
-      sum_b E^b Pg_{n_sub-1-b} G_b F_b'`` and ``D = dt sum_b F_b (g_c'
-      G_b) F_b'`` (the block diagonal, counted in both ``X`` and ``X'``).
+    * ``noise_map noise_quad noise_map' = Y + Y'`` with ``Y = dt sum_b
+      (E^b Pg_{n_sub-1-b} - F_b g_c' / 2) G_b F_b'`` (the block diagonal
+      ``F_b (g_c' G_b) F_b'`` is halved, as ``Y + Y'`` counts it twice),
+      one product of ``n_x x m_blk`` matrices.
 
-    Each sum is a batched product or cumulative sum: ``O(n_sub n_x^3)``
-    work and ``O(n_sub n_x^2)`` memory.
+    Each sum is a batched product, a cumulative sum or one flattened
+    product: ``O(n_sub n_x^2 (n_x + n_w) + m_blk d^2)`` work with ``d =
+    n_x + n_u + n_z``, and ``O(n_sub n_x (n_x + n_w))`` memory.
     """
     dt, powers, f, gram_g = ops.dt, ops.powers[:-1], ops.f, ops.gram_g
+    noise_map, grad = ops.noise_map, ops.grad
     outer = f @ f.transpose(0, 2, 1)                    # F_d F_d'
     outer_sum = np.cumsum(outer, axis=0)                # Pg_k
     weighted_sum = 2.0 * outer_sum - outer[0]           # P_k
-    frob_sq = dt * dt * float(
-        np.einsum("rxw,rxy,ryw->", gram_g, weighted_sum[::-1], gram_g)
-    )
-    x = dt * np.einsum("bxw,bzw->xz", powers @ outer_sum[::-1] @ gram_g, f)
-    diag = dt * np.einsum("bxv,bvw,bzw->xz", f, f[0].T @ gram_g, f)
-    return frob_sq, x + x.T - diag
+    frob_sq = dt * dt * float((gram_g * (weighted_sum[::-1] @ gram_g)).sum())
+    half = (powers @ outer_sum[::-1] - 0.5 * (f @ f[0].T)) @ gram_g
+    y = dt * (half[::-1].transpose(1, 0, 2).reshape(noise_map.shape) @ noise_map.T)
+    return frob_sq, y + y.T, grad @ grad.T, noise_map @ grad.T
 
 
 # ---------------------------------------------------------------------------
@@ -302,18 +301,20 @@ def _cost_to_go(model: ContinuousLqModel, disc: DiscreteLqModel,
     ``x_{k+1}``.  In ``q_big``, block ``(k, k)`` is ``noise_quad +
     noise_map' G_k noise_map``, block ``(j, k)`` below it is ``R_j
     a^(j-k-1) noise_map`` and the ``x0`` column of block ``j`` is ``R_j
-    a^j``, with the ``n_x``-wide ``R_j = noise_map' G_j a + cross_x'``.
-    Only ``G`` and ``lam`` take a step per stage; ``R`` and ``q_vec`` are
-    batched products.  Work and memory are ``O(dim n_x + horizon n_x^2)``.
+    a^j``, with the ``n_x``-wide ``R_j = noise_map' G_j a + grad_x'``
+    (``grad_x`` the x-rows of ``ops.grad``).  Only ``G`` and ``lam`` take
+    a step per stage; ``R`` and ``q_vec`` are batched products, the noise
+    part of ``q_vec`` one product of ``[s_k; u_k; target_k]`` with
+    ``grad``.  Work and memory are ``O(dim n_x + horizon n_x^2)``.
     """
     horizon, n_x = model.horizon, model.n_x
     a, quad = disc.a, disc.q
-    noise_map, cross = ops.noise_map, ops.cross
+    noise_map, grad = ops.noise_map, ops.grad
 
     # [s_k; u_k]: the chi-free state means next to the inputs
     drive = np.vstack([np.zeros(n_x), model.inputs[:-1] @ disc.b.T])
     xu = np.hstack([_affine_scan(_powers(a, horizon - 1), drive), model.inputs])
-    grad = (xu @ quad.T + disc.q_k)[:, :n_x]
+    g_x = (xu @ quad.T + disc.q_k)[:, :n_x]
 
     grams = np.empty((horizon, n_x, n_x))
     lams = np.empty((horizon, n_x))
@@ -322,9 +323,9 @@ def _cost_to_go(model: ContinuousLqModel, disc: DiscreteLqModel,
     for k in range(horizon - 1, -1, -1):
         grams[k], lams[k] = gram, lam
         gram = quad[:n_x, :n_x] + a.T @ gram @ a
-        lam = grad[k] + a.T @ lam
-    factors = noise_map.T @ grams @ a + cross[:n_x].T
-    noise_vec = lams @ noise_map + xu @ cross + model.targets @ ops.noise_lin.T
+        lam = g_x[k] + a.T @ lam
+    factors = noise_map.T @ grams @ a + grad[:n_x].T
+    noise_vec = lams @ noise_map + np.hstack([xu, model.targets]) @ grad
     q_vec = np.concatenate([lam, noise_vec.ravel()])
     rho = float(_stage_costs(disc, xu, slice(None)).sum())
     return _CostToGo(grams, factors, q_vec, symmetrize(gram), rho)
@@ -519,17 +520,14 @@ def cost_moments_streaming(model: ContinuousLqModel, n_sub: int) -> tuple[float,
 
     Every product with a factor of size ``m_blk = n_sub * n_w`` is a loop
     invariant and is taken once before the walk: the stage's noise
-    gradient ``g_w = cross' mu + noise_lin target`` enters only through
-    ``|g_w|^2`` (via ``cross cross'``, ``cross noise_lin`` and
-    ``noise_lin' noise_lin``) and ``noise_map g_w`` (via ``noise_map
-    cross'`` and ``noise_map noise_lin``), and the noise part of each
-    stage kernel through ``cross_x noise_map'`` and ``noise_map
-    noise_quad noise_map'``.  So the walk depends on ``n_x``, ``n_u`` and
-    ``n_z`` only, not on ``n_sub``.  The dense ``m_blk x m_blk``
-    ``noise_quad`` is never formed: its squared Frobenius norm and
-    ``noise_map noise_quad noise_map'`` come from the prefix Gramians of
-    :func:`_noise_quad_summaries` and its trace from
-    :func:`_trace_integral`.
+    gradient ``g_w = grad' [mu; target]`` enters only through ``|g_w|^2``
+    (via ``grad grad'``) and ``noise_map g_w`` (via ``noise_map grad'``),
+    and the noise part of each stage kernel through ``grad_x noise_map'``
+    and ``noise_map noise_quad noise_map'``.  So the walk depends on
+    ``n_x``, ``n_u`` and ``n_z`` only, not on ``n_sub``.  The dense
+    ``m_blk x m_blk`` ``noise_quad`` is never formed: those summaries and
+    its squared Frobenius norm come from :func:`_noise_quad_summaries`
+    and its trace from :func:`_trace_integral`.
 
     The walk runs in the blocks of :func:`_state_blocks`, with ``A^0 ..
     A^B`` stacked once by doubling.  In a block of ``L`` steps every
@@ -551,22 +549,16 @@ def _streaming_walk(model: ContinuousLqModel, disc: DiscreteLqModel,
                     ops: EmIntervalOps) -> tuple[float, float]:
     """:func:`cost_moments_streaming` from the caller's exact discretization
     ``disc`` and noise refinement ``ops`` of ``model``."""
-    n_x = model.n_x
+    n_x, n_xu = model.n_x, model.n_x + model.n_u
     dt = ops.dt
-    a, quad, cross = disc.a, disc.q, ops.cross
-    noise_map, noise_lin = ops.noise_map, ops.noise_lin
+    a, quad = disc.a, disc.q
     q_xx = quad[:n_x, :n_x]
 
     trace_noise = _trace_integral(model, dt, ops.powers)
-    quad_frob_sq, map_quad = _noise_quad_summaries(ops)
+    quad_frob_sq, map_quad, grad_gram, map_grad = _noise_quad_summaries(ops)
     trace_noise_sq = dt * dt * quad_frob_sq
-    cross_gram = cross @ cross.T                     # (n_xu, n_xu)
-    cross_lin = cross @ noise_lin                    # (n_xu, n_z)
-    lin_gram = noise_lin.T @ noise_lin               # (n_z, n_z)
-    map_cross = noise_map @ cross.T                  # (n_x, n_xu)
-    map_lin = noise_map @ noise_lin                  # (n_x, n_z)
-    cross_map = map_cross[:, :n_x].T                 # cross_x noise_map'
-    noise_cov_step = dt * (noise_map @ noise_map.T)
+    grad_map = map_grad[:, :n_x].T                   # grad_x noise_map'
+    noise_cov_step = dt * (ops.noise_map @ ops.noise_map.T)
 
     powers = _powers(a, min(model.horizon, _WALK_BLOCK))
     powers_t = powers.transpose(0, 2, 1)
@@ -580,9 +572,10 @@ def _streaming_walk(model: ContinuousLqModel, disc: DiscreteLqModel,
     for start, stop, means, covs in _state_blocks(powers, model, disc, noise_cov_step):
         n = stop - start
         pw, pw_t = powers[:n + 1], powers_t[:n + 1]
-        inputs = model.inputs[start:stop]
-        target = model.targets[start:stop]
-        mu = np.hstack([means[:n], inputs])
+        # [mu_k; u_k; target_k], the rows that grad pairs with
+        stacked = np.hstack([means[:n], model.inputs[start:stop],
+                             model.targets[start:stop]])
+        mu = stacked[:, :n_xu]
         cov = covs[:n]
 
         mean += float(_stage_costs(disc, mu, slice(start, stop)).sum()) + 0.5 * (
@@ -590,17 +583,13 @@ def _streaming_walk(model: ContinuousLqModel, disc: DiscreteLqModel,
         )
 
         g_x = (mu @ quad.T + disc.q_k[start:stop])[:, :n_x]
-        g_w_sq = float(
-            np.einsum("ki,ij,kj->", mu, cross_gram, mu)
-            + 2.0 * np.einsum("ki,ij,kj->", mu, cross_lin, target)
-            + np.einsum("ki,ij,kj->", target, lin_gram, target)
-        )
+        g_w_sq = float(np.einsum("ki,ij,kj->", stacked, grad_gram, stacked))
         t1 = q_xx @ cov
         own = (
             0.5 * (
                 float(np.einsum("kij,kji->", t1, t1))
                 + 2.0 * dt * float(
-                    np.einsum("kab,ab->", cov, cross_gram[:n_x, :n_x])
+                    np.einsum("kab,ab->", cov, grad_gram[:n_x, :n_x])
                 )
                 + n * trace_noise_sq
             )
@@ -612,13 +601,11 @@ def _streaming_walk(model: ContinuousLqModel, disc: DiscreteLqModel,
         # Cov(v_k, x_{k+1}) are dt * noise_map'
         k_xi = cov @ a.T                         # x-rows of Cov(v_k, x_{k+1})
         kernel = (
-            k_xi.transpose(0, 2, 1) @ (q_xx @ k_xi + dt * cross_map)
-            + dt * (cross_map.T @ k_xi)
+            k_xi.transpose(0, 2, 1) @ (q_xx @ k_xi + dt * grad_map)
+            + dt * (grad_map.T @ k_xi)
             + (dt * dt) * map_quad
         )
-        gamma = np.einsum("kxy,kx->ky", k_xi, g_x) + dt * (
-            mu @ map_cross.T + target @ map_lin.T
-        )
+        gamma = np.einsum("kxy,kx->ky", k_xi, g_x) + dt * (stacked @ map_grad.T)
         lam = _affine_scan(pw_t, g_x[::-1])[::-1]    # lam[j] is lam_{j-1}
 
         # cross-covariance with every earlier stage, via the accumulators
@@ -742,7 +729,7 @@ class _McPlan:
     ops: EmIntervalOps
     dim: int                    # draws per replicate, n_x + horizon * m_blk
     x0_root: np.ndarray         # symmetric square root of x0_cov (transposed)
-    shared: np.ndarray          # sqrt(dt) [cross' | noise_map' | noise_lin]
+    shared: np.ndarray          # sqrt(dt) [noise_map' | grad']
     chunk: int                  # sub-steps per product, min(_CHUNK, n_sub)
     advance: np.ndarray         # [E' (E^2)' .. (E^chunk)']
     inject: np.ndarray          # block upper triangular, blocks sqrt(dt) (E^{t-l} g_c)'
@@ -795,7 +782,7 @@ def _mc_plan(model: ContinuousLqModel, n_sub: int,
         ops=ops,
         dim=dim,
         x0_root=_symmetric_sqrt(model.x0_cov).T,
-        shared=root_dt * np.hstack([ops.cross.T, ops.noise_map.T, ops.noise_lin]),
+        shared=root_dt * np.hstack([ops.noise_map.T, ops.grad.T]),
         chunk=chunk,
         advance=np.hstack(ops.powers[1:chunk + 1].transpose(0, 2, 1)),
         inject=np.block(
@@ -886,10 +873,10 @@ def _block_streams(plan: _McPlan, x0: np.ndarray, z: np.ndarray) -> dict:
 
     One forward walk, ``k = 0 .. horizon - 1``, reads interval ``k``'s
     draws ``z_k = z[k]`` for all three streams.  One product with ``sqrt(dt)
-    [cross' | noise_map' | noise_lin]`` gives the ``discrete`` stream's
-    ``cross`` and ``noise_lin`` terms and the state step's ``noise_map``
-    term (each column depends only on its own column of the matrix, so
-    sharing it couples no two streams); the Euler deviation of
+    [noise_map' | grad']`` gives the state step's ``noise_map`` term and
+    the ``discrete`` stream's ``grad`` term, one row dot with ``[x_k; u_k;
+    target_k]`` (each column depends only on its own column of the matrix,
+    so sharing it couples no two streams); the Euler deviation of
     :func:`_pathwise_cost` from ``x_k`` gives the ``continuous`` stream's
     noise terms and the ``0.5 w_k' noise_quad w_k`` that both share.
 
@@ -923,21 +910,19 @@ def _block_streams(plan: _McPlan, x0: np.ndarray, z: np.ndarray) -> dict:
     noise_vals = np.zeros(reps)
     quad = np.zeros(reps)
     lin = np.zeros(reps)
-    xu = np.empty((reps, n_xu))
+    xut = np.empty((reps, n_xu + model.n_z))          # [x_k | u_k | target_k]
     for k in range(model.horizon):
         z_k = z[k]
         shared = z_k @ plan.shared
-        xu[:, :n_x] = x
-        xu[:, n_x:] = model.inputs[k]
-        det_vals += _stage_costs(disc, xu, k)
-        noise_vals += (
-            np.einsum("ri,ri->r", shared[:, :n_xu], xu)
-            + shared[:, n_xu + n_x:] @ model.targets[k]
-        )
+        xut[:, :n_x] = x
+        xut[:, n_x:n_xu] = model.inputs[k]
+        xut[:, n_xu:] = model.targets[k]
+        det_vals += _stage_costs(disc, xut[:, :n_xu], k)
+        noise_vals += np.einsum("ri,ri->r", shared[:, n_x:], xut)
         quad_k, lin_k = _pathwise_cost(plan, k, x, z_k, em)
         quad += quad_k
         lin += lin_k
-        x = x @ disc.a.T + model.inputs[k] @ disc.b.T + shared[:, n_xu:n_xu + n_x]
+        x = x @ disc.a.T + model.inputs[k] @ disc.b.T + shared[:, :n_x]
 
         cols = z_k @ plan.em_cols[k]
         v = cols[:, :n_x]
@@ -1019,7 +1004,7 @@ def monte_carlo(
     Streams: ``continuous`` (pathwise fine-grid quadrature along the
     sampled trajectory, with the drift-only part of each stage taken
     from the exact discrete stage cost), ``discrete`` (discrete stage
-    costs plus the per-stage ``cross`` and ``noise_lin`` terms),
+    costs plus the per-stage ``grad`` term),
     ``em_form`` (the quadratic form of :func:`em_reformulate`, read from
     its pieces; ``q_big`` is never formed).  Both ``continuous`` and
     ``discrete`` take ``0.5 w_k' noise_quad w_k`` from the Euler deviation
@@ -1053,8 +1038,6 @@ def monte_carlo(
         raise ValidationError(f"workers must be >= 1, got {workers}")
     if n_bins < 1:
         raise ValidationError(f"n_bins must be >= 1, got {n_bins}")
-    if n_sub < 1:
-        raise ValidationError(f"n_sub must be >= 1, got {n_sub}")
 
     plan = _mc_plan(model, n_sub, dim_cap)
     analytic_mean, analytic_var = _streaming_walk(model, plan.disc, plan.ops)

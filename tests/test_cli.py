@@ -536,6 +536,18 @@ def test_discretize_doubling_flag_matches_power_of_two_steps(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("method", ["ode:classic_rk4", "sqr:classic_rk4"])
+def test_doubling_writes_the_bytes_of_its_power_of_two_steps(tmp_path, capsys, method):
+    model_path = str(BENCH_DATA / "stiff.json")
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["discretize", model_path, "--method", method,
+                 "--doubling", "3", "-o", str(a)]) == 0
+    assert main(["discretize", model_path, "--method", method,
+                 "--steps", "8", "-o", str(b)]) == 0
+    assert f"method={method} N=8 " in capsys.readouterr().out
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_discretize_refuses_steps_and_doubling_together(tmp_path, capsys):
     model_path = write_model(tmp_path, scalar_payload())
     code = main(["discretize", model_path, "--method", "ode:classic_rk4",

@@ -11,6 +11,7 @@ from lqdisc import (
     discretize_expm,
     discretize_ode,
 )
+from lqdisc.errors import DivergenceError, IllConditionedError
 from lqdisc.expm_method import expm_seed, noise_trace_integral
 from lqdisc.linalg import expm, norm1, pade_squarings
 from conftest import is_psd, make_benchmark_model, random_stable_model
@@ -201,3 +202,19 @@ def test_noise_trace_integral_does_not_depend_on_the_units_of_q_c(system):
     base = noise_trace_integral(model)
     scaled = noise_trace_integral(dataclasses.replace(model, q_c=1e8 * model.q_c))
     assert abs(scaled / 1e8 - base) <= 1e-13 * abs(base)
+
+
+def test_an_overflowing_exponential_is_a_divergence():
+    # exp(800) overflows a double: the transition is not finite
+    model = dataclasses.replace(make_benchmark_model(), a_c=np.diag([800.0, -1.0]))
+    with pytest.raises(DivergenceError, match="the ext map is not finite"):
+        discretize_expm(model)
+
+
+def test_a_drift_beyond_double_precision_is_ill_conditioned():
+    # ||A_c||_1 T_s eps = 4.44: fewer than two digits could be trusted
+    model = dataclasses.replace(
+        make_benchmark_model(), a_c=[[-1e16, 1e16], [1e16, -1e16]]
+    )
+    with pytest.raises(IllConditionedError, match="ill-conditioned"):
+        discretize_expm(model)

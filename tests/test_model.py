@@ -235,6 +235,49 @@ def test_from_dict_rejects_unknown_keys(benchmark_model):
         continuous_model_from_dict(payload)
 
 
+def test_from_dict_rejects_a_payload_that_is_not_an_object(benchmark_model):
+    with _raises_exactly("model must be a JSON object"):
+        continuous_model_from_dict([continuous_model_to_dict(benchmark_model)])
+
+
+def test_from_dict_names_the_missing_keys(benchmark_model):
+    payload = continuous_model_to_dict(benchmark_model)
+    del payload["T_s"]
+    with _raises_exactly("missing model keys: ['T_s']"):
+        continuous_model_from_dict(payload)
+
+
+def test_from_dict_takes_the_stacked_keys_or_a_tracking_block(benchmark_model):
+    payload = continuous_model_to_dict(benchmark_model)
+    payload["tracking"] = {
+        "C": [[1.0, 1.0]], "D": [[0.0, 0.0]], "Q_zz": [[1.0]],
+        "Q_uu": np.eye(2).tolist(), "zbar": [3.0], "ubar": [0.0, 0.0],
+    }
+    with _raises_exactly("give either C_c/D_c/Q_c/zbar or tracking, not both"):
+        continuous_model_from_dict(payload)
+    for key in ("C_c", "D_c", "Q_c", "zbar", "tracking"):
+        del payload[key]
+    with _raises_exactly(
+        "model needs either the stacked keys C_c/D_c/Q_c/zbar or a tracking block"
+    ):
+        continuous_model_from_dict(payload)
+
+
+def test_a_model_needs_at_least_one_interval(benchmark_model):
+    with _raises_exactly("inputs must cover at least one interval"):
+        dataclasses.replace(
+            benchmark_model, inputs=np.zeros((0, benchmark_model.n_u)),
+            targets=np.zeros((0, benchmark_model.n_z)),
+        )
+
+
+def test_discrete_from_dict_rejects_an_asymmetric_weight(benchmark_model):
+    payload = discrete_model_to_dict(discretize_expm(benchmark_model))
+    payload["Q"][0][1] += 1.0
+    with _raises_exactly("q is not symmetric (max asymmetry 1.000e+00)"):
+        discrete_model_from_dict(payload)
+
+
 def test_from_dict_broadcasts_one_row_matrices_like_vectors(benchmark_model):
     payload = continuous_model_to_dict(benchmark_model)
     payload["N"] = 10

@@ -182,7 +182,9 @@ def test_interval_ops_match_the_loop_definition(name, n_sub):
     ops = em_interval_ops(model, n_sub)
     want = _loop_interval_ops(model, n_sub)
     want["coarse_a"], want["coarse_b"] = want["powers"][n_sub], want["held"][n_sub]
+    want["grad"] = np.vstack([want.pop("cross"), want.pop("noise_lin").T])
     got = {f.name: getattr(ops, f.name) for f in dataclasses.fields(ops)} | {
+        "f": ops.f,
         "coarse_a": ops.powers[n_sub],
         "coarse_b": ops.held[n_sub],
         "noise_quad": _dense_noise_quad(ops),
@@ -199,6 +201,15 @@ def test_interval_ops_match_the_loop_definition(name, n_sub):
         assert value.shape == ref.shape, field_name
         err = np.abs(value - ref).max()
         assert err <= 1e-12 * np.abs(ref).max(), (field_name, err)
+
+
+def test_interval_ops_store_one_noise_gradient_and_view_f_in_noise_map():
+    ops = em_interval_ops(make_benchmark_model(), 16)
+    assert [f.name for f in dataclasses.fields(ops)] == [
+        "dt", "powers", "held", "gram_g", "noise_map", "grad",
+    ]
+    assert np.shares_memory(ops.f, ops.noise_map)
+    assert not ops.f.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -701,6 +712,7 @@ def _loop_reformulation(model, n_sub):
     ops = em_interval_ops(model, n_sub)
     noise_quad = _dense_noise_quad(ops)
     n_x, n_u, m_blk = model.n_x, model.n_u, ops.block_dim
+    cross, noise_lin = ops.grad[:n_x + n_u], ops.grad[n_x + n_u:].T
     dim = n_x + model.horizon * m_blk
     q_big = np.zeros((dim, dim))
     q_vec = np.zeros(dim)
@@ -714,11 +726,11 @@ def _loop_reformulation(model, n_sub):
         shift[n_x:] = model.inputs[k]
         l_act = carrier[:, active]
         q_big[active, active] += l_act.T @ (disc.q @ l_act)
-        q_big[active, blk] += l_act.T @ ops.cross
-        q_big[blk, active] += ops.cross.T @ l_act
+        q_big[active, blk] += l_act.T @ cross
+        q_big[blk, active] += cross.T @ l_act
         q_big[blk, blk] += noise_quad
         q_vec[active] += l_act.T @ (disc.q @ shift + disc.q_k[k])
-        q_vec[blk] += ops.cross.T @ shift + ops.noise_lin @ model.targets[k]
+        q_vec[blk] += cross.T @ shift + noise_lin @ model.targets[k]
         rho += (
             0.5 * float(shift @ disc.q @ shift)
             + float(disc.q_k[k] @ shift)
@@ -967,6 +979,8 @@ def _loop_streams(ref, normals):
     terms over those states, and the dense quadratic form."""
     model, disc, ops = ref.model, ref.disc, ref.ops
     n_x, m_blk = ref.n_x, ops.block_dim
+    n_xu = n_x + model.n_u
+    cross, noise_lin = ops.grad[:n_xu], ops.grad[n_xu:].T
     noise = normals[:, n_x:] * np.sqrt(ref.dt)
     x = normals[:, :n_x]
     det_vals = noise_vals = 0.0
@@ -979,8 +993,8 @@ def _loop_streams(ref, normals):
             0.5 * np.einsum("ri,ri->r", xu @ disc.q, xu) + xu @ disc.q_k[k] + disc.rho_k[k]
         )
         noise_vals = noise_vals + (
-            np.einsum("ri,ri->r", w_k @ ops.cross.T, xu)
-            + w_k @ ops.noise_lin @ model.targets[k]
+            np.einsum("ri,ri->r", w_k @ cross.T, xu)
+            + w_k @ noise_lin @ model.targets[k]
         )
         x = x @ disc.a.T + model.inputs[k] @ disc.b.T + w_k @ ops.noise_map.T
     quad, lin = _loop_pathwise_cost(model, ref.n_sub, starts, noise)
@@ -1112,8 +1126,9 @@ def _loop_streaming_moments(model, n_sub, disc):
     n_x = model.n_x
     dt = ops.dt
     a, b = disc.a, disc.b
-    quad, cross, noise_quad = disc.q, ops.cross, _dense_noise_quad(ops)
-    noise_map, noise_lin = ops.noise_map, ops.noise_lin
+    n_xu = n_x + model.n_u
+    quad, cross, noise_quad = disc.q, ops.grad[:n_xu], _dense_noise_quad(ops)
+    noise_map, noise_lin = ops.noise_map, ops.grad[n_xu:].T
     q_xx = quad[:n_x, :n_x]
 
     trace_noise = dt * float(np.trace(noise_quad))
@@ -1498,7 +1513,7 @@ def test_noise_quad_summaries_match_the_dense_matrix(name, n_sub):
     model = _interval_test_models()[name]
     ops = em_interval_ops(model, n_sub)
     noise_quad, noise_map = _dense_noise_quad(ops), ops.noise_map
-    frob_sq, map_quad = stochastic._noise_quad_summaries(ops)
+    frob_sq, map_quad = stochastic._noise_quad_summaries(ops)[:2]
     trace = _trace_integral(model, ops.dt, ops.powers)
     _assert_close(trace, ops.dt * np.trace(noise_quad))
     _assert_close(frob_sq, np.einsum("ij,ij->", noise_quad, noise_quad))
@@ -1563,6 +1578,7 @@ def test_euler_maruyama_paths_refuse_n_sub_below_one(n_sub):
         "em_reformulate": lambda: em_reformulate(model, n_sub),
         "streaming": lambda: cost_moments_streaming(model, n_sub),
         "expected_costs": lambda: expected_costs(model, n_sub=n_sub),
+        "monte_carlo": lambda: monte_carlo(model, n_sub, 16, seed=0),
     }
     for name, call in calls.items():
         with pytest.raises(ValidationError, match="n_sub") as info:
