@@ -383,8 +383,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=60)
     p.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP, dest="dim_cap",
                    help="largest n_x + N*subdiv*n_w (draws per replicate) a run "
-                   "samples; each worker holds 2048 x that many draws (64 MiB "
-                   "at the default 4096)")
+                   "samples; a worker holds at most 8 sub-steps of 2048 "
+                   "replicates' draws at once, so the cap bounds the run's time "
+                   "and its per-interval maps")
     p.add_argument("-o", "--output", default="mc",
                    help="output prefix; writes <prefix>.json and <prefix>.csv")
     p.set_defaults(func=_cmd_montecarlo)

@@ -9,7 +9,8 @@ come from an Euler-Maruyama refinement of each interval with step
 (a generalized chi-square); a streaming variant produces the same moments
 without ever holding the big matrix; Monte Carlo evaluates three
 independent regroupings of the same sampled cost and cross-checks them,
-all three in one forward walk over each block's draws.
+all three in one forward walk that draws each block's normals as it
+goes.
 
 The horizon walks (the state mean and covariance of the streaming moments
 and the expected cost) are linear recursions with a constant transition.
@@ -31,7 +32,7 @@ from .errors import ResourceLimitError, ValidationError
 from .expm_method import discretize_expm, noise_trace_integral
 from .linalg import symmetrize
 from .model import ContinuousLqModel, DiscreteLqModel
-from .sampling import DRAWS_PER_REPLICATE, normal_block
+from .sampling import DRAWS_PER_REPLICATE, block_generator
 
 __all__ = [
     "EmIntervalOps",
@@ -720,8 +721,9 @@ class _McPlan:
     draws.  The Euler deviation walk (:func:`_deviation_chunks`) reads
     ``chunk``, ``advance`` and ``inject``; :func:`_pathwise_cost` pairs
     each chunk of it with ``kernel_blk`` and ``drift_map`` for the
-    ``continuous`` and ``discrete`` streams and with ``quad_maps`` for
-    ``em_form``, which also reads ``stages`` and ``em_cols``.  No piece
+    ``continuous`` and ``discrete`` streams, and the chunk's draws with
+    ``quad_maps`` for ``em_form``'s scan and with its rows of
+    ``interval_cols`` for every other product the draws enter.  No piece
     is ``m_blk x m_blk``."""
 
     model: ContinuousLqModel
@@ -729,7 +731,6 @@ class _McPlan:
     ops: EmIntervalOps
     dim: int                    # draws per replicate, n_x + horizon * m_blk
     x0_root: np.ndarray         # symmetric square root of x0_cov (transposed)
-    shared: np.ndarray          # sqrt(dt) [noise_map' | grad']
     chunk: int                  # sub-steps per product, min(_CHUNK, n_sub)
     advance: np.ndarray         # [E' (E^2)' .. (E^chunk)']
     inject: np.ndarray          # block upper triangular, blocks sqrt(dt) (E^{t-l} g_c)'
@@ -738,26 +739,35 @@ class _McPlan:
     kernel_blk: np.ndarray      # kron(I_chunk, K)
     drift_map: np.ndarray       # block i: K' E^i, i = 1 .. n_sub
     quad_maps: np.ndarray       # em_form's scan maps per chunk, _quad_scan_maps
+    interval_cols: np.ndarray   # interval k: sqrt(dt) [noise_map' | grad' |
+                                # noise_map' | q_vec_k | R_k]
     stages: _CostToGo
-    em_cols: np.ndarray         # interval k: sqrt(dt) [noise_map' | q_vec_k | R_k]
 
 
 def _mc_plan(model: ContinuousLqModel, n_sub: int,
              dim_cap: int = DEFAULT_DIM_CAP) -> _McPlan:
     """Check the request's size, then build the matrices every block
-    multiplies by.  A block holds ``_BLOCK`` replicates of ``dim`` draws,
-    so ``dim`` above ``dim_cap`` or the sampler's budget raises
+    multiplies by.  A replicate reads ``dim`` draws, so ``dim`` above
+    ``dim_cap`` or the sampler's budget raises
     :class:`~lqdisc.errors.ResourceLimitError` before any other work.
     ``noise_quad`` is never formed: ``em_form`` scans it through the
-    per-chunk maps of :func:`_quad_scan_maps`."""
+    per-chunk maps of :func:`_quad_scan_maps`.
+
+    Interval ``k``'s draws reach a block one chunk at a time, so each
+    product with them is a sum over chunks of one product with the
+    chunk's rows of ``interval_cols[k]``: ``sqrt(dt) [noise_map' |
+    grad']`` for the state step and the ``discrete`` stream's ``grad``
+    term, then ``sqrt(dt) [noise_map' | q_vec_k | R_k]`` for
+    ``em_form``'s ``n_x``-wide terms.  Each column depends only on its
+    own column of the map, so sharing the product couples no two
+    streams."""
     n_x, n_w, horizon = model.n_x, model.n_w, model.horizon
     m_blk = n_sub * n_w
     dim = n_x + horizon * m_blk
     cap = min(dim_cap, DRAWS_PER_REPLICATE)
     if dim > cap:
         raise ResourceLimitError(
-            f"Monte Carlo dimension {dim} ({_BLOCK * dim * 8 / 2**30:.1f} GiB of draws "
-            f"per {_BLOCK}-replicate block) exceeds the cap {cap}"
+            f"Monte Carlo dimension {dim} (draws per replicate) exceeds the cap {cap}"
             + ("; lower the noise refinement (--subdiv) or raise the cap (--dim-cap)"
                if dim <= DRAWS_PER_REPLICATE else
                ", the sampler's budget per replicate; lower the noise refinement (--subdiv)")
@@ -771,18 +781,13 @@ def _mc_plan(model: ContinuousLqModel, n_sub: int,
     zero = np.zeros((n_w, n_x))
     qc = model.q_c @ model.c_c
     kernel = model.c_c.T @ qc
-    em_cols = root_dt * np.concatenate([
-        np.broadcast_to(ops.noise_map.T, (horizon, m_blk, n_x)),
-        stages.q_vec[n_x:].reshape(horizon, m_blk, 1),
-        stages.factors,
-    ], axis=2)
+    shared = np.hstack([ops.noise_map.T, ops.grad.T, ops.noise_map.T])
     return _McPlan(
         model=model,
         disc=disc,
         ops=ops,
         dim=dim,
         x0_root=_symmetric_sqrt(model.x0_cov).T,
-        shared=root_dt * np.hstack([ops.noise_map.T, ops.grad.T]),
         chunk=chunk,
         advance=np.hstack(ops.powers[1:chunk + 1].transpose(0, 2, 1)),
         inject=np.block(
@@ -794,44 +799,53 @@ def _mc_plan(model: ContinuousLqModel, n_sub: int,
         kernel_blk=np.kron(np.eye(chunk), kernel),
         drift_map=np.vstack(kernel.T @ ops.powers[1:]),
         quad_maps=_quad_scan_maps(ops, chunk),
+        interval_cols=root_dt * np.concatenate([
+            np.broadcast_to(shared, (horizon,) + shared.shape),
+            stages.q_vec[n_x:].reshape(horizon, m_blk, 1),
+            stages.factors,
+        ], axis=2),
         stages=stages,
-        em_cols=em_cols,
     )
 
 
-def _deviation_chunks(plan: _McPlan, z: np.ndarray):
-    """Yield ``(s, c, cur)``: ``cur`` holds the Euler deviation ``dev_i =
-    E dev_{i-1} + g_c w_i`` (``dev_{-1} = 0``, ``w = sqrt(dt) z``) of rows
-    ``z`` at sub-steps ``i = s .. s + c - 1``, one product per chunk of
-    ``plan.chunk``: ``dev_{s-1} P + z_{s..s+c-1} T`` (``P`` stacks
+def _deviation_chunks(plan: _McPlan, k: int, draw, reps: int):
+    """Yield ``(s, c, z_c, cur)`` for interval ``k`` of ``reps``
+    replicates: ``z_c = draw(k, s, c)`` holds the standard normals of
+    sub-steps ``i = s .. s + c - 1``, asked for when the walk reaches
+    them, and ``cur`` the Euler deviation ``dev_i = E dev_{i-1} + g_c w_i``
+    (``dev_{-1} = 0``, ``w = sqrt(dt) z``) at those sub-steps, one product
+    per chunk of ``plan.chunk``: ``dev_{s-1} P + z_c T`` (``P`` stacks
     ``(E^t)'``, ``T`` is block upper triangular with blocks ``sqrt(dt)
     (E^{t-l} g_c)'``), into a buffer the next chunk overwrites.  Each
     interval of a block walks it once, in :func:`_pathwise_cost`."""
     n_x, n_w = plan.model.n_x, plan.model.n_w
     n_sub, chunk = plan.ops.n_sub, plan.chunk
-    step = np.empty((len(z), chunk * n_x))
+    step = np.empty((reps, chunk * n_x))
     for s in range(0, n_sub, chunk):
         c = min(chunk, n_sub - s)
+        z_c = draw(k, s, c)
         cur = step[:, :c * n_x]
-        np.matmul(z[:, s * n_w:(s + c) * n_w], plan.inject[:c * n_w, :c * n_x], out=cur)
+        np.matmul(z_c, plan.inject[:c * n_w, :c * n_x], out=cur)
         if s:                                           # the deviation starts at 0
             cur += last @ plan.advance[:, :c * n_x]
-        yield s, c, cur
+        yield s, c, z_c, cur
         last = cur[:, -n_x:].copy()
 
 
 def _pathwise_cost(
-    plan: _McPlan, k: int, x: np.ndarray, z: np.ndarray, em: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    plan: _McPlan, k: int, x: np.ndarray, draw, em: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Euler deviation pass of interval ``k``: its noise-driven cost as
-    ``(quad, lin)`` per replicate (rows of ``x`` and ``z``), and
-    ``em_form``'s noise scan term added into ``em`` in place.
+    ``(quad, lin)`` per replicate (rows of ``x``), its draws' product
+    ``z_k interval_cols[k]``, and ``em_form``'s noise scan term added into
+    ``em`` in place.
 
-    ``z`` holds the interval's ``n_sub * n_w`` standard normals; the
-    increments are ``w = sqrt(dt) z``, with ``sqrt(dt)`` folded into
-    ``plan.inject``.  From ``x_k = x`` the sub-steps split the state into
-    the drift ``E^i x_k + held_i u_k`` and the deviation ``dev_i = E
-    dev_{i-1} + g_c w_i``.  With ``K = c_c' q_c c_c``:
+    ``draw(k, s, c)`` gives the interval's standard normals one chunk at
+    a time (:func:`_deviation_chunks`); the increments are ``w = sqrt(dt)
+    z``, with ``sqrt(dt)`` folded into ``plan.inject``.  From ``x_k = x``
+    the sub-steps split the state into the drift ``E^i x_k + held_i u_k``
+    and the deviation ``dev_i = E dev_{i-1} + g_c w_i``.  With ``K = c_c'
+    q_c c_c``:
 
     * ``quad = 0.5 dt sum_i dev_i' K dev_i``, which is ``0.5 w_k'
       noise_quad w_k`` by the definition of ``noise_quad``, so both the
@@ -844,41 +858,50 @@ def _pathwise_cost(
     :func:`_deviation_chunks` is folded into ``quad`` through ``kron(I_c,
     K)`` and a row dot, into ``lin`` through the chunk's rows of
     ``drift_map`` and ``offset``, and into ``em`` through one product of
-    the chunk's draws with ``plan.quad_maps``.  So the Monte Carlo block
-    runs this inside its forward walk, from each ``x_k`` as made.
+    the chunk's draws with ``plan.quad_maps``; one more product with the
+    chunk's rows of ``interval_cols[k]`` adds its part of ``z_k
+    interval_cols[k]``.  So the Monte Carlo block runs this inside its
+    forward walk, from each ``x_k`` as made.
     """
     model, ops, chunk, kernel_blk = plan.model, plan.ops, plan.chunk, plan.kernel_blk
     n_x, n_w, held = model.n_x, model.n_w, ops.held
     u = model.inputs[k]
     offset = (held[1:] @ u) @ plan.kernel + (model.d_c @ u - model.targets[k]) @ plan.qc
     lin_map = np.hstack([plan.drift_map, offset.reshape(-1, 1)])
+    cols = plan.interval_cols[k]
     reps = len(x)
     quad = np.zeros(reps)
     along = np.zeros((reps, n_x + 1))                  # dev @ lin_map, all chunks
-    for s, c, cur in _deviation_chunks(plan, z):
+    z_cols = np.zeros((reps, cols.shape[1]))           # z_k @ cols, all chunks
+    for s, c, z_c, cur in _deviation_chunks(plan, k, draw, reps):
         quad += np.einsum("ri,ri->r", cur, cur @ kernel_blk[:c * n_x, :c * n_x])
         along += cur @ lin_map[s * n_x:(s + c) * n_x]
-        z_c = z[:, s * n_w:(s + c) * n_w]
         paired = z_c @ plan.quad_maps[s // chunk, :c * n_w]
         em += np.einsum("ri,ri->r", cur, paired[:, :c * n_x])
         em += np.einsum("ri,ri->r", z_c, paired[:, chunk * n_x:][:, :c * n_w])
+        z_cols += z_c @ cols[s * n_w:(s + c) * n_w]
     lin = np.einsum("ri,ri->r", along[:, :n_x], x) + along[:, n_x]
-    return 0.5 * ops.dt * quad, ops.dt * lin
+    return 0.5 * ops.dt * quad, ops.dt * lin, z_cols
 
 
-def _block_streams(plan: _McPlan, x0: np.ndarray, z: np.ndarray) -> dict:
+def _block_streams(plan: _McPlan, x0: np.ndarray, draw) -> dict:
     """The three cost streams per replicate: row ``r`` of ``x0`` is its
-    initial state and row ``r`` of ``z[k]`` the standard normals behind its
-    increments ``w = sqrt(dt) z`` on interval ``k``.
+    initial state, and ``draw(k, s, c)`` gives the standard normals behind
+    the increments ``w = sqrt(dt) z`` of sub-steps ``s .. s + c - 1`` of
+    interval ``k``, row ``r`` for replicate ``r``.
 
-    One forward walk, ``k = 0 .. horizon - 1``, reads interval ``k``'s
-    draws ``z_k = z[k]`` for all three streams.  One product with ``sqrt(dt)
-    [noise_map' | grad']`` gives the state step's ``noise_map`` term and
-    the ``discrete`` stream's ``grad`` term, one row dot with ``[x_k; u_k;
-    target_k]`` (each column depends only on its own column of the matrix,
-    so sharing it couples no two streams); the Euler deviation of
-    :func:`_pathwise_cost` from ``x_k`` gives the ``continuous`` stream's
-    noise terms and the ``0.5 w_k' noise_quad w_k`` that both share.
+    One forward walk, ``k = 0 .. horizon - 1``, asks for interval ``k``'s
+    draws one chunk at a time, in stream order (sub-steps ``s`` rising
+    within an interval, the intervals in turn), and each chunk feeds all
+    three streams.  The interval's product ``z_k interval_cols[k]``,
+    summed over the chunks by :func:`_pathwise_cost`, gives through its
+    ``sqrt(dt) [noise_map' | grad']`` columns the state step's
+    ``noise_map`` term and the ``discrete`` stream's ``grad`` term, one
+    row dot with ``[x_k; u_k; target_k]`` (each column depends only on its
+    own column of the matrix, so sharing it couples no two streams); the
+    Euler deviation of :func:`_pathwise_cost` from ``x_k`` gives the
+    ``continuous`` stream's noise terms and the ``0.5 w_k' noise_quad w_k``
+    that both share.
 
     ``em_form``, ``0.5 c' q_big c + q_vec' c + rho`` at ``c = [x0; sqrt(dt)
     z]``, reads only the pieces of :func:`_cost_to_go`, ``gram_g`` and the
@@ -892,17 +915,19 @@ def _block_streams(plan: _McPlan, x0: np.ndarray, z: np.ndarray) -> dict:
     with ``h_q = E h_{q-1} + g_c z_q`` (``h_{-1} = 0``, the deviation of
     :func:`_deviation_chunks` over ``sqrt(dt)``), ``z' noise_quad z = dt
     sum_q (2 h_q - g_c z_q)' gram_g[r_q] z_q``: per chunk, one product of
-    its ``z`` with ``quad_maps`` pairs with ``[sqrt(dt) h | z]``.  That
+    its ``z`` with its scan map pairs with ``[sqrt(dt) h | z]``.  That
     scan rides on the deviation walk of :func:`_pathwise_cost`: one
     deviation walk, two pairings, ``K`` for ``quad`` and ``gram_g`` for
-    ``em_form``.  One product with ``em_cols[k]`` gives every
-    ``n_x``-wide term.  Only ``x_k``, ``s_k`` and per-interval pieces are
-    held, so memory beyond the draws does not grow with the horizon.
+    ``em_form``.  The same product gives through its ``sqrt(dt)
+    [noise_map' | q_vec_k | R_k]`` columns every ``n_x``-wide term.  Only
+    ``x_k``, ``s_k`` and per-interval pieces are held, so memory does not
+    grow with the horizon.
     """
     model, disc, stages = plan.model, plan.disc, plan.stages
     n_x = model.n_x
     reps = len(x0)
     n_xu = n_x + model.n_u
+    n_shared = n_x + n_xu + model.n_z                 # noise_map' and grad' columns
     x = s = x0                              # x_k of the walk, s_k of em_form
     em = x @ stages.q_vec[:n_x] + stages.rho
     em += 0.5 * np.einsum("ri,ri->r", x, x @ stages.q_xx)
@@ -912,19 +937,17 @@ def _block_streams(plan: _McPlan, x0: np.ndarray, z: np.ndarray) -> dict:
     lin = np.zeros(reps)
     xut = np.empty((reps, n_xu + model.n_z))          # [x_k | u_k | target_k]
     for k in range(model.horizon):
-        z_k = z[k]
-        shared = z_k @ plan.shared
         xut[:, :n_x] = x
         xut[:, n_x:n_xu] = model.inputs[k]
         xut[:, n_xu:] = model.targets[k]
         det_vals += _stage_costs(disc, xut[:, :n_xu], k)
-        noise_vals += np.einsum("ri,ri->r", shared[:, n_x:], xut)
-        quad_k, lin_k = _pathwise_cost(plan, k, x, z_k, em)
+        quad_k, lin_k, z_cols = _pathwise_cost(plan, k, x, draw, em)
         quad += quad_k
         lin += lin_k
-        x = x @ disc.a.T + model.inputs[k] @ disc.b.T + shared[:, :n_x]
+        noise_vals += np.einsum("ri,ri->r", z_cols[:, n_x:n_shared], xut)
+        x = x @ disc.a.T + model.inputs[k] @ disc.b.T + z_cols[:, :n_x]
 
-        cols = z_k @ plan.em_cols[k]
+        cols = z_cols[:, n_shared:]
         v = cols[:, :n_x]
         em += 0.5 * np.einsum("ri,ri->r", v, v @ stages.grams[k]) + cols[:, n_x]
         em += np.einsum("ri,ri->r", cols[:, n_x + 1:], s)
@@ -941,19 +964,26 @@ def _simulate_block(args) -> dict:
     ``STREAMS`` order), ``sum = V 1``, ``gram = V V'`` and ``hist``, their
     bin counts (values beyond ``edges`` count in the end bins).
 
-    Block ``block`` of ``reps`` replicates draws its ``reps * dim`` normals
-    in one call, in stream order: the ``x0`` draws of every replicate, then
-    interval 0's ``reps x m_blk``, then interval 1's, and so on.  ``x0``
-    and ``z`` (``z[k]`` interval ``k``'s rows) are views into them."""
+    Block ``block`` of ``reps`` replicates reads its stream in pieces from
+    its one generator, each when the walk reaches it, in stream order: the
+    ``x0`` draws of every replicate, then for each interval ``k`` one
+    ``reps x (c n_w)`` piece per chunk of ``c = min(chunk, n_sub - s)``
+    sub-steps ``s .. s + c - 1``.  Each piece is filled into one buffer
+    that the next piece overwrites, so a block holds one chunk of draws,
+    never its ``reps x dim``."""
     (plan, seed, block, reps, edges) = args
-    model, n_x = plan.model, plan.model.n_x
-    draws = normal_block(seed, block, reps * plan.dim)
-    x0 = draws[:reps * n_x].reshape(reps, n_x)
-    z = draws[reps * n_x:].reshape(model.horizon, reps, plan.ops.block_dim)
-    # x0 is built in place in the draws, z stays standard
-    x0[...] = model.x0_mean + x0 @ plan.x0_root
+    model, n_w = plan.model, plan.model.n_w
+    gen = block_generator(seed, block)
+    x0 = model.x0_mean + gen.standard_normal((reps, model.n_x)) @ plan.x0_root
+    buffer = np.empty(reps * plan.chunk * n_w)
 
-    values = _block_streams(plan, x0, z)
+    def draw(k, s, c):
+        # the walk asks in stream order, so the generator is at piece (k, s)
+        piece = buffer[:reps * c * n_w].reshape(reps, c * n_w)
+        gen.standard_normal(out=piece)
+        return piece
+
+    values = _block_streams(plan, x0, draw)
     v = np.stack([values[s] for s in STREAMS])
     clipped = np.clip(v, edges[0], edges[-1])
     return {
@@ -1019,17 +1049,18 @@ def monte_carlo(
     any other work (:func:`_mc_plan`).
 
     Each block of ``_BLOCK`` replicates draws its standard normals once,
-    from its own generator and in stream order (:func:`_simulate_block`),
-    and reads them in one forward walk over the intervals for all three
-    streams (:func:`_block_streams`); it holds its draws plus pieces that
-    do not grow with the horizon, and returns its record.  Each record is
+    from its own generator and in stream order, one chunk of sub-steps at
+    a time as its forward walk over the intervals reaches it
+    (:func:`_simulate_block`), and feeds each chunk to all three streams
+    (:func:`_block_streams`); it holds one chunk of draws plus pieces
+    that do not grow with the horizon, and returns its record.  Each record is
     added into running totals as it arrives, in block order, and the
     means, variances and correlations are read off ``cov = (gram - n m
     m') / max(n - 1, 1)``.  A replicate's draws depend only on ``(seed,
     block, position)`` and the blocks have fixed boundaries, so the
     summary is identical for any worker count.
     ``workers`` bounds the threads: a request runs at most ``min(workers,
-    blocks, usable CPUs)`` of them, each holding one block's draws, and
+    blocks, usable CPUs)`` of them, each walking one block, and
     runs in the calling thread when that is 1.
     """
     if n_sims < 1:

@@ -8,58 +8,63 @@ import pytest
 
 from lqdisc import stochastic
 from lqdisc.errors import ResourceLimitError
-from lqdisc.sampling import DRAWS_PER_REPLICATE, normal_block
+from lqdisc.sampling import DRAWS_PER_REPLICATE, block_generator
 
 from conftest import make_benchmark_model
 
 
+def _normals(seed, block, count):
+    """The first ``count`` standard normals of block ``block``'s stream."""
+    return block_generator(seed, block).standard_normal(count)
+
+
 def test_same_call_is_bit_identical():
-    a = normal_block(1234, 0, 17)
-    b = normal_block(1234, 0, 17)
+    a = _normals(1234, 0, 17)
+    b = _normals(1234, 0, 17)
     assert np.array_equal(a, b)
 
 
 def test_draws_do_not_depend_on_batching():
     # a block's draws are the same whichever other blocks are drawn, and
     # whichever thread draws them
-    alone = normal_block(9, 1, 64)
-    batch = [normal_block(9, b, 64) for b in range(3)]
+    alone = _normals(9, 1, 64)
+    batch = [_normals(9, b, 64) for b in range(3)]
     assert np.array_equal(alone, batch[1])
     with ThreadPoolExecutor(max_workers=2) as pool:
-        threaded = list(pool.map(lambda b: normal_block(9, b, 64), range(3)))
+        threaded = list(pool.map(lambda b: _normals(9, b, 64), range(3)))
     assert all(np.array_equal(x, y) for x, y in zip(batch, threaded))
 
 
 def test_prefix_of_longer_block_matches_shorter_block():
-    short = normal_block(42, 5, 10)
-    long = normal_block(42, 5, 100)
+    short = _normals(42, 5, 10)
+    long = _normals(42, 5, 100)
     assert np.array_equal(short, long[:10])
 
 
 def test_odd_count_is_prefix_of_even_count():
-    odd = normal_block(7, 1, 9)
-    even = normal_block(7, 1, 10)
+    odd = _normals(7, 1, 9)
+    even = _normals(7, 1, 10)
     assert np.array_equal(odd, even[:9])
 
 
 def test_different_seeds_differ():
-    a = normal_block(0, 0, 32)
-    b = normal_block(1, 0, 32)
+    a = _normals(0, 0, 32)
+    b = _normals(1, 0, 32)
     assert not np.array_equal(a, b)
 
 
 def test_different_replicates_differ():
     # two replicates of one block read different positions of its stream,
     # two blocks read different streams
-    block = normal_block(3, 0, 64).reshape(2, 32)
+    block = _normals(3, 0, 64).reshape(2, 32)
     assert not np.array_equal(block[0], block[1])
-    assert not np.array_equal(normal_block(3, 1, 32), block[0])
+    assert not np.array_equal(_normals(3, 1, 32), block[0])
 
 
 def test_block_order_is_irrelevant():
     blocks = [2, 5, 9]
-    forward = [normal_block(11, b, 16) for b in blocks]
-    backward = [normal_block(11, b, 16) for b in reversed(blocks)]
+    forward = [_normals(11, b, 16) for b in blocks]
+    backward = [_normals(11, b, 16) for b in reversed(blocks)]
     assert all(np.array_equal(x, y) for x, y in zip(forward, reversed(backward)))
 
 
@@ -91,7 +96,7 @@ def test_budget_boundary_is_allowed(monkeypatch):
 
 
 def test_moments_match_standard_normal():
-    draws = normal_block(2026, 0, 64 * 4096)
+    draws = _normals(2026, 0, 64 * 4096)
     n = draws.size
     # 5-sigma bands on the first four moments of N(0, 1)
     assert abs(draws.mean()) < 5.0 / np.sqrt(n)
@@ -101,14 +106,14 @@ def test_moments_match_standard_normal():
 
 
 def test_no_correlation_between_consecutive_draws():
-    draws = normal_block(31337, 0, 32 * 8192)
+    draws = _normals(31337, 0, 32 * 8192)
     x, y = draws[:-1], draws[1:]
     corr = np.corrcoef(x, y)[0, 1]
     assert abs(corr) < 5.0 / np.sqrt(x.size)
 
 
 def test_values_are_finite_and_continuous_looking():
-    draws = normal_block(5, 0, 16 * 1024)
+    draws = _normals(5, 0, 16 * 1024)
     assert np.all(np.isfinite(draws))
     # the ziggurat scales a 52-bit random integer: an exact zero has
     # probability about 2**-52 per draw

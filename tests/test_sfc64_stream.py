@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lqdisc.sampling import normal_block
+from lqdisc.sampling import block_generator
 
 
 def _generator(seed, block):
@@ -15,13 +15,22 @@ def _generator(seed, block):
 def test_blocks_are_per_block_sfc64_streams(seed):
     for block in (0, 1, 2 ** 40):
         want = _generator(seed, block).standard_normal(37)
-        assert np.array_equal(normal_block(seed, block, 37), want)
+        assert np.array_equal(block_generator(seed, block).standard_normal(37), want)
 
 
 @pytest.mark.parametrize("pieces", [(3, 5, 5, 5), (1, 0, 7, 2, 9)])
 def test_one_call_is_consecutive_calls_on_one_generator(pieces):
-    # a block's x0 draws, then each interval's, drawn when they are needed
-    # from one generator, are the bits of the block's one call
-    gen = _generator(17, 3)
-    parts = [gen.standard_normal(count) for count in pieces]
-    assert np.array_equal(np.concatenate(parts), normal_block(17, 3, sum(pieces)))
+    # a block's x0 draws, then each chunk's, drawn when they are needed
+    # from one generator (every other piece filled into a reused buffer,
+    # as a block fills its pieces), are the bits of the block's one call
+    gen = block_generator(17, 3)
+    buffer = np.empty(max(pieces))
+    parts = []
+    for i, count in enumerate(pieces):
+        if i % 2:
+            gen.standard_normal(out=buffer[:count])
+            parts.append(buffer[:count].copy())
+        else:
+            parts.append(gen.standard_normal(count))
+    want = block_generator(17, 3).standard_normal(sum(pieces))
+    assert np.array_equal(np.concatenate(parts), want)

@@ -16,7 +16,7 @@ from lqdisc.errors import ResourceLimitError, ValidationError
 from lqdisc.expm_method import discretize_expm, noise_trace_integral
 from lqdisc.linalg import symmetrize
 from lqdisc.model import ContinuousLqModel, DiscreteLqModel, continuous_model_from_dict
-from lqdisc.sampling import normal_block
+from lqdisc.sampling import block_generator
 from lqdisc.stochastic import (
     STREAMS,
     _BLOCK,
@@ -628,10 +628,10 @@ def test_pathwise_stream_matches_the_sub_step_loop(name, n_sub):
     )
     starts, noise = _starts_and_noise(rng, model, n_sub)
     ops = em_interval_ops(model, n_sub)
-    plan, m_blk = _mc_plan(model, n_sub), ops.block_dim
-    normals = noise / np.sqrt(ops.dt)
+    plan = _mc_plan(model, n_sub)
+    draw = _row_draw(plan, noise / np.sqrt(ops.dt))
     got = sum(
-        sum(_pathwise_cost(plan, k, x, normals[:, k * m_blk:(k + 1) * m_blk], np.zeros(len(x))))
+        sum(_pathwise_cost(plan, k, x, draw, np.zeros(len(x)))[:2])
         for k, x in enumerate(starts)
     )
     want = sum(_loop_pathwise_cost(model, n_sub, starts, noise))
@@ -677,17 +677,26 @@ def _dense_em_form(ref, normals):
     return 0.5 * np.einsum("ri,ri->r", chi @ ref.q_big, chi) + chi @ ref.q_vec + ref.rho
 
 
+def _row_draw(plan, noise):
+    """The ``draw(k, s, c)`` of a Monte Carlo block of ``plan`` whose
+    replicates' standard normals are the rows ``[z_0; ..; z_{H-1}]`` of
+    ``noise``: sub-steps ``s .. s + c - 1`` of interval ``k``, one
+    contiguous ``(reps, c n_w)`` piece, as the block's buffer holds it."""
+    n_w, m_blk = plan.model.n_w, plan.ops.block_dim
+
+    def draw(k, s, c):
+        start = k * m_blk + s * n_w
+        return np.ascontiguousarray(noise[:, start:start + c * n_w])
+
+    return draw
+
+
 def _stream_views(plan, normals):
-    """The ``(x0, z)`` that a Monte Carlo block of ``plan`` hands to
+    """The ``(x0, draw)`` that a Monte Carlo block of ``plan`` hands to
     :func:`_block_streams`, for replicates given as rows ``[x0; z_0; ..;
-    z_{H-1}]`` of ``normals``: one buffer in stream order (every row's
-    ``x0``, then every row's ``z_0``, and so on), with ``x0`` its ``(reps,
-    n_x)`` view and ``z[k]`` the ``(reps, m_blk)`` view of interval ``k``."""
-    n_x, horizon, m_blk = plan.model.n_x, plan.model.horizon, plan.ops.block_dim
-    reps = len(normals)
-    noise = normals[:, n_x:].reshape(reps, horizon, m_blk).transpose(1, 0, 2)
-    draws = np.concatenate([normals[:, :n_x].ravel(), noise.ravel()])
-    return draws[:reps * n_x].reshape(reps, n_x), draws[reps * n_x:].reshape(horizon, reps, m_blk)
+    z_{H-1}]`` of ``normals``."""
+    n_x = plan.model.n_x
+    return normals[:, :n_x], _row_draw(plan, normals[:, n_x:])
 
 
 @pytest.mark.parametrize("case", _EM_FORM_CASES)
@@ -867,29 +876,32 @@ def test_mc_plan_holds_no_m_blk_by_m_blk_array():
     assert peak < 64 * 2047 * model.n_w * model.n_x ** 2 * 8, peak / 2 ** 20
 
 
-class _IntervalLog(np.ndarray):
-    """Draws ``z`` (``z[k]`` interval ``k``'s) that log the first index of
-    every item taken of them; what an item returns is a plain array and
-    logs nothing."""
+def _chunk_order(plan):
+    """The pieces of a block's stream after its ``x0`` draws, in stream
+    order: ``(k, s, c)`` for each chunk of ``c`` sub-steps from ``s`` of
+    each interval ``k``, the last chunk of an interval short when
+    ``plan.chunk`` does not divide ``n_sub``."""
+    n_sub, chunk = plan.ops.n_sub, plan.chunk
+    return [(k, s, min(chunk, n_sub - s))
+            for k in range(plan.model.horizon) for s in range(0, n_sub, chunk)]
 
-    def __getitem__(self, key):
-        self.log.append(key[0] if isinstance(key, tuple) else key)
-        return super().__getitem__(key).view(np.ndarray)
 
-
-@pytest.mark.parametrize("case", ["3-16", "10-8", "n_sub_1", "n_x_5_n_w_2"])
+@pytest.mark.parametrize("case", ["3-16", "3-13", "10-8", "n_sub_1", "n_x_5_n_w_2"])
 def test_block_streams_read_the_draws_in_stream_order(case):
-    # a block walks its intervals once, k = 0 .. H-1: every item taken of
-    # the draws is one interval's, and the intervals never go back
+    # a block asks for each chunk of each interval once, in stream order:
+    # every piece is one chunk (3-13: the last one of each interval
+    # short), and intervals and chunks never go back
     ref = _em_form_ref(case)
     plan = _mc_plan(ref.model, ref.n_sub)
-    x0, z = _stream_views(plan, np.random.default_rng(3).normal(size=(1031, ref.dim)))
-    z = z.view(_IntervalLog)
-    z.log = []
-    _block_streams(plan, x0, z)
-    assert all(type(k) is int for k in z.log), z.log
-    assert z.log == sorted(z.log), z.log
-    assert set(z.log) == set(range(ref.model.horizon)), z.log
+    x0, draw = _stream_views(plan, np.random.default_rng(3).normal(size=(1031, ref.dim)))
+    log = []
+
+    def logged(k, s, c):
+        log.append((k, s, c))
+        return draw(k, s, c)
+
+    _block_streams(plan, x0, logged)
+    assert log == _chunk_order(plan), log
 
 
 @pytest.mark.parametrize("n_sub", [1, 7, 17, 256])
@@ -912,7 +924,7 @@ def test_pathwise_quadratic_is_the_noise_quad_form(name, n_sub):
     for k, x in enumerate(starts):
         w = noise[:, k * m_blk:(k + 1) * m_blk]
         em = np.zeros(len(x))
-        quad, _ = _pathwise_cost(plan, k, x, w / np.sqrt(ops.dt), em)
+        quad, _, _ = _pathwise_cost(plan, k, x, _row_draw(plan, noise / np.sqrt(ops.dt)), em)
         want = 0.5 * np.einsum("ri,ri->r", w @ noise_quad, w)
         assert np.abs(quad - want).max() <= 1e-12 * np.abs(want).max(), k
         assert np.abs(em - want).max() <= 1e-12 * np.abs(want).max(), k
@@ -923,15 +935,15 @@ def test_block_streams_walk_each_interval_deviation_once(monkeypatch):
     calls = []
     walk = stochastic._deviation_chunks
 
-    def counted(plan, z):
-        calls.append(len(z))
-        return walk(plan, z)
+    def counted(plan, k, draw, reps):
+        calls.append((k, reps))
+        return walk(plan, k, draw, reps)
 
     plan = _mc_plan(make_benchmark_model(horizon=3), 16)
     normals = np.random.default_rng(5).normal(size=(40, plan.dim))
     monkeypatch.setattr(stochastic, "_deviation_chunks", counted)
     _block_streams(plan, *_stream_views(plan, normals))
-    assert calls == [40] * 3, calls
+    assert calls == [(0, 40), (1, 40), (2, 40)], calls
 
 
 def _refuse_noise_quad(*args, **kwargs):
@@ -1021,17 +1033,19 @@ def test_block_streams_match_the_reference_walk_per_replicate(case):
 
 def _block_rows(plan, seed, block, reps):
     """Rows ``[x0; z_0; ..; z_{H-1}]`` of the ``reps`` replicates of Monte
-    Carlo block ``block``: its draws in stream order (every replicate's
-    ``x0``, then every replicate's ``z_0``, and so on), with ``x0`` built
-    from the initial-state law as the block builds it."""
-    n_x, horizon, m_blk = plan.model.n_x, plan.model.horizon, plan.ops.block_dim
-    draws = normal_block(seed, block, reps * plan.dim)
+    Carlo block ``block``, from one ``standard_normal(reps * dim)`` call on
+    its generator laid out in stream order: every replicate's ``x0``, then
+    one ``reps x (c n_w)`` piece per chunk of :func:`_chunk_order`, with
+    ``x0`` built from the initial-state law as the block builds it."""
+    n_x, n_w = plan.model.n_x, plan.model.n_w
+    draws = block_generator(seed, block).standard_normal(reps * plan.dim)
     x0 = plan.model.x0_mean + draws[:reps * n_x].reshape(reps, n_x) @ plan.x0_root
-    noise = draws[reps * n_x:].reshape(horizon, reps, m_blk).transpose(1, 0, 2)
-    return np.hstack([x0, noise.reshape(reps, horizon * m_blk)])
+    bounds = reps * n_x + np.cumsum([0] + [reps * c * n_w for _, _, c in _chunk_order(plan)])
+    pieces = [draws[lo:hi].reshape(reps, -1) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return np.hstack([x0, *pieces])
 
 
-@pytest.mark.parametrize("case", ["3-16", "noise_free", "n_sub_1", "one_interval"])
+@pytest.mark.parametrize("case", ["3-16", "3-13", "noise_free", "n_sub_1", "one_interval"])
 def test_simulate_block_sums_the_reference_streams(case):
     # the block's partial sums are those of the reference streams at its
     # own draws: x0 from the block's normals, the increments sqrt(dt) z
@@ -1355,8 +1369,8 @@ def _traced_peak(call) -> int:
 
 
 def test_monte_carlo_block_holds_little_beyond_its_draws():
-    # one 2048-replicate block: its draws chi plus cache-sized pieces, no
-    # second full-width array in em_form or in the Euler deviation pass
+    # one 2048-replicate block: less than its 2048 x dim draws chi would
+    # take, so no full-width array in em_form or in the Euler deviation pass
     ref = em_reformulate(make_benchmark_model(horizon=2), 256)
     chi_bytes = 2048 * ref.dim * np.dtype(float).itemsize
     peak = _traced_peak(lambda: monte_carlo(ref.model, ref.n_sub, 2048, seed=1, workers=1))
@@ -1365,11 +1379,24 @@ def test_monte_carlo_block_holds_little_beyond_its_draws():
 
 def test_monte_carlo_block_memory_does_not_grow_with_the_horizon():
     # at a long, thin horizon the per-interval state would be as large as
-    # the draws; the forward walk keeps only the current state
+    # all the draws; the forward walk keeps only the current state
     ref = em_reformulate(make_benchmark_model(horizon=100), 1)
     chi_bytes = 2048 * ref.dim * np.dtype(float).itemsize
     peak = _traced_peak(lambda: monte_carlo(ref.model, ref.n_sub, 2048, seed=1))
     assert peak <= 1.5 * chi_bytes, peak / chi_bytes
+
+
+def test_simulate_block_memory_does_not_grow_with_the_horizon():
+    # a block holds one chunk of draws, 2048 x 8 n_w, never its 2048 x dim:
+    # dim at H = 40 is ten times dim at H = 4 (the raised cap keeps the
+    # plans independent of the default), and the block's peak stays put
+    edges = np.linspace(-1e3, 1e3, 61)
+    peaks = []
+    for horizon in (4, 40):
+        plan = _mc_plan(make_benchmark_model(horizon=horizon), 16, dim_cap=2 ** 16)
+        job = (plan, 1, 0, _BLOCK, edges)
+        peaks.append(_traced_peak(lambda: stochastic._simulate_block(job)))
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("workers", [1, 2])
