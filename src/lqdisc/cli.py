@@ -385,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="largest n_x + N*subdiv*n_w (draws per replicate) a run "
                    "samples; a worker holds at most 8 sub-steps of 2048 "
                    "replicates' draws at once, so the cap bounds the run's time "
-                   "and its per-interval maps")
+                   "and its per-interval maps, n_x + 1 columns per draw")
     p.add_argument("-o", "--output", default="mc",
                    help="output prefix; writes <prefix>.json and <prefix>.csv")
     p.set_defaults(func=_cmd_montecarlo)

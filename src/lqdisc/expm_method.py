@@ -1,7 +1,7 @@
 """Discretization by block matrix exponentials.
 
 The interval maps of a short interval ``tau = T_s / 2**s`` fall out of three
-structured exponentials of doubled-size block matrices (Van Loan 1978):
+Van Loan (1978) block exponentials, each built by :func:`_van_loan`:
 
 - ``[[-h_ext', q_bar], [0, h_ext]]`` gives the quadratic cost weight;
 - ``[[h_ext, I], [0, 0]]`` gives ``[[ext, int_0^tau exp(h_ext sigma)], [0, I]]``,
@@ -23,9 +23,9 @@ sets no squarings.  This route involves no step-size choice and serves as
 the reference the iterative methods are judged against.
 
 :func:`noise_trace_integral` takes the expected within-interval noise cost
-the same way: one ``3 n_x`` block exponential at ``tau`` and ``s`` exact
-doublings.  It stays out of the interval maps, which every discretization
-composes, because only the expected cost reads it.
+the same way: one ``3 n_x`` block of :func:`_van_loan` at ``tau`` and ``s``
+exact doublings.  It stays out of the interval maps, which every
+discretization composes, because only the expected cost reads it.
 
 Two different block matrices appear that the source notation would both
 call by one letter: the *output* map ``h_out = [c_c d_c]`` and the
@@ -58,6 +58,24 @@ def _kernel_scale(diagonal: np.ndarray, kernel: np.ndarray) -> float:
     return k / d if k > d > 0.0 else 1.0
 
 
+def _van_loan(top: np.ndarray, kernel: np.ndarray, bottom: np.ndarray,
+              tau: float, scaled: bool = True) -> tuple[float, np.ndarray]:
+    """``c`` and ``exp(tau [[top, kernel / c], [0, bottom]])``, with ``c``
+    the :func:`_kernel_scale` of the kernel, or 1 if not ``scaled``."""
+    n = len(top)
+    block = np.zeros((n + len(bottom),) * 2)
+    block[:n, :n] = top
+    block[n:, n:] = bottom
+    c = _kernel_scale(block, kernel) if scaled else 1.0
+    block[:n, n:] = kernel / c
+    return c, expm(block * tau)
+
+
+def _halvings(model: ContinuousLqModel) -> int:
+    """``s``, the Pade-13 halving count of ``||a_c||_1 * t_s``."""
+    return pade_squarings(norm1(model.a_c) * model.t_s, "a_c * t_s")
+
+
 def expm_seed(model: ContinuousLqModel, halvings: int) -> IntervalMaps:
     """The interval maps over ``t_s / 2**halvings`` from the three block
     exponentials (see the module docstring)."""
@@ -70,24 +88,10 @@ def expm_seed(model: ContinuousLqModel, halvings: int) -> IntervalMaps:
     q_bar = -m_bar @ h_out                       # quadratic-cost kernel
     g_bar = model.g_c @ model.g_c.T              # noise intensity
 
-    block1 = np.zeros((2 * n_xu, 2 * n_xu))
-    block1[:n_xu, :n_xu] = -h_ext.T
-    block1[n_xu:, n_xu:] = h_ext
-    c1 = _kernel_scale(block1, q_bar)
-    block1[:n_xu, n_xu:] = q_bar / c1
-    phi1 = expm(block1 * tau)
-
-    block2 = np.zeros((2 * n_xu, 2 * n_xu))
-    block2[:n_xu, :n_xu] = h_ext
-    block2[:n_xu, n_xu:] = np.eye(n_xu)
-    phi2 = expm(block2 * tau)
-
-    block3 = np.zeros((2 * n_x, 2 * n_x))
-    block3[:n_x, :n_x] = -model.a_c
-    block3[n_x:, n_x:] = model.a_c.T
-    c3 = _kernel_scale(block3, g_bar)
-    block3[:n_x, n_x:] = g_bar / c3
-    phi3 = expm(block3 * tau)
+    c1, phi1 = _van_loan(-h_ext.T, q_bar, h_ext, tau)
+    # the unit kernel carries no units; scaling it moves lin's last bits
+    _, phi2 = _van_loan(h_ext, np.eye(n_xu), np.zeros((n_xu, n_xu)), tau, scaled=False)
+    c3, phi3 = _van_loan(-model.a_c, g_bar, model.a_c.T, tau)
 
     ext = phi2[:n_xu, :n_xu]
     return IntervalMaps(
@@ -110,7 +114,7 @@ def discretize_expm(model: ContinuousLqModel) -> DiscreteLqModel:
     DivergenceError
         If a map is not finite, e.g. when an exponential overflows.
     """
-    halvings = pade_squarings(norm1(model.a_c) * model.t_s, "a_c * t_s")
+    halvings = _halvings(model)
     # overflow to inf is the divergence signal checked by to_discrete
     with np.errstate(over="ignore", invalid="ignore"):
         maps = expm_seed(model, halvings)
@@ -126,9 +130,9 @@ def noise_trace_integral(model: ContinuousLqModel) -> float:
 
     ``J = tr(g_c g_c' K)`` with ``K = int_0^t_s Q(t) dt`` and ``Q(t) =
     int_0^t exp(a_c' s) W exp(a_c s) ds``.  At ``tau = t_s / 2**s`` the
-    exponential ``E`` of ``[[-a_c', I, 0], [0, -a_c', W], [0, 0, a_c]]``
-    gives ``Q = E_33' E_23`` and ``K = E_33' E_13`` (Van Loan 1978,
-    Theorem 1); ``s`` exact doublings then reach ``t_s``:
+    :func:`_van_loan` exponential ``E`` of ``[[-a_c', I, 0], [0, -a_c',
+    W], [0, 0, a_c]]`` gives ``Q = E_33' E_23`` and ``K = E_33' E_13`` (Van
+    Loan 1978, Theorem 1); ``s`` exact doublings then reach ``t_s``:
 
         K(2 tau) = K + tau Q + A' K A,   Q(2 tau) = Q + A' Q A,
 
@@ -136,18 +140,14 @@ def noise_trace_integral(model: ContinuousLqModel) -> float:
     :func:`discretize_expm`, for the same reasons.
     """
     n_x = model.n_x
-    halvings = pade_squarings(norm1(model.a_c) * model.t_s, "a_c * t_s")
+    halvings = _halvings(model)
     tau = model.t_s / 2.0 ** halvings
     noise_w = model.c_c.T @ model.q_c @ model.c_c
 
-    block = np.zeros((3 * n_x, 3 * n_x))
-    block[:n_x, :n_x] = block[n_x:2 * n_x, n_x:2 * n_x] = -model.a_c.T
-    block[:n_x, n_x:2 * n_x] = np.eye(n_x)
-    block[2 * n_x:, 2 * n_x:] = model.a_c
-    scale = _kernel_scale(block, noise_w)
-    block[n_x:2 * n_x, 2 * n_x:] = noise_w / scale
-    phi = expm(block * tau)
-
+    top = np.zeros((2 * n_x, 2 * n_x))
+    top[:n_x, :n_x] = top[n_x:, n_x:] = -model.a_c.T
+    top[:n_x, n_x:] = np.eye(n_x)
+    scale, phi = _van_loan(top, np.vstack([np.zeros((n_x, n_x)), noise_w]), model.a_c, tau)
     trans = phi[2 * n_x:, 2 * n_x:]
     quad = scale * (trans.T @ phi[n_x:2 * n_x, 2 * n_x:])
     integral = scale * (trans.T @ phi[:n_x, 2 * n_x:])

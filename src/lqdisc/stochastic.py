@@ -722,9 +722,9 @@ class _McPlan:
     ``chunk``, ``advance`` and ``inject``; :func:`_pathwise_cost` pairs
     each chunk of it with ``kernel_blk`` and ``drift_map`` for the
     ``continuous`` and ``discrete`` streams, and the chunk's draws with
-    ``quad_maps`` for ``em_form``'s scan and with its rows of
-    ``interval_cols`` for every other product the draws enter.  No piece
-    is ``m_blk x m_blk``."""
+    ``quad_maps`` for ``em_form``'s scan and with its rows of ``[shared_cols
+    | interval_cols[k]]`` for every other product the draws enter.  Each
+    map is stored once, and no piece is ``m_blk x m_blk``."""
 
     model: ContinuousLqModel
     disc: DiscreteLqModel
@@ -734,13 +734,12 @@ class _McPlan:
     chunk: int                  # sub-steps per product, min(_CHUNK, n_sub)
     advance: np.ndarray         # [E' (E^2)' .. (E^chunk)']
     inject: np.ndarray          # block upper triangular, blocks sqrt(dt) (E^{t-l} g_c)'
-    qc: np.ndarray              # q_c c_c
-    kernel: np.ndarray          # K = c_c' q_c c_c
-    kernel_blk: np.ndarray      # kron(I_chunk, K)
+    kernel_blk: np.ndarray      # kron(I_chunk, K), K = c_c' q_c c_c
     drift_map: np.ndarray       # block i: K' E^i, i = 1 .. n_sub
+    offsets: np.ndarray         # k, i: K held_i u_k + c_c' q_c (d_c u_k - zbar_k)
     quad_maps: np.ndarray       # em_form's scan maps per chunk, _quad_scan_maps
-    interval_cols: np.ndarray   # interval k: sqrt(dt) [noise_map' | grad' |
-                                # noise_map' | q_vec_k | R_k]
+    shared_cols: np.ndarray     # sqrt(dt) [noise_map' | grad' | noise_map']
+    interval_cols: np.ndarray   # interval k: sqrt(dt) [q_vec_k | R_k]
     stages: _CostToGo
 
 
@@ -755,12 +754,13 @@ def _mc_plan(model: ContinuousLqModel, n_sub: int,
 
     Interval ``k``'s draws reach a block one chunk at a time, so each
     product with them is a sum over chunks of one product with the
-    chunk's rows of ``interval_cols[k]``: ``sqrt(dt) [noise_map' |
-    grad']`` for the state step and the ``discrete`` stream's ``grad``
-    term, then ``sqrt(dt) [noise_map' | q_vec_k | R_k]`` for
-    ``em_form``'s ``n_x``-wide terms.  Each column depends only on its
-    own column of the map, so sharing the product couples no two
-    streams."""
+    chunk's rows of ``[shared_cols | interval_cols[k]]``: ``sqrt(dt)
+    [noise_map' | grad']`` for the state step and the ``discrete``
+    stream's ``grad`` term, then ``sqrt(dt) [noise_map' | q_vec_k | R_k]``
+    (``em_form``'s own ``noise_map'``) for its ``n_x``-wide terms.  Each
+    column depends only on its own column of the map, so sharing the
+    product couples no two streams.  Per interval the plan keeps only
+    ``[q_vec_k | R_k]`` and the ``offsets``, all from one batched pass."""
     n_x, n_w, horizon = model.n_x, model.n_w, model.horizon
     m_blk = n_sub * n_w
     dim = n_x + horizon * m_blk
@@ -781,7 +781,11 @@ def _mc_plan(model: ContinuousLqModel, n_sub: int,
     zero = np.zeros((n_w, n_x))
     qc = model.q_c @ model.c_c
     kernel = model.c_c.T @ qc
-    shared = np.hstack([ops.noise_map.T, ops.grad.T, ops.noise_map.T])
+    # every interval at once; each product keeps one interval's operand
+    # shapes, so its bits are those of the interval's own product
+    target_gap = (model.d_c @ model.inputs[:, :, None])[..., 0] - model.targets
+    offsets = ((ops.held[1:] @ model.inputs[:, None, :, None])[..., 0] @ kernel
+               + target_gap[:, None, :] @ qc)
     return _McPlan(
         model=model,
         disc=disc,
@@ -794,16 +798,13 @@ def _mc_plan(model: ContinuousLqModel, n_sub: int,
             [[f_t[t - l] if t >= l else zero for t in range(chunk)]
              for l in range(chunk)]
         ),
-        qc=qc,
-        kernel=kernel,
         kernel_blk=np.kron(np.eye(chunk), kernel),
         drift_map=np.vstack(kernel.T @ ops.powers[1:]),
+        offsets=offsets,
         quad_maps=_quad_scan_maps(ops, chunk),
+        shared_cols=root_dt * np.hstack([ops.noise_map.T, ops.grad.T, ops.noise_map.T]),
         interval_cols=root_dt * np.concatenate([
-            np.broadcast_to(shared, (horizon,) + shared.shape),
-            stages.q_vec[n_x:].reshape(horizon, m_blk, 1),
-            stages.factors,
-        ], axis=2),
+            stages.q_vec[n_x:].reshape(horizon, m_blk, 1), stages.factors], axis=2),
         stages=stages,
     )
 
@@ -837,8 +838,8 @@ def _pathwise_cost(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Euler deviation pass of interval ``k``: its noise-driven cost as
     ``(quad, lin)`` per replicate (rows of ``x``), its draws' product
-    ``z_k interval_cols[k]``, and ``em_form``'s noise scan term added into
-    ``em`` in place.
+    ``z_k cols_k`` with ``cols_k = [shared_cols | interval_cols[k]]``, and
+    ``em_form``'s noise scan term added into ``em`` in place.
 
     ``draw(k, s, c)`` gives the interval's standard normals one chunk at
     a time (:func:`_deviation_chunks`); the increments are ``w = sqrt(dt)
@@ -857,18 +858,16 @@ def _pathwise_cost(
     One deviation walk, two pairings: each chunk of
     :func:`_deviation_chunks` is folded into ``quad`` through ``kron(I_c,
     K)`` and a row dot, into ``lin`` through the chunk's rows of
-    ``drift_map`` and ``offset``, and into ``em`` through one product of
+    ``[drift_map | offsets[k]]``, and into ``em`` through one product of
     the chunk's draws with ``plan.quad_maps``; one more product with the
-    chunk's rows of ``interval_cols[k]`` adds its part of ``z_k
-    interval_cols[k]``.  So the Monte Carlo block runs this inside its
+    chunk's rows of ``cols_k`` adds its part of ``z_k cols_k``; both maps
+    are assembled here.  So the Monte Carlo block runs this inside its
     forward walk, from each ``x_k`` as made.
     """
     model, ops, chunk, kernel_blk = plan.model, plan.ops, plan.chunk, plan.kernel_blk
-    n_x, n_w, held = model.n_x, model.n_w, ops.held
-    u = model.inputs[k]
-    offset = (held[1:] @ u) @ plan.kernel + (model.d_c @ u - model.targets[k]) @ plan.qc
-    lin_map = np.hstack([plan.drift_map, offset.reshape(-1, 1)])
-    cols = plan.interval_cols[k]
+    n_x, n_w = model.n_x, model.n_w
+    lin_map = np.hstack([plan.drift_map, plan.offsets[k].reshape(-1, 1)])
+    cols = np.hstack([plan.shared_cols, plan.interval_cols[k]])
     reps = len(x)
     quad = np.zeros(reps)
     along = np.zeros((reps, n_x + 1))                  # dev @ lin_map, all chunks
@@ -893,12 +892,12 @@ def _block_streams(plan: _McPlan, x0: np.ndarray, draw) -> dict:
     One forward walk, ``k = 0 .. horizon - 1``, asks for interval ``k``'s
     draws one chunk at a time, in stream order (sub-steps ``s`` rising
     within an interval, the intervals in turn), and each chunk feeds all
-    three streams.  The interval's product ``z_k interval_cols[k]``,
-    summed over the chunks by :func:`_pathwise_cost`, gives through its
-    ``sqrt(dt) [noise_map' | grad']`` columns the state step's
-    ``noise_map`` term and the ``discrete`` stream's ``grad`` term, one
-    row dot with ``[x_k; u_k; target_k]`` (each column depends only on its
-    own column of the matrix, so sharing it couples no two streams); the
+    three streams.  The interval's product ``z_k cols_k``, summed over the
+    chunks by :func:`_pathwise_cost`, gives through its ``sqrt(dt)
+    [noise_map' | grad']`` columns the state step's ``noise_map`` term and
+    the ``discrete`` stream's ``grad`` term, one row dot with ``[x_k; u_k;
+    target_k]`` (each column depends only on its own column of the matrix,
+    so sharing it couples no two streams); the
     Euler deviation of :func:`_pathwise_cost` from ``x_k`` gives the
     ``continuous`` stream's noise terms and the ``0.5 w_k' noise_quad w_k``
     that both share.

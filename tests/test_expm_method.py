@@ -19,6 +19,11 @@ from conftest import is_psd, make_benchmark_model, random_stable_model
 BENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
 
+def _bench_model(system):
+    with open(BENCH_DATA / f"{system}.json", encoding="utf-8") as fh:
+        return continuous_model_from_dict(json.load(fh))
+
+
 def test_scalar_integrator_closed_form(scalar_integrator):
     disc = discretize_expm(scalar_integrator)
     assert abs(disc.a[0, 0] - 1.0) < 1e-14
@@ -68,10 +73,16 @@ BENCHMARK_EXACT = {
 }
 
 
-# The benchmark model's within-interval noise cost int_0^1 tr(W Sigma(t)) dt,
-# from the drift's eigendecomposition at 50 mpmath digits (an mpmath
-# quadrature at 40 digits agrees to 30).
-BENCHMARK_NOISE_TRACE = 0.11653953389070025316067
+# The within-interval noise cost int_0^T_s tr(W Sigma(t)) dt of the benchmark
+# systems, from the 3 n_x block exponential of noise_trace_integral taken at
+# T_s at 50 mpmath digits (the same at 70; for stiff an mpmath quadrature of
+# int_0^T_s (T_s - s) tr(W exp(a_c s) g_c g_c' exp(a_c' s)) ds at 40 digits
+# agrees to 30).
+NOISE_TRACE = {
+    "stiff": 0.11653953389070026609915648,
+    "wide10": 18.99094447032278556903747,
+    "wide40": 1804.313500006948710886129,
+}
 
 
 def test_benchmark_against_high_precision_reference(benchmark_model):
@@ -84,8 +95,7 @@ def test_benchmark_against_high_precision_reference(benchmark_model):
 
 @pytest.mark.parametrize("system", ["wide10", "wide40"])
 def test_wide_systems_against_high_precision_reference(system):
-    with open(BENCH_DATA / f"{system}.json", encoding="utf-8") as fh:
-        model = continuous_model_from_dict(json.load(fh))
+    model = _bench_model(system)
     with open(BENCH_DATA / "reference.json", encoding="utf-8") as fh:
         reference = json.load(fh)[system]
     disc = discretize_expm(model)
@@ -100,8 +110,7 @@ def test_result_does_not_depend_on_the_units_of_the_kernels(system):
     # The cost and noise blocks are linear in q_c and g_c g_c'; rescaling
     # them must rescale Q, M and R_ww and leave A and B untouched, which
     # holds only if a large kernel does not set the exponentials' squarings.
-    with open(BENCH_DATA / f"{system}.json", encoding="utf-8") as fh:
-        model = continuous_model_from_dict(json.load(fh))
+    model = _bench_model(system)
     base = discretize_expm(model)
     scaled = discretize_expm(
         dataclasses.replace(model, q_c=1e8 * model.q_c, g_c=1e4 * model.g_c)
@@ -181,9 +190,26 @@ def test_pure_noise_scalar():
     assert abs(disc.r_ww[0, 0] - 1.0) < 1e-14
 
 
-def test_noise_trace_integral_against_high_precision_reference(benchmark_model):
-    got = noise_trace_integral(benchmark_model)
-    assert abs(got - BENCHMARK_NOISE_TRACE) <= 1e-14 * BENCHMARK_NOISE_TRACE
+def test_noise_trace_integral_against_high_precision_reference():
+    for system, want in NOISE_TRACE.items():
+        got = noise_trace_integral(_bench_model(system))
+        assert abs(got - want) <= 1e-14 * want, (system, got)
+
+
+@pytest.mark.parametrize("system", ["stiff", "wide10", "wide40"])
+@pytest.mark.parametrize("parts", [2, 8])
+def test_noise_trace_integral_composes_by_the_interval_law(system, parts):
+    # J(2 tau) = 2 J(tau) + tr(q_xx(tau) r_ww(tau)): the second half of the
+    # interval adds its own J(tau) plus the cost of the covariance r_ww(tau)
+    # that the first half left, carried by the state weight q_xx(tau)
+    model = _bench_model(system)
+    tau = model.t_s / parts
+    half = dataclasses.replace(model, t_s=tau)
+    disc, n_x = discretize_expm(half), model.n_x
+    carried = float(np.einsum("ij,ji->", disc.q[:n_x, :n_x], disc.r_ww))
+    want = 2.0 * noise_trace_integral(half) + carried
+    got = noise_trace_integral(dataclasses.replace(model, t_s=2.0 * tau))
+    assert abs(got - want) <= 1e-14 * abs(got), abs(got - want) / abs(got)
 
 
 def test_noise_trace_integral_closed_forms(scalar_integrator):
@@ -197,8 +223,7 @@ def test_noise_trace_integral_closed_forms(scalar_integrator):
 
 @pytest.mark.parametrize("system", ["stiff", "wide10", "wide40"])
 def test_noise_trace_integral_does_not_depend_on_the_units_of_q_c(system):
-    with open(BENCH_DATA / f"{system}.json", encoding="utf-8") as fh:
-        model = continuous_model_from_dict(json.load(fh))
+    model = _bench_model(system)
     base = noise_trace_integral(model)
     scaled = noise_trace_integral(dataclasses.replace(model, q_c=1e8 * model.q_c))
     assert abs(scaled / 1e8 - base) <= 1e-13 * abs(base)

@@ -1483,6 +1483,48 @@ def test_mc_plan_keeps_no_copy_of_q_big_columns_when_the_basis_is_square():
     assert held <= 0.1 * ref.q_big.nbytes, held / ref.q_big.nbytes
 
 
+@pytest.mark.parametrize("n_sub", [1, 13])
+def test_mc_plan_offsets_equal_the_per_interval_products(n_sub):
+    # the continuous stream's offsets of every interval come from one
+    # batched pass; each must be bit for bit the interval's own product
+    model = random_stable_model(np.random.default_rng(41), n_x=3, n_u=3, n_z=2, horizon=5)
+    plan = _mc_plan(model, n_sub)
+    weight = model.q_c @ model.c_c
+    for k, u in enumerate(model.inputs):
+        want = ((plan.ops.held[1:] @ u) @ (model.c_c.T @ weight)
+                + (model.d_c @ u - model.targets[k]) @ weight)
+        assert np.array_equal(plan.offsets[k].reshape(want.shape), want), k
+
+
+def test_mc_plan_stores_each_interval_independent_map_once():
+    # per added draw the plan keeps [q_vec_k | R_k], its offsets and the
+    # stages' own q_vec and R_k: 7.1 doubles here, at most 3 (n_x + 1); a
+    # copy of [noise_map' | grad' | noise_map'] per interval keeps 17.1
+    held = {}
+    for horizon in (4, 40):
+        model = make_benchmark_model(horizon=horizon)
+        tracemalloc.start()
+        try:
+            plan = _mc_plan(model, 16, dim_cap=2 ** 16)
+            held[plan.dim] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    (dim_4, held_4), (dim_40, held_40) = sorted(held.items())
+    per_draw = (held_40 - held_4) / (dim_40 - dim_4) / np.dtype(float).itemsize
+    assert per_draw <= 3 * (model.n_x + 1), per_draw
+
+
+def test_mc_plan_peak_at_a_long_thin_horizon():
+    # H = 1000 at n_sub 1, where per-interval pieces outnumber the shared
+    # ones: with the shared columns stored once and the offsets from one
+    # batched pass the peak reads 21 doubles per draw here; a copy of the
+    # shared columns per interval reads 38.6
+    plans = []
+    peak = _traced_peak(lambda: plans.append(_mc_plan(make_benchmark_model(horizon=1000), 1)))
+    per_draw = peak / plans[0].dim / np.dtype(float).itemsize
+    assert per_draw <= 30, per_draw
+
+
 def test_streaming_memory_does_not_grow_with_the_horizon():
     peaks = []
     for horizon in (_WALK_BLOCK, 8 * _WALK_BLOCK):
